@@ -28,6 +28,7 @@ from .harness import (
     _evaluate_bound,
     _resolve_inputs,
 )
+from .spaces import Projective
 from .streams import SeededStream
 
 __all__ = ["main"]
@@ -68,11 +69,28 @@ def _emit(text: str, out_path: str | None):
         sys.stdout.write(text)
 
 
+_COCYCLE_KINDS = ("lyap-projective", "lyap-matrix-norm")
+
+
+def _start(sys_spec, cfg):
+    """Start of a single-orbit command: ``params.start`` (default e_1) on
+    projective systems and for matrix-cocycle rates, ``params.x0``
+    (default 0.5) otherwise."""
+    if isinstance(sys_spec.space, Projective) or cfg.observable in _COCYCLE_KINDS:
+        m = sys_spec.nu.atoms[0][0].m
+        return np.asarray(cfg.params.get("start", [1.0] + [0.0] * (m - 1)), dtype=float)
+    return float(cfg.params.get("x0", 0.5))
+
+
 def _cmd_simulate(cfg, args):
     sys_spec = build_system(cfg.system)
-    traj = simulate(sys_spec.nu, float(cfg.params.get("x0", 0.5)), cfg.n,
+    traj = simulate(sys_spec.nu, _start(sys_spec, cfg), cfg.n,
                     SeededStream(cfg.seed), space=sys_spec.space)
-    rows = [{"k": k, "x": float(x)} for k, x in enumerate(np.atleast_1d(traj.points))]
+    if traj.points.ndim == 2:
+        rows = [{"k": k, **{f"x{i}": float(c) for i, c in enumerate(x, start=1)}}
+                for k, x in enumerate(traj.points)]
+    else:
+        rows = [{"k": k, "x": float(x)} for k, x in enumerate(np.atleast_1d(traj.points))]
     _emit(rows_to_csv(rows), args.out)
     return 0
 
@@ -92,7 +110,7 @@ def _cmd_tail(cfg, args):
 
 def _cmd_corrdim(cfg, args):
     sys_spec = build_system(cfg.system)
-    traj = simulate(sys_spec.nu, float(cfg.params.get("x0", 0.5)), cfg.n,
+    traj = simulate(sys_spec.nu, _start(sys_spec, cfg), cfg.n,
                     SeededStream(cfg.seed), space=sys_spec.space)
     eps0 = float(cfg.params.get("epsilon0", 0.1))
     rungs = int(cfg.params.get("rungs", 5))
@@ -106,13 +124,12 @@ def _cmd_corrdim(cfg, args):
 def _cmd_lyap(cfg, args):
     sys_spec = build_system(cfg.system)
     stream = SeededStream(cfg.seed)
-    if cfg.observable in ("lyap-projective", "lyap-matrix-norm"):
-        m = sys_spec.nu.atoms[0][0].m
-        x = np.asarray(cfg.params.get("start", [1.0] + [0.0] * (m - 1)), dtype=float)
+    x = _start(sys_spec, cfg)
+    if cfg.observable in _COCYCLE_KINDS:
         v, w = lyapunov_projective(sys_spec.nu, x, cfg.n, stream.generator())
         rows = [{"n": cfg.n, "vector_rate": v, "norm_rate": w}]
     else:
-        traj = simulate(sys_spec.nu, float(cfg.params.get("x0", 0.5)), cfg.n,
+        traj = simulate(sys_spec.nu, x, cfg.n,
                         stream, record_log_derivative=True, space=sys_spec.space)
         rows = [{"n": cfg.n, "rate": lyapunov_1d(traj)}]
     _emit(rows_to_csv(rows), args.out)

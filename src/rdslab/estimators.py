@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .chains import Trajectory, draw_word, simulate_coupled, word_maps
-from .maps import DrivingMeasure, ProjectiveAction, apply_map, derivative
+from .maps import Affine, DrivingMeasure, MoebiusDecay, ProjectiveAction, apply_map, derivative
 from .measures import EmpiricalMeasure, kantorovich_circle, kantorovich_interval
 from .observables import Observable
 from .spaces import Circle, Interval, Projective, RegionSet, StateSpace, circle_delta, distance, grid
@@ -63,15 +63,6 @@ def _vector_step(nu: DrivingMeasure, labels: np.ndarray, X: np.ndarray) -> np.nd
     return X - X**a
 
 
-def _pair_distances(space: StateSpace, X: np.ndarray) -> np.ndarray:
-    """All pairwise distances of 1-D states, shape (..., G, G)."""
-    D = np.abs(X[..., :, None] - X[..., None, :])
-    if isinstance(space, Circle):
-        D %= 1.0
-        np.minimum(D, 1.0 - D, out=D)
-    return D
-
-
 def _require_1d(space: StateSpace):
     if isinstance(space, Projective):
         raise ValueError("vectorized estimators support interval and circle spaces")
@@ -106,10 +97,7 @@ def pair_distance_profile(
         labels = draw_word(nu, rng, trials)
         X = _vector_step(nu, labels, X)
         Y = _vector_step(nu, labels, Y)
-        d = np.abs(X - Y)
-        if isinstance(space, Circle):
-            d %= 1.0
-            np.minimum(d, 1.0 - d, out=d)
+        d = distance(space, X, Y)
         means[k] = d.mean()
         errs[k] = d.std(ddof=1) / np.sqrt(trials) if trials > 1 else 0.0
     return list(zip(means, errs))
@@ -131,33 +119,98 @@ class LambdaEstimate:
     grid_lower_bound: bool = True  # suprema are approximated from below
 
 
+def _dense_sums(nu, space, x, n, c, rng):
+    """Orbit sums S[t, i, j] = sum_{k=0}^n d(X_k^i, X_k^j) of c coupled
+    trials from the starts x, at O(G^2) work per step.
+
+    The general kernel, and the test oracle of the order-preserving one.
+    Circle states are reduced mod 1 once per step, so the pair fold is
+    min(D, 1 - D) on differences already inside (-1, 1)."""
+    circle = isinstance(space, Circle)
+    X = np.tile(x, (c, 1))
+    S = np.tile(distance(space, x[:, None], x[None, :]), (c, 1, 1))
+    D = np.empty_like(S)
+    W = np.empty_like(S) if circle else None
+    for _ in range(n):
+        X = _vector_step(nu, draw_word(nu, rng, c), X)
+        R = X % 1.0 if circle else X
+        np.subtract(R[:, :, None], R[:, None, :], out=D)
+        np.abs(D, out=D)
+        if circle:
+            np.subtract(1.0, D, out=W)
+            np.minimum(D, W, out=D)
+        S += D
+    return S
+
+
+def _ordered_sums(nu, space, x, n, c, rng):
+    """The same orbit sums for order-preserving maps on an interval, at O(G)
+    work per step.
+
+    Coupled orbits never cross, so d(X_k^i, X_k^j) = |X_k^j - X_k^i| with a
+    sign fixed by the starts, and each pair's sum is a difference of
+    per-start sums.  Those are kept as offsets from start 0: differences of
+    exact dyadics stay exact (the halving system gets stderr exactly 0), and
+    the (first, last) pair accumulates exactly as in the dense kernel."""
+    X = np.tile(x, (c, 1))
+    Dsum = X - X[:, :1]
+    for _ in range(n):
+        X = _vector_step(nu, draw_word(nu, rng, c), X)
+        Dsum += X - X[:, :1]
+    S = Dsum[:, None, :] - Dsum[:, :, None]
+    return np.abs(S, out=S)
+
+
+def _order_preserving(nu: DrivingMeasure, space: StateSpace) -> bool:
+    """True when every map of the support is nondecreasing along every
+    orbit from the interval ``space``, so coupled orbits never cross.
+
+    Affine maps with slope >= 0 are nondecreasing on the whole line.
+    Moebius maps are increasing on [0, inf), which they map into itself,
+    so with them in the support the interval and the affine images must
+    stay inside [0, inf).  PolynomialDecay is not monotone (f'(1) < 0)."""
+    if not isinstance(space, Interval):
+        return False
+    if not nu.finite:
+        return nu.family == "moebius" and space.a >= 0.0
+    maps = [m for m, _ in nu.atoms]
+    if not all(isinstance(m, MoebiusDecay) or (isinstance(m, Affine) and m.slope >= 0.0)
+               for m in maps):
+        return False
+    if any(isinstance(m, MoebiusDecay) for m in maps):
+        return space.a >= 0.0 and all(m.offset >= 0.0 for m in maps if isinstance(m, Affine))
+    return True
+
+
 def _pair_sum_stats(nu, space, starts, n, trials, stream, chunk=TRIAL_CHUNK):
     """Per-pair mean and stderr of sum_{k=0}^n d(X_k^x, X_k^y) over a common
-    grid of starts, trials chunked with independent streams per chunk."""
-    G = len(starts)
-    base = _pair_distances(space, np.asarray(starts, dtype=float))
-    total = np.zeros((G, G))
-    total_sq = np.zeros((G, G))
+    grid of starts, trials chunked with independent streams per chunk.
+
+    Chunk variances are merged pairwise (Chan et al.), so a pair whose sum
+    is the same in every trial gets a stderr at rounding level, not the
+    square root of it."""
+    sums = _ordered_sums if _order_preserving(nu, space) else _dense_sums
+    x = np.asarray(starts, dtype=float)
+    total = np.zeros((len(x), len(x)))
+    m2 = np.zeros_like(total)
     done = 0
-    chunk_idx = 0
-    while done < trials:
-        c = min(chunk, trials - done)
-        rng = stream.substream(chunk_idx).generator()
-        X = np.tile(np.asarray(starts, dtype=float), (c, 1))
-        S = np.tile(base, (c, 1, 1))
+    for chunk_idx, lo in enumerate(range(0, trials, chunk)):
+        c = min(chunk, trials - lo)
         # one draw per step keeps the n-step word a prefix of the
         # (n+1)-step word at fixed seed, so the estimate is pathwise
         # nondecreasing in n
-        for _ in range(n):
-            X = _vector_step(nu, draw_word(nu, rng, c), X)
-            S += _pair_distances(space, X)
-        total += S.sum(axis=0)
-        total_sq += np.square(S).sum(axis=0)
+        S = sums(nu, space, x, n, c, stream.substream(chunk_idx).generator())
+        s = S.sum(axis=0)
+        S -= s / c
+        np.square(S, out=S)
+        m2 += S.sum(axis=0)
+        if done:
+            delta = s / c - total / done
+            m2 += delta * delta * (done * c / (done + c))
+        total += s
         done += c
-        chunk_idx += 1
     mean = total / trials
-    var = np.maximum(0.0, total_sq / trials - mean * mean)
-    stderr = np.sqrt(var / trials) if trials > 1 else np.zeros_like(mean)
+    stderr = np.sqrt(m2 / trials / trials) if trials > 1 else np.zeros_like(mean)
     return mean, stderr
 
 
@@ -177,6 +230,13 @@ def lambda_n(
     With ``region`` set, pairs are confined to each piece and the outer
     maximum runs over pieces.  The reported value is a grid lower bound of
     the underlying supremum.
+
+    On an interval whose maps all preserve order (Moebius maps, affine maps
+    with slope >= 0, the parametric Moebius family) coupled orbits never
+    cross, and the G x G pair table comes from G per-start orbit sums at
+    O(G) work per step.  Every other system (polynomial maps, negative
+    slopes, circles) steps all G^2 pair distances; that dense path is the
+    test oracle of the fast one.
     """
     _require_1d(space)
     stream = seed if isinstance(seed, SeededStream) else SeededStream(seed)
@@ -316,7 +376,7 @@ def _pairwise_dist_matrix(space, points):
         dot = np.abs(points @ points.T)
         np.clip(dot, 0.0, 1.0, out=dot)
         return np.sqrt(np.maximum(0.0, 1.0 - dot * dot))
-    return _pair_distances(space, points)
+    return distance(space, points[:, None], points[None, :])
 
 
 def correlation_sum(space, points, epsilon: float, kernel="heaviside") -> CorrelationSum:
@@ -599,9 +659,6 @@ def correlation_coefficient_pj(
         labels = draw_word(nu, rng, trials)
         X = _vector_step(nu, labels, X)
         Y = _vector_step(nu, labels, Y)
-    d = np.abs(X - Y)
-    if isinstance(space, Circle):
-        d %= 1.0
-        np.minimum(d, 1.0 - d, out=d)
+    d = distance(space, X, Y)
     err = float(d.std(ddof=1) / np.sqrt(trials)) if trials > 1 else 0.0
     return float(d.mean()), err

@@ -31,7 +31,16 @@ from .estimators import (
     sigma2_estimate,
     stationary_approx,
 )
-from .maps import Affine, DrivingMeasure, MoebiusDecay, PolynomialDecay, ProjectiveAction, derivative
+from .maps import (
+    _DERIVATIVE_FLOOR,
+    Affine,
+    DrivingMeasure,
+    MoebiusDecay,
+    PolynomialDecay,
+    ProjectiveAction,
+    SingularDerivativeError,
+    derivative,
+)
 from .measures import EmpiricalMeasure, kantorovich_circle, kantorovich_gaussian, kantorovich_interval
 from .observables import Observable, get_observable
 from .spaces import Circle, Interval, Projective, RegionSet, distance, grid
@@ -187,19 +196,28 @@ class TailReport:
 # per-trial observable engines (vectorized inside fixed-size chunks)
 
 
+def _checked_log_abs(d, what):
+    """log |d| of derivatives of ``what``, raising like
+    ``maps.log_derivative`` at a critical point."""
+    d = np.abs(d)
+    if np.any(d < _DERIVATIVE_FLOOR):
+        raise SingularDerivativeError(f"vanishing derivative of {what}")
+    return np.log(d)
+
+
 def _vector_log_deriv(nu: DrivingMeasure, labels, X):
     if nu.finite:
         out = np.empty_like(X)
         for idx, (m, _) in enumerate(nu.atoms):
             mask = labels == idx
             if np.any(mask):
-                out[mask] = np.log(np.abs(derivative(m, X[mask])))
+                out[mask] = _checked_log_abs(derivative(m, X[mask]), m)
         return out
     a = labels
     if nu.family == "moebius":
         return -2.0 * np.log1p(a * X)
-    with np.errstate(divide="ignore"):
-        return np.log(np.abs(1.0 - a * np.where(X > 0, X, 1.0) ** (a - 1.0)))
+    return _checked_log_abs(1.0 - a * np.where(X > 0, X, 1.0) ** (a - 1.0),
+                            f"the {nu.family} family")
 
 
 def _reference_measure(sys_spec: SystemSpec, params: dict, stream: SeededStream):
@@ -287,10 +305,7 @@ def _chunk_values(cfg: ExperimentConfig, sys_spec: SystemSpec, ctx: dict,
         eps = float(cfg.params["epsilon"])
         vals = np.empty(count)
         for i in range(count):
-            D = np.abs(orbit[i][:, None] - orbit[i][None, :])
-            if isinstance(space, Circle):
-                D %= 1.0
-                np.minimum(D, 1.0 - D, out=D)
+            D = distance(space, orbit[i][:, None], orbit[i][None, :])
             Kmat = phi0(1.0 - D / eps)
             vals[i] = (Kmat.sum() - n * phi0(1.0)) / n**2
         return vals

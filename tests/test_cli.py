@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from rdslab.cli import main
@@ -73,6 +74,35 @@ class TestOtherCommands:
         assert main(["simulate", "--config", write_cfg(tmp_path, TAIL_DOC),
                      "--out", str(out)]) == 0
         assert len(out.read_text().strip().split("\n")) == 52  # header + n+1 points
+
+    def test_simulate_interval_columns(self, tmp_path):
+        out = tmp_path / "t.csv"
+        doc = dict(TAIL_DOC, n=2, params={"x0": 0.25})
+        assert main(["simulate", "--config", write_cfg(tmp_path, doc), "--out", str(out)]) == 0
+        lines = out.read_text().split("\n")
+        assert lines[0] == "k,x" and lines[1] == "0,0.25" and lines[-1] == ""
+
+    def test_projective_starts(self, tmp_path):
+        matrices = ([[2.0, 1.0], [1.0, 1.0]], [[0.6, -0.8], [0.8, 0.6]])
+        system = {"kind": "atoms", "space": {"kind": "projective", "m": 2},
+                  "atoms": [[{"kind": "projective", "matrix": a}, 0.5] for a in matrices]}
+        doc = dict(TAIL_DOC, system=system, n=300, params={"epsilon0": 0.2, "rungs": 3})
+        cfg = write_cfg(tmp_path, doc)
+        sim, corr = tmp_path / "s.csv", tmp_path / "c.csv"
+        assert main(["simulate", "--config", cfg, "--out", str(sim)]) == 0
+        lines = sim.read_text().strip().split("\n")
+        assert lines[0] == "k,x1,x2" and lines[1] == "0,1,0"  # default start e_1
+        assert len(lines) == 302
+        points = np.array([[float(v) for v in line.split(",")[1:]] for line in lines[1:]])
+        np.testing.assert_allclose(np.linalg.norm(points, axis=1), 1.0, rtol=1e-12)
+        assert main(["corr-dim", "--config", cfg, "--out", str(corr)]) == 0
+        assert corr.read_text().startswith("epsilon,K,slope,intercept\n")
+        start = write_cfg(tmp_path, dict(doc, params={"start": [0.0, 1.0]}), "start.json")
+        assert main(["simulate", "--config", start, "--out", str(sim)]) == 0
+        assert sim.read_text().split("\n")[1] == "0,0,1"
+        lyap = write_cfg(tmp_path, dict(doc, observable="lyap-projective"), "lyap.json")
+        assert main(["lyap", "--config", lyap, "--out", str(sim)]) == 0
+        assert sim.read_text().startswith("n,vector_rate,norm_rate\n")
 
     def test_lambda(self, tmp_path):
         doc = dict(TAIL_DOC, params={"n_ladder": [10], "grid": 8})

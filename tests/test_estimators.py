@@ -1,8 +1,11 @@
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from rdslab.chains import Trajectory, coupled_distance, enumerate_expectation, simulate
+from rdslab import estimators as E
+from rdslab.chains import Trajectory, coupled_distance, draw_word, enumerate_expectation, simulate
 from rdslab.estimators import (
     CorrelationDimensionError,
     birkhoff_average,
@@ -21,10 +24,10 @@ from rdslab.estimators import (
     stationary_approx,
     synchronization,
 )
-from rdslab.maps import Affine, DrivingMeasure, MoebiusDecay, ProjectiveAction
+from rdslab.maps import Affine, DrivingMeasure, MoebiusDecay, PolynomialDecay, ProjectiveAction
 from rdslab.measures import EmpiricalMeasure, kantorovich_interval
 from rdslab.observables import Observable, get_observable
-from rdslab.spaces import Circle, Interval
+from rdslab.spaces import Circle, Interval, RegionSet, distance
 from rdslab.streams import SeededStream
 
 TWO_ATOM = DrivingMeasure(atoms=((MoebiusDecay(1.0), 0.5), (MoebiusDecay(2.0), 0.5)))
@@ -72,6 +75,88 @@ class TestLambdaN:
         est_full = lambda_n(HALVING, SP, 20, 50, 0, resolution=8)
         # pieces have width 0.1, so within-piece gaps start 10x smaller
         assert est_r.value <= est_full.value
+
+
+def _dense_lambda(*args, **kwargs):
+    """lambda_n forced onto the dense O(G^2) kernel, the oracle."""
+    with mock.patch.object(E, "_order_preserving", lambda nu, space: False):
+        return lambda_n(*args, **kwargs)
+
+
+_ordered_atom = st.one_of(
+    # slope in [0, 1], offset keeping [0, 1] inside itself
+    st.builds(lambda s, u: Affine(s, u * (1.0 - s)), st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+    st.builds(MoebiusDecay, st.floats(1.0, 10.0)),
+)
+_ordered_measure = st.one_of(
+    st.lists(_ordered_atom, min_size=1, max_size=3).map(
+        lambda ms: DrivingMeasure(atoms=tuple((m, 1.0 / len(ms)) for m in ms))),
+    st.builds(lambda lo, w: DrivingMeasure(family="moebius", sampler=("uniform", lo, lo + w)),
+              st.floats(1.0, 5.0), st.floats(0.0, 3.0)),
+)
+
+
+class TestPairSumKernels:
+    @settings(max_examples=60, deadline=None)
+    @given(nu=_ordered_measure, G=st.integers(2, 16), n=st.integers(0, 30),
+           trials=st.sampled_from([1, 2, 129]), seed=st.integers(0, 2**16),
+           cut=st.none() | st.floats(0.1, 0.9))
+    def test_ordered_kernel_matches_dense_oracle(self, nu, G, n, trials, seed, cut):
+        # 129 trials cross the 128-trial chunk boundary
+        region = None if cut is None else RegionSet(
+            SP, pieces=((0.0, cut - 0.05), (cut + 0.05, 1.0)), resolution=G)
+        assert E._order_preserving(nu, SP)
+        fast = lambda_n(nu, SP, n, trials, seed, resolution=G, region=region)
+        slow = _dense_lambda(nu, SP, n, trials, seed, resolution=G, region=region)
+        np.testing.assert_allclose(fast.table, slow.table, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(fast.table_stderr, slow.table_stderr, rtol=0.0, atol=1e-9)
+        assert fast.argmax_pair == slow.argmax_pair
+        assert fast.value == slow.value
+
+    @pytest.mark.parametrize("nu, space, expected", [
+        (HALVING, SP, True),
+        (TWO_ATOM, SP, True),
+        (DrivingMeasure(family="moebius", sampler=("uniform", 1.0, 2.0)), SP, True),
+        (DrivingMeasure(atoms=((Affine(0.0, 0.3), 1.0),)), SP, True),
+        (DrivingMeasure(atoms=((Affine(-0.5, 1.0), 1.0),)), SP, False),
+        (DrivingMeasure(atoms=((PolynomialDecay(1.25), 0.5), (PolynomialDecay(1.5), 0.5))), SP, False),
+        (DrivingMeasure(family="polynomial", sampler=("uniform", 1.25, 1.5)), SP, False),
+        (DrivingMeasure(atoms=((ProjectiveAction([[2.0, 1.0], [1.0, 1.0]], chart="circle"), 1.0),)),
+         Circle(), False),
+        (HALVING, Circle(), False),
+        # Moebius maps are monotone only on [0, inf)
+        (TWO_ATOM, Interval(-1.0, 1.0), False),
+        (DrivingMeasure(atoms=((MoebiusDecay(1.0), 0.5), (Affine(1.0, -0.5), 0.5))), SP, False),
+    ])
+    def test_order_preserving_truth_table(self, nu, space, expected):
+        assert E._order_preserving(nu, space) is expected
+
+    @pytest.mark.parametrize("n", [0, 1, 10, 40])
+    @pytest.mark.parametrize("trials", [1, 129])
+    def test_halving_exact(self, n, trials):
+        est = lambda_n(HALVING, SP, n, trials, 3, resolution=64)
+        assert est.stderr == 0.0
+        assert abs(est.value - sum(2.0**-k for k in range(n + 1))) <= 1e-15
+        assert est.argmax_pair == (0.0, 1.0)
+
+    def test_dense_circle_fold_matches_distance(self):
+        # lifts of circle maps leave [0, 1), and 0.5 + 0.5 lands on 1.0
+        nu = DrivingMeasure(atoms=((Affine(1.0, 0.5), 0.4), (Affine(2.0, 0.25), 0.3),
+                                   (Affine(-1.0, 0.75), 0.3)))
+        x = np.array([0.0, 0.25, 0.5, 0.9, 1.0])
+        n, c = 8, 5
+        S = E._dense_sums(nu, Circle(), x, n, c, SeededStream(2).generator())
+
+        rng = SeededStream(2).generator()
+        X = np.tile(x, (c, 1))
+        expected = np.tile(distance(Circle(), x[:, None], x[None, :]), (c, 1, 1))
+        for _ in range(n):
+            X = E._vector_step(nu, draw_word(nu, rng, c), X)
+            expected += distance(Circle(), X[:, :, None], X[:, None, :])
+        assert np.any(X < 0.0) and np.any(X > 1.0)
+        np.testing.assert_allclose(S, expected, rtol=0.0, atol=1e-12)
+        # starts 0.0 and 1.0 are the same circle point; dyadic lifts stay exact
+        assert np.all(S[:, 0, 4] == 0.0)
 
 
 class TestBirkhoff:

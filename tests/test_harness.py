@@ -3,8 +3,10 @@ import json
 import numpy as np
 import pytest
 
+from rdslab.chains import word_maps
 from rdslab.harness import (
     ExperimentConfig,
+    _vector_log_deriv,
     build_system,
     report_to_csv,
     report_to_json,
@@ -12,6 +14,7 @@ from rdslab.harness import (
     run_lambda_survey,
     run_tail,
 )
+from rdslab.maps import DrivingMeasure, PolynomialDecay, SingularDerivativeError, log_derivative
 
 
 def halving_cfg(**kw):
@@ -190,3 +193,32 @@ class TestASCLT:
                                trials=100, seed=0, t_ladder=[0.1])
         rows = run_asclt(cfg)
         assert rows[1]["kappa"] < rows[0]["kappa"] * 1.2  # 20% slack on the trend
+
+
+class TestVectorLogDerivative:
+    CRITICAL = (2.0 / 3.0) ** 2  # 1 - 1.5 sqrt(x) = 0 for alpha = 1.5
+    X = np.array([0.3, CRITICAL, 0.7])
+
+    def test_finite_branch_raises_at_critical_point(self):
+        nu = DrivingMeasure(atoms=((PolynomialDecay(1.5), 1.0),))
+        with pytest.raises(SingularDerivativeError):
+            log_derivative(PolynomialDecay(1.5), self.CRITICAL)
+        with pytest.raises(SingularDerivativeError):
+            _vector_log_deriv(nu, np.zeros(3, dtype=int), self.X)
+
+    def test_parametric_branch_raises_at_critical_point(self):
+        nu = DrivingMeasure(family="polynomial", sampler=("uniform", 1.25, 1.5))
+        with pytest.raises(SingularDerivativeError):
+            _vector_log_deriv(nu, np.full(3, 1.5), self.X)
+
+    @pytest.mark.parametrize("nu, labels", [
+        (DrivingMeasure(atoms=((PolynomialDecay(1.25), 0.5), (PolynomialDecay(1.5), 0.5))),
+         np.array([0, 1, 1])),
+        (DrivingMeasure(family="polynomial", sampler=("uniform", 1.25, 1.5)),
+         np.array([1.25, 1.3, 1.5])),
+    ])
+    def test_regular_points_match_scalar_path(self, nu, labels):
+        x = np.array([0.1, 0.25, 0.9])
+        maps = word_maps(nu, labels)
+        expected = [log_derivative(f, xi) for f, xi in zip(maps, x)]
+        np.testing.assert_allclose(_vector_log_deriv(nu, labels, x), expected, rtol=1e-14)
