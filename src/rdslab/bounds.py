@@ -14,7 +14,7 @@ Conventions shared by every routine here:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,13 +53,6 @@ class BoundInputs:
     gee_diameter: float = 0.0
     lam: float = 0.0
     u: list | None = None
-    lipschitz_L: float | None = None
-    sup_norm: float | None = None
-    m_nu: float | None = None
-    M_nu: float | None = None
-    C: float | None = None
-    m_dim: int | None = None
-    diam_M: float | None = None
 
     def __post_init__(self):
         if self.n < 1:

@@ -1,21 +1,22 @@
 """Observables and statistical estimators along random orbits.
 
 Monte Carlo loops are vectorized across trials for the one-dimensional
-families; every trial (or fixed-size trial chunk) owns its own stream, so
-results do not depend on scheduling.
+families through the per-label kernel ``DrivingMeasure.step`` (single
+orbits through ``simulate_coupled``); every trial (or fixed-size trial
+chunk) owns its own stream, so results do not depend on scheduling.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .chains import Trajectory, draw_word, simulate_coupled, word_maps
-from .maps import Affine, DrivingMeasure, MoebiusDecay, ProjectiveAction, apply_map, derivative
+from .maps import DrivingMeasure, ProjectiveAction, apply_map, derivative
 from .measures import EmpiricalMeasure, kantorovich_circle, kantorovich_interval
 from .observables import Observable
-from .spaces import Circle, Interval, Projective, RegionSet, StateSpace, circle_delta, distance, grid
+from .spaces import Circle, Projective, RegionSet, StateSpace, circle_delta, distance, grid
 from .streams import SeededStream
 
 __all__ = [
@@ -41,26 +42,6 @@ __all__ = [
 ]
 
 TRIAL_CHUNK = 128
-
-
-# ---------------------------------------------------------------------------
-# vectorized 1-D stepping
-
-
-def _vector_step(nu: DrivingMeasure, labels: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """Advance states one step; labels hold the per-trial map draw and X has
-    shape (trials, ...) with trials matching labels."""
-    if nu.finite:
-        out = np.empty_like(X)
-        for idx, (m, _) in enumerate(nu.atoms):
-            mask = labels == idx
-            if np.any(mask):
-                out[mask] = apply_map(m, X[mask])
-        return out
-    a = labels.reshape(labels.shape + (1,) * (X.ndim - 1))
-    if nu.family == "moebius":
-        return X / (1.0 + a * X)
-    return X - X**a
 
 
 def _require_1d(space: StateSpace):
@@ -95,8 +76,8 @@ def pair_distance_profile(
     means[0], errs[0] = float(distance(space, x, y)), 0.0
     for k in range(1, n + 1):
         labels = draw_word(nu, rng, trials)
-        X = _vector_step(nu, labels, X)
-        Y = _vector_step(nu, labels, Y)
+        X = nu.step(labels, X)
+        Y = nu.step(labels, Y)
         d = distance(space, X, Y)
         means[k] = d.mean()
         errs[k] = d.std(ddof=1) / np.sqrt(trials) if trials > 1 else 0.0
@@ -132,7 +113,7 @@ def _dense_sums(nu, space, x, n, c, rng):
     D = np.empty_like(S)
     W = np.empty_like(S) if circle else None
     for _ in range(n):
-        X = _vector_step(nu, draw_word(nu, rng, c), X)
+        X = nu.step(draw_word(nu, rng, c), X)
         R = X % 1.0 if circle else X
         np.subtract(R[:, :, None], R[:, None, :], out=D)
         np.abs(D, out=D)
@@ -155,31 +136,10 @@ def _ordered_sums(nu, space, x, n, c, rng):
     X = np.tile(x, (c, 1))
     Dsum = X - X[:, :1]
     for _ in range(n):
-        X = _vector_step(nu, draw_word(nu, rng, c), X)
+        X = nu.step(draw_word(nu, rng, c), X)
         Dsum += X - X[:, :1]
     S = Dsum[:, None, :] - Dsum[:, :, None]
     return np.abs(S, out=S)
-
-
-def _order_preserving(nu: DrivingMeasure, space: StateSpace) -> bool:
-    """True when every map of the support is nondecreasing along every
-    orbit from the interval ``space``, so coupled orbits never cross.
-
-    Affine maps with slope >= 0 are nondecreasing on the whole line.
-    Moebius maps are increasing on [0, inf), which they map into itself,
-    so with them in the support the interval and the affine images must
-    stay inside [0, inf).  PolynomialDecay is not monotone (f'(1) < 0)."""
-    if not isinstance(space, Interval):
-        return False
-    if not nu.finite:
-        return nu.family == "moebius" and space.a >= 0.0
-    maps = [m for m, _ in nu.atoms]
-    if not all(isinstance(m, MoebiusDecay) or (isinstance(m, Affine) and m.slope >= 0.0)
-               for m in maps):
-        return False
-    if any(isinstance(m, MoebiusDecay) for m in maps):
-        return space.a >= 0.0 and all(m.offset >= 0.0 for m in maps if isinstance(m, Affine))
-    return True
 
 
 def _pair_sum_stats(nu, space, starts, n, trials, stream, chunk=TRIAL_CHUNK):
@@ -189,7 +149,7 @@ def _pair_sum_stats(nu, space, starts, n, trials, stream, chunk=TRIAL_CHUNK):
     Chunk variances are merged pairwise (Chan et al.), so a pair whose sum
     is the same in every trial gets a stderr at rounding level, not the
     square root of it."""
-    sums = _ordered_sums if _order_preserving(nu, space) else _dense_sums
+    sums = _ordered_sums if nu.order_preserving(space) else _dense_sums
     x = np.asarray(starts, dtype=float)
     total = np.zeros((len(x), len(x)))
     m2 = np.zeros_like(total)
@@ -342,7 +302,7 @@ def sigma2_estimate(
     for _ in range(n):
         S += h(X) - offset
         labels = draw_word(nu, rng, trials)
-        X = _vector_step(nu, labels, X)
+        X = nu.step(labels, X)
     sq = S * S / n
     return Sigma2Estimate(
         value=float(sq.mean()),
@@ -617,17 +577,9 @@ def stationary_approx(
     if burn_in < 0 or samples < 1 or stride < 1:
         raise ValueError("need burn_in >= 0, samples >= 1, stride >= 1")
     stream = seed if isinstance(seed, SeededStream) else SeededStream(seed)
-    rng = stream.generator()
     total = burn_in + samples * stride
-    labels = draw_word(nu, rng, total)
-    x = np.asarray([float(x0)])
-    kept = np.empty(samples)
-    j = 0
-    for k in range(total):
-        x = _vector_step(nu, labels[k : k + 1], x)
-        if k >= burn_in and (k - burn_in) % stride == stride - 1:
-            kept[j] = x[0]
-            j += 1
+    orbit = simulate_coupled(nu, [float(x0)], total, stream.generator(), space=space)[0]
+    kept = orbit.points[burn_in + stride :: stride]
     measure = EmpiricalMeasure.from_samples(space, kept)
     half = samples // 2
     if half >= 1 and samples - half >= 1:
@@ -657,8 +609,8 @@ def correlation_coefficient_pj(
     Y = rng.choice(eta_sample.positions, size=trials, p=eta_sample.weights)
     for _ in range(j):
         labels = draw_word(nu, rng, trials)
-        X = _vector_step(nu, labels, X)
-        Y = _vector_step(nu, labels, Y)
+        X = nu.step(labels, X)
+        Y = nu.step(labels, Y)
     d = distance(space, X, Y)
     err = float(d.std(ddof=1) / np.sqrt(trials)) if trials > 1 else 0.0
     return float(d.mean()), err

@@ -22,8 +22,6 @@ import numpy as np
 from . import bounds as B
 from .chains import draw_word, simulate
 from .estimators import (
-    LambdaEstimate,
-    _vector_step,
     lambda_n,
     log_averaged_measure_from_values,
     lyapunov_projective,
@@ -31,19 +29,10 @@ from .estimators import (
     sigma2_estimate,
     stationary_approx,
 )
-from .maps import (
-    _DERIVATIVE_FLOOR,
-    Affine,
-    DrivingMeasure,
-    MoebiusDecay,
-    PolynomialDecay,
-    ProjectiveAction,
-    SingularDerivativeError,
-    derivative,
-)
+from .maps import Affine, DrivingMeasure, MoebiusDecay, PolynomialDecay, ProjectiveAction
 from .measures import EmpiricalMeasure, kantorovich_circle, kantorovich_gaussian, kantorovich_interval
-from .observables import Observable, get_observable
-from .spaces import Circle, Interval, Projective, RegionSet, distance, grid
+from .observables import get_observable
+from .spaces import Circle, Interval, Projective, distance
 from .streams import SeededStream
 
 __all__ = [
@@ -196,30 +185,6 @@ class TailReport:
 # per-trial observable engines (vectorized inside fixed-size chunks)
 
 
-def _checked_log_abs(d, what):
-    """log |d| of derivatives of ``what``, raising like
-    ``maps.log_derivative`` at a critical point."""
-    d = np.abs(d)
-    if np.any(d < _DERIVATIVE_FLOOR):
-        raise SingularDerivativeError(f"vanishing derivative of {what}")
-    return np.log(d)
-
-
-def _vector_log_deriv(nu: DrivingMeasure, labels, X):
-    if nu.finite:
-        out = np.empty_like(X)
-        for idx, (m, _) in enumerate(nu.atoms):
-            mask = labels == idx
-            if np.any(mask):
-                out[mask] = _checked_log_abs(derivative(m, X[mask]), m)
-        return out
-    a = labels
-    if nu.family == "moebius":
-        return -2.0 * np.log1p(a * X)
-    return _checked_log_abs(1.0 - a * np.where(X > 0, X, 1.0) ** (a - 1.0),
-                            f"the {nu.family} family")
-
-
 def _reference_measure(sys_spec: SystemSpec, params: dict, stream: SeededStream):
     ref = params.get("reference", "auto")
     if ref == "auto":
@@ -264,15 +229,15 @@ def _chunk_values(cfg: ExperimentConfig, sys_spec: SystemSpec, ctx: dict,
         acc = np.zeros(count)
         for _ in range(n):
             acc += h(X)
-            X = _vector_step(nu, draw_word(nu, rng, count), X)
+            X = nu.step(draw_word(nu, rng, count), X)
         return acc / n
 
     if kind == "lyap-1d":
         acc = np.zeros(count)
         for _ in range(n):
             labels = draw_word(nu, rng, count)
-            acc += _vector_log_deriv(nu, labels, X)
-            X = _vector_step(nu, labels, X)
+            acc += nu.log_derivative(labels, X)
+            X = nu.step(labels, X)
         return acc / n
 
     if kind == "sync":
@@ -282,15 +247,15 @@ def _chunk_values(cfg: ExperimentConfig, sys_spec: SystemSpec, ctx: dict,
         for _ in range(n):
             acc += np.asarray(distance(space, X[:, None], Y))
             labels = draw_word(nu, rng, count)
-            X = _vector_step(nu, labels, X)
-            Y = _vector_step(nu, labels, Y)
+            X = nu.step(labels, X)
+            Y = nu.step(labels, Y)
         return acc.min(axis=1) / n
 
     # remaining kinds need the full per-trial orbit (first n points)
     orbit = np.empty((count, n))
     for k in range(n):
         orbit[:, k] = X
-        X = _vector_step(nu, draw_word(nu, rng, count), X)
+        X = nu.step(draw_word(nu, rng, count), X)
 
     if kind in ("kappa-to-stationary", "kappa-interval"):
         ref = ctx["reference"]

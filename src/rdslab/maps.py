@@ -12,7 +12,10 @@ The built-in families:
   ``chart="circle"``.
 
 A :class:`DrivingMeasure` is either a finite weighted family or a
-parametric family with a parameter sampler.
+parametric family with a parameter sampler.  Only this module evaluates
+maps: :func:`apply_map`, :func:`derivative`, :func:`log_derivative` and the
+per-trial kernels ``DrivingMeasure.step`` / ``.log_derivative`` share one
+formula per family.
 """
 
 from __future__ import annotations
@@ -47,22 +50,67 @@ class SingularDerivativeError(ValueError):
     """Raised when a log-derivative is requested at a critical point."""
 
 
-@dataclass(frozen=True)
-class MoebiusDecay:
-    alpha: float
+def _log_abs(d, what):
+    """log |d|, raising at a critical point (|d| below the floor)."""
+    d = np.abs(d)
+    if np.any(d < _DERIVATIVE_FLOOR):
+        raise SingularDerivativeError(f"vanishing derivative of {what}")
+    return np.log(d)
+
+
+class _DecayFamily:
+    """One-parameter families on [0, 1].  The formulas ``image``, ``deriv``
+    and ``log_deriv`` take alpha as a scalar or as an array broadcasting
+    against the state (one parameter draw per trial)."""
 
     def __post_init__(self):
-        if self.alpha < 1.0:
-            raise ValueError("MoebiusDecay needs alpha >= 1")
+        lo, hi = self.ALPHA_RANGE
+        if not lo <= self.alpha <= hi:
+            raise ValueError(f"{type(self).__name__} needs alpha in [{lo}, {hi}]")
+
+    @classmethod
+    def log_deriv(cls, alpha, x):
+        return _log_abs(cls.deriv(alpha, x), cls.__name__)
 
 
 @dataclass(frozen=True)
-class PolynomialDecay:
+class MoebiusDecay(_DecayFamily):
     alpha: float
 
-    def __post_init__(self):
-        if not 1.25 <= self.alpha <= 1.5:
-            raise ValueError("PolynomialDecay needs alpha in [5/4, 3/2]")
+    ALPHA_RANGE = (1.0, np.inf)
+
+    @staticmethod
+    def image(alpha, x):
+        return x / (1.0 + alpha * x)
+
+    @staticmethod
+    def deriv(alpha, x):
+        return 1.0 / (1.0 + alpha * x) ** 2
+
+    @staticmethod
+    def log_deriv(alpha, x):
+        # positive slope on [0, inf): no critical point to check
+        return -2.0 * np.log1p(alpha * x)
+
+
+@dataclass(frozen=True)
+class PolynomialDecay(_DecayFamily):
+    alpha: float
+
+    ALPHA_RANGE = (1.25, 1.5)
+
+    @staticmethod
+    def image(alpha, x):
+        return x - x**alpha
+
+    @staticmethod
+    def deriv(alpha, x):
+        # limit 1 as x -> 0+ since alpha > 1; float_power, as ``**`` swaps in
+        # sqrt for a scalar exponent 0.5 but not for per-trial exponents
+        return np.where(x > 0.0, 1.0 - alpha * np.float_power(x, alpha - 1.0), 1.0)
+
+
+_FAMILIES = {"moebius": MoebiusDecay, "polynomial": PolynomialDecay}
 
 
 @dataclass(frozen=True)
@@ -115,12 +163,8 @@ def _circle_direction(theta):
 
 def apply_map(f: MapDescriptor, x):
     """Image of x under f.  Broadcasts over arrays for 1-D families."""
-    if isinstance(f, MoebiusDecay):
-        x = np.asarray(x, dtype=float)
-        return (x / (1.0 + f.alpha * x))[()]
-    if isinstance(f, PolynomialDecay):
-        x = np.asarray(x, dtype=float)
-        return (x - x**f.alpha)[()]
+    if isinstance(f, _DecayFamily):
+        return f.image(f.alpha, np.asarray(x, dtype=float))[()]
     if isinstance(f, Affine):
         x = np.asarray(x, dtype=float)
         return (f.slope * x + f.offset)[()]
@@ -136,15 +180,8 @@ def apply_map(f: MapDescriptor, x):
 
 def derivative(f: MapDescriptor, x):
     """Pointwise derivative of the 1-D (or circle-chart) realization of f."""
-    if isinstance(f, MoebiusDecay):
-        x = np.asarray(x, dtype=float)
-        return (1.0 / (1.0 + f.alpha * x) ** 2)[()]
-    if isinstance(f, PolynomialDecay):
-        x = np.asarray(x, dtype=float)
-        # limit 1 as x -> 0+ since alpha > 1
-        with np.errstate(divide="ignore"):
-            d = np.where(x > 0.0, 1.0 - f.alpha * x ** (f.alpha - 1.0), 1.0)
-        return d[()]
+    if isinstance(f, _DecayFamily):
+        return f.deriv(f.alpha, np.asarray(x, dtype=float))[()]
     if isinstance(f, Affine):
         return np.broadcast_to(f.slope, np.shape(x))[()] + 0.0
     if isinstance(f, ProjectiveAction) and f.chart == "circle":
@@ -160,10 +197,9 @@ def log_derivative(f: MapDescriptor, x):
     """log |f'(x)| for 1-D kinds; log ||A x|| for the projective norm cocycle."""
     if isinstance(f, ProjectiveAction) and f.chart == "projective":
         return float(np.log(np.linalg.norm(f.matrix @ np.asarray(x, dtype=float))))
-    d = np.abs(derivative(f, x))
-    if np.any(d < _DERIVATIVE_FLOOR):
-        raise SingularDerivativeError(f"vanishing derivative of {f!r}")
-    return np.log(d)[()]
+    if isinstance(f, _DecayFamily):
+        return f.log_deriv(f.alpha, np.asarray(x, dtype=float))[()]
+    return _log_abs(derivative(f, x), f)[()]
 
 
 @dataclass(frozen=True)
@@ -192,10 +228,10 @@ class DrivingMeasure:
                 raise ValueError("atom weights must sum to 1")
             object.__setattr__(self, "atoms", atoms)
         else:
-            if self.family not in ("moebius", "polynomial"):
+            if self.family not in _FAMILIES:
                 raise ValueError(f"unknown parametric family {self.family!r}")
             lo, hi = self._param_range()
-            vlo, vhi = (1.0, np.inf) if self.family == "moebius" else (1.25, 1.5)
+            vlo, vhi = _FAMILIES[self.family].ALPHA_RANGE
             if lo < vlo or hi > vhi:
                 raise ValueError("sampler range outside the family's parameter set")
 
@@ -213,9 +249,51 @@ class DrivingMeasure:
         return self.atoms is not None
 
     def make_map(self, param: float) -> MapDescriptor:
-        if self.family == "moebius":
-            return MoebiusDecay(param)
-        return PolynomialDecay(param)
+        return _FAMILIES[self.family](param)
+
+    def step(self, labels: np.ndarray, X: np.ndarray) -> np.ndarray:
+        """Image of each trial's states under its drawn map."""
+        return self._per_label(apply_map, "image", labels, X)
+
+    def log_derivative(self, labels: np.ndarray, X: np.ndarray) -> np.ndarray:
+        """log |f'(x)| of each trial's drawn map at its states; raises
+        :class:`SingularDerivativeError` at a critical point."""
+        return self._per_label(log_derivative, "log_deriv", labels, X)
+
+    def _per_label(self, per_map, formula, labels, X):
+        """``labels`` hold one draw_word entry per trial and X has shape
+        (trials, ...).  Finite measures apply ``per_map`` atom by atom under
+        a mask; parametric ones pass the drawn parameters to the family
+        ``formula``."""
+        if not self.finite:
+            params = labels.reshape(labels.shape + (1,) * (X.ndim - 1))
+            return getattr(_FAMILIES[self.family], formula)(params, X)
+        out = np.empty_like(X)
+        for idx, (m, _) in enumerate(self.atoms):
+            mask = labels == idx
+            if np.any(mask):
+                out[mask] = per_map(m, X[mask])
+        return out
+
+    def order_preserving(self, space: StateSpace) -> bool:
+        """True when every map of the support is nondecreasing along every
+        orbit from the interval ``space``, so coupled orbits never cross.
+
+        Affine maps with slope >= 0 are nondecreasing on the whole line.
+        Moebius maps are increasing on [0, inf), which they map into itself,
+        so with them in the support the interval and the affine images must
+        stay inside [0, inf).  PolynomialDecay is not monotone (f'(1) < 0)."""
+        if not isinstance(space, Interval):
+            return False
+        if not self.finite:
+            return self.family == "moebius" and space.a >= 0.0
+        maps = [m for m, _ in self.atoms]
+        if not all(isinstance(m, MoebiusDecay) or (isinstance(m, Affine) and m.slope >= 0.0)
+                   for m in maps):
+            return False
+        if any(isinstance(m, MoebiusDecay) for m in maps):
+            return space.a >= 0.0 and all(m.offset >= 0.0 for m in maps if isinstance(m, Affine))
+        return True
 
     def sample_params(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """Vectorized parameter draws (parametric measures only)."""

@@ -148,3 +148,46 @@ class TestSelftest:
         assert main(["selftest", "--seed", "5", "--threads", "1", "--out", str(o1)]) == 0
         assert main(["selftest", "--seed", "5", "--threads", "8", "--out", str(o8)]) == 0
         assert o1.read_text() == o8.read_text()
+
+
+LYAP_DOC = {
+    "observable": "lyap-1d", "n": 30, "trials": 300, "t_ladder": [0.001, 0.002, 0.004],
+    "seed": 7, "bound": "circle-lyap",
+    "inputs": {"lambda_nu": 2.0, "gee_inf": 0.5, "m_nu": 1.0 / 9.0, "M_nu": 1.0, "gee_c1": 1.0},
+}
+BOUND_COLUMNS = ("1.9999999982853223,0,pass-vacuous\n", "1.9999999931412895,0,pass-vacuous\n",
+                 "1.9999999725651578,0,pass-vacuous\n")
+
+
+class TestPinnedOutput:
+    """Full CSV text, byte for byte, of runs whose bytes must not move."""
+
+    def test_selftest_seed_0(self, tmp_path):
+        out = tmp_path / "s.csv"
+        assert main(["selftest", "--seed", "0", "--out", str(out)]) == 0
+        assert out.read_text() == (
+            "t,p_hat,ci_lo,ci_hi,bound,threshold,verdict\n"
+            "0.14999999999999999,0.00025000000000000001,4.4132501957676274e-05,"
+            "0.0014148310660989595,1.9702238792061253,0.02,pass-vacuous\n"
+            "0.20000000000000001,0,0,0.0009217947494830625,1.94737149870629,0.02,pass-vacuous\n"
+            "0.29999999999999999,0,0,0.0009217947494830625,1.8835290671684974,0.02,pass-vacuous\n"
+        )
+
+    @pytest.mark.parametrize("system, cells", [
+        # parametric family: per-trial parameters through the family formula
+        ("moebius-uniform", ("0.001,0.76000000000000001,0.70857881191546357,0.80484684304777254,",
+                             "0.002,0.37666666666666665,0.3237203650702255,0.43273156783182909,",
+                             "0.0040000000000000001,0.063333333333333339,0.040916882383915276,"
+                             "0.096791312485521613,")),
+        # finite measure: per-atom masks
+        ("moebius-two-atom", ("0.001,0.83666666666666667,0.79062683256987487,0.87419356680559734,",
+                              "0.002,0.51333333333333331,0.45696401676183918,0.56936550400550612,",
+                              "0.0040000000000000001,0.31333333333333335,0.26348439755985531,"
+                              "0.36790231169730847,")),
+    ])
+    def test_tail_lyap_1d(self, tmp_path, system, cells):
+        out = tmp_path / "t.csv"
+        cfg = write_cfg(tmp_path, dict(LYAP_DOC, system={"kind": system}))
+        assert main(["tail", "--config", cfg, "--out", str(out)]) == 0
+        assert out.read_text() == "t,p_hat,ci_lo,ci_hi,bound,threshold,verdict\n" + "".join(
+            c + b for c, b in zip(cells, BOUND_COLUMNS))

@@ -79,7 +79,7 @@ class TestLambdaN:
 
 def _dense_lambda(*args, **kwargs):
     """lambda_n forced onto the dense O(G^2) kernel, the oracle."""
-    with mock.patch.object(E, "_order_preserving", lambda nu, space: False):
+    with mock.patch.object(DrivingMeasure, "order_preserving", lambda nu, space: False):
         return lambda_n(*args, **kwargs)
 
 
@@ -105,7 +105,7 @@ class TestPairSumKernels:
         # 129 trials cross the 128-trial chunk boundary
         region = None if cut is None else RegionSet(
             SP, pieces=((0.0, cut - 0.05), (cut + 0.05, 1.0)), resolution=G)
-        assert E._order_preserving(nu, SP)
+        assert nu.order_preserving(SP)
         fast = lambda_n(nu, SP, n, trials, seed, resolution=G, region=region)
         slow = _dense_lambda(nu, SP, n, trials, seed, resolution=G, region=region)
         np.testing.assert_allclose(fast.table, slow.table, rtol=1e-12, atol=0.0)
@@ -129,7 +129,7 @@ class TestPairSumKernels:
         (DrivingMeasure(atoms=((MoebiusDecay(1.0), 0.5), (Affine(1.0, -0.5), 0.5))), SP, False),
     ])
     def test_order_preserving_truth_table(self, nu, space, expected):
-        assert E._order_preserving(nu, space) is expected
+        assert nu.order_preserving(space) is expected
 
     @pytest.mark.parametrize("n", [0, 1, 10, 40])
     @pytest.mark.parametrize("trials", [1, 129])
@@ -151,7 +151,7 @@ class TestPairSumKernels:
         X = np.tile(x, (c, 1))
         expected = np.tile(distance(Circle(), x[:, None], x[None, :]), (c, 1, 1))
         for _ in range(n):
-            X = E._vector_step(nu, draw_word(nu, rng, c), X)
+            X = nu.step(draw_word(nu, rng, c), X)
             expected += distance(Circle(), X[:, :, None], X[:, None, :])
         assert np.any(X < 0.0) and np.any(X > 1.0)
         np.testing.assert_allclose(S, expected, rtol=0.0, atol=1e-12)

@@ -6,7 +6,6 @@ import pytest
 from rdslab.chains import word_maps
 from rdslab.harness import (
     ExperimentConfig,
-    _vector_log_deriv,
     build_system,
     report_to_csv,
     report_to_json,
@@ -14,7 +13,17 @@ from rdslab.harness import (
     run_lambda_survey,
     run_tail,
 )
-from rdslab.maps import DrivingMeasure, PolynomialDecay, SingularDerivativeError, log_derivative
+from rdslab.maps import (
+    Affine,
+    DrivingMeasure,
+    MoebiusDecay,
+    PolynomialDecay,
+    ProjectiveAction,
+    SingularDerivativeError,
+    apply_map,
+    log_derivative,
+)
+from rdslab.streams import SeededStream
 
 
 def halving_cfg(**kw):
@@ -195,7 +204,13 @@ class TestASCLT:
         assert rows[1]["kappa"] < rows[0]["kappa"] * 1.2  # 20% slack on the trend
 
 
+HYPERBOLIC = [[2.0, 1.0], [1.0, 1.0]]
+ROTATION = [[0.6, -0.8], [0.8, 0.6]]
+
+
 class TestVectorLogDerivative:
+    """``DrivingMeasure.step`` / ``.log_derivative`` against the scalar path."""
+
     CRITICAL = (2.0 / 3.0) ** 2  # 1 - 1.5 sqrt(x) = 0 for alpha = 1.5
     X = np.array([0.3, CRITICAL, 0.7])
 
@@ -204,21 +219,50 @@ class TestVectorLogDerivative:
         with pytest.raises(SingularDerivativeError):
             log_derivative(PolynomialDecay(1.5), self.CRITICAL)
         with pytest.raises(SingularDerivativeError):
-            _vector_log_deriv(nu, np.zeros(3, dtype=int), self.X)
+            nu.log_derivative(np.zeros(3, dtype=int), self.X)
 
     def test_parametric_branch_raises_at_critical_point(self):
         nu = DrivingMeasure(family="polynomial", sampler=("uniform", 1.25, 1.5))
         with pytest.raises(SingularDerivativeError):
-            _vector_log_deriv(nu, np.full(3, 1.5), self.X)
+            nu.log_derivative(np.full(3, 1.5), self.X)
 
     @pytest.mark.parametrize("nu, labels", [
         (DrivingMeasure(atoms=((PolynomialDecay(1.25), 0.5), (PolynomialDecay(1.5), 0.5))),
-         np.array([0, 1, 1])),
+         [0, 1, 1]),
         (DrivingMeasure(family="polynomial", sampler=("uniform", 1.25, 1.5)),
-         np.array([1.25, 1.3, 1.5])),
+         [1.25, 1.3, 1.5]),
+        (DrivingMeasure(atoms=((MoebiusDecay(1.0), 0.5), (MoebiusDecay(2.7), 0.5))), [0, 1]),
+        (DrivingMeasure(family="moebius", sampler=("uniform", 1.0, 2.0)), [1.0, 1.37, 2.0]),
+        (DrivingMeasure(atoms=((Affine(0.5, 0.0), 0.5), (Affine(-0.3, 0.9), 0.5))), [0, 1]),
+        (DrivingMeasure(atoms=((ProjectiveAction(HYPERBOLIC, chart="circle"), 0.5),
+                               (ProjectiveAction([[1.0, 1.0], [0.0, 1.0]], chart="circle"), 0.5))),
+         [0, 1]),
     ])
     def test_regular_points_match_scalar_path(self, nu, labels):
-        x = np.array([0.1, 0.25, 0.9])
+        x, labels = self._points(labels)
         maps = word_maps(nu, labels)
-        expected = [log_derivative(f, xi) for f, xi in zip(maps, x)]
-        np.testing.assert_allclose(_vector_log_deriv(nu, labels, x), expected, rtol=1e-14)
+        images = np.array([apply_map(f, xi) for f, xi in zip(maps, x)])
+        logs = np.array([log_derivative(f, xi) for f, xi in zip(maps, x)])
+        assert np.array_equal(nu.step(labels, x), images)
+        assert np.array_equal(nu.log_derivative(labels, x), logs)
+
+    def test_non_dyadic_circle_matrix_agrees_to_rounding(self):
+        # matmul rounds the batched v @ A.T of a matrix with non-dyadic
+        # entries differently from the per-point product, so the two paths
+        # agree to rounding only
+        nu = DrivingMeasure(atoms=((ProjectiveAction(HYPERBOLIC, chart="circle"), 0.5),
+                                   (ProjectiveAction(ROTATION, chart="circle"), 0.5)))
+        x, labels = self._points([0, 1])
+        maps = word_maps(nu, labels)
+        images = np.array([apply_map(f, xi) for f, xi in zip(maps, x)])
+        logs = np.array([log_derivative(f, xi) for f, xi in zip(maps, x)])
+        np.testing.assert_allclose(nu.step(labels, x), images, rtol=1e-14, atol=1e-15)
+        np.testing.assert_allclose(nu.log_derivative(labels, x), logs, rtol=1e-14, atol=1e-15)
+
+    @staticmethod
+    def _points(labels):
+        """0, 1, points just below 1 (the circle wrap-around) and random
+        points, with the labels repeated along them."""
+        x = np.concatenate([[0.0, 1.0, 1.0 - 2.0**-53, 1.0 - 1e-12, 0.1, 0.25, 0.9],
+                            SeededStream(0).generator().random(40)])
+        return x, np.resize(np.asarray(labels), len(x))
