@@ -14,7 +14,9 @@ Conventions shared by every routine here:
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -36,6 +38,9 @@ __all__ = [
     "devroye_rhs",
     "appendix_checks",
     "wilson_interval",
+    "BOUNDS",
+    "resolve_inputs",
+    "evaluate",
 ]
 
 
@@ -77,16 +82,15 @@ class BoundResult:
     value: float
     threshold: float = 0.0
     applicable: bool = True
-    note: str = ""
 
     @property
     def vacuous(self) -> bool:
         return self.applicable and self.value > 1.0
 
 
-def _gate(threshold: float, value: float, t: float, strict: bool, note: str = "") -> BoundResult:
+def _gate(threshold: float, value: float, t: float, strict: bool) -> BoundResult:
     ok = (t > threshold) if strict else (t >= threshold)
-    return BoundResult(value=value, threshold=threshold, applicable=ok, note=note)
+    return BoundResult(value=value, threshold=threshold, applicable=ok)
 
 
 def beta_n(inputs: BoundInputs) -> float:
@@ -152,12 +156,12 @@ def lln_bound(n: int, t: float, L_h: float, gee_inf: float, lambda_nu: float) ->
 
 def empirical_kappa_bound(n: int, t: float, gee_inf: float, lambda_nu: float) -> BoundResult:
     """Two-sided tail bound for the Kantorovich distance of the empirical
-    measure from its mean; threshold uses L = 1 (see note)."""
+    measure from its mean."""
     s = gee_inf + lambda_nu
+    # the threshold uses L = 1 for the Kantorovich functional
     threshold = 2.0 * lambda_nu / n
     value = 2.0 * float(np.exp(-n * t * t / (12.0 * s * s))) if s > 0 else 0.0
-    return _gate(threshold, value, t, strict=True,
-                 note="threshold uses L=1 for the Kantorovich functional")
+    return _gate(threshold, value, t, strict=True)
 
 
 def interval_kappa_bound(
@@ -191,8 +195,8 @@ def corrdim_bound(
 def circle_lyap_bound(
     n: int, t: float, m_nu: float, M_nu: float, gee_c1: float, lam: float
 ) -> float:
-    """Two-sided circle Lyapunov-exponent tail bound.  The abstract
-    threshold sequence is estimated empirically by the harness, not here."""
+    """Two-sided circle Lyapunov-exponent tail bound.  Its threshold, twice
+    the abstract threshold sequence, is the ``circle-lyap`` selector's."""
     if not 0.0 < m_nu <= M_nu:
         raise ValueError("need 0 < m_nu <= M_nu")
     if t <= 0:
@@ -221,8 +225,7 @@ def matrix_norm_bound(n: int, t: float, m_dim: int, C: float, lambda_nu: float):
     """Matrix-norm growth bound 2m exp(-t^2 / (768 C^4 (lambda + C)^2)).
 
     Returns (threshold_log_part, bound): the (2/n) log m threshold term;
-    the remaining 2 t_n part is estimated empirically and added by the
-    caller.
+    the ``matrix-norm`` selector adds the remaining 2 t_n part.
     """
     if C < 1.0:
         raise ValueError("need C >= 1")
@@ -233,6 +236,94 @@ def matrix_norm_bound(n: int, t: float, m_dim: int, C: float, lambda_nu: float):
     s = lambda_nu + C
     value = 2.0 * m_dim * float(np.exp(-t * t / (768.0 * C**4 * s * s)))
     return (2.0 / n) * float(np.log(m_dim)), value
+
+
+# ---------------------------------------------------------------------------
+# the config selectors
+
+
+class Bound(NamedTuple):
+    """A config selector of :data:`BOUNDS`: whether the deviations it bounds
+    are two-sided, and its formula call.  The formula's parameters after
+    (n, t) are the inputs it reads, by key; a parameter's default is the
+    input's default."""
+
+    two_sided: bool
+    formula: Callable[..., BoundResult]
+
+
+# further keys an input is read from, in order: gee_rho stands in for the
+# sup-diameter G, and the C^1 diameter gee_c1 falls back on G
+_ALTERNATIVES = {"gee_inf": ("gee_inf", "gee_rho"), "gee_c1": ("gee_c1", "gee_inf", "gee_rho")}
+_CONVERT = {"m_dim": int, "u": list}  # every other input is a float
+
+
+def _past_t_n(t, value, t_n_hat, log_part=-0.0):
+    # the Lyapunov bounds hold for t > 2 t_n (plus the theorem's fixed term),
+    # t_n being the input t_n_hat; x + -0.0 is x for every x, signed zeros too
+    return _gate(2.0 * t_n_hat + log_part, value, t, strict=True)
+
+
+def _theorem_a(n, t, lambda_nu, gee_inf, uniform_c=1.0):
+    bi = BoundInputs(n=n, uniform_c=uniform_c, gee_diameter=gee_inf, lam=lambda_nu)
+    return BoundResult(value=main_tail_bound(n, t, beta_n(bi)))
+
+
+def _refined(n, t, gee_inf, u, uniform_c=1.0):
+    _, alpha_sq = refined_alpha(BoundInputs(n=n, uniform_c=uniform_c, gee_diameter=gee_inf, u=u))
+    return BoundResult(value=refined_tail_bound(t, alpha_sq))
+
+
+def _matrix_norm(n, t, lambda_nu, C, m_dim=2, t_n_hat=0.0):
+    log_part, value = matrix_norm_bound(n, t, m_dim, C, lambda_nu)
+    return _past_t_n(t, value, t_n_hat, log_part)
+
+
+BOUNDS = {
+    "theorem-a": Bound(False, _theorem_a),
+    "refined": Bound(False, _refined),
+    "lln": Bound(True, lambda n, t, lambda_nu, gee_inf, lipschitz_L=1.0:
+                 lln_bound(n, t, lipschitz_L, gee_inf, lambda_nu)),
+    "sync": Bound(False, lambda n, t, lambda_nu, gee_inf, muB=1.0:
+                  sync_bound(n, t, gee_inf, lambda_nu, muB)),
+    "empirical-kappa": Bound(True, lambda n, t, lambda_nu, gee_inf:
+                             empirical_kappa_bound(n, t, gee_inf, lambda_nu)),
+    "interval-kappa": Bound(False, lambda n, t, lambda_nu, gee_inf, a=0.0, b=1.0:
+                            interval_kappa_bound(n, t, a, b, gee_inf, lambda_nu)),
+    "corrdim": Bound(True, lambda n, t, lambda_nu, gee_inf, epsilon, lipschitz_L=1.0, sup_norm=1.0:
+                     corrdim_bound(n, t, epsilon, lipschitz_L, sup_norm, gee_inf, lambda_nu)),
+    "circle-lyap": Bound(True, lambda n, t, lambda_nu, gee_c1, m_nu, M_nu, t_n_hat=0.0: _past_t_n(
+        t, circle_lyap_bound(n, t, m_nu, M_nu, gee_c1, lambda_nu), t_n_hat)),
+    "projective-lyap": Bound(False, lambda n, t, lambda_nu, C, t_n_hat=0.0: _past_t_n(
+        t, projective_lyap_bound(t, C, lambda_nu), t_n_hat)),
+    "matrix-norm": Bound(True, _matrix_norm),
+}
+
+
+def resolve_inputs(selector: str, config: dict, analytic: dict):
+    """(inputs, provenance) of the bound ``selector``: each input from
+    ``config``, else the system's ``analytic`` constants, else its default,
+    with ``config``, ``analytic`` or ``default`` recorded under the key
+    read.  A missing required input raises ValueError naming its key."""
+    if selector not in BOUNDS:
+        raise ValueError(f"unknown bound selector {selector!r}; one of {', '.join(BOUNDS)}")
+    inputs, provenance = {}, {}
+    for name, param in list(inspect.signature(BOUNDS[selector].formula).parameters.items())[2:]:
+        keys = _ALTERNATIVES.get(name, (name,))
+        found = [(key, origin, src[key]) for key in keys
+                 for origin, src in (("config", config), ("analytic", analytic)) if key in src]
+        if not found and param.default is param.empty:
+            alternatives = "".join(f" (or {k!r})" for k in keys[1:])
+            raise ValueError(f"bound {selector!r} needs input {name!r}{alternatives}")
+        key, origin, value = found[0] if found else (name, "default", param.default)
+        inputs[name] = _CONVERT.get(name, float)(value)
+        provenance[key] = origin
+    return inputs, provenance
+
+
+def evaluate(selector: str, n: int, t: float, inputs: dict) -> BoundResult:
+    """The bound ``selector`` at deviation t after n steps, on resolved inputs."""
+    return BOUNDS[selector].formula(n, t, **inputs)
 
 
 def devroye_rhs(gamma, lambda_nu: float, diam_M: float) -> float:

@@ -13,22 +13,21 @@ import sys
 
 import numpy as np
 
-from .bounds import appendix_checks, wilson_interval
+from .bounds import appendix_checks, evaluate, resolve_inputs, wilson_interval
 from .chains import simulate
 from .estimators import correlation_dimension, lyapunov_1d, lyapunov_projective
 from .harness import (
+    COCYCLE_KINDS,
     ExperimentConfig,
     build_system,
+    orbit_start,
     report_to_csv,
     report_to_json,
     rows_to_csv,
     run_asclt,
     run_lambda_survey,
     run_tail,
-    _evaluate_bound,
-    _resolve_inputs,
 )
-from .spaces import Projective
 from .streams import SeededStream
 
 __all__ = ["main"]
@@ -51,8 +50,6 @@ def _load_config(args) -> ExperimentConfig:
         doc["seed"] = args.seed
     if args.trials is not None:
         doc["trials"] = args.trials
-    if args.threads is not None:
-        doc["threads"] = args.threads
     if args.grid is not None:
         doc.setdefault("params", {})["grid"] = args.grid
     try:
@@ -69,22 +66,9 @@ def _emit(text: str, out_path: str | None):
         sys.stdout.write(text)
 
 
-_COCYCLE_KINDS = ("lyap-projective", "lyap-matrix-norm")
-
-
-def _start(sys_spec, cfg):
-    """Start of a single-orbit command: ``params.start`` (default e_1) on
-    projective systems and for matrix-cocycle rates, ``params.x0``
-    (default 0.5) otherwise."""
-    if isinstance(sys_spec.space, Projective) or cfg.observable in _COCYCLE_KINDS:
-        m = sys_spec.nu.atoms[0][0].m
-        return np.asarray(cfg.params.get("start", [1.0] + [0.0] * (m - 1)), dtype=float)
-    return float(cfg.params.get("x0", 0.5))
-
-
 def _cmd_simulate(cfg, args):
     sys_spec = build_system(cfg.system)
-    traj = simulate(sys_spec.nu, _start(sys_spec, cfg), cfg.n,
+    traj = simulate(sys_spec.nu, orbit_start(sys_spec, cfg), cfg.n,
                     SeededStream(cfg.seed), space=sys_spec.space)
     if traj.points.ndim == 2:
         rows = [{"k": k, **{f"x{i}": float(c) for i, c in enumerate(x, start=1)}}
@@ -110,7 +94,7 @@ def _cmd_tail(cfg, args):
 
 def _cmd_corrdim(cfg, args):
     sys_spec = build_system(cfg.system)
-    traj = simulate(sys_spec.nu, _start(sys_spec, cfg), cfg.n,
+    traj = simulate(sys_spec.nu, orbit_start(sys_spec, cfg), cfg.n,
                     SeededStream(cfg.seed), space=sys_spec.space)
     eps0 = float(cfg.params.get("epsilon0", 0.1))
     rungs = int(cfg.params.get("rungs", 5))
@@ -124,8 +108,8 @@ def _cmd_corrdim(cfg, args):
 def _cmd_lyap(cfg, args):
     sys_spec = build_system(cfg.system)
     stream = SeededStream(cfg.seed)
-    x = _start(sys_spec, cfg)
-    if cfg.observable in _COCYCLE_KINDS:
+    x = orbit_start(sys_spec, cfg)
+    if cfg.observable in COCYCLE_KINDS:
         v, w = lyapunov_projective(sys_spec.nu, x, cfg.n, stream.generator())
         rows = [{"n": cfg.n, "vector_rate": v, "norm_rate": w}]
     else:
@@ -144,10 +128,10 @@ def _cmd_asclt(cfg, args):
 
 def _cmd_bounds(cfg, args):
     sys_spec = build_system(cfg.system)
-    inp, prov = _resolve_inputs(cfg, sys_spec)
+    inputs, _ = resolve_inputs(cfg.bound, cfg.inputs, sys_spec.analytic)
     rows = []
     for t in cfg.t_ladder:
-        res = _evaluate_bound(cfg, inp, float(t))
+        res = evaluate(cfg.bound, cfg.n, float(t), inputs)
         rows.append({"t": float(t), "bound": res.value, "threshold": res.threshold,
                      "applicable": res.applicable, "vacuous": res.vacuous})
     _emit(rows_to_csv(rows), args.out)
@@ -173,7 +157,6 @@ def _cmd_selftest(cfg, args):
         trials=4000,
         seed=cfg.seed,
         bound="lln",
-        threads=cfg.threads,
     )
     report = run_tail(battery)
     _emit(report_to_csv(report), args.out)
@@ -205,7 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int)
     p.add_argument("--out", help="output path (stdout if omitted)")
     p.add_argument("--format", choices=["csv", "json"], default="csv")
-    p.add_argument("--threads", type=int)
+    p.add_argument("--threads", type=int, help="accepted and ignored")
     p.add_argument("--grid", type=int)
     p.add_argument("--trials", type=int)
     return p

@@ -4,17 +4,16 @@ Estimates tail probabilities of orbit observables, evaluates the matching
 closed-form bound, and performs dominance checks with confidence
 intervals folded into the margin.
 
-Determinism contract: trials are partitioned into fixed-size chunks; chunk
-i always draws from substream i of the experiment stream, regardless of
-how many worker threads execute the chunks.  Identical config + seed
-therefore yields byte-identical reports for any --threads value.
+Determinism contract: trials are partitioned into fixed-size chunks and
+chunk i draws from substream i of the experiment stream, so identical
+config + seed yields byte-identical reports.  Chunks run in order in one
+thread; the ``threads`` field (``--threads``) is accepted and has no effect.
 """
 
 from __future__ import annotations
 
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,6 +21,7 @@ import numpy as np
 from . import bounds as B
 from .chains import draw_word, simulate
 from .estimators import (
+    correlation_sum,
     lambda_n,
     log_averaged_measure_from_values,
     lyapunov_projective,
@@ -49,8 +49,8 @@ __all__ = [
 
 CHUNK = 256
 
-ONE_SIDED_BOUNDS = {"theorem-a", "refined", "sync", "interval-kappa", "projective-lyap"}
-TWO_SIDED_BOUNDS = {"lln", "empirical-kappa", "corrdim", "circle-lyap", "matrix-norm"}
+# observables of the matrix cocycle, which start from a vector
+COCYCLE_KINDS = ("lyap-projective", "lyap-matrix-norm")
 
 
 # ---------------------------------------------------------------------------
@@ -141,7 +141,7 @@ class ExperimentConfig:
     seed: int = 0
     bound: str = "lln"
     inputs: dict = field(default_factory=dict)
-    threads: int = 1
+    threads: int = 1  # accepted and ignored: chunks run in order in one thread
 
     def __post_init__(self):
         if self.trials < 100 and self.observable != "asclt-kappa":
@@ -206,6 +206,16 @@ def _reference_measure(sys_spec: SystemSpec, params: dict, stream: SeededStream)
     return approx.measure, "estimated"
 
 
+def orbit_start(sys_spec: SystemSpec, cfg: ExperimentConfig):
+    """Start of every orbit of an experiment: ``params.start`` (default
+    e_1) on projective systems and for matrix-cocycle rates,
+    ``params.x0`` (default 0.5) otherwise."""
+    if isinstance(sys_spec.space, Projective) or cfg.observable in COCYCLE_KINDS:
+        m = sys_spec.nu.atoms[0][0].m
+        return np.asarray(cfg.params.get("start", [1.0] + [0.0] * (m - 1)), dtype=float)
+    return float(cfg.params.get("x0", 0.5))
+
+
 def _chunk_values(cfg: ExperimentConfig, sys_spec: SystemSpec, ctx: dict,
                   chunk_stream: SeededStream, count: int) -> np.ndarray:
     """Observable value for each of `count` trials, one noise realization
@@ -213,17 +223,15 @@ def _chunk_values(cfg: ExperimentConfig, sys_spec: SystemSpec, ctx: dict,
     nu, space, n = sys_spec.nu, sys_spec.space, cfg.n
     kind = cfg.observable
     rng = chunk_stream.generator()
-    x0 = float(cfg.params.get("x0", 0.5))
 
-    if kind in ("lyap-projective", "lyap-matrix-norm"):
+    if kind in COCYCLE_KINDS:
         vals = np.empty(count)
-        x = np.asarray(cfg.params.get("start", [1.0] + [0.0] * (nu.atoms[0][0].m - 1)), dtype=float)
         for i in range(count):
-            v, w = lyapunov_projective(nu, x, n, rng)
+            v, w = lyapunov_projective(nu, ctx["start"], n, rng)
             vals[i] = v if kind == "lyap-projective" else w
         return vals
 
-    X = np.full(count, x0)
+    X = np.full(count, ctx["start"])
     if kind == "birkhoff":
         h = ctx["h"]
         acc = np.zeros(count)
@@ -268,94 +276,19 @@ def _chunk_values(cfg: ExperimentConfig, sys_spec: SystemSpec, ctx: dict,
 
     if kind == "corr-sum":
         eps = float(cfg.params["epsilon"])
-        vals = np.empty(count)
-        for i in range(count):
-            D = distance(space, orbit[i][:, None], orbit[i][None, :])
-            Kmat = phi0(1.0 - D / eps)
-            vals[i] = (Kmat.sum() - n * phi0(1.0)) / n**2
-        return vals
+        return np.array([correlation_sum(space, orbit[i], eps, phi0).value
+                         for i in range(count)])
 
     raise ValueError(f"unknown observable kind {kind!r}")
 
 
 def _run_trials(cfg: ExperimentConfig, sys_spec: SystemSpec, ctx: dict,
                 stream: SeededStream) -> np.ndarray:
-    """All per-trial observable values, chunk-deterministic and threadable."""
+    """All per-trial observable values; chunk i draws from substream i."""
     n_chunks = (cfg.trials + CHUNK - 1) // CHUNK
-    sizes = [min(CHUNK, cfg.trials - i * CHUNK) for i in range(n_chunks)]
-
-    def work(i):
-        return _chunk_values(cfg, sys_spec, ctx, stream.substream(i), sizes[i])
-
-    if cfg.threads <= 1:
-        parts = [work(i) for i in range(n_chunks)]
-    else:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as ex:
-            parts = list(ex.map(work, range(n_chunks)))
-    return np.concatenate(parts)
-
-
-# ---------------------------------------------------------------------------
-# bound selection
-
-
-def _resolve_inputs(cfg: ExperimentConfig, sys_spec: SystemSpec):
-    """Bound ingredient values with their provenance (analytic constants
-    of library systems are preferred; config overrides win)."""
-    inp = dict(cfg.inputs)
-    prov = {}
-    for key in ("lambda_nu", "gee_inf", "gee_rho", "gee_c1"):
-        if key in inp:
-            prov[key] = "config"
-        elif key in sys_spec.analytic:
-            inp[key] = sys_spec.analytic[key]
-            prov[key] = "analytic"
-    return inp, prov
-
-
-def _evaluate_bound(cfg: ExperimentConfig, inp: dict, t: float) -> B.BoundResult:
-    n = cfg.n
-    sel = cfg.bound
-    lam = float(inp.get("lambda_nu", inp.get("lambda", 0.0)))
-    gee = float(inp.get("gee_inf", inp.get("gee_rho", inp.get("gee", 0.0))))
-    if sel == "theorem-a":
-        bi = B.BoundInputs(n=n, uniform_c=float(inp.get("uniform_c", 1.0)),
-                           gee_diameter=gee, lam=lam)
-        return B.BoundResult(value=B.main_tail_bound(n, t, B.beta_n(bi)))
-    if sel == "refined":
-        bi = B.BoundInputs(n=n, uniform_c=float(inp.get("uniform_c", 1.0)),
-                           gee_diameter=gee, lam=lam, u=inp["u"])
-        _, a2 = B.refined_alpha(bi)
-        return B.BoundResult(value=B.refined_tail_bound(t, a2))
-    if sel == "lln":
-        return B.lln_bound(n, t, float(inp.get("lipschitz_L", 1.0)), gee, lam)
-    if sel == "sync":
-        return B.sync_bound(n, t, gee, lam, float(inp.get("muB", 1.0)))
-    if sel == "empirical-kappa":
-        return B.empirical_kappa_bound(n, t, gee, lam)
-    if sel == "interval-kappa":
-        a = float(inp.get("a", 0.0))
-        b = float(inp.get("b", 1.0))
-        return B.interval_kappa_bound(n, t, a, b, gee, lam)
-    if sel == "corrdim":
-        return B.corrdim_bound(n, t, float(inp["epsilon"]),
-                               float(inp.get("lipschitz_L", 1.0)),
-                               float(inp.get("sup_norm", 1.0)), gee, lam)
-    if sel == "circle-lyap":
-        val = B.circle_lyap_bound(n, t, float(inp["m_nu"]), float(inp["M_nu"]),
-                                  float(inp.get("gee_c1", gee)), lam)
-        thr = 2.0 * float(inp.get("t_n_hat", 0.0))
-        return B.BoundResult(value=val, threshold=thr, applicable=t > thr)
-    if sel == "projective-lyap":
-        val = B.projective_lyap_bound(t, float(inp["C"]), lam)
-        thr = 2.0 * float(inp.get("t_n_hat", 0.0))
-        return B.BoundResult(value=val, threshold=thr, applicable=t > thr)
-    if sel == "matrix-norm":
-        log_part, val = B.matrix_norm_bound(n, t, int(inp.get("m_dim", 2)),
-                                            float(inp["C"]), lam)
-        thr = 2.0 * float(inp.get("t_n_hat", 0.0)) + log_part
-        return B.BoundResult(value=val, threshold=thr, applicable=t > thr)
-    raise ValueError(f"unknown bound selector {sel!r}")
+    return np.concatenate([
+        _chunk_values(cfg, sys_spec, ctx, stream.substream(i), min(CHUNK, cfg.trials - i * CHUNK))
+        for i in range(n_chunks)])
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +296,7 @@ def _evaluate_bound(cfg: ExperimentConfig, inp: dict, t: float) -> B.BoundResult
 
 
 def _build_context(cfg: ExperimentConfig, sys_spec: SystemSpec, stream: SeededStream):
-    ctx = {}
+    ctx = {"start": orbit_start(sys_spec, cfg)}
     prov = {}
     if cfg.observable == "birkhoff":
         ctx["h"] = get_observable(cfg.params.get("h", "coordinate"))
@@ -383,8 +316,13 @@ def run_tail(cfg: ExperimentConfig) -> TailReport:
     """
     t0 = time.perf_counter()
     sys_spec = build_system(cfg.system)
+    # bound errors, missing inputs included, surface before any simulation
+    inputs, prov = B.resolve_inputs(cfg.bound, cfg.inputs, sys_spec.analytic)
+    ladder = [float(t) for t in cfg.t_ladder]
+    results = [B.evaluate(cfg.bound, cfg.n, t, inputs) for t in ladder]
     stream = SeededStream(cfg.seed)
     ctx, ctx_prov = _build_context(cfg, sys_spec, stream)
+    prov.update(ctx_prov)
 
     pilot_stream, main_stream = stream.substream(1), stream.substream(2)
     pilot = _run_trials(cfg, sys_spec, ctx, pilot_stream)
@@ -392,15 +330,10 @@ def run_tail(cfg: ExperimentConfig) -> TailReport:
 
     center = float(pilot.mean())
     halfwidth = float(1.959963984540054 * pilot.std(ddof=1) / np.sqrt(len(pilot)))
-    two_sided = cfg.bound in TWO_SIDED_BOUNDS
-    dev = np.abs(values - center) if two_sided else values - center
+    dev = np.abs(values - center) if B.BOUNDS[cfg.bound].two_sided else values - center
 
-    inp, prov = _resolve_inputs(cfg, sys_spec)
-    prov.update(ctx_prov)
     rows = []
-    for t in cfg.t_ladder:
-        t = float(t)
-        res = _evaluate_bound(cfg, inp, t)
+    for t, res in zip(ladder, results):
         t_eff = t - halfwidth
         if not res.applicable or t_eff <= 0:
             rows.append({"t": t, "p_hat": float("nan"), "ci_lo": float("nan"),

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from rdslab.bounds import (
+    BOUNDS,
     BoundInputs,
     appendix_checks,
     beta_n,
@@ -17,6 +18,7 @@ from rdslab.bounds import (
     projective_lyap_bound,
     refined_alpha,
     refined_tail_bound,
+    resolve_inputs,
     sync_bound,
     wilson_interval,
 )
@@ -186,6 +188,54 @@ class TestLyapunovBounds:
         thr, val = matrix_norm_bound(50, 1.0, 2, 2.0, 1.0)
         assert thr == pytest.approx((2.0 / 50) * np.log(2.0))
         assert val == pytest.approx(4.0 * np.exp(-1.0 / (768.0 * 16.0 * 9.0)))
+
+
+class TestSelectorTable:
+    def test_sidedness_split(self):
+        two = {s for s, b in BOUNDS.items() if b.two_sided}
+        assert two == {"lln", "empirical-kappa", "corrdim", "circle-lyap", "matrix-norm"}
+        assert set(BOUNDS) - two == {"theorem-a", "refined", "sync", "interval-kappa",
+                                     "projective-lyap"}
+
+    def test_provenance_lists_every_input_read(self):
+        inputs, prov = resolve_inputs("lln", {"lipschitz_L": 2}, {"lambda_nu": 2.0,
+                                                                  "gee_inf": 0.5,
+                                                                  "stationary": "lebesgue"})
+        assert inputs == {"lambda_nu": 2.0, "gee_inf": 0.5, "lipschitz_L": 2.0}
+        assert prov == {"lambda_nu": "analytic", "gee_inf": "analytic", "lipschitz_L": "config"}
+        _, prov = resolve_inputs("matrix-norm", {"lambda_nu": 1.0, "C": 2.0}, {})
+        assert prov == {"lambda_nu": "config", "C": "config", "m_dim": "default",
+                        "t_n_hat": "default"}
+
+    @pytest.mark.parametrize("config, analytic, key, source", [
+        # config over analytic, key by key
+        ({"gee_inf": 0.25}, {"gee_inf": 0.5}, "gee_inf", "config"),
+        # gee_inf before gee_rho, even when only gee_rho is in the config
+        ({"gee_rho": 0.25}, {"gee_inf": 0.5}, "gee_inf", "analytic"),
+        ({}, {"gee_rho": 0.5}, "gee_rho", "analytic"),
+    ])
+    def test_diameter_precedence(self, config, analytic, key, source):
+        inputs, prov = resolve_inputs("lln", dict(config, lambda_nu=1.0), analytic)
+        assert inputs["gee_inf"] == dict(analytic, **config)[key]
+        assert prov[key] == source
+        assert {"gee_inf", "gee_rho"} & set(prov) == {key}
+
+    def test_circle_lyap_reads_c1_diameter_first(self):
+        inputs, prov = resolve_inputs(
+            "circle-lyap", {"gee_c1": 1.0, "m_nu": 0.5, "M_nu": 1.0},
+            {"lambda_nu": 2.0, "gee_inf": 0.5})
+        assert inputs["gee_c1"] == 1.0 and "gee_inf" not in prov
+        inputs, prov = resolve_inputs(
+            "circle-lyap", {"m_nu": 0.5, "M_nu": 1.0}, {"lambda_nu": 2.0, "gee_inf": 0.5})
+        assert inputs["gee_c1"] == 0.5 and prov["gee_inf"] == "analytic"
+
+    def test_missing_and_unknown(self):
+        with pytest.raises(ValueError, match="'lambda_nu'"):
+            resolve_inputs("lln", {"gee_inf": 0.5}, {"lambda_cap": "1+log(n+1)"})
+        with pytest.raises(ValueError, match="'gee_c1'.*'gee_inf'.*'gee_rho'"):
+            resolve_inputs("circle-lyap", {"lambda_nu": 1.0, "m_nu": 0.5, "M_nu": 1.0}, {})
+        with pytest.raises(ValueError, match="unknown bound selector"):
+            resolve_inputs("lnn", {}, {})
 
 
 class TestDevroye:

@@ -1,4 +1,5 @@
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -191,3 +192,91 @@ class TestPinnedOutput:
         assert main(["tail", "--config", cfg, "--out", str(out)]) == 0
         assert out.read_text() == "t,p_hat,ci_lo,ci_hi,bound,threshold,verdict\n" + "".join(
             c + b for c, b in zip(cells, BOUND_COLUMNS))
+
+
+# the halving system as explicit atoms, so no analytic constant fills an input
+HALVING_ATOMS = {"kind": "atoms", "atoms": [
+    [{"kind": "affine", "slope": 0.5, "offset": 0.0}, 0.5],
+    [{"kind": "affine", "slope": 0.5, "offset": 0.5}, 0.5]]}
+CONTRACTION = {"lambda_nu": 2.0, "gee_inf": 0.5}
+# per selector: inputs giving every required key (and some defaults), the t
+# ladder, and the `rdslab bounds` CSV body, pinned byte for byte
+BOUND_DOCS = {
+    "theorem-a": (dict(CONTRACTION, uniform_c=1.5), [0.5, 1.0],
+                  "0.5,0.94246239537788068,0,true,false\n"
+                  "1,0.78896206665919311,0,true,false\n"),
+    "refined": ({"gee_inf": 0.5, "u": [2.0**-k for k in range(1, 41)]}, [0.5, 1.0],
+                "0.5,0.68345810850998368,0,true,false\n"
+                "1,0.21819641022803407,0,true,false\n"),
+    "lln": ({"lambda_nu": 2.0, "gee_rho": 0.5, "lipschitz_L": 2.0}, [0.1, 0.3],
+            "0.10000000000000001,1.9993334444320998,0.20000000000000001,false,false\n"
+            "0.29999999999999999,1.994008991006746,0.20000000000000001,true,true\n"),
+    "sync": (dict(CONTRACTION, muB=0.25), [0.2, 5.0],
+             "0.20000000000000001,0.9946808636386143,3.7732974110590338,false,false\n"
+             "5,0.035673993347252395,3.7732974110590338,true,false\n"),
+    "empirical-kappa": (CONTRACTION, [0.05, 0.5],
+                        "0.050000000000000003,1.9973351103212509,0.10000000000000001,false,false\n"
+                        "0.5,1.750346638085895,0.10000000000000001,true,true\n"),
+    "interval-kappa": (dict(CONTRACTION, a=0.0, b=2.0), [0.5, 2.0],
+                       "0.5,0.9672161004820059,1.6148315584236825,false,false\n"
+                       "2,0.58664621951003182,1.6148315584236825,true,false\n"),
+    "corrdim": (dict(CONTRACTION, epsilon=0.25, sup_norm=0.5), [1.0, 2.0],
+                "1,1.9958376705985985,1.6125,false,false\n"
+                "2,1.9834025852777519,1.6125,true,true\n"),
+    "circle-lyap": ({"lambda_nu": 2.0, "gee_c1": 1.0, "m_nu": 0.5, "M_nu": 1.0,
+                     "t_n_hat": 0.01}, [0.01, 0.5],
+                    "0.01,1.9999953703757287,0.02,false,false\n"
+                    "0.5,1.9884593512147166,0.02,true,true\n"),
+    "projective-lyap": ({"lambda_nu": 2.0, "C": 3.0, "t_n_hat": 0.05}, [0.05, 20.0],
+                        "0.050000000000000003,0.99999999356995883,0.10000000000000001,"
+                        "false,false\n"
+                        "20,0.99897172245568966,0.10000000000000001,true,false\n"),
+    "matrix-norm": ({"lambda_nu": 2.0, "C": 3.0, "m_dim": 3}, [0.01, 30.0],
+                    "0.01,5.9999999996141975,0.054930614433405495,false,false\n"
+                    "30,5.9965287822779292,0.054930614433405495,true,true\n"),
+}
+REQUIRED = {
+    "theorem-a": ("lambda_nu", "gee_inf"),
+    "refined": ("gee_inf", "u"),
+    "lln": ("lambda_nu", "gee_inf"),
+    "sync": ("lambda_nu", "gee_inf"),
+    "empirical-kappa": ("lambda_nu", "gee_inf"),
+    "interval-kappa": ("lambda_nu", "gee_inf"),
+    "corrdim": ("lambda_nu", "gee_inf", "epsilon"),
+    "circle-lyap": ("lambda_nu", "gee_c1", "m_nu", "M_nu"),
+    "projective-lyap": ("lambda_nu", "C"),
+    "matrix-norm": ("lambda_nu", "C"),
+}
+DIAMETER_KEYS = {"gee_inf", "gee_rho", "gee_c1"}
+
+
+def bound_doc(selector, drop=()):
+    inputs, ladder, _ = BOUND_DOCS[selector]
+    return {"system": HALVING_ATOMS, "n": 40, "t_ladder": ladder, "trials": 100,
+            "bound": selector, "inputs": {k: v for k, v in inputs.items() if k not in drop}}
+
+
+class TestBoundSelectors:
+    @pytest.mark.parametrize("selector", sorted(BOUND_DOCS))
+    def test_bounds_csv_pinned(self, tmp_path, selector):
+        out = tmp_path / "b.csv"
+        assert main(["bounds", "--config", write_cfg(tmp_path, bound_doc(selector)),
+                     "--out", str(out)]) == 0
+        assert out.read_text() == "t,bound,threshold,applicable,vacuous\n" + BOUND_DOCS[selector][2]
+
+    @pytest.mark.parametrize("selector, key", [(s, k) for s, keys in REQUIRED.items()
+                                               for k in keys])
+    def test_missing_input_fails_before_drawing(self, tmp_path, capsys, selector, key):
+        drop = DIAMETER_KEYS if key in DIAMETER_KEYS else {key}
+        cfg = write_cfg(tmp_path, bound_doc(selector, drop))
+        with mock.patch("rdslab.harness.draw_word") as draw:
+            assert main(["tail", "--config", cfg]) == 2
+        assert f"{key!r}" in capsys.readouterr().err
+        draw.assert_not_called()
+
+    def test_unknown_selector_simulates_nothing(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, dict(TAIL_DOC, bound="lnn"))
+        with mock.patch("rdslab.harness._chunk_values") as chunk:
+            assert main(["tail", "--config", cfg]) == 2
+        assert "'lnn'" in capsys.readouterr().err
+        assert chunk.call_count == 0

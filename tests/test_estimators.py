@@ -27,7 +27,7 @@ from rdslab.estimators import (
 from rdslab.maps import Affine, DrivingMeasure, MoebiusDecay, PolynomialDecay, ProjectiveAction
 from rdslab.measures import EmpiricalMeasure, kantorovich_interval
 from rdslab.observables import Observable, get_observable
-from rdslab.spaces import Circle, Interval, RegionSet, distance
+from rdslab.spaces import Circle, Interval, Projective, RegionSet, distance
 from rdslab.streams import SeededStream
 
 TWO_ATOM = DrivingMeasure(atoms=((MoebiusDecay(1.0), 0.5), (MoebiusDecay(2.0), 0.5)))
@@ -236,6 +236,25 @@ class TestCorrelationSum:
     def test_too_few_points(self):
         with pytest.raises(ValueError):
             correlation_sum(SP, [0.5], 0.1)
+
+    @pytest.mark.parametrize("space, pts", [
+        (SP, np.random.default_rng(2).uniform(0, 1, 60)),
+        # lifts outside [0, 1) and pairs across the wrap
+        (Circle(), np.random.default_rng(3).uniform(-1.5, 2.5, 60)),
+        (Projective(3), (lambda v: v / np.linalg.norm(v, axis=1, keepdims=True))(
+            np.random.default_rng(4).normal(size=(60, 3)))),
+    ])
+    def test_matches_pairwise_loop(self, space, pts):
+        n = len(pts)
+        d = np.array([[float(distance(space, pts[i], pts[j])) for j in range(n)]
+                      for i in range(n)])
+        off = ~np.eye(n, dtype=bool)
+        for eps in (0.05, 0.3):
+            heavi = np.count_nonzero((d <= eps) & off) / n**2
+            smooth = float(np.sum(phi0(1.0 - d[off] / eps))) / n**2
+            assert correlation_sum(space, pts, eps).value == pytest.approx(heavi, abs=1e-12)
+            assert correlation_sum(space, pts, eps, kernel=phi0).value == pytest.approx(
+                smooth, rel=1e-12)
 
     @given(st.floats(min_value=-4, max_value=4, allow_nan=False))
     def test_phi0_heaviside_sandwich(self, y):
