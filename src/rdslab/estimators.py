@@ -36,10 +36,14 @@ __all__ = [
     "synchronization",
     "lyapunov_1d",
     "lyapunov_projective",
+    "lyapunov_projective_trials",
     "nonexpansive_fixed_points",
     "stationary_approx",
     "correlation_coefficient_pj",
 ]
+
+# most labels a trial-batched engine draws in one draw_word call
+LABEL_BLOCK = 1 << 16
 
 TRIAL_CHUNK = 128
 
@@ -464,6 +468,59 @@ def lyapunov_projective(nu: DrivingMeasure, x, n: int, stream, qr_period: int = 
     norm_rate = (log_scale + np.log(np.linalg.norm(Z, 2))) / n if n > 0 else 0.0
     vector_rate = acc / n if n > 0 else 0.0
     return float(vector_rate), float(norm_rate)
+
+
+def lyapunov_projective_trials(nu: DrivingMeasure, x, n: int, trials: int, stream,
+                               qr_period: int = 32):
+    """Both rates of ``trials`` independent cocycle orbits from x, as a
+    (2, trials) array: row 0 the vector rates, row 1 the norm rates.
+
+    Trial i's word is the n labels drawn after trial i-1's, so column i is
+    bit for bit ``lyapunov_projective(nu, x, n, rng)`` of the i-th of
+    ``trials`` calls on the same generator.  Trials step together in
+    sub-batches of at most LABEL_BLOCK labels (one trial's word, if longer,
+    is drawn in pieces of LABEL_BLOCK).  Stacked ``matmul`` and batched
+    ``np.linalg.qr`` round as the per-vector products and norms do; an
+    ``einsum`` or a ``sum(W * W)`` would not.
+    """
+    if not nu.finite or not all(isinstance(m, ProjectiveAction) for m, _ in nu.atoms):
+        raise ValueError("projective Lyapunov needs a finite ProjectiveAction measure")
+    mats = np.stack([m.matrix for m, _ in nu.atoms])
+    m = mats.shape[1]
+    v = np.asarray(x, dtype=float)
+    if v.shape != (m,):
+        raise ValueError("start vector dimension mismatch")
+    v = v / np.linalg.norm(v)
+    rng = stream.generator() if isinstance(stream, SeededStream) else stream
+    out = np.zeros((2, trials))
+    if n == 0:
+        return out
+    per_batch = max(1, LABEL_BLOCK // n)
+    for lo in range(0, trials, per_batch):
+        b = min(per_batch, trials - lo)
+        if b > 1:
+            columns = draw_word(nu, rng, b * n).reshape(b, n).T
+        else:
+            columns = (col for k in range(0, n, LABEL_BLOCK)
+                       for col in draw_word(nu, rng, min(LABEL_BLOCK, n - k))[:, None])
+        V = np.tile(v, (b, 1))
+        Z = np.tile(np.eye(m), (b, 1, 1))
+        acc, log_scale = np.zeros(b), np.zeros(b)
+        for step, labels in enumerate(columns, start=1):
+            A = mats[labels]
+            W = (A @ V[:, :, None])[:, :, 0]
+            r = np.sqrt((W[:, None, :] @ W[:, :, None])[:, 0, 0])
+            acc += np.log(r)
+            V = W / r[:, None]
+            Z = A @ Z
+            if step % qr_period == 0:
+                Q, R = np.linalg.qr(Z)
+                scale = np.max(np.abs(np.diagonal(R, axis1=1, axis2=2)), axis=1)
+                log_scale += np.log(scale)
+                Z = Q @ (R / scale[:, None, None])
+        out[0, lo:lo + b] = acc / n
+        out[1, lo:lo + b] = (log_scale + np.log(np.linalg.norm(Z, 2, axis=(1, 2)))) / n
+    return out
 
 
 # ---------------------------------------------------------------------------

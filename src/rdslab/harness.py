@@ -4,10 +4,18 @@ Estimates tail probabilities of orbit observables, evaluates the matching
 closed-form bound, and performs dominance checks with confidence
 intervals folded into the margin.
 
-Determinism contract: trials are partitioned into fixed-size chunks and
-chunk i draws from substream i of the experiment stream, so identical
-config + seed yields byte-identical reports.  Chunks run in order in one
-thread; the ``threads`` field (``--threads``) is accepted and has no effect.
+Determinism contract: identical config + seed yields byte-identical
+reports, because the draw order is fixed:
+
+* trials are partitioned into fixed-size chunks and chunk i draws from
+  substream i of the experiment stream;
+* the step engines draw labels step-major (step k's labels for every trial
+  of the chunk follow step k-1's), in blocks of at most LABEL_BLOCK labels;
+* the cocycle engine draws trial-major (trial i's n labels follow trial
+  i-1's).
+
+Chunks run in order in one thread; the ``threads`` field (``--threads``)
+is accepted and has no effect.
 """
 
 from __future__ import annotations
@@ -15,16 +23,18 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
 from . import bounds as B
 from .chains import draw_word, simulate
 from .estimators import (
+    LABEL_BLOCK,
     correlation_sum,
     lambda_n,
     log_averaged_measure_from_values,
-    lyapunov_projective,
+    lyapunov_projective_trials,
     phi0,
     sigma2_estimate,
     stationary_approx,
@@ -216,70 +226,132 @@ def orbit_start(sys_spec: SystemSpec, cfg: ExperimentConfig):
     return float(cfg.params.get("x0", 0.5))
 
 
+def _step_labels(nu: DrivingMeasure, rng, n: int, count: int):
+    """The labels of n steps of ``count`` trials, one (count,) row per step.
+
+    They are drawn step-major (step k's labels for every trial follow step
+    k-1's) in blocks of at most LABEL_BLOCK labels, so the rows equal n
+    successive draws of ``count`` labels and memory does not grow with n."""
+    steps = max(1, LABEL_BLOCK // count)
+    for lo in range(0, n, steps):
+        yield from draw_word(nu, rng, min(steps, n - lo) * count).reshape(-1, count)
+
+
+def _birkhoff(cfg, sys_spec, ctx, rng, count):
+    nu, h = sys_spec.nu, ctx["h"]
+    X = np.full(count, ctx["start"])
+    acc = np.zeros(count)
+    for labels in _step_labels(nu, rng, cfg.n, count):
+        acc += h(X)
+        X = nu.step(labels, X)
+    return acc / cfg.n
+
+
+def _lyap_1d(cfg, sys_spec, ctx, rng, count):
+    nu = sys_spec.nu
+    X = np.full(count, ctx["start"])
+    acc = np.zeros(count)
+    for labels in _step_labels(nu, rng, cfg.n, count):
+        acc += nu.log_derivative(labels, X)
+        X = nu.step(labels, X)
+    return acc / cfg.n
+
+
+def _sync(cfg, sys_spec, ctx, rng, count):
+    nu, space = sys_spec.nu, sys_spec.space
+    Bset = [float(b) for b in cfg.params["B"]]
+    X = np.full(count, ctx["start"])
+    Y = np.tile(np.asarray(Bset), (count, 1))
+    acc = np.zeros((count, len(Bset)))
+    for labels in _step_labels(nu, rng, cfg.n, count):
+        acc += np.asarray(distance(space, X[:, None], Y))
+        X = nu.step(labels, X)
+        Y = nu.step(labels, Y)
+    return acc.min(axis=1) / cfg.n
+
+
+def _orbits(cfg, sys_spec, ctx, rng, count):
+    """The first n points of each trial's orbit, shape (count, n)."""
+    nu = sys_spec.nu
+    orbit = np.empty((count, cfg.n))
+    X = np.full(count, ctx["start"])
+    for k, labels in enumerate(_step_labels(nu, rng, cfg.n, count)):
+        orbit[:, k] = X
+        X = nu.step(labels, X)
+    return orbit
+
+
+def _kappa(cfg, sys_spec, ctx, rng, count):
+    space, ref = sys_spec.space, ctx["reference"]
+    kant = kantorovich_circle if isinstance(space, Circle) else kantorovich_interval
+    w = np.full(cfg.n, 1.0 / cfg.n)
+    return np.array([kant(EmpiricalMeasure(space, o, w), ref)
+                     for o in _orbits(cfg, sys_spec, ctx, rng, count)])
+
+
+def _corr_sum(cfg, sys_spec, ctx, rng, count):
+    eps = float(cfg.params["epsilon"])
+    return np.array([correlation_sum(sys_spec.space, o, eps, phi0).value
+                     for o in _orbits(cfg, sys_spec, ctx, rng, count)])
+
+
+def _cocycle_rate(row):
+    """Engine of one cocycle rate (0: vector, 1: norm), all trials stepped
+    together; each trial's word is drawn trial-major."""
+    def values(cfg, sys_spec, ctx, rng, count):
+        return lyapunov_projective_trials(sys_spec.nu, ctx["start"], cfg.n, count, rng)[row]
+    return values
+
+
+@dataclass(frozen=True)
+class Engine:
+    """A tail observable: ``values(cfg, sys_spec, ctx, rng, count)`` gives
+    one value per trial of a chunk; ``params`` are the ``cfg.params`` keys
+    it reads without a default."""
+
+    values: Callable
+    params: tuple = ()
+
+
+ENGINES = {
+    "birkhoff": Engine(_birkhoff),
+    "lyap-1d": Engine(_lyap_1d),
+    "sync": Engine(_sync, ("B",)),
+    "kappa-to-stationary": Engine(_kappa),
+    "kappa-interval": Engine(_kappa),
+    "corr-sum": Engine(_corr_sum, ("epsilon",)),
+    "lyap-projective": Engine(_cocycle_rate(0)),
+    "lyap-matrix-norm": Engine(_cocycle_rate(1)),
+}
+
+
+def _check_observable(cfg: ExperimentConfig, sys_spec: SystemSpec):
+    """Fail with a ValueError, before any draw, when the observable is
+    unknown, misses a parameter, or cannot run on the system: the cocycle
+    rates need a finite measure over matrices of one size, every other
+    engine a one-dimensional system."""
+    kind, nu, space = cfg.observable, sys_spec.nu, sys_spec.space
+    if kind not in ENGINES:
+        raise ValueError(f"unknown observable kind {kind!r}")
+    for key in ENGINES[kind].params:
+        if key not in cfg.params:
+            raise ValueError(f"observable {kind!r} needs params {key!r}")
+    maps = [m for m, _ in nu.atoms] if nu.finite else []
+    matrices = [m for m in maps if isinstance(m, ProjectiveAction)]
+    if kind in COCYCLE_KINDS:
+        if not maps or len(matrices) < len(maps) or len({m.m for m in matrices}) > 1:
+            raise ValueError(f"observable {kind!r} needs a finite measure over "
+                             "ProjectiveAction matrices of one size")
+    elif isinstance(space, Projective) or any(m.chart == "projective" for m in matrices):
+        raise ValueError(f"observable {kind!r} needs a one-dimensional system, "
+                         f"not a projective action on {space!r}")
+
+
 def _chunk_values(cfg: ExperimentConfig, sys_spec: SystemSpec, ctx: dict,
                   chunk_stream: SeededStream, count: int) -> np.ndarray:
     """Observable value for each of `count` trials, one noise realization
     per trial, all trials in the chunk sharing one stream."""
-    nu, space, n = sys_spec.nu, sys_spec.space, cfg.n
-    kind = cfg.observable
-    rng = chunk_stream.generator()
-
-    if kind in COCYCLE_KINDS:
-        vals = np.empty(count)
-        for i in range(count):
-            v, w = lyapunov_projective(nu, ctx["start"], n, rng)
-            vals[i] = v if kind == "lyap-projective" else w
-        return vals
-
-    X = np.full(count, ctx["start"])
-    if kind == "birkhoff":
-        h = ctx["h"]
-        acc = np.zeros(count)
-        for _ in range(n):
-            acc += h(X)
-            X = nu.step(draw_word(nu, rng, count), X)
-        return acc / n
-
-    if kind == "lyap-1d":
-        acc = np.zeros(count)
-        for _ in range(n):
-            labels = draw_word(nu, rng, count)
-            acc += nu.log_derivative(labels, X)
-            X = nu.step(labels, X)
-        return acc / n
-
-    if kind == "sync":
-        Bset = [float(b) for b in cfg.params["B"]]
-        Y = np.tile(np.asarray(Bset), (count, 1))
-        acc = np.zeros((count, len(Bset)))
-        for _ in range(n):
-            acc += np.asarray(distance(space, X[:, None], Y))
-            labels = draw_word(nu, rng, count)
-            X = nu.step(labels, X)
-            Y = nu.step(labels, Y)
-        return acc.min(axis=1) / n
-
-    # remaining kinds need the full per-trial orbit (first n points)
-    orbit = np.empty((count, n))
-    for k in range(n):
-        orbit[:, k] = X
-        X = nu.step(draw_word(nu, rng, count), X)
-
-    if kind in ("kappa-to-stationary", "kappa-interval"):
-        ref = ctx["reference"]
-        kant = kantorovich_circle if isinstance(space, Circle) else kantorovich_interval
-        w = np.full(n, 1.0 / n)
-        vals = np.empty(count)
-        for i in range(count):
-            vals[i] = kant(EmpiricalMeasure(space, orbit[i], w), ref)
-        return vals
-
-    if kind == "corr-sum":
-        eps = float(cfg.params["epsilon"])
-        return np.array([correlation_sum(space, orbit[i], eps, phi0).value
-                         for i in range(count)])
-
-    raise ValueError(f"unknown observable kind {kind!r}")
+    return ENGINES[cfg.observable].values(cfg, sys_spec, ctx, chunk_stream.generator(), count)
 
 
 def _run_trials(cfg: ExperimentConfig, sys_spec: SystemSpec, ctx: dict,
@@ -320,6 +392,7 @@ def run_tail(cfg: ExperimentConfig) -> TailReport:
     inputs, prov = B.resolve_inputs(cfg.bound, cfg.inputs, sys_spec.analytic)
     ladder = [float(t) for t in cfg.t_ladder]
     results = [B.evaluate(cfg.bound, cfg.n, t, inputs) for t in ladder]
+    _check_observable(cfg, sys_spec)
     stream = SeededStream(cfg.seed)
     ctx, ctx_prov = _build_context(cfg, sys_spec, stream)
     prov.update(ctx_prov)

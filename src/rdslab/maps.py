@@ -227,6 +227,8 @@ class DrivingMeasure:
             if abs(sum(w for _, w in atoms) - 1.0) > 1e-12:
                 raise ValueError("atom weights must sum to 1")
             object.__setattr__(self, "atoms", atoms)
+            # not a field: eq and hash stay on the atoms
+            object.__setattr__(self, "_weights", np.array([w for _, w in atoms]))
         else:
             if self.family not in _FAMILIES:
                 raise ValueError(f"unknown parametric family {self.family!r}")
@@ -306,8 +308,7 @@ class DrivingMeasure:
 
     def sample_indices(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """Vectorized atom-index draws (finite measures only)."""
-        weights = np.array([w for _, w in self.atoms])
-        return rng.choice(len(self.atoms), size=size, p=weights)
+        return rng.choice(len(self.atoms), size=size, p=self._weights)
 
     def support_maps(self, param_grid=None) -> list:
         """The support as a finite list of maps.  Parametric measures need

@@ -46,6 +46,21 @@ class TestSimulate:
         )
 
 
+class TestSampleIndices:
+    def test_cached_weights_draw_as_fresh_choice(self):
+        nu = DrivingMeasure(atoms=((MoebiusDecay(1.0), 0.2), (MoebiusDecay(2.0), 0.3),
+                                   (Affine(0.5, 0.0), 0.5)))
+        rng, fresh = SeededStream(6).generator(), SeededStream(6).generator()
+        for size in (1, 7, 1000):
+            expect = fresh.choice(3, size=size, p=np.array([0.2, 0.3, 0.5]))
+            assert np.array_equal(nu.sample_indices(rng, size), expect)
+
+    def test_weights_are_not_a_field(self):
+        a = DrivingMeasure(atoms=((MoebiusDecay(1.0), 0.5), (MoebiusDecay(2.0), 0.5)))
+        assert a == TWO_ATOM and hash(a) == hash(TWO_ATOM)
+        assert "_weights" not in repr(a)
+
+
 class TestCoupling:
     def test_shared_word(self):
         trajs = simulate_coupled(HALVING, [0.0, 1.0], 30, SeededStream(5), space=SP)

@@ -151,6 +151,19 @@ class TestSelftest:
         assert o1.read_text() == o8.read_text()
 
 
+MATRICES_2 = ([[2.0, 1.0], [1.0, 1.0]], [[0.6, -0.8], [0.8, 0.6]])
+MATRICES_3 = ([[2.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
+              [[1.0, 0.0, 0.0], [0.0, 0.6, -0.8], [0.0, 0.8, 0.6]])
+
+
+MATRIX_INPUTS = {"lambda_nu": 2.0, "C": 3.0}
+
+
+def projective_system(matrices):
+    return {"kind": "atoms", "space": {"kind": "projective", "m": len(matrices[0])},
+            "atoms": [[{"kind": "projective", "matrix": a}, 0.5] for a in matrices]}
+
+
 LYAP_DOC = {
     "observable": "lyap-1d", "n": 30, "trials": 300, "t_ladder": [0.001, 0.002, 0.004],
     "seed": 7, "bound": "circle-lyap",
@@ -192,6 +205,33 @@ class TestPinnedOutput:
         assert main(["tail", "--config", cfg, "--out", str(out)]) == 0
         assert out.read_text() == "t,p_hat,ci_lo,ci_hi,bound,threshold,verdict\n" + "".join(
             c + b for c, b in zip(cells, BOUND_COLUMNS))
+
+
+    @pytest.mark.parametrize("kind, matrices, bound, ladder, inputs, body", [
+        # 2 chunks (256 + 44 trials) of the trial-batched cocycle
+        ("lyap-projective", MATRICES_2, "projective-lyap", [0.02, 0.05, 0.1], MATRIX_INPUTS,
+         "0.02,0.46666666666666667,0.41099110566704244,0.52318509241459388,"
+         "0.9999999989711934,0,pass\n"
+         "0.050000000000000003,0.34000000000000002,0.28872020409649268,0.39532554669536202,"
+         "0.99999999356995883,0,pass\n"
+         "0.10000000000000001,0.18333333333333332,0.14364526409824455,0.23102861767730118,"
+         "0.99999997427983567,0,pass\n"),
+        ("lyap-matrix-norm", MATRICES_3, "matrix-norm", [0.06, 0.1, 0.15],
+         dict(MATRIX_INPUTS, m_dim=3),
+         "0.059999999999999998,0.49333333333333335,0.43720207035328285,0.5496331692630444,"
+         "5.9999999861111117,0.054930614433405495,pass-vacuous\n"
+         "0.10000000000000001,0.23999999999999999,0.19515315695222746,0.29142118808453643,"
+         "5.9999999614197534,0.054930614433405495,pass-vacuous\n"
+         "0.14999999999999999,0.073333333333333334,0.048923993839228588,0.10853134160571733,"
+         "5.9999999131944453,0.054930614433405495,pass-vacuous\n"),
+    ])
+    def test_tail_cocycle(self, tmp_path, kind, matrices, bound, ladder, inputs, body):
+        out = tmp_path / "t.csv"
+        cfg = write_cfg(tmp_path, {
+            "system": projective_system(matrices), "observable": kind, "n": 40, "trials": 300,
+            "t_ladder": ladder, "seed": 3, "bound": bound, "inputs": inputs})
+        assert main(["tail", "--config", cfg, "--out", str(out)]) == 0
+        assert out.read_text() == "t,p_hat,ci_lo,ci_hi,bound,threshold,verdict\n" + body
 
 
 # the halving system as explicit atoms, so no analytic constant fills an input
@@ -280,3 +320,45 @@ class TestBoundSelectors:
             assert main(["tail", "--config", cfg]) == 2
         assert "'lnn'" in capsys.readouterr().err
         assert chunk.call_count == 0
+
+
+def observable_doc(observable, system=HALVING_ATOMS, params=None):
+    return {"system": system, "observable": observable, "params": params or {}, "n": 40,
+            "t_ladder": [0.5], "trials": 100, "bound": "lln", "inputs": CONTRACTION}
+
+
+PROJECTIVE_ATOMS = projective_system(MATRICES_2)
+MIXED_SIZES = {"kind": "atoms", "atoms": [
+    [{"kind": "projective", "matrix": MATRICES_2[0]}, 0.5],
+    [{"kind": "projective", "matrix": MATRICES_3[0]}, 0.5]]}
+ONE_D_KINDS = ("birkhoff", "lyap-1d", "sync", "kappa-to-stationary", "kappa-interval",
+               "corr-sum")
+
+
+class TestObservableChecks:
+    """A missing observable parameter or a system the observable cannot run
+    on is exit 2, named on stderr, before any context is built or drawn."""
+
+    @pytest.mark.parametrize("doc, named", [
+        pytest.param(observable_doc("corr-sum"), "'epsilon'", id="corr-sum-epsilon"),
+        pytest.param(observable_doc("sync", params={"x0": 0.25}), "'B'", id="sync-B"),
+        pytest.param(observable_doc("birkof"), "'birkof'", id="unknown"),
+        *[pytest.param(observable_doc(kind, PROJECTIVE_ATOMS, {"B": [0.5], "epsilon": 0.5}),
+                       "Projective", id=f"{kind}-projective-space") for kind in ONE_D_KINDS],
+        # projective-chart maps on the default interval
+        pytest.param(observable_doc("birkhoff", dict(PROJECTIVE_ATOMS, space=None)),
+                     "projective action", id="birkhoff-projective-maps"),
+        *[pytest.param(observable_doc(kind, system), "ProjectiveAction", id=f"{kind}-{tag}")
+          for kind in ("lyap-projective", "lyap-matrix-norm")
+          for tag, system in (("affine", HALVING_ATOMS), ("parametric", {"kind": "moebius-uniform"}),
+                              ("mixed-sizes", MIXED_SIZES))],
+    ])
+    def test_fails_before_drawing(self, tmp_path, capsys, doc, named):
+        with mock.patch("rdslab.harness.draw_word") as draw, \
+                mock.patch("rdslab.estimators.draw_word") as draw_cocycle, \
+                mock.patch("rdslab.harness._build_context") as context:
+            assert main(["tail", "--config", write_cfg(tmp_path, doc)]) == 2
+        assert named in capsys.readouterr().err
+        draw.assert_not_called()
+        draw_cocycle.assert_not_called()
+        context.assert_not_called()

@@ -17,6 +17,7 @@ from rdslab.estimators import (
     log_averaged_measure_from_values,
     lyapunov_1d,
     lyapunov_projective,
+    lyapunov_projective_trials,
     nonexpansive_fixed_points,
     pair_distance_profile,
     phi0,
@@ -361,6 +362,59 @@ class TestLyapunovProjective:
         exact = np.log(np.sqrt(4.0**n + 4.0**-n) / np.sqrt(2.0)) / n
         assert v == pytest.approx(exact, abs=1e-10)
         assert abs(v - np.log(2.0)) < 0.05
+
+
+def _matrix_measure(a, b):
+    return DrivingMeasure(atoms=((ProjectiveAction(a), 0.5), (ProjectiveAction(b), 0.5)))
+
+
+HYPERBOLIC_ROTATION = {
+    2: _matrix_measure([[2.0, 1.0], [1.0, 1.0]], [[0.6, -0.8], [0.8, 0.6]]),
+    3: _matrix_measure([[2.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
+                       [[1.0, 0.0, 0.0], [0.0, 0.6, -0.8], [0.0, 0.8, 0.6]]),
+}
+
+
+class TestLyapunovProjectiveTrials:
+    """The trial-batched cocycle against a loop of ``lyapunov_projective``
+    on one generator, bit for bit."""
+
+    @staticmethod
+    def _loop(nu, x, n, trials, seed):
+        rng = SeededStream(seed).generator()
+        return np.array([lyapunov_projective(nu, x, n, rng) for _ in range(trials)]).T
+
+    @pytest.mark.parametrize("m", [2, 3])
+    @pytest.mark.parametrize("n", [1, 31, 32, 33, 65])
+    @pytest.mark.parametrize("trials", [1, 3, 256])
+    def test_matches_per_trial_loop(self, m, n, trials):
+        nu = HYPERBOLIC_ROTATION[m]
+        x = np.eye(m)[0]
+        got = lyapunov_projective_trials(nu, x, n, trials, SeededStream(n).generator())
+        assert np.array_equal(got, self._loop(nu, x, n, trials, n))
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_non_e1_start(self, m):
+        nu, x = HYPERBOLIC_ROTATION[m], np.arange(1.0, m + 1.0)
+        got = lyapunov_projective_trials(nu, x, 65, 20, SeededStream(2).generator())
+        assert np.array_equal(got, self._loop(nu, x, 65, 20, 2))
+
+    @pytest.mark.parametrize("n, block", [(33, 100), (65, 64), (65, 10)])
+    def test_sub_batches(self, n, block):
+        # 3 trials per sub-batch (3 + 3 + 1); then one trial per sub-batch,
+        # its 65-label word drawn in pieces of 64 + 1 or of 10 labels
+        nu = HYPERBOLIC_ROTATION[2]
+        with mock.patch.object(E, "LABEL_BLOCK", block):
+            got = lyapunov_projective_trials(nu, [1.0, 0.0], n, 7, SeededStream(4).generator())
+        assert np.array_equal(got, self._loop(nu, [1.0, 0.0], n, 7, 4))
+
+    def test_rejects_bad_inputs(self):
+        nu = HYPERBOLIC_ROTATION[2]
+        with pytest.raises(ValueError, match="dimension"):
+            lyapunov_projective_trials(nu, [1.0, 0.0, 0.0], 5, 2, SeededStream(0))
+        with pytest.raises(ValueError, match="ProjectiveAction"):
+            lyapunov_projective_trials(DrivingMeasure(atoms=((Affine(0.5, 0.0), 1.0),)),
+                                       [1.0, 0.0], 5, 2, SeededStream(0))
 
 
 class TestNonexpansiveFixedPoints:

@@ -1,9 +1,13 @@
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from rdslab.chains import word_maps
+from rdslab import estimators as E
+from rdslab import harness as H
+from rdslab.chains import draw_word, word_maps
+from rdslab.estimators import lyapunov_projective
 from rdslab.harness import (
     ExperimentConfig,
     build_system,
@@ -23,6 +27,7 @@ from rdslab.maps import (
     apply_map,
     log_derivative,
 )
+from rdslab.spaces import distance
 from rdslab.streams import SeededStream
 
 
@@ -266,3 +271,106 @@ class TestVectorLogDerivative:
         x = np.concatenate([[0.0, 1.0, 1.0 - 2.0**-53, 1.0 - 1e-12, 0.1, 0.25, 0.9],
                             SeededStream(0).generator().random(40)])
         return x, np.resize(np.asarray(labels), len(x))
+
+
+def per_step_values(cfg, sys_spec, ctx, rng, count):
+    """The step engines as they drew before block draws: one draw_word call
+    of ``count`` labels per step (the orbit engine returns the orbit)."""
+    nu, space, n, kind = sys_spec.nu, sys_spec.space, cfg.n, cfg.observable
+    X = np.full(count, ctx["start"])
+    if kind == "birkhoff":
+        acc = np.zeros(count)
+        for _ in range(n):
+            acc += ctx["h"](X)
+            X = nu.step(draw_word(nu, rng, count), X)
+        return acc / n
+    if kind == "lyap-1d":
+        acc = np.zeros(count)
+        for _ in range(n):
+            labels = draw_word(nu, rng, count)
+            acc += nu.log_derivative(labels, X)
+            X = nu.step(labels, X)
+        return acc / n
+    if kind == "sync":
+        Y = np.tile(np.asarray(cfg.params["B"], dtype=float), (count, 1))
+        acc = np.zeros(Y.shape)
+        for _ in range(n):
+            acc += np.asarray(distance(space, X[:, None], Y))
+            labels = draw_word(nu, rng, count)
+            X = nu.step(labels, X)
+            Y = nu.step(labels, Y)
+        return acc.min(axis=1) / n
+    orbit = np.empty((count, n))
+    for k in range(n):
+        orbit[:, k] = X
+        X = nu.step(draw_word(nu, rng, count), X)
+    return orbit
+
+
+PROJECTIVE_SYSTEM = {"kind": "atoms", "space": {"kind": "projective", "m": 2},
+                     "atoms": [[{"kind": "projective", "matrix": HYPERBOLIC}, 0.5],
+                               [{"kind": "projective", "matrix": ROTATION}, 0.5]]}
+ENGINE_CASES = [
+    ("birkhoff", {"kind": "halving-ifs"}, {"h": "coordinate"}),
+    ("birkhoff", {"kind": "moebius-uniform"}, {"h": "coordinate"}),
+    ("lyap-1d", {"kind": "moebius-two-atom"}, {}),
+    ("lyap-1d", {"kind": "moebius-uniform"}, {}),
+    ("sync", {"kind": "halving-ifs"}, {"B": [0.0, 0.5, 1.0], "x0": 0.25}),
+    ("corr-sum", {"kind": "halving-ifs"}, {"epsilon": 0.5}),
+    ("corr-sum", {"kind": "moebius-uniform"}, {"epsilon": 0.5}),
+]
+
+
+class TestChunkEngines:
+    """Block-drawn engines against the per-step oracle, bit for bit."""
+
+    @staticmethod
+    def _compare(kind, system, params, n, count):
+        cfg = halving_cfg(observable=kind, system=system, params=params, n=n)
+        sys_spec = build_system(system)
+        ctx, _ = H._build_context(cfg, sys_spec, SeededStream(0))
+        rng = SeededStream(9).generator
+        if kind == "corr-sum":  # the orbit engine
+            got = H._orbits(cfg, sys_spec, ctx, rng(), count)
+        else:
+            got = H._chunk_values(cfg, sys_spec, ctx, SeededStream(9), count)
+        assert np.array_equal(got, per_step_values(cfg, sys_spec, ctx, rng(), count))
+
+    @pytest.mark.parametrize("kind, system, params", ENGINE_CASES)
+    def test_one_block(self, kind, system, params):
+        self._compare(kind, system, params, 30, 256)
+
+    @pytest.mark.parametrize("kind, system, params", ENGINE_CASES)
+    @pytest.mark.parametrize("block", [100, 20])
+    def test_across_blocks(self, kind, system, params, block):
+        # 37 trials: two steps per block of 100 labels with a short last
+        # block, or one step per draw when the block is below the count
+        with mock.patch.object(H, "LABEL_BLOCK", block):
+            self._compare(kind, system, params, 25, 37)
+
+    @pytest.mark.parametrize("kind, n", [("birkhoff", 500), ("lyap-projective", 130)])
+    def test_draws_stay_within_block(self, kind, n):
+        # label memory per draw is bounded by the block, however long the
+        # orbit: a cocycle word longer than the block is drawn in pieces
+        system = {"kind": "halving-ifs"} if kind == "birkhoff" else PROJECTIVE_SYSTEM
+        cfg = halving_cfg(observable=kind, system=system, n=n)
+        sys_spec = build_system(system)
+        ctx, _ = H._build_context(cfg, sys_spec, SeededStream(0))
+        with mock.patch.object(H, "LABEL_BLOCK", 50), mock.patch.object(E, "LABEL_BLOCK", 50), \
+                mock.patch.object(H, "draw_word", wraps=H.draw_word) as step_draws, \
+                mock.patch("rdslab.estimators.draw_word", wraps=draw_word) as word_draws:
+            H._chunk_values(cfg, sys_spec, ctx, SeededStream(9), 37)
+        sizes = [c.args[2] for c in step_draws.call_args_list + word_draws.call_args_list]
+        assert max(sizes) <= 50 and sum(sizes) == n * 37
+
+    @pytest.mark.parametrize("kind, row", [("lyap-projective", 0), ("lyap-matrix-norm", 1)])
+    @pytest.mark.parametrize("block", [1 << 16, 50])
+    def test_cocycle_engine(self, kind, row, block):
+        cfg = halving_cfg(observable=kind, system=PROJECTIVE_SYSTEM, n=40)
+        sys_spec = build_system(PROJECTIVE_SYSTEM)
+        ctx, _ = H._build_context(cfg, sys_spec, SeededStream(0))
+        with mock.patch.object(E, "LABEL_BLOCK", block):
+            got = H._chunk_values(cfg, sys_spec, ctx, SeededStream(9), 5)
+        rng = SeededStream(9).generator()
+        expect = [lyapunov_projective(sys_spec.nu, ctx["start"], 40, rng)[row] for _ in range(5)]
+        assert np.array_equal(got, expect)
