@@ -35,6 +35,7 @@ __all__ = [
     "correlation_dimension",
     "synchronization",
     "lyapunov_1d",
+    "cocycle_matrices",
     "lyapunov_projective",
     "lyapunov_projective_trials",
     "nonexpansive_fixed_points",
@@ -44,6 +45,9 @@ __all__ = [
 
 # most labels a trial-batched engine draws in one draw_word call
 LABEL_BLOCK = 1 << 16
+
+# steps between QR re-factorizations of a cocycle product
+QR_PERIOD = 32
 
 TRIAL_CHUNK = 128
 
@@ -435,16 +439,26 @@ def lyapunov_1d(traj: Trajectory) -> float:
     return float(traj.log_derivative_sum[-1]) / n
 
 
-def lyapunov_projective(nu: DrivingMeasure, x, n: int, stream, qr_period: int = 32):
+def cocycle_matrices(nu: DrivingMeasure) -> np.ndarray:
+    """The (G, m, m) stack of a matrix cocycle's atom matrices; ValueError
+    unless ``nu`` is a finite measure over ProjectiveAction matrices of one
+    size."""
+    maps = [f for f, _ in nu.atoms] if nu.finite else []
+    if (not maps or not all(isinstance(f, ProjectiveAction) for f in maps)
+            or len({f.m for f in maps}) > 1):
+        raise ValueError("a matrix cocycle needs a finite measure over "
+                         "ProjectiveAction matrices of one size")
+    return np.stack([f.matrix for f in maps])
+
+
+def lyapunov_projective(nu: DrivingMeasure, x, n: int, stream):
     """Finite-time rates of a matrix cocycle.
 
     vector_rate: (1/n) log ||A_n x|| accumulated incrementally in log space.
     norm_rate: (1/n) log of the spectral norm of the full product, kept
     readable by periodic QR re-factorization with the scale split off.
     """
-    if not nu.finite or not all(isinstance(m, ProjectiveAction) for m, _ in nu.atoms):
-        raise ValueError("projective Lyapunov needs a finite ProjectiveAction measure")
-    m = nu.atoms[0][0].m
+    m = cocycle_matrices(nu).shape[1]
     v = np.asarray(x, dtype=float)
     if v.shape != (m,):
         raise ValueError("start vector dimension mismatch")
@@ -460,7 +474,7 @@ def lyapunov_projective(nu: DrivingMeasure, x, n: int, stream, qr_period: int = 
         acc += np.log(r)
         v = w / r
         Z = A @ Z
-        if step % qr_period == 0:
+        if step % QR_PERIOD == 0:
             Q, R = np.linalg.qr(Z)
             scale = np.max(np.abs(np.diag(R)))
             log_scale += np.log(scale)
@@ -470,8 +484,7 @@ def lyapunov_projective(nu: DrivingMeasure, x, n: int, stream, qr_period: int = 
     return float(vector_rate), float(norm_rate)
 
 
-def lyapunov_projective_trials(nu: DrivingMeasure, x, n: int, trials: int, stream,
-                               qr_period: int = 32):
+def lyapunov_projective_trials(nu: DrivingMeasure, x, n: int, trials: int, stream):
     """Both rates of ``trials`` independent cocycle orbits from x, as a
     (2, trials) array: row 0 the vector rates, row 1 the norm rates.
 
@@ -483,9 +496,7 @@ def lyapunov_projective_trials(nu: DrivingMeasure, x, n: int, trials: int, strea
     ``np.linalg.qr`` round as the per-vector products and norms do; an
     ``einsum`` or a ``sum(W * W)`` would not.
     """
-    if not nu.finite or not all(isinstance(m, ProjectiveAction) for m, _ in nu.atoms):
-        raise ValueError("projective Lyapunov needs a finite ProjectiveAction measure")
-    mats = np.stack([m.matrix for m, _ in nu.atoms])
+    mats = cocycle_matrices(nu)
     m = mats.shape[1]
     v = np.asarray(x, dtype=float)
     if v.shape != (m,):
@@ -513,7 +524,7 @@ def lyapunov_projective_trials(nu: DrivingMeasure, x, n: int, trials: int, strea
             acc += np.log(r)
             V = W / r[:, None]
             Z = A @ Z
-            if step % qr_period == 0:
+            if step % QR_PERIOD == 0:
                 Q, R = np.linalg.qr(Z)
                 scale = np.max(np.abs(np.diagonal(R, axis1=1, axis2=2)), axis=1)
                 log_scale += np.log(scale)

@@ -10,7 +10,8 @@ reports, because the draw order is fixed:
 * trials are partitioned into fixed-size chunks and chunk i draws from
   substream i of the experiment stream;
 * the step engines draw labels step-major (step k's labels for every trial
-  of the chunk follow step k-1's), in blocks of at most LABEL_BLOCK labels;
+  of the chunk follow step k-1's), in blocks of at most
+  ``estimators.LABEL_BLOCK`` labels;
 * the cocycle engine draws trial-major (trial i's n labels follow trial
   i-1's).
 
@@ -28,9 +29,10 @@ from typing import Callable
 import numpy as np
 
 from . import bounds as B
+from . import estimators
 from .chains import draw_word, simulate
 from .estimators import (
-    LABEL_BLOCK,
+    cocycle_matrices,
     correlation_sum,
     lambda_n,
     log_averaged_measure_from_values,
@@ -221,7 +223,7 @@ def orbit_start(sys_spec: SystemSpec, cfg: ExperimentConfig):
     e_1) on projective systems and for matrix-cocycle rates,
     ``params.x0`` (default 0.5) otherwise."""
     if isinstance(sys_spec.space, Projective) or cfg.observable in COCYCLE_KINDS:
-        m = sys_spec.nu.atoms[0][0].m
+        m = cocycle_matrices(sys_spec.nu).shape[1]
         return np.asarray(cfg.params.get("start", [1.0] + [0.0] * (m - 1)), dtype=float)
     return float(cfg.params.get("x0", 0.5))
 
@@ -230,9 +232,10 @@ def _step_labels(nu: DrivingMeasure, rng, n: int, count: int):
     """The labels of n steps of ``count`` trials, one (count,) row per step.
 
     They are drawn step-major (step k's labels for every trial follow step
-    k-1's) in blocks of at most LABEL_BLOCK labels, so the rows equal n
-    successive draws of ``count`` labels and memory does not grow with n."""
-    steps = max(1, LABEL_BLOCK // count)
+    k-1's) in blocks of at most ``estimators.LABEL_BLOCK`` labels, so the
+    rows equal n successive draws of ``count`` labels and memory does not
+    grow with n."""
+    steps = max(1, estimators.LABEL_BLOCK // count)
     for lo in range(0, n, steps):
         yield from draw_word(nu, rng, min(steps, n - lo) * count).reshape(-1, count)
 
@@ -336,13 +339,11 @@ def _check_observable(cfg: ExperimentConfig, sys_spec: SystemSpec):
     for key in ENGINES[kind].params:
         if key not in cfg.params:
             raise ValueError(f"observable {kind!r} needs params {key!r}")
-    maps = [m for m, _ in nu.atoms] if nu.finite else []
-    matrices = [m for m in maps if isinstance(m, ProjectiveAction)]
     if kind in COCYCLE_KINDS:
-        if not maps or len(matrices) < len(maps) or len({m.m for m in matrices}) > 1:
-            raise ValueError(f"observable {kind!r} needs a finite measure over "
-                             "ProjectiveAction matrices of one size")
-    elif isinstance(space, Projective) or any(m.chart == "projective" for m in matrices):
+        cocycle_matrices(nu)
+    elif isinstance(space, Projective) or any(
+            isinstance(f, ProjectiveAction) and f.chart == "projective"
+            for f, _ in (nu.atoms if nu.finite else ())):
         raise ValueError(f"observable {kind!r} needs a one-dimensional system, "
                          f"not a projective action on {space!r}")
 

@@ -362,3 +362,16 @@ class TestObservableChecks:
         draw.assert_not_called()
         draw_cocycle.assert_not_called()
         context.assert_not_called()
+
+    @pytest.mark.parametrize("command", ["lyap", "simulate", "corr-dim"])
+    @pytest.mark.parametrize("system", [HALVING_ATOMS, {"kind": "moebius-uniform"}, MIXED_SIZES],
+                             ids=["affine", "parametric", "mixed-sizes"])
+    def test_orbit_commands_reject_non_cocycle(self, tmp_path, capsys, command, system):
+        # the orbit start of a cocycle rate reads the same check as tail
+        doc = observable_doc("lyap-projective", system)
+        with mock.patch("rdslab.cli.simulate") as orbit, \
+                mock.patch("rdslab.cli.lyapunov_projective") as cocycle:
+            assert main([command, "--config", write_cfg(tmp_path, doc)]) == 2
+        assert "ProjectiveAction" in capsys.readouterr().err
+        orbit.assert_not_called()
+        cocycle.assert_not_called()

@@ -408,13 +408,21 @@ class TestLyapunovProjectiveTrials:
             got = lyapunov_projective_trials(nu, [1.0, 0.0], n, 7, SeededStream(4).generator())
         assert np.array_equal(got, self._loop(nu, [1.0, 0.0], n, 7, 4))
 
-    def test_rejects_bad_inputs(self):
+    def test_rejects_start_of_wrong_dimension(self):
         nu = HYPERBOLIC_ROTATION[2]
         with pytest.raises(ValueError, match="dimension"):
             lyapunov_projective_trials(nu, [1.0, 0.0, 0.0], 5, 2, SeededStream(0))
-        with pytest.raises(ValueError, match="ProjectiveAction"):
-            lyapunov_projective_trials(DrivingMeasure(atoms=((Affine(0.5, 0.0), 1.0),)),
-                                       [1.0, 0.0], 5, 2, SeededStream(0))
+
+    @pytest.mark.parametrize("nu", [
+        DrivingMeasure(atoms=((Affine(0.5, 0.0), 1.0),)),
+        DrivingMeasure(atoms=((ProjectiveAction(np.eye(2)), 0.5), (ProjectiveAction(np.eye(3)), 0.5))),
+    ], ids=["affine", "mixed-sizes"])
+    def test_one_cocycle_check(self, nu):
+        # both kernels and the harness read cocycle_matrices
+        for run in (lambda: lyapunov_projective(nu, [1.0, 0.0], 5, SeededStream(0).generator()),
+                    lambda: lyapunov_projective_trials(nu, [1.0, 0.0], 5, 2, SeededStream(0))):
+            with pytest.raises(ValueError, match="ProjectiveAction matrices of one size"):
+                run()
 
 
 class TestNonexpansiveFixedPoints:

@@ -345,7 +345,7 @@ class TestChunkEngines:
     def test_across_blocks(self, kind, system, params, block):
         # 37 trials: two steps per block of 100 labels with a short last
         # block, or one step per draw when the block is below the count
-        with mock.patch.object(H, "LABEL_BLOCK", block):
+        with mock.patch.object(E, "LABEL_BLOCK", block):
             self._compare(kind, system, params, 25, 37)
 
     @pytest.mark.parametrize("kind, n", [("birkhoff", 500), ("lyap-projective", 130)])
@@ -356,7 +356,7 @@ class TestChunkEngines:
         cfg = halving_cfg(observable=kind, system=system, n=n)
         sys_spec = build_system(system)
         ctx, _ = H._build_context(cfg, sys_spec, SeededStream(0))
-        with mock.patch.object(H, "LABEL_BLOCK", 50), mock.patch.object(E, "LABEL_BLOCK", 50), \
+        with mock.patch.object(E, "LABEL_BLOCK", 50), \
                 mock.patch.object(H, "draw_word", wraps=H.draw_word) as step_draws, \
                 mock.patch("rdslab.estimators.draw_word", wraps=draw_word) as word_draws:
             H._chunk_values(cfg, sys_spec, ctx, SeededStream(9), 37)
