@@ -65,7 +65,6 @@ from .estimators import (
     correlation_sum,
     empirical_measure,
     lambda_n,
-    log_averaged_measure,
     lyapunov_1d,
     lyapunov_projective,
     nonexpansive_fixed_points,

@@ -18,13 +18,13 @@ import numpy as np
 from .maps import (
     DrivingMeasure,
     MapDescriptor,
-    ProjectiveAction,
     apply_map,
+    cocycle_matrices,
     log_derivative,
     space_of,
 )
 from .spaces import StateSpace, distance
-from .streams import SeededStream
+from .streams import as_generator
 
 __all__ = [
     "Trajectory",
@@ -65,14 +65,10 @@ class MatrixProduct:
     n: int
 
 
-def _as_rng(stream) -> np.random.Generator:
-    return stream.generator() if isinstance(stream, SeededStream) else stream
-
-
 def draw_word(nu: DrivingMeasure, stream, n: int) -> np.ndarray:
     """Draw the n map labels of one realization: atom indices for finite
     measures, raw parameters for parametric ones."""
-    rng = _as_rng(stream)
+    rng = as_generator(stream)
     if n == 0:
         return np.empty(0, dtype=int if nu.finite else float)
     if nu.finite:
@@ -156,16 +152,10 @@ def simulate_coupled(
 
 def matrix_product(nu: DrivingMeasure, n: int, stream) -> MatrixProduct:
     """Left product A_n ... A_1 of n matrix draws from a projective family."""
-    if not nu.finite or not all(isinstance(m, ProjectiveAction) for m, _ in nu.atoms):
-        raise ValueError("matrix products need a finite measure over ProjectiveAction")
-    dims = {m.m for m, _ in nu.atoms}
-    if len(dims) != 1:
-        raise ValueError("atoms must share the matrix dimension")
-    m = dims.pop()
-    word = draw_word(nu, stream, n)
-    prod = np.eye(m)
-    for i in word:
-        prod = nu.atoms[int(i)][0].matrix @ prod
+    mats = cocycle_matrices(nu)
+    prod = np.eye(mats.shape[1])
+    for i in draw_word(nu, stream, n):
+        prod = mats[i] @ prod
     return MatrixProduct(matrix=prod, n=n)
 
 

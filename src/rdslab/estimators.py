@@ -4,6 +4,12 @@ Monte Carlo loops are vectorized across trials for the one-dimensional
 families through the per-label kernel ``DrivingMeasure.step`` (single
 orbits through ``simulate_coupled``); every trial (or fixed-size trial
 chunk) owns its own stream, so results do not depend on scheduling.
+
+Draw order: every trial-batched loop draws its labels through
+:func:`step_labels`, step-major (step k's labels for every trial follow
+step k-1's) in blocks of at most ``LABEL_BLOCK`` labels; the cocycle kernel
+``lyapunov_projective_trials`` draws trial-major (trial i's n labels follow
+trial i-1's).
 """
 
 from __future__ import annotations
@@ -13,29 +19,28 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chains import Trajectory, draw_word, simulate_coupled, word_maps
-from .maps import DrivingMeasure, ProjectiveAction, apply_map, derivative
+from .maps import DrivingMeasure, apply_map, cocycle_matrices, derivative
 from .measures import EmpiricalMeasure, kantorovich_circle, kantorovich_interval
 from .observables import Observable
 from .spaces import Circle, Projective, RegionSet, StateSpace, circle_delta, distance, grid
-from .streams import SeededStream
+from .streams import SeededStream, as_generator
 
 __all__ = [
     "LambdaEstimate",
     "CorrelationSum",
     "Sigma2Estimate",
     "StationaryApprox",
+    "step_labels",
     "pair_distance_profile",
     "lambda_n",
     "birkhoff_average",
     "empirical_measure",
-    "log_averaged_measure",
     "sigma2_estimate",
     "phi0",
     "correlation_sum",
     "correlation_dimension",
     "synchronization",
     "lyapunov_1d",
-    "cocycle_matrices",
     "lyapunov_projective",
     "lyapunov_projective_trials",
     "nonexpansive_fixed_points",
@@ -43,7 +48,7 @@ __all__ = [
     "correlation_coefficient_pj",
 ]
 
-# most labels a trial-batched engine draws in one draw_word call
+# most labels a trial-batched loop draws in one draw_word call
 LABEL_BLOCK = 1 << 16
 
 # steps between QR re-factorizations of a cocycle product
@@ -55,6 +60,19 @@ TRIAL_CHUNK = 128
 def _require_1d(space: StateSpace):
     if isinstance(space, Projective):
         raise ValueError("vectorized estimators support interval and circle spaces")
+
+
+def step_labels(nu: DrivingMeasure, rng, n: int, count: int):
+    """The labels of n steps of ``count`` trials, one (count,) row per step.
+
+    They are drawn step-major in blocks of at most ``LABEL_BLOCK`` labels.
+    Each label takes one double of the stream, so the rows equal n
+    successive draws of ``count`` labels, and memory does not grow with n."""
+    if count < 1:
+        raise ValueError("trials must be >= 1")
+    steps = max(1, LABEL_BLOCK // count)
+    for lo in range(0, n, steps):
+        yield from draw_word(nu, rng, min(steps, n - lo) * count).reshape(-1, count)
 
 
 # ---------------------------------------------------------------------------
@@ -73,17 +91,12 @@ def pair_distance_profile(
     """Means and standard errors of d(X_k^x, X_k^y), k = 0..n, under
     coupled noise.  The k = 0 entry is exact."""
     _require_1d(space)
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    stream = seed if isinstance(seed, SeededStream) else SeededStream(seed)
-    rng = stream.generator()
     X = np.full(trials, float(x))
     Y = np.full(trials, float(y))
     means = np.empty(n + 1)
     errs = np.empty(n + 1)
     means[0], errs[0] = float(distance(space, x, y)), 0.0
-    for k in range(1, n + 1):
-        labels = draw_word(nu, rng, trials)
+    for k, labels in enumerate(step_labels(nu, as_generator(seed), n, trials), start=1):
         X = nu.step(labels, X)
         Y = nu.step(labels, Y)
         d = distance(space, X, Y)
@@ -120,8 +133,8 @@ def _dense_sums(nu, space, x, n, c, rng):
     S = np.tile(distance(space, x[:, None], x[None, :]), (c, 1, 1))
     D = np.empty_like(S)
     W = np.empty_like(S) if circle else None
-    for _ in range(n):
-        X = nu.step(draw_word(nu, rng, c), X)
+    for labels in step_labels(nu, rng, n, c):
+        X = nu.step(labels, X)
         R = X % 1.0 if circle else X
         np.subtract(R[:, :, None], R[:, None, :], out=D)
         np.abs(D, out=D)
@@ -143,8 +156,8 @@ def _ordered_sums(nu, space, x, n, c, rng):
     the (first, last) pair accumulates exactly as in the dense kernel."""
     X = np.tile(x, (c, 1))
     Dsum = X - X[:, :1]
-    for _ in range(n):
-        X = nu.step(draw_word(nu, rng, c), X)
+    for labels in step_labels(nu, rng, n, c):
+        X = nu.step(labels, X)
         Dsum += X - X[:, :1]
     S = Dsum[:, None, :] - Dsum[:, :, None]
     return np.abs(S, out=S)
@@ -164,7 +177,7 @@ def _pair_sum_stats(nu, space, starts, n, trials, stream, chunk=TRIAL_CHUNK):
     done = 0
     for chunk_idx, lo in enumerate(range(0, trials, chunk)):
         c = min(chunk, trials - lo)
-        # one draw per step keeps the n-step word a prefix of the
+        # step-major draws keep the n-step word a prefix of the
         # (n+1)-step word at fixed seed, so the estimate is pathwise
         # nondecreasing in n
         S = sums(nu, space, x, n, c, stream.substream(chunk_idx).generator())
@@ -259,22 +272,10 @@ def _log_weights(n: int) -> np.ndarray:
     return w / w.sum()
 
 
-def log_averaged_measure(
-    nu: DrivingMeasure,
-    space: StateSpace,
-    x0: float,
-    n: int,
-    h: Observable,
-    stream,
-) -> EmpiricalMeasure:
-    """Log-weighted measure of scaled Birkhoff sums: atoms S_k / sqrt(k)
-    with weights proportional to 1/k, k = 1..n."""
-    traj = simulate_coupled(nu, [x0], n - 1, stream, space=space)[0]
-    return log_averaged_measure_from_values(h(traj.points), n)
-
-
 def log_averaged_measure_from_values(values: np.ndarray, n: int) -> EmpiricalMeasure:
-    """Same, from precomputed per-step observable values h(X_0..X_{n-1})."""
+    """Log-weighted measure of scaled Birkhoff sums: atoms S_k / sqrt(k)
+    with weights proportional to 1/k, k = 1..n, from the per-step
+    observable values h(X_0..X_{n-1})."""
     values = np.asarray(values, dtype=float)[:n]
     if len(values) < n or n < 1:
         raise ValueError("need n observable values")
@@ -302,14 +303,12 @@ def sigma2_estimate(
     """Monte Carlo limit-variance estimate: (1/n) E_eta[ S_n(h_centered)^2 ],
     starts drawn from the eta sample and h centered by its eta-sample mean."""
     _require_1d(space)
-    stream = seed if isinstance(seed, SeededStream) else SeededStream(seed)
-    rng = stream.generator()
+    rng = as_generator(seed)
     offset = float(np.sum(eta_sample.weights * h(eta_sample.positions)))
     X = rng.choice(eta_sample.positions, size=trials, p=eta_sample.weights)
     S = np.zeros(trials)
-    for _ in range(n):
+    for labels in step_labels(nu, rng, n, trials):
         S += h(X) - offset
-        labels = draw_word(nu, rng, trials)
         X = nu.step(labels, X)
     sq = S * S / n
     return Sigma2Estimate(
@@ -439,18 +438,6 @@ def lyapunov_1d(traj: Trajectory) -> float:
     return float(traj.log_derivative_sum[-1]) / n
 
 
-def cocycle_matrices(nu: DrivingMeasure) -> np.ndarray:
-    """The (G, m, m) stack of a matrix cocycle's atom matrices; ValueError
-    unless ``nu`` is a finite measure over ProjectiveAction matrices of one
-    size."""
-    maps = [f for f, _ in nu.atoms] if nu.finite else []
-    if (not maps or not all(isinstance(f, ProjectiveAction) for f in maps)
-            or len({f.m for f in maps}) > 1):
-        raise ValueError("a matrix cocycle needs a finite measure over "
-                         "ProjectiveAction matrices of one size")
-    return np.stack([f.matrix for f in maps])
-
-
 def lyapunov_projective(nu: DrivingMeasure, x, n: int, stream):
     """Finite-time rates of a matrix cocycle.
 
@@ -502,7 +489,7 @@ def lyapunov_projective_trials(nu: DrivingMeasure, x, n: int, trials: int, strea
     if v.shape != (m,):
         raise ValueError("start vector dimension mismatch")
     v = v / np.linalg.norm(v)
-    rng = stream.generator() if isinstance(stream, SeededStream) else stream
+    rng = as_generator(stream)
     out = np.zeros((2, trials))
     if n == 0:
         return out
@@ -512,8 +499,7 @@ def lyapunov_projective_trials(nu: DrivingMeasure, x, n: int, trials: int, strea
         if b > 1:
             columns = draw_word(nu, rng, b * n).reshape(b, n).T
         else:
-            columns = (col for k in range(0, n, LABEL_BLOCK)
-                       for col in draw_word(nu, rng, min(LABEL_BLOCK, n - k))[:, None])
+            columns = step_labels(nu, rng, n, 1)
         V = np.tile(v, (b, 1))
         Z = np.tile(np.eye(m), (b, 1, 1))
         acc, log_scale = np.zeros(b), np.zeros(b)
@@ -635,9 +621,8 @@ def stationary_approx(
     _require_1d(space)
     if burn_in < 0 or samples < 1 or stride < 1:
         raise ValueError("need burn_in >= 0, samples >= 1, stride >= 1")
-    stream = seed if isinstance(seed, SeededStream) else SeededStream(seed)
     total = burn_in + samples * stride
-    orbit = simulate_coupled(nu, [float(x0)], total, stream.generator(), space=space)[0]
+    orbit = simulate_coupled(nu, [float(x0)], total, as_generator(seed), space=space)[0]
     kept = orbit.points[burn_in + stride :: stride]
     measure = EmpiricalMeasure.from_samples(space, kept)
     half = samples // 2
@@ -662,12 +647,10 @@ def correlation_coefficient_pj(
     """Monte Carlo estimate of the double eta-average of E[d(X_j^x, X_j^y)]
     under coupled noise.  Returns (value, stderr)."""
     _require_1d(space)
-    stream = seed if isinstance(seed, SeededStream) else SeededStream(seed)
-    rng = stream.generator()
+    rng = as_generator(seed)
     X = rng.choice(eta_sample.positions, size=trials, p=eta_sample.weights)
     Y = rng.choice(eta_sample.positions, size=trials, p=eta_sample.weights)
-    for _ in range(j):
-        labels = draw_word(nu, rng, trials)
+    for labels in step_labels(nu, rng, j, trials):
         X = nu.step(labels, X)
         Y = nu.step(labels, Y)
     d = distance(space, X, Y)

@@ -9,7 +9,8 @@ reports, because the draw order is fixed:
 
 * trials are partitioned into fixed-size chunks and chunk i draws from
   substream i of the experiment stream;
-* the step engines draw labels step-major (step k's labels for every trial
+* the step engines, like every trial-batched loop, draw labels through
+  ``estimators.step_labels``: step-major (step k's labels for every trial
   of the chunk follow step k-1's), in blocks of at most
   ``estimators.LABEL_BLOCK`` labels;
 * the cocycle engine draws trial-major (trial i's n labels follow trial
@@ -22,6 +23,7 @@ is accepted and has no effect.
 from __future__ import annotations
 
 import json
+import sys
 import time
 from dataclasses import dataclass, field
 from typing import Callable
@@ -29,10 +31,8 @@ from typing import Callable
 import numpy as np
 
 from . import bounds as B
-from . import estimators
-from .chains import draw_word, simulate
+from .chains import simulate
 from .estimators import (
-    cocycle_matrices,
     correlation_sum,
     lambda_n,
     log_averaged_measure_from_values,
@@ -40,8 +40,9 @@ from .estimators import (
     phi0,
     sigma2_estimate,
     stationary_approx,
+    step_labels,
 )
-from .maps import Affine, DrivingMeasure, MoebiusDecay, PolynomialDecay, ProjectiveAction
+from .maps import Affine, DrivingMeasure, MoebiusDecay, PolynomialDecay, ProjectiveAction, cocycle_matrices
 from .measures import EmpiricalMeasure, kantorovich_circle, kantorovich_gaussian, kantorovich_interval
 from .observables import get_observable
 from .spaces import Circle, Interval, Projective, distance
@@ -228,23 +229,11 @@ def orbit_start(sys_spec: SystemSpec, cfg: ExperimentConfig):
     return float(cfg.params.get("x0", 0.5))
 
 
-def _step_labels(nu: DrivingMeasure, rng, n: int, count: int):
-    """The labels of n steps of ``count`` trials, one (count,) row per step.
-
-    They are drawn step-major (step k's labels for every trial follow step
-    k-1's) in blocks of at most ``estimators.LABEL_BLOCK`` labels, so the
-    rows equal n successive draws of ``count`` labels and memory does not
-    grow with n."""
-    steps = max(1, estimators.LABEL_BLOCK // count)
-    for lo in range(0, n, steps):
-        yield from draw_word(nu, rng, min(steps, n - lo) * count).reshape(-1, count)
-
-
 def _birkhoff(cfg, sys_spec, ctx, rng, count):
     nu, h = sys_spec.nu, ctx["h"]
     X = np.full(count, ctx["start"])
     acc = np.zeros(count)
-    for labels in _step_labels(nu, rng, cfg.n, count):
+    for labels in step_labels(nu, rng, cfg.n, count):
         acc += h(X)
         X = nu.step(labels, X)
     return acc / cfg.n
@@ -254,7 +243,7 @@ def _lyap_1d(cfg, sys_spec, ctx, rng, count):
     nu = sys_spec.nu
     X = np.full(count, ctx["start"])
     acc = np.zeros(count)
-    for labels in _step_labels(nu, rng, cfg.n, count):
+    for labels in step_labels(nu, rng, cfg.n, count):
         acc += nu.log_derivative(labels, X)
         X = nu.step(labels, X)
     return acc / cfg.n
@@ -266,7 +255,7 @@ def _sync(cfg, sys_spec, ctx, rng, count):
     X = np.full(count, ctx["start"])
     Y = np.tile(np.asarray(Bset), (count, 1))
     acc = np.zeros((count, len(Bset)))
-    for labels in _step_labels(nu, rng, cfg.n, count):
+    for labels in step_labels(nu, rng, cfg.n, count):
         acc += np.asarray(distance(space, X[:, None], Y))
         X = nu.step(labels, X)
         Y = nu.step(labels, Y)
@@ -278,7 +267,7 @@ def _orbits(cfg, sys_spec, ctx, rng, count):
     nu = sys_spec.nu
     orbit = np.empty((count, cfg.n))
     X = np.full(count, ctx["start"])
-    for k, labels in enumerate(_step_labels(nu, rng, cfg.n, count)):
+    for k, labels in enumerate(step_labels(nu, rng, cfg.n, count)):
         orbit[:, k] = X
         X = nu.step(labels, X)
     return orbit
@@ -309,20 +298,29 @@ def _cocycle_rate(row):
 @dataclass(frozen=True)
 class Engine:
     """A tail observable: ``values(cfg, sys_spec, ctx, rng, count)`` gives
-    one value per trial of a chunk; ``params`` are the ``cfg.params`` keys
-    it reads without a default."""
+    one value per trial of a chunk; ``params`` maps each ``cfg.params`` key
+    it reads without a default to a (description, test) rule for its value."""
 
     values: Callable
-    params: tuple = ()
+    params: dict = field(default_factory=dict)
 
+
+def _number(v) -> bool:
+    """A JSON number that is finite as a double."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
+
+
+_NONEMPTY_NUMBERS = ("a nonempty list of numbers",
+                    lambda v: isinstance(v, list) and len(v) > 0 and all(map(_number, v)))
+_POSITIVE = ("a positive number", lambda v: _number(v) and v > 0)
 
 ENGINES = {
     "birkhoff": Engine(_birkhoff),
     "lyap-1d": Engine(_lyap_1d),
-    "sync": Engine(_sync, ("B",)),
+    "sync": Engine(_sync, {"B": _NONEMPTY_NUMBERS}),
     "kappa-to-stationary": Engine(_kappa),
     "kappa-interval": Engine(_kappa),
-    "corr-sum": Engine(_corr_sum, ("epsilon",)),
+    "corr-sum": Engine(_corr_sum, {"epsilon": _POSITIVE}),
     "lyap-projective": Engine(_cocycle_rate(0)),
     "lyap-matrix-norm": Engine(_cocycle_rate(1)),
 }
@@ -330,15 +328,15 @@ ENGINES = {
 
 def _check_observable(cfg: ExperimentConfig, sys_spec: SystemSpec):
     """Fail with a ValueError, before any draw, when the observable is
-    unknown, misses a parameter, or cannot run on the system: the cocycle
-    rates need a finite measure over matrices of one size, every other
-    engine a one-dimensional system."""
+    unknown, misses a parameter or has one of the wrong value, or cannot
+    run on the system: the cocycle rates need a finite measure over
+    matrices of one size, every other engine a one-dimensional system."""
     kind, nu, space = cfg.observable, sys_spec.nu, sys_spec.space
     if kind not in ENGINES:
         raise ValueError(f"unknown observable kind {kind!r}")
-    for key in ENGINES[kind].params:
-        if key not in cfg.params:
-            raise ValueError(f"observable {kind!r} needs params {key!r}")
+    for key, (what, valid) in ENGINES[kind].params.items():
+        if key not in cfg.params or not valid(cfg.params[key]):
+            raise ValueError(f"observable {kind!r} needs params {key!r}, {what}")
     if kind in COCYCLE_KINDS:
         cocycle_matrices(nu)
     elif isinstance(space, Projective) or any(

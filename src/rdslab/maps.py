@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .spaces import Circle, Interval, Projective, StateSpace, canonical_direction, distance, grid
-from .streams import SeededStream
+from .streams import as_generator
 
 __all__ = [
     "MoebiusDecay",
@@ -35,6 +35,7 @@ __all__ = [
     "MapDescriptor",
     "DrivingMeasure",
     "SingularDerivativeError",
+    "cocycle_matrices",
     "sample_map",
     "apply_map",
     "derivative",
@@ -320,9 +321,21 @@ class DrivingMeasure:
         return [self.make_map(p) for p in param_grid]
 
 
+def cocycle_matrices(nu: DrivingMeasure) -> np.ndarray:
+    """The (G, m, m) stack of a matrix cocycle's atom matrices; ValueError
+    unless ``nu`` is a finite measure over ProjectiveAction matrices of one
+    size."""
+    maps = [f for f, _ in nu.atoms] if nu.finite else []
+    if (not maps or not all(isinstance(f, ProjectiveAction) for f in maps)
+            or len({f.m for f in maps}) > 1):
+        raise ValueError("a matrix cocycle needs a finite measure over "
+                         "ProjectiveAction matrices of one size")
+    return np.stack([f.matrix for f in maps])
+
+
 def sample_map(nu: DrivingMeasure, stream_or_rng) -> MapDescriptor:
     """One map draw, consuming the stream."""
-    rng = stream_or_rng.generator() if isinstance(stream_or_rng, SeededStream) else stream_or_rng
+    rng = as_generator(stream_or_rng)
     if nu.finite:
         return nu.atoms[int(nu.sample_indices(rng, 1)[0])][0]
     return nu.make_map(float(nu.sample_params(rng, 1)[0]))

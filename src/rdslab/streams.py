@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["SeededStream"]
+__all__ = ["SeededStream", "as_generator"]
 
 
 @dataclass(frozen=True)
@@ -28,3 +28,11 @@ class SeededStream:
         # Stream ids are combined injectively so nested substreams of
         # different parents never collide.
         return SeededStream(self.seed, self.stream_id * 1_000_003 + index + 1)
+
+
+def as_generator(seed) -> np.random.Generator:
+    """The generator named by an int seed (stream 0), a :class:`SeededStream`
+    (positioned at its start) or a ``Generator`` (returned as is)."""
+    if isinstance(seed, np.random.Generator):
+        return seed
+    return (seed if isinstance(seed, SeededStream) else SeededStream(seed)).generator()

@@ -309,7 +309,7 @@ class TestBoundSelectors:
     def test_missing_input_fails_before_drawing(self, tmp_path, capsys, selector, key):
         drop = DIAMETER_KEYS if key in DIAMETER_KEYS else {key}
         cfg = write_cfg(tmp_path, bound_doc(selector, drop))
-        with mock.patch("rdslab.harness.draw_word") as draw:
+        with mock.patch("rdslab.estimators.draw_word") as draw:
             assert main(["tail", "--config", cfg]) == 2
         assert f"{key!r}" in capsys.readouterr().err
         draw.assert_not_called()
@@ -342,6 +342,13 @@ class TestObservableChecks:
     @pytest.mark.parametrize("doc, named", [
         pytest.param(observable_doc("corr-sum"), "'epsilon'", id="corr-sum-epsilon"),
         pytest.param(observable_doc("sync", params={"x0": 0.25}), "'B'", id="sync-B"),
+        # present with a value the engine cannot use
+        pytest.param(observable_doc("sync", params={"B": []}), "'B'", id="sync-B-empty"),
+        pytest.param(observable_doc("sync", params={"B": 0.5}), "'B'", id="sync-B-scalar"),
+        pytest.param(observable_doc("corr-sum", params={"epsilon": 0}), "'epsilon'",
+                     id="corr-sum-epsilon-zero"),
+        pytest.param(observable_doc("corr-sum", params={"epsilon": [0.1]}), "'epsilon'",
+                     id="corr-sum-epsilon-list"),
         pytest.param(observable_doc("birkof"), "'birkof'", id="unknown"),
         *[pytest.param(observable_doc(kind, PROJECTIVE_ATOMS, {"B": [0.5], "epsilon": 0.5}),
                        "Projective", id=f"{kind}-projective-space") for kind in ONE_D_KINDS],
@@ -354,13 +361,11 @@ class TestObservableChecks:
                               ("mixed-sizes", MIXED_SIZES))],
     ])
     def test_fails_before_drawing(self, tmp_path, capsys, doc, named):
-        with mock.patch("rdslab.harness.draw_word") as draw, \
-                mock.patch("rdslab.estimators.draw_word") as draw_cocycle, \
+        with mock.patch("rdslab.estimators.draw_word") as draw, \
                 mock.patch("rdslab.harness._build_context") as context:
             assert main(["tail", "--config", write_cfg(tmp_path, doc)]) == 2
         assert named in capsys.readouterr().err
         draw.assert_not_called()
-        draw_cocycle.assert_not_called()
         context.assert_not_called()
 
     @pytest.mark.parametrize("command", ["lyap", "simulate", "corr-dim"])

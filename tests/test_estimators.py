@@ -5,7 +5,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rdslab import estimators as E
-from rdslab.chains import Trajectory, coupled_distance, draw_word, enumerate_expectation, simulate
+from rdslab.chains import (
+    Trajectory,
+    coupled_distance,
+    draw_word,
+    enumerate_expectation,
+    matrix_product,
+    simulate,
+)
 from rdslab.estimators import (
     CorrelationDimensionError,
     birkhoff_average,
@@ -158,6 +165,67 @@ class TestPairSumKernels:
         np.testing.assert_allclose(S, expected, rtol=0.0, atol=1e-12)
         # starts 0.0 and 1.0 are the same circle point; dyadic lifts stay exact
         assert np.all(S[:, 0, 4] == 0.0)
+
+
+CIRCLE_CHART = DrivingMeasure(atoms=(
+    (ProjectiveAction([[2.0, 1.0], [1.0, 1.0]], chart="circle"), 0.5),
+    (ProjectiveAction([[0.6, -0.8], [0.8, 0.6]], chart="circle"), 0.5)))
+BLOCK_SYSTEMS = {
+    "halving": (HALVING, SP),
+    "moebius-uniform": (DrivingMeasure(family="moebius", sampler=("uniform", 1.0, 2.0)), SP),
+    "circle-chart": (CIRCLE_CHART, Circle()),
+}
+
+
+def _loop_outputs(nu, space):
+    """Every library loop that draws through step_labels, as arrays:
+    25 steps of 37 trials (lambda_n with both pair-sum kernels)."""
+    eta = EmpiricalMeasure.from_samples(space, (np.arange(64) + 0.5) / 64)
+    s2 = sigma2_estimate(nu, space, 25, 37, eta, get_observable("centered"), 1)
+    out = {"profile": np.array(pair_distance_profile(nu, space, 0.1, 0.8, 25, 37, 2)),
+           "sigma2": np.array([s2.value, s2.stderr, s2.centering_offset]),
+           "pj": np.array(correlation_coefficient_pj(nu, space, eta, 25, 37, 3))}
+    for kernel, run in (("lambda", lambda_n), ("lambda-dense", _dense_lambda)):
+        est = run(nu, space, 25, 37, 4, resolution=6)
+        out[kernel] = np.stack([est.table, est.table_stderr])
+    return out
+
+
+class TestLabelBlocks:
+    """The library loops draw through step_labels.  At LABEL_BLOCK = 1 that
+    is one draw_word call per step, the draw order of the per-step loops, so
+    the outputs must be bit-identical at any block."""
+
+    @pytest.mark.parametrize("n, count, block", [(25, 37, 1), (25, 37, 100), (3, 5, 1 << 16),
+                                                 (0, 4, 10)])
+    def test_rows_are_successive_draws(self, n, count, block):
+        nu = BLOCK_SYSTEMS["moebius-uniform"][0]
+        with mock.patch.object(E, "LABEL_BLOCK", block), \
+                mock.patch("rdslab.estimators.draw_word", wraps=draw_word) as draws:
+            rows = list(E.step_labels(nu, SeededStream(5).generator(), n, count))
+        rng = SeededStream(5).generator()
+        assert len(rows) == n
+        assert all(np.array_equal(row, draw_word(nu, rng, count)) for row in rows)
+        sizes = [c.args[2] for c in draws.call_args_list]
+        assert sum(sizes) == n * count and max(sizes, default=0) <= max(block, count)
+        if block == 1:
+            assert sizes == [count] * n
+
+    def test_needs_a_trial(self):
+        with pytest.raises(ValueError, match="trials"):
+            next(E.step_labels(HALVING, SeededStream(0).generator(), 3, 0))
+
+    @pytest.mark.parametrize("name", sorted(BLOCK_SYSTEMS))
+    # the default block, and a block of two steps with a short last block
+    @pytest.mark.parametrize("block", [E.LABEL_BLOCK, 100])
+    def test_matches_one_draw_per_step(self, name, block):
+        nu, space = BLOCK_SYSTEMS[name]
+        with mock.patch.object(E, "LABEL_BLOCK", block):
+            got = _loop_outputs(nu, space)
+        with mock.patch.object(E, "LABEL_BLOCK", 1):
+            expect = _loop_outputs(nu, space)
+        for key in expect:
+            assert np.array_equal(got[key], expect[key]), key
 
 
 class TestBirkhoff:
@@ -418,9 +486,10 @@ class TestLyapunovProjectiveTrials:
         DrivingMeasure(atoms=((ProjectiveAction(np.eye(2)), 0.5), (ProjectiveAction(np.eye(3)), 0.5))),
     ], ids=["affine", "mixed-sizes"])
     def test_one_cocycle_check(self, nu):
-        # both kernels and the harness read cocycle_matrices
+        # both kernels, matrix_product and the harness read cocycle_matrices
         for run in (lambda: lyapunov_projective(nu, [1.0, 0.0], 5, SeededStream(0).generator()),
-                    lambda: lyapunov_projective_trials(nu, [1.0, 0.0], 5, 2, SeededStream(0))):
+                    lambda: lyapunov_projective_trials(nu, [1.0, 0.0], 5, 2, SeededStream(0)),
+                    lambda: matrix_product(nu, 5, SeededStream(0))):
             with pytest.raises(ValueError, match="ProjectiveAction matrices of one size"):
                 run()
 

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from rdslab.chains import draw_word
+from rdslab.maps import Affine, DrivingMeasure
 from rdslab.observables import OBSERVABLES, get_observable
-from rdslab.streams import SeededStream
+from rdslab.streams import SeededStream, as_generator
 
 
 class TestObservables:
@@ -41,3 +43,16 @@ class TestStreams:
         a = s.substream(0).generator().uniform(size=5)
         b = s.substream(1).generator().uniform(size=5)
         assert not np.array_equal(a, b)
+
+    @pytest.mark.parametrize("nu", [
+        DrivingMeasure(atoms=((Affine(0.5, 0.0), 0.3), (Affine(0.5, 0.5), 0.7))),
+        DrivingMeasure(family="moebius", sampler=("uniform", 1.0, 2.0)),
+    ], ids=["finite", "parametric"])
+    def test_seed_forms_draw_one_word(self, nu):
+        # an int seed, its stream and that stream's generator name one word
+        words = [draw_word(nu, seed, 20) for seed in (7, SeededStream(7), SeededStream(7).generator())]
+        assert all(np.array_equal(w, words[0]) for w in words)
+
+    def test_generator_passes_through(self):
+        rng = SeededStream(7).generator()
+        assert as_generator(rng) is rng
