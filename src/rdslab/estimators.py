@@ -220,6 +220,10 @@ def lambda_n(
     test oracle of the fast one.
     """
     _require_1d(space)
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     stream = seed if isinstance(seed, SeededStream) else SeededStream(seed)
     if region is not None:
         grids = [g for g in region.grids]
@@ -303,6 +307,8 @@ def sigma2_estimate(
     """Monte Carlo limit-variance estimate: (1/n) E_eta[ S_n(h_centered)^2 ],
     starts drawn from the eta sample and h centered by its eta-sample mean."""
     _require_1d(space)
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
     rng = as_generator(seed)
     offset = float(np.sum(eta_sample.weights * h(eta_sample.positions)))
     X = rng.choice(eta_sample.positions, size=trials, p=eta_sample.weights)
@@ -365,27 +371,39 @@ def _correlation_sums_chunked(space, points, epsilons, kernel, chunk=512):
     points = np.asarray(points, dtype=float)
     n = len(points)
     sums = np.zeros(len(epsilons))
+    # the distance block D and one scratch block T (1 - D/eps when several
+    # rungs share D) are allocated once: per-orbit calls that freed more
+    # temporaries ran 3x slower on fresh pages
+    D_buf = np.empty((min(chunk, n), n))
+    T_buf = np.empty_like(D_buf)
     for lo in range(0, n, chunk):
         block = points[lo : lo + chunk]
+        D, T = D_buf[: len(block)], T_buf[: len(block)]
         if isinstance(space, Projective):
             dot = np.abs(block @ points.T)
             np.clip(dot, 0.0, 1.0, out=dot)
             D = np.sqrt(np.maximum(0.0, 1.0 - dot * dot))
         else:
-            D = np.abs(block[:, None] - points[None, :])
+            np.subtract(block[:, None], points[None, :], out=D)
+            np.abs(D, out=D)
             if isinstance(space, Circle):
                 D %= 1.0
-                np.minimum(D, 1.0 - D, out=D)
-        # 1 - D/eps goes into one buffer (D itself for a lone rung): per-orbit
-        # calls that freed more temporaries ran 3x slower on fresh pages
-        Y = D if len(epsilons) == 1 else np.empty_like(D)
+                np.subtract(1.0, D, out=T)
+                np.minimum(D, T, out=D)
+        Y = D if len(epsilons) == 1 else T
         for e_idx, eps in enumerate(epsilons):
             if kernel == "heaviside":
                 sums[e_idx] += np.count_nonzero(D <= eps)
             else:
                 np.divide(D, eps, out=Y)
                 np.subtract(1.0, Y, out=Y)
-                sums[e_idx] += float(np.sum(kernel(Y)))
+                if kernel is phi0:
+                    # phi0's own two operations, run in Y instead of two temporaries
+                    np.add(Y, 0.5, out=Y)
+                    np.clip(Y, 0.0, 1.0, out=Y)
+                    sums[e_idx] += float(np.sum(Y))
+                else:
+                    sums[e_idx] += float(np.sum(kernel(Y)))
     diag = float(n) if kernel == "heaviside" else float(n) * float(kernel(1.0))
     return (sums - diag) / n**2
 

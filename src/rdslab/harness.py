@@ -429,6 +429,8 @@ def run_lambda_survey(cfg: ExperimentConfig) -> list[dict]:
     analytic cap column for library families and a divergence marker."""
     sys_spec = build_system(cfg.system)
     ladder = [int(v) for v in cfg.params.get("n_ladder", [10, 100])]
+    if any(n < 0 for n in ladder):
+        raise ValueError(f"lambda needs params 'n_ladder' rungs >= 0, got {ladder}")
     resolution = int(cfg.params.get("grid", 64))
     trials = cfg.trials
     out = []
@@ -459,6 +461,11 @@ def run_asclt(cfg: ExperimentConfig) -> list[dict]:
     sys_spec = build_system(cfg.system)
     h = get_observable(cfg.params.get("h", "centered"))
     ladder = [int(v) for v in cfg.params.get("n_ladder", [2**k for k in range(6, 15)])]
+    sigma_n = int(cfg.params.get("sigma_n", 200))
+    sigma_trials = int(cfg.params.get("sigma_trials", 4000))
+    for key, value in (("sigma_n", sigma_n), ("sigma_trials", sigma_trials)):
+        if value < 1:
+            raise ValueError(f"asclt needs params {key!r} >= 1, got {value}")
     n_max = max(ladder)
     stream = SeededStream(cfg.seed)
 
@@ -469,9 +476,7 @@ def run_asclt(cfg: ExperimentConfig) -> list[dict]:
     else:
         eta = stationary_approx(sys_spec.nu, sys_spec.space, 1000, 4000, 1,
                                 stream.substream(1)).measure
-    s2 = sigma2_estimate(sys_spec.nu, sys_spec.space,
-                         int(cfg.params.get("sigma_n", 200)),
-                         int(cfg.params.get("sigma_trials", 4000)),
+    s2 = sigma2_estimate(sys_spec.nu, sys_spec.space, sigma_n, sigma_trials,
                          eta, h, stream.substream(2))
     sigma = float(np.sqrt(max(0.0, s2.value)))
     degenerate = s2.value <= 0.0

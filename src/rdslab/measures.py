@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from .spaces import Circle, Interval, StateSpace
 
@@ -106,6 +105,8 @@ def kantorovich_circle(mu1: EmpiricalMeasure, mu2: EmpiricalMeasure) -> float:
 
 def _gaussian_cdf_antiderivative(t: np.ndarray, sigma: float) -> np.ndarray:
     """Antiderivative of the N(0, sigma^2) CDF, vanishing at -inf."""
+    from scipy.special import ndtr
+
     z = t / sigma
     pdf = np.exp(-0.5 * z * z) / (sigma * np.sqrt(2.0 * np.pi))
     return t * ndtr(z) + sigma * sigma * pdf
@@ -119,6 +120,8 @@ def kantorovich_gaussian(mu: EmpiricalMeasure, sigma: float) -> float:
         raise ValueError("sigma must be >= 0")
     if sigma == 0.0:
         return float(np.sum(mu.weights * np.abs(mu.positions)))
+    from scipy.special import ndtri
+
     order = np.argsort(mu.positions, kind="stable")
     x = mu.positions[order]
     c = np.cumsum(mu.weights[order])

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import qmc
 
 __all__ = [
     "Interval",
@@ -133,12 +132,13 @@ def grid(space: StateSpace, resolution: int):
             theta = np.pi * np.arange(resolution) / resolution
             pts = np.column_stack([np.cos(theta), np.sin(theta)])
         else:
+            # imported here: scipy.stats is slow to load and only this branch uses it
+            from scipy.stats import norm, qmc
+
             # scrambling (with a fixed seed, so still deterministic) keeps
             # every point away from the degenerate all-0.5 net point
             sampler = qmc.Sobol(d=space.m, scramble=True, seed=0)
             u = sampler.random(resolution)
-            from scipy.stats import norm
-
             pts = norm.ppf(np.clip(u, 1e-12, 1.0 - 1e-12))
         return np.array([canonical_direction(p) for p in pts])
     raise TypeError(f"not a state space: {space!r}")

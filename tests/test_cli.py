@@ -129,6 +129,42 @@ class TestOtherCommands:
         assert main(["asclt", "--config", write_cfg(tmp_path, doc), "--out", str(out)]) == 0
         assert "kappa" in out.read_text()
 
+    @pytest.mark.parametrize("command, params, named", [
+        pytest.param("asclt", {"n_ladder": [64, 128], "sigma_n": 0}, "'sigma_n'",
+                     id="asclt-sigma_n"),
+        pytest.param("asclt", {"n_ladder": [64, 128], "sigma_trials": -1}, "'sigma_trials'",
+                     id="asclt-sigma_trials"),
+        pytest.param("lambda", {"n_ladder": [-3, 0]}, "'n_ladder'", id="lambda-first-rung"),
+        # a bad rung after good ones still fails before the first is run
+        pytest.param("lambda", {"n_ladder": [0, 10, -3], "grid": 8}, "'n_ladder'",
+                     id="lambda-last-rung"),
+    ])
+    @pytest.mark.parametrize("system", [{"kind": "halving-ifs"}, {"kind": "moebius-uniform"}],
+                             ids=["halving", "moebius-uniform"])
+    def test_ladder_checks_fail_before_drawing(self, tmp_path, capsys, command, params, named,
+                                               system):
+        doc = dict(TAIL_DOC, system=system, observable="asclt-kappa", params=params)
+        out = tmp_path / "rows.csv"
+        with mock.patch("rdslab.chains.draw_word") as orbit_draw, \
+                mock.patch("rdslab.estimators.draw_word") as draw:
+            assert main([command, "--config", write_cfg(tmp_path, doc), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert named in captured.err
+        assert captured.out == "" and not out.exists()
+        orbit_draw.assert_not_called()
+        draw.assert_not_called()
+
+    def test_lambda_without_trials(self, tmp_path, capsys):
+        doc = dict(TAIL_DOC, observable="asclt-kappa", trials=0, params={"n_ladder": [5]})
+        assert main(["lambda", "--config", write_cfg(tmp_path, doc)]) == 2
+        assert "trials must be >= 1" in capsys.readouterr().err
+
+    def test_lambda_n0_rung(self, tmp_path):
+        doc = dict(TAIL_DOC, params={"n_ladder": [0], "grid": 8})
+        out = tmp_path / "l.csv"
+        assert main(["lambda", "--config", write_cfg(tmp_path, doc), "--out", str(out)]) == 0
+        assert out.read_text().splitlines()[1].startswith("0,1,0,")
+
     def test_bounds_no_simulation(self, tmp_path):
         out = tmp_path / "b.csv"
         assert main(["bounds", "--config", write_cfg(tmp_path, TAIL_DOC),

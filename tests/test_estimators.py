@@ -84,6 +84,14 @@ class TestLambdaN:
         # pieces have width 0.1, so within-piece gaps start 10x smaller
         assert est_r.value <= est_full.value
 
+    @pytest.mark.parametrize("n, trials, message", [(-1, 10, "n must be >= 0"),
+                                                    (5, 0, "trials must be >= 1")])
+    def test_rejects_negative_n_and_no_trials(self, n, trials, message):
+        with mock.patch("rdslab.estimators.draw_word") as draw, \
+                pytest.raises(ValueError, match=message):
+            lambda_n(HALVING, SP, n, trials, 0, resolution=4)
+        draw.assert_not_called()
+
 
 def _dense_lambda(*args, **kwargs):
     """lambda_n forced onto the dense O(G^2) kernel, the oracle."""
@@ -146,6 +154,11 @@ class TestPairSumKernels:
         assert est.stderr == 0.0
         assert abs(est.value - sum(2.0**-k for k in range(n + 1))) <= 1e-15
         assert est.argmax_pair == (0.0, 1.0)
+
+    @pytest.mark.parametrize("run", [lambda_n, _dense_lambda], ids=["ordered", "dense"])
+    def test_n0_is_the_start_distance(self, run):
+        est = run(HALVING, SP, 0, 10, 0, resolution=4)
+        assert (est.value, est.stderr, est.argmax_pair) == (1.0, 0.0, (0.0, 1.0))
 
     def test_dense_circle_fold_matches_distance(self):
         # lifts of circle maps leave [0, 1), and 0.5 + 0.5 lands on 1.0
@@ -283,6 +296,12 @@ class TestSigma2:
         est = sigma2_estimate(HALVING, SP, 10, 200, eta, get_observable("coordinate"), 0)
         assert est.centering_offset == pytest.approx(0.5)
 
+    @pytest.mark.parametrize("n", [0, -2])
+    def test_rejects_n_below_one(self, n):
+        eta = EmpiricalMeasure.from_samples(SP, np.linspace(0, 1, 32))
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            sigma2_estimate(HALVING, SP, n, 200, eta, get_observable("coordinate"), 0)
+
 
 class TestCorrelationSum:
     def test_heaviside_checkpoint(self):
@@ -341,6 +360,54 @@ class TestCorrelationSum:
                 mid = correlation_sum(SP, pts, eps, kernel=phi0).value
                 hi = correlation_sum(SP, pts, 2 * eps).value
                 assert lo <= mid + 1e-12 <= hi + 2e-12
+
+
+def _blockwise_sums(space, pts, ladder, kernel, chunk):
+    """Per-block pair sums through ``distance``, in the chunked routine's order."""
+    n = len(pts)
+    sums = np.zeros(len(ladder))
+    for lo in range(0, n, chunk):
+        D = distance(space, pts[lo : lo + chunk, None], pts[None, :])
+        for i, eps in enumerate(ladder):
+            if kernel == "heaviside":
+                sums[i] += np.count_nonzero(D <= eps)
+            else:
+                sums[i] += float(np.sum(kernel(1.0 - D / eps)))
+    diag = float(n) if kernel == "heaviside" else float(n) * float(kernel(1.0))
+    return (sums - diag) / n**2
+
+
+CORR_POINTS = {
+    "interval": (SP, np.random.default_rng(11).uniform(0, 1, 100)),
+    # lifts outside [0, 1) and pairs across the wrap
+    "circle": (Circle(), np.random.default_rng(12).uniform(-1.5, 2.5, 100)),
+    "projective-2": (Projective(2), (lambda t: np.column_stack([np.cos(t), np.sin(t)]))(
+        np.random.default_rng(13).uniform(0, np.pi, 100))),
+}
+
+
+class TestCorrelationSumBlocks:
+    """The in-place phi0 path against the generic callable path, and both
+    kernels against block sums through ``distance``: equal bits, one rung
+    and several, one block and several with a short last block."""
+
+    @pytest.mark.parametrize("chunk", [512, 7])
+    @pytest.mark.parametrize("ladder", [[0.2], [0.2, 0.1, 0.05, 0.025]], ids=["one", "four"])
+    @pytest.mark.parametrize("name", sorted(CORR_POINTS))
+    def test_phi0_in_place_matches_generic_kernel(self, name, ladder, chunk):
+        space, pts = CORR_POINTS[name]
+        fast = E._correlation_sums_chunked(space, pts, ladder, phi0, chunk=chunk)
+        generic = E._correlation_sums_chunked(space, pts, ladder, lambda y: phi0(y), chunk=chunk)
+        assert np.array_equal(fast, generic)
+
+    @pytest.mark.parametrize("kernel", ["heaviside", phi0], ids=["heaviside", "phi0"])
+    @pytest.mark.parametrize("chunk", [512, 7])
+    @pytest.mark.parametrize("ladder", [[0.2], [0.2, 0.1, 0.05, 0.025]], ids=["one", "four"])
+    @pytest.mark.parametrize("name", ["interval", "circle"])
+    def test_matches_blockwise_distance(self, name, ladder, chunk, kernel):
+        space, pts = CORR_POINTS[name]
+        assert np.array_equal(E._correlation_sums_chunked(space, pts, ladder, kernel, chunk=chunk),
+                              _blockwise_sums(space, pts, ladder, kernel, chunk))
 
 
 class TestCorrelationDimension:
