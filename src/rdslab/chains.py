@@ -174,7 +174,7 @@ def word_table(nu: DrivingMeasure, n: int) -> WordTable:
     k = len(nu.atoms)
     if k**n > ENUMERATION_GUARD:
         raise EnumerationGuardError(f"{k}^{n} words exceed the enumeration guard")
-    weights = np.array([w for _, w in nu.atoms])
+    weights = nu._weights
     words = list(itertools.product(range(k), repeat=n))
     probs = np.array([math.prod(weights[i] for i in word) for word in words])
     return WordTable(words=words, probs=probs)

@@ -7,7 +7,10 @@ chunk) owns its own stream, so results do not depend on scheduling.
 
 Draw order: every trial-batched loop draws its labels through
 :func:`step_labels`, step-major (step k's labels for every trial follow
-step k-1's) in blocks of at most ``LABEL_BLOCK`` labels; the cocycle kernel
+step k-1's) in blocks of at most ``LABEL_BLOCK`` labels.  A chunk of trials
+with its own generator is the unit of determinism; ``step_labels`` may join
+a group of chunks into one row per step, and the group is only the width of
+the vector: each chunk's labels are those it draws alone.  The cocycle kernel
 ``lyapunov_projective_trials`` draws trial-major (trial i's n labels follow
 trial i-1's).
 """
@@ -62,17 +65,36 @@ def _require_1d(space: StateSpace):
         raise ValueError("vectorized estimators support interval and circle spaces")
 
 
-def step_labels(nu: DrivingMeasure, rng, n: int, count: int):
+def step_labels(nu: DrivingMeasure, rng, n: int, count):
     """The labels of n steps of ``count`` trials, one (count,) row per step.
 
     They are drawn step-major in blocks of at most ``LABEL_BLOCK`` labels.
     Each label takes one double of the stream, so the rows equal n
-    successive draws of ``count`` labels, and memory does not grow with n."""
-    if count < 1:
+    successive draws of ``count`` labels, and memory does not grow with n.
+
+    ``rng`` may also be a sequence of chunk generators and ``count`` their
+    trial counts.  Each row then joins the chunks' rows side by side, chunk
+    i drawing only from ``rng[i]``, and a block holds
+    ``max(1, LABEL_BLOCK // sum(count))`` steps of the whole group: each
+    chunk's rows are those it draws alone, whatever the block size."""
+    if np.ndim(count) == 0:
+        rng, count = (rng,), (count,)
+    if min(count) < 1:
         raise ValueError("trials must be >= 1")
-    steps = max(1, LABEL_BLOCK // count)
+    total = sum(count)
+    steps = max(1, LABEL_BLOCK // total)
     for lo in range(0, n, steps):
-        yield from draw_word(nu, rng, min(steps, n - lo) * count).reshape(-1, count)
+        k = min(steps, n - lo)
+        if len(count) == 1:
+            yield from draw_word(nu, rng[0], k * total).reshape(k, total)
+            continue
+        # one chunk's labels at a time, written into the joined rows
+        rows = np.empty((k, total), dtype=int if nu.finite else float)
+        at = 0
+        for g, c in zip(rng, count):
+            rows[:, at:at + c] = draw_word(nu, g, k * c).reshape(k, c)
+            at += c
+        yield from rows
 
 
 # ---------------------------------------------------------------------------

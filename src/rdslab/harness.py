@@ -7,14 +7,19 @@ intervals folded into the margin.
 Determinism contract: identical config + seed yields byte-identical
 reports, because the draw order is fixed:
 
-* trials are partitioned into fixed-size chunks and chunk i draws from
-  substream i of the experiment stream;
+* trials are partitioned into chunks of ``CHUNK`` and chunk i draws from
+  substream i of the experiment stream: the chunk is the unit of
+  determinism;
+* up to ``GROUP`` chunks are stepped as one vector: the group is only the
+  width of the numpy calls, and no chunk's draws depend on it.  Orbit
+  observables at large n take fewer, and systems with circle-chart
+  matrices one chunk at a time (see ``_group_chunks``);
 * the step engines, like every trial-batched loop, draw labels through
   ``estimators.step_labels``: step-major (step k's labels for every trial
   of the chunk follow step k-1's), in blocks of at most
   ``estimators.LABEL_BLOCK`` labels;
 * the cocycle engine draws trial-major (trial i's n labels follow trial
-  i-1's).
+  i-1's), one chunk after another.
 
 Chunks run in order in one thread; the ``threads`` field (``--threads``)
 is accepted and has no effect.
@@ -43,7 +48,12 @@ from .estimators import (
     step_labels,
 )
 from .maps import Affine, DrivingMeasure, MoebiusDecay, PolynomialDecay, ProjectiveAction, cocycle_matrices
-from .measures import EmpiricalMeasure, kantorovich_circle, kantorovich_gaussian, kantorovich_interval
+from .measures import (
+    EmpiricalMeasure,
+    kantorovich_circle,
+    kantorovich_gaussian,
+    kantorovich_interval_rows,
+)
 from .observables import get_observable
 from .spaces import Circle, Interval, Projective, distance
 from .streams import SeededStream
@@ -60,10 +70,20 @@ __all__ = [
     "report_to_json",
 ]
 
+# trials of a chunk, which draws from its own substream: the unit of
+# determinism
 CHUNK = 256
+# most chunks stepped as one vector: the width of every numpy call, which
+# bounds the memory of a group whatever the number of trials
+GROUP = 32
+# most orbit points held at once by an observable of ORBIT_KINDS, which
+# keeps every point of its group, so its groups narrow as n grows
+ORBIT_POINTS = 1 << 20
 
 # observables of the matrix cocycle, which start from a vector
 COCYCLE_KINDS = ("lyap-projective", "lyap-matrix-norm")
+# observables reduced from whole orbits (``_orbits``)
+ORBIT_KINDS = ("kappa-to-stationary", "kappa-interval", "corr-sum")
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +215,7 @@ class TailReport:
 
 
 # ---------------------------------------------------------------------------
-# per-trial observable engines (vectorized inside fixed-size chunks)
+# per-trial observable engines (vectorized across a group of chunks)
 
 
 def _reference_measure(sys_spec: SystemSpec, params: dict, stream: SeededStream):
@@ -229,77 +249,84 @@ def orbit_start(sys_spec: SystemSpec, cfg: ExperimentConfig):
     return float(cfg.params.get("x0", 0.5))
 
 
-def _birkhoff(cfg, sys_spec, ctx, rng, count):
+def _birkhoff(cfg, sys_spec, ctx, gens, counts):
     nu, h = sys_spec.nu, ctx["h"]
-    X = np.full(count, ctx["start"])
-    acc = np.zeros(count)
-    for labels in step_labels(nu, rng, cfg.n, count):
+    X = np.full(sum(counts), ctx["start"])
+    acc = np.zeros(X.shape)
+    for labels in step_labels(nu, gens, cfg.n, counts):
         acc += h(X)
         X = nu.step(labels, X)
     return acc / cfg.n
 
 
-def _lyap_1d(cfg, sys_spec, ctx, rng, count):
+def _lyap_1d(cfg, sys_spec, ctx, gens, counts):
     nu = sys_spec.nu
-    X = np.full(count, ctx["start"])
-    acc = np.zeros(count)
-    for labels in step_labels(nu, rng, cfg.n, count):
+    X = np.full(sum(counts), ctx["start"])
+    acc = np.zeros(X.shape)
+    for labels in step_labels(nu, gens, cfg.n, counts):
         acc += nu.log_derivative(labels, X)
         X = nu.step(labels, X)
     return acc / cfg.n
 
 
-def _sync(cfg, sys_spec, ctx, rng, count):
+def _sync(cfg, sys_spec, ctx, gens, counts):
     nu, space = sys_spec.nu, sys_spec.space
     Bset = [float(b) for b in cfg.params["B"]]
-    X = np.full(count, ctx["start"])
-    Y = np.tile(np.asarray(Bset), (count, 1))
-    acc = np.zeros((count, len(Bset)))
-    for labels in step_labels(nu, rng, cfg.n, count):
+    X = np.full(sum(counts), ctx["start"])
+    Y = np.tile(np.asarray(Bset), (len(X), 1))
+    acc = np.zeros(Y.shape)
+    for labels in step_labels(nu, gens, cfg.n, counts):
         acc += np.asarray(distance(space, X[:, None], Y))
         X = nu.step(labels, X)
         Y = nu.step(labels, Y)
     return acc.min(axis=1) / cfg.n
 
 
-def _orbits(cfg, sys_spec, ctx, rng, count):
-    """The first n points of each trial's orbit, shape (count, n)."""
+def _orbits(cfg, sys_spec, ctx, gens, counts):
+    """The first n points of each trial's orbit, shape (trials, n)."""
     nu = sys_spec.nu
-    orbit = np.empty((count, cfg.n))
-    X = np.full(count, ctx["start"])
-    for k, labels in enumerate(step_labels(nu, rng, cfg.n, count)):
+    X = np.full(sum(counts), ctx["start"])
+    orbit = np.empty((len(X), cfg.n))
+    for k, labels in enumerate(step_labels(nu, gens, cfg.n, counts)):
         orbit[:, k] = X
         X = nu.step(labels, X)
     return orbit
 
 
-def _kappa(cfg, sys_spec, ctx, rng, count):
+def _kappa(cfg, sys_spec, ctx, gens, counts):
     space, ref = sys_spec.space, ctx["reference"]
-    kant = kantorovich_circle if isinstance(space, Circle) else kantorovich_interval
+    orbits = _orbits(cfg, sys_spec, ctx, gens, counts)
+    if not isinstance(space, Circle):
+        return kantorovich_interval_rows(orbits, ref)
+    # the circle distance sorts its segment values with an unstable sort,
+    # so a merge would not keep its bits
     w = np.full(cfg.n, 1.0 / cfg.n)
-    return np.array([kant(EmpiricalMeasure(space, o, w), ref)
-                     for o in _orbits(cfg, sys_spec, ctx, rng, count)])
+    return np.array([kantorovich_circle(EmpiricalMeasure(space, o, w), ref) for o in orbits])
 
 
-def _corr_sum(cfg, sys_spec, ctx, rng, count):
+def _corr_sum(cfg, sys_spec, ctx, gens, counts):
     eps = float(cfg.params["epsilon"])
     return np.array([correlation_sum(sys_spec.space, o, eps, phi0).value
-                     for o in _orbits(cfg, sys_spec, ctx, rng, count)])
+                     for o in _orbits(cfg, sys_spec, ctx, gens, counts)])
 
 
 def _cocycle_rate(row):
-    """Engine of one cocycle rate (0: vector, 1: norm), all trials stepped
-    together; each trial's word is drawn trial-major."""
-    def values(cfg, sys_spec, ctx, rng, count):
-        return lyapunov_projective_trials(sys_spec.nu, ctx["start"], cfg.n, count, rng)[row]
+    """Engine of one cocycle rate (0: vector, 1: norm): all trials of a
+    chunk stepped together, each trial's word drawn trial-major."""
+    def values(cfg, sys_spec, ctx, gens, counts):
+        return np.concatenate([
+            lyapunov_projective_trials(sys_spec.nu, ctx["start"], cfg.n, count, rng)[row]
+            for rng, count in zip(gens, counts)])
     return values
 
 
 @dataclass(frozen=True)
 class Engine:
-    """A tail observable: ``values(cfg, sys_spec, ctx, rng, count)`` gives
-    one value per trial of a chunk; ``params`` maps each ``cfg.params`` key
-    it reads without a default to a (description, test) rule for its value."""
+    """A tail observable: ``values(cfg, sys_spec, ctx, gens, counts)`` gives
+    one value per trial of a group of chunks, chunk i holding ``counts[i]``
+    trials and drawing only from ``gens[i]``; ``params`` maps each
+    ``cfg.params`` key it reads without a default to a (description, test)
+    rule for its value."""
 
     values: Callable
     params: dict = field(default_factory=dict)
@@ -346,20 +373,41 @@ def _check_observable(cfg: ExperimentConfig, sys_spec: SystemSpec):
                          f"not a projective action on {space!r}")
 
 
-def _chunk_values(cfg: ExperimentConfig, sys_spec: SystemSpec, ctx: dict,
-                  chunk_stream: SeededStream, count: int) -> np.ndarray:
-    """Observable value for each of `count` trials, one noise realization
-    per trial, all trials in the chunk sharing one stream."""
-    return ENGINES[cfg.observable].values(cfg, sys_spec, ctx, chunk_stream.generator(), count)
+def _group_values(cfg: ExperimentConfig, sys_spec: SystemSpec, ctx: dict,
+                  streams: list, counts: list) -> np.ndarray:
+    """Observable value of each trial of a group of chunks, one noise
+    realization per trial: chunk i holds ``counts[i]`` trials, all drawing
+    from ``streams[i]``, and the group is stepped as one vector."""
+    gens = [s.generator() for s in streams]
+    return ENGINES[cfg.observable].values(cfg, sys_spec, ctx, gens, counts)
+
+
+def _group_chunks(cfg: ExperimentConfig, sys_spec: SystemSpec) -> int:
+    """Chunks stepped as one vector: ``GROUP``, or fewer for an orbit
+    observable whose group would hold more than ``ORBIT_POINTS`` points.
+    Circle-chart matrices take one: their ``apply_map`` rounds a 1-row
+    batch differently from a larger one, so an atom's trials must keep
+    their per-chunk batches."""
+    nu = sys_spec.nu
+    if nu.finite and any(isinstance(f, ProjectiveAction) and f.chart == "circle"
+                         for f, _ in nu.atoms):
+        return 1
+    if cfg.observable in ORBIT_KINDS:
+        return max(1, min(GROUP, ORBIT_POINTS // (CHUNK * cfg.n)))
+    return GROUP
 
 
 def _run_trials(cfg: ExperimentConfig, sys_spec: SystemSpec, ctx: dict,
                 stream: SeededStream) -> np.ndarray:
-    """All per-trial observable values; chunk i draws from substream i."""
-    n_chunks = (cfg.trials + CHUNK - 1) // CHUNK
+    """All per-trial observable values; chunk i draws from substream i, and
+    up to ``GROUP`` chunks are stepped together."""
+    counts = [min(CHUNK, cfg.trials - lo) for lo in range(0, cfg.trials, CHUNK)]
+    width = _group_chunks(cfg, sys_spec)
     return np.concatenate([
-        _chunk_values(cfg, sys_spec, ctx, stream.substream(i), min(CHUNK, cfg.trials - i * CHUNK))
-        for i in range(n_chunks)])
+        _group_values(cfg, sys_spec, ctx,
+                      [stream.substream(i) for i in range(g, min(g + width, len(counts)))],
+                      counts[g:g + width])
+        for g in range(0, len(counts), width)])
 
 
 # ---------------------------------------------------------------------------
@@ -429,8 +477,9 @@ def run_lambda_survey(cfg: ExperimentConfig) -> list[dict]:
     analytic cap column for library families and a divergence marker."""
     sys_spec = build_system(cfg.system)
     ladder = [int(v) for v in cfg.params.get("n_ladder", [10, 100])]
-    if any(n < 0 for n in ladder):
-        raise ValueError(f"lambda needs params 'n_ladder' rungs >= 0, got {ladder}")
+    if not ladder or any(n < 0 for n in ladder):
+        raise ValueError(f"lambda needs params 'n_ladder', a nonempty list of rungs >= 0, "
+                         f"got {ladder}")
     resolution = int(cfg.params.get("grid", 64))
     trials = cfg.trials
     out = []
@@ -461,6 +510,8 @@ def run_asclt(cfg: ExperimentConfig) -> list[dict]:
     sys_spec = build_system(cfg.system)
     h = get_observable(cfg.params.get("h", "centered"))
     ladder = [int(v) for v in cfg.params.get("n_ladder", [2**k for k in range(6, 15)])]
+    if not ladder:
+        raise ValueError("asclt needs params 'n_ladder', a nonempty list of rungs")
     sigma_n = int(cfg.params.get("sigma_n", 200))
     sigma_trials = int(cfg.params.get("sigma_trials", 4000))
     for key, value in (("sigma_n", sigma_n), ("sigma_trials", sigma_trials)):

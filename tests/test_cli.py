@@ -138,6 +138,8 @@ class TestOtherCommands:
         # a bad rung after good ones still fails before the first is run
         pytest.param("lambda", {"n_ladder": [0, 10, -3], "grid": 8}, "'n_ladder'",
                      id="lambda-last-rung"),
+        pytest.param("lambda", {"n_ladder": []}, "'n_ladder'", id="lambda-empty-ladder"),
+        pytest.param("asclt", {"n_ladder": []}, "'n_ladder'", id="asclt-empty-ladder"),
     ])
     @pytest.mark.parametrize("system", [{"kind": "halving-ifs"}, {"kind": "moebius-uniform"}],
                              ids=["halving", "moebius-uniform"])
@@ -352,7 +354,7 @@ class TestBoundSelectors:
 
     def test_unknown_selector_simulates_nothing(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, dict(TAIL_DOC, bound="lnn"))
-        with mock.patch("rdslab.harness._chunk_values") as chunk:
+        with mock.patch("rdslab.harness._group_values") as chunk:
             assert main(["tail", "--config", cfg]) == 2
         assert "'lnn'" in capsys.readouterr().err
         assert chunk.call_count == 0

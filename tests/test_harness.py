@@ -7,7 +7,7 @@ import pytest
 from rdslab import estimators as E
 from rdslab import harness as H
 from rdslab.chains import draw_word, word_maps
-from rdslab.estimators import lyapunov_projective, synchronization
+from rdslab.estimators import correlation_sum, lyapunov_projective, phi0, synchronization
 from rdslab.harness import (
     ExperimentConfig,
     build_system,
@@ -27,7 +27,8 @@ from rdslab.maps import (
     apply_map,
     log_derivative,
 )
-from rdslab.spaces import distance
+from rdslab.measures import EmpiricalMeasure, kantorovich_circle, kantorovich_interval
+from rdslab.spaces import Circle, distance
 from rdslab.streams import SeededStream
 
 
@@ -331,9 +332,9 @@ class TestChunkEngines:
         ctx, _ = H._build_context(cfg, sys_spec, SeededStream(0))
         rng = SeededStream(9).generator
         if kind == "corr-sum":  # the orbit engine
-            got = H._orbits(cfg, sys_spec, ctx, rng(), count)
+            got = H._orbits(cfg, sys_spec, ctx, [rng()], [count])
         else:
-            got = H._chunk_values(cfg, sys_spec, ctx, SeededStream(9), count)
+            got = H._group_values(cfg, sys_spec, ctx, [SeededStream(9)], [count])
         assert np.array_equal(got, per_step_values(cfg, sys_spec, ctx, rng(), count))
 
     @pytest.mark.parametrize("kind, system, params", ENGINE_CASES)
@@ -358,7 +359,7 @@ class TestChunkEngines:
         ctx, _ = H._build_context(cfg, sys_spec, SeededStream(0))
         with mock.patch.object(E, "LABEL_BLOCK", 50), \
                 mock.patch("rdslab.estimators.draw_word", wraps=draw_word) as draws:
-            H._chunk_values(cfg, sys_spec, ctx, SeededStream(9), 37)
+            H._group_values(cfg, sys_spec, ctx, [SeededStream(9)], [37])
         sizes = [c.args[2] for c in draws.call_args_list]
         assert max(sizes) <= 50 and sum(sizes) == n * 37
 
@@ -369,7 +370,7 @@ class TestChunkEngines:
         sys_spec = build_system(PROJECTIVE_SYSTEM)
         ctx, _ = H._build_context(cfg, sys_spec, SeededStream(0))
         with mock.patch.object(E, "LABEL_BLOCK", block):
-            got = H._chunk_values(cfg, sys_spec, ctx, SeededStream(9), 5)
+            got = H._group_values(cfg, sys_spec, ctx, [SeededStream(9)], [5])
         rng = SeededStream(9).generator()
         expect = [lyapunov_projective(sys_spec.nu, ctx["start"], 40, rng)[row] for _ in range(5)]
         assert np.array_equal(got, expect)
@@ -398,6 +399,90 @@ def test_one_trial_sync_engine_matches_synchronization(name, n):
     sys_spec = build_system(SYNC_SYSTEMS[name])
     rtol = 2e-12 if name == "circle-chart" else 1e-14
     for seed in range(4):
-        got = H._sync(cfg, sys_spec, {"start": x0}, SeededStream(seed).generator(), 1)
+        got = H._sync(cfg, sys_spec, {"start": x0}, [SeededStream(seed).generator()], [1])
         expect = synchronization(sys_spec.nu, sys_spec.space, x0, B, n, SeededStream(seed))
         np.testing.assert_allclose(got, [expect], rtol=rtol, atol=0.0)
+
+
+def per_chunk_run(cfg, sys_spec, ctx, stream):
+    """``_run_trials`` as it ran one chunk at a time: each chunk stepped
+    alone by the per-step oracle, its orbits reduced trial by trial."""
+    space, out = sys_spec.space, []
+    for i, lo in enumerate(range(0, cfg.trials, H.CHUNK)):
+        count = min(H.CHUNK, cfg.trials - lo)
+        values = per_step_values(cfg, sys_spec, ctx, stream.substream(i).generator(), count)
+        if cfg.observable == "corr-sum":
+            eps = float(cfg.params["epsilon"])
+            values = [correlation_sum(space, o, eps, phi0).value for o in values]
+        elif cfg.observable.startswith("kappa"):
+            kant = kantorovich_circle if isinstance(space, Circle) else kantorovich_interval
+            w = np.full(cfg.n, 1.0 / cfg.n)
+            values = [kant(EmpiricalMeasure(space, o, w), ctx["reference"]) for o in values]
+        out.append(values)
+    return np.concatenate(out)
+
+
+SMALL_REFERENCE = {"reference": {"kind": "simulate", "burn_in": 50, "samples": 200}}
+GROUP_CASES = ENGINE_CASES + [
+    ("kappa-to-stationary", {"kind": "moebius-two-atom"}, SMALL_REFERENCE),
+]
+CIRCLE_CASES = [
+    ("sync", SYNC_SYSTEMS["circle-chart"], {"B": [0.1, 0.5, 0.9], "x0": 0.3}),
+    ("kappa-interval", SYNC_SYSTEMS["circle-chart"], dict(SMALL_REFERENCE, x0=0.3)),
+]
+
+
+class TestGroupedRuns:
+    """Chunks stepped as one vector against the per-chunk loop, bit for bit:
+    the group is the width of the vector, the chunk the unit of draws."""
+
+    @staticmethod
+    def _setup(kind, system, params, trials):
+        cfg = halving_cfg(observable=kind, system=system, params=params, n=12, trials=trials)
+        sys_spec = build_system(system)
+        ctx, _ = H._build_context(cfg, sys_spec, SeededStream(0))
+        return cfg, sys_spec, ctx
+
+    @pytest.mark.parametrize("kind, system, params", GROUP_CASES)
+    @pytest.mark.parametrize("trials", [100, 257, 3 * 256 + 5])
+    @pytest.mark.parametrize("block", [50, 1000])
+    @pytest.mark.parametrize("group", [2, H.GROUP])
+    def test_equals_per_chunk_loop(self, kind, system, params, trials, block, group):
+        cfg, sys_spec, ctx = self._setup(kind, system, params, trials)
+        with mock.patch.object(E, "LABEL_BLOCK", block), mock.patch.object(H, "GROUP", group):
+            got = H._run_trials(cfg, sys_spec, ctx, SeededStream(9))
+        assert np.array_equal(got, per_chunk_run(cfg, sys_spec, ctx, SeededStream(9)))
+
+    @pytest.mark.parametrize("kind, system, params", CIRCLE_CASES)
+    def test_circle_chart_runs_chunk_by_chunk(self, kind, system, params):
+        # a chunk of 257 trials leaves one trial in the second chunk: its
+        # atom masks select single rows, which circle-chart matrices round
+        # differently from larger batches
+        cfg, sys_spec, ctx = self._setup(kind, system, params, 257)
+        assert H._group_chunks(cfg, sys_spec) == 1
+        got = H._run_trials(cfg, sys_spec, ctx, SeededStream(9))
+        assert np.array_equal(got, per_chunk_run(cfg, sys_spec, ctx, SeededStream(9)))
+
+    @pytest.mark.parametrize("kind, system, params", GROUP_CASES)
+    def test_orbit_groups_narrow_with_n(self, kind, system, params):
+        # an orbit observable holds every point of its group
+        cfg, sys_spec, _ = self._setup(kind, system, params, 100)
+        for n in (60, 1000, 5000):
+            cfg.n = n
+            width = H._group_chunks(cfg, sys_spec)
+            if kind in H.ORBIT_KINDS:
+                assert width * H.CHUNK * n <= max(H.ORBIT_POINTS, H.CHUNK * n)
+                assert width == H.GROUP or (width + 1) * H.CHUNK * n > H.ORBIT_POINTS
+            else:
+                assert width == H.GROUP
+
+    @pytest.mark.parametrize("kind, system, params", GROUP_CASES)
+    @pytest.mark.parametrize("block", [50, 1000])
+    def test_draws_stay_within_block(self, kind, system, params, block):
+        trials = 3 * 256 + 5
+        cfg, sys_spec, ctx = self._setup(kind, system, params, trials)
+        with mock.patch.object(E, "LABEL_BLOCK", block), \
+                mock.patch("rdslab.estimators.draw_word", wraps=draw_word) as draws:
+            H._run_trials(cfg, sys_spec, ctx, SeededStream(9))
+        sizes = [c.args[2] for c in draws.call_args_list]
+        assert max(sizes) <= max(block, H.CHUNK) and sum(sizes) == cfg.n * trials

@@ -4,11 +4,13 @@ from scipy.integrate import quad
 from scipy.optimize import linear_sum_assignment
 from scipy.stats import norm
 
+from rdslab import measures as M
 from rdslab.measures import (
     EmpiricalMeasure,
     kantorovich_circle,
     kantorovich_gaussian,
     kantorovich_interval,
+    kantorovich_interval_rows,
 )
 from rdslab.spaces import Circle, Interval
 
@@ -86,6 +88,48 @@ class TestKantorovichInterval:
         m1 = EmpiricalMeasure(SP, [0.0], [1.0])
         m2 = EmpiricalMeasure(SP, [0.0, 1.0], [0.5, 0.5])
         assert kantorovich_interval(m1, m2) == pytest.approx(0.5)
+
+
+class TestKantorovichIntervalRows:
+    """The merged distance of every row against the per-row
+    ``kantorovich_interval``, bit for bit."""
+
+    @staticmethod
+    def _compare(samples, ref):
+        samples = np.asarray(samples, dtype=float)
+        w = np.full(samples.shape[1], 1.0 / samples.shape[1])
+        expect = [kantorovich_interval(EmpiricalMeasure(SP, o, w), ref) for o in samples]
+        assert np.array_equal(kantorovich_interval_rows(samples, ref), expect)
+
+    def test_points_tied_with_atoms(self):
+        # the ties are placed ahead of the atoms, as the stable sort does
+        ref = EmpiricalMeasure.from_samples(SP, [0.25, 0.5, 1.0, 1.5])
+        self._compare([[0.5, 1.0, 0.3], [0.25, 1.5, 2.0], [0.0, 0.5, 0.5]], ref)
+
+    def test_repeated_points(self):
+        ref = EmpiricalMeasure.from_samples(SP, np.linspace(0.1, 1.9, 7))
+        self._compare([[0.7, 0.7, 0.7, 1.2], [1.9, 0.1, 1.9, 0.1], [0.4] * 4], ref)
+
+    def test_repeated_atoms_unequal_weights(self):
+        ref = EmpiricalMeasure(SP, [1.0, 0.3, 1.0, 0.3, 1.7, 1.0],
+                               [0.1, 0.3, 0.05, 0.25, 0.2, 0.1])
+        rng = np.random.default_rng(3)
+        samples = np.concatenate([rng.choice([0.3, 1.0, 1.7], (5, 9)),
+                                  rng.uniform(0.0, 2.0, (5, 9))])
+        self._compare(samples, ref)
+
+    @pytest.mark.parametrize("rows", [1, M.MERGE_BLOCK - 1, M.MERGE_BLOCK + 1,
+                                      3 * M.MERGE_BLOCK + 5])
+    def test_rows_across_blocks(self, rows):
+        rng = np.random.default_rng(rows)
+        ref = EmpiricalMeasure.from_samples(SP, rng.uniform(0.0, 2.0, 200))
+        samples = rng.uniform(0.0, 2.0, (rows, 60))
+        samples[:, ::7] = ref.positions[rng.integers(0, 200, (rows, 9))]
+        self._compare(samples, ref)
+
+    def test_needs_an_interval(self):
+        with pytest.raises(ValueError):
+            kantorovich_interval_rows(np.zeros((2, 3)), EmpiricalMeasure.from_samples(CIRC, [0.5]))
 
 
 class TestKantorovichCircle:
