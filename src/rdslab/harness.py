@@ -50,7 +50,7 @@ from .estimators import (
 from .maps import Affine, DrivingMeasure, MoebiusDecay, PolynomialDecay, ProjectiveAction, cocycle_matrices
 from .measures import (
     EmpiricalMeasure,
-    kantorovich_circle,
+    kantorovich_circle_rows,
     kantorovich_gaussian,
     kantorovich_interval_rows,
 )
@@ -223,11 +223,17 @@ def _reference_measure(sys_spec: SystemSpec, params: dict, stream: SeededStream)
     if ref == "auto":
         ref = {"kind": "lebesgue"} if sys_spec.analytic.get("stationary") == "lebesgue" else {
             "kind": "simulate"}
-    if ref["kind"] == "lebesgue":
+    kind = ref.get("kind") if isinstance(ref, dict) else None
+    if kind not in ("lebesgue", "simulate"):
+        raise ValueError(f"params 'reference' needs kind 'lebesgue' or 'simulate', got {ref!r}")
+    if kind == "lebesgue":
+        # k midpoints of the interval, or of [0, 1) for the circle's coordinates
         k = int(ref.get("atoms", 512))
         pts = (np.arange(k) + 0.5) / k
-        a, b = sys_spec.space.a, sys_spec.space.b
-        return EmpiricalMeasure.from_samples(sys_spec.space, a + (b - a) * pts), "analytic"
+        if isinstance(sys_spec.space, Interval):
+            a, b = sys_spec.space.a, sys_spec.space.b
+            pts = a + (b - a) * pts
+        return EmpiricalMeasure.from_samples(sys_spec.space, pts), "analytic"
     approx = stationary_approx(
         sys_spec.nu,
         sys_spec.space,
@@ -295,13 +301,8 @@ def _orbits(cfg, sys_spec, ctx, gens, counts):
 
 def _kappa(cfg, sys_spec, ctx, gens, counts):
     space, ref = sys_spec.space, ctx["reference"]
-    orbits = _orbits(cfg, sys_spec, ctx, gens, counts)
-    if not isinstance(space, Circle):
-        return kantorovich_interval_rows(orbits, ref)
-    # the circle distance sorts its segment values with an unstable sort,
-    # so a merge would not keep its bits
-    w = np.full(cfg.n, 1.0 / cfg.n)
-    return np.array([kantorovich_circle(EmpiricalMeasure(space, o, w), ref) for o in orbits])
+    rows = kantorovich_circle_rows if isinstance(space, Circle) else kantorovich_interval_rows
+    return rows(_orbits(cfg, sys_spec, ctx, gens, counts), ref)
 
 
 def _corr_sum(cfg, sys_spec, ctx, gens, counts):

@@ -15,12 +15,16 @@ A :class:`DrivingMeasure` is either a finite weighted family or a
 parametric family with a parameter sampler.  Only this module evaluates
 maps: :func:`apply_map`, :func:`derivative`, :func:`log_derivative` and the
 per-trial kernels ``DrivingMeasure.step`` / ``.log_derivative`` share one
-formula per family.
+formula per family.  The per-trial kernels gather each trial's parameters
+by its label and call that formula once when the support is one scalar
+family (or parametric); other finite supports apply each atom under a mask.
+Finite measures draw their labels by comparing uniforms against the
+cumulative weights, as ``Generator.choice`` does.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -45,6 +49,9 @@ __all__ = [
 ]
 
 _DERIVATIVE_FLOOR = 1e-300
+# most atoms whose labels are drawn by a linear scan of the cumulative
+# weights: on 2**16 labels the scan beats bisection up to about 64 atoms
+_SCAN_ATOMS = 32
 
 
 class SingularDerivativeError(ValueError):
@@ -59,19 +66,24 @@ def _log_abs(d, what):
     return np.log(d)
 
 
-class _DecayFamily:
-    """One-parameter families on [0, 1].  The formulas ``image``, ``deriv``
-    and ``log_deriv`` take alpha as a scalar or as an array broadcasting
-    against the state (one parameter draw per trial)."""
+class _ScalarFamily:
+    """Families of maps of the line with scalar parameters, the dataclass
+    fields.  The formulas ``image``, ``deriv`` and ``log_deriv`` take the
+    parameters, then the state; each parameter is a scalar or an array
+    broadcasting against the state (one parameter per trial)."""
+
+    @classmethod
+    def log_deriv(cls, *params_and_x):
+        return _log_abs(cls.deriv(*params_and_x), cls.__name__)
+
+
+class _DecayFamily(_ScalarFamily):
+    """One-parameter families on [0, 1]."""
 
     def __post_init__(self):
         lo, hi = self.ALPHA_RANGE
         if not lo <= self.alpha <= hi:
             raise ValueError(f"{type(self).__name__} needs alpha in [{lo}, {hi}]")
-
-    @classmethod
-    def log_deriv(cls, alpha, x):
-        return _log_abs(cls.deriv(alpha, x), cls.__name__)
 
 
 @dataclass(frozen=True)
@@ -115,9 +127,17 @@ _FAMILIES = {"moebius": MoebiusDecay, "polynomial": PolynomialDecay}
 
 
 @dataclass(frozen=True)
-class Affine:
+class Affine(_ScalarFamily):
     slope: float
     offset: float
+
+    @staticmethod
+    def image(slope, offset, x):
+        return slope * x + offset
+
+    @staticmethod
+    def deriv(slope, offset, x):
+        return np.broadcast_to(slope, np.shape(x)) + 0.0
 
 
 class ProjectiveAction:
@@ -167,8 +187,7 @@ def apply_map(f: MapDescriptor, x):
     if isinstance(f, _DecayFamily):
         return f.image(f.alpha, np.asarray(x, dtype=float))[()]
     if isinstance(f, Affine):
-        x = np.asarray(x, dtype=float)
-        return (f.slope * x + f.offset)[()]
+        return f.image(f.slope, f.offset, np.asarray(x, dtype=float))[()]
     if isinstance(f, ProjectiveAction):
         if f.chart == "circle":
             v = _circle_direction(x)
@@ -184,7 +203,7 @@ def derivative(f: MapDescriptor, x):
     if isinstance(f, _DecayFamily):
         return f.deriv(f.alpha, np.asarray(x, dtype=float))[()]
     if isinstance(f, Affine):
-        return np.broadcast_to(f.slope, np.shape(x))[()] + 0.0
+        return f.deriv(f.slope, f.offset, x)[()]
     if isinstance(f, ProjectiveAction) and f.chart == "circle":
         # angle-chart derivative of an SL(2,R) projective action:
         # d(theta') / d(theta) = det A / ||A v||^2 = 1 / ||A v||^2
@@ -228,8 +247,21 @@ class DrivingMeasure:
             if abs(sum(w for _, w in atoms) - 1.0) > 1e-12:
                 raise ValueError("atom weights must sum to 1")
             object.__setattr__(self, "atoms", atoms)
-            # not a field: eq and hash stay on the atoms
-            object.__setattr__(self, "_weights", np.array([w for _, w in atoms]))
+            # not fields: eq and hash stay on the atoms
+            weights = np.array([w for _, w in atoms])
+            cdf = weights.cumsum()
+            cdf /= cdf[-1]
+            # one scalar family: per-atom parameter columns, gathered by
+            # label in _per_label; otherwise the mask loop
+            kind = type(atoms[0][0])
+            if not (issubclass(kind, _ScalarFamily) and all(type(m) is kind for m, _ in atoms)):
+                kind = None
+            table = None if kind is None else tuple(
+                np.array([getattr(m, f.name) for m, _ in atoms]) for f in fields(kind))
+            object.__setattr__(self, "_weights", weights)
+            object.__setattr__(self, "_cdf", cdf)
+            object.__setattr__(self, "_kind", kind)
+            object.__setattr__(self, "_table", table)
         else:
             if self.family not in _FAMILIES:
                 raise ValueError(f"unknown parametric family {self.family!r}")
@@ -237,6 +269,8 @@ class DrivingMeasure:
             vlo, vhi = _FAMILIES[self.family].ALPHA_RANGE
             if lo < vlo or hi > vhi:
                 raise ValueError("sampler range outside the family's parameter set")
+            object.__setattr__(self, "_kind", _FAMILIES[self.family])
+            object.__setattr__(self, "_table", None)
 
     def _param_range(self):
         kind = self.sampler[0]
@@ -265,12 +299,19 @@ class DrivingMeasure:
 
     def _per_label(self, per_map, formula, labels, X):
         """``labels`` hold one draw_word entry per trial and X has shape
-        (trials, ...).  Finite measures apply ``per_map`` atom by atom under
-        a mask; parametric ones pass the drawn parameters to the family
-        ``formula``."""
-        if not self.finite:
-            params = labels.reshape(labels.shape + (1,) * (X.ndim - 1))
-            return getattr(_FAMILIES[self.family], formula)(params, X)
+        (trials, ...).  The family ``formula`` takes each trial's parameters:
+        the drawn ones of a parametric measure, or, when every atom is of
+        one scalar family, the atoms' table gathered by label.  Other finite
+        measures take the mask loop."""
+        if self._kind is None:
+            return self._masked(per_map, labels, X)
+        at = labels.reshape(labels.shape + (1,) * (X.ndim - 1))
+        params = (at,) if self._table is None else [col[at] for col in self._table]
+        return getattr(self._kind, formula)(*params, X)
+
+    def _masked(self, per_map, labels, X):
+        """``per_map`` applied atom by atom to the trials that drew it: the
+        path of mixed and matrix supports, and the oracle of the gather."""
         out = np.empty_like(X)
         for idx, (m, _) in enumerate(self.atoms):
             mask = labels == idx
@@ -308,8 +349,18 @@ class DrivingMeasure:
         return rng.choice(values, size=size, p=weights / weights.sum())
 
     def sample_indices(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        """Vectorized atom-index draws (finite measures only)."""
-        return rng.choice(len(self.atoms), size=size, p=self._weights)
+        """Vectorized atom-index draws (finite measures only), equal to
+        ``rng.choice(len(atoms), size, p=weights)`` and taking the same
+        doubles: one uniform per label, whose label is the number of
+        cumulative weights at or below it (``searchsorted(cdf, u, "right")``
+        as ``choice`` computes it, the last weight being 1)."""
+        u = rng.random(size)
+        if len(self._cdf) > _SCAN_ATOMS:
+            return np.searchsorted(self._cdf, u, "right")
+        labels = np.zeros(size, dtype=np.int64)
+        for c in self._cdf[:-1]:
+            labels += u >= c
+        return labels
 
     def support_maps(self, param_grid=None) -> list:
         """The support as a finite list of maps.  Parametric measures need

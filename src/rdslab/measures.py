@@ -21,10 +21,12 @@ __all__ = [
     "kantorovich_interval",
     "kantorovich_interval_rows",
     "kantorovich_circle",
+    "kantorovich_circle_rows",
     "kantorovich_gaussian",
 ]
 
-# rows of samples merged at once by kantorovich_interval_rows
+# rows of samples merged at once by kantorovich_interval_rows and
+# kantorovich_circle_rows
 MERGE_BLOCK = 32
 
 
@@ -86,41 +88,61 @@ def kantorovich_interval(mu1: EmpiricalMeasure, mu2: EmpiricalMeasure) -> float:
     return float(np.sum(np.abs(diff[:-1]) * np.diff(pts)))
 
 
+def _merge(samples: np.ndarray, ref: np.ndarray, ref_delta: np.ndarray):
+    """(point, mass) arrays of shape (rows, n + len(ref)): each row of
+    ``samples`` sorted and merged into the sorted ``ref``, a row point
+    weighing 1/n and ``ref[j]`` ``ref_delta[j]``.
+
+    ``searchsorted(side="left")`` puts a row point ahead of the ``ref``
+    points tied with it, as the stable sort of the row followed by the
+    (stable-sorted) ``ref`` does; tied row points carry equal masses, so
+    the sequences equal those of that sort."""
+    o = np.sort(samples, axis=1, kind="stable")
+    b, n = o.shape
+    at = np.searchsorted(ref, o, side="left") + np.arange(n)
+    mine = np.zeros((b, n + len(ref)), dtype=bool)
+    mine[np.arange(b)[:, None], at] = True
+    pts = np.empty(mine.shape)
+    delta = np.empty(mine.shape)
+    pts[mine] = o.ravel()
+    delta[mine] = 1.0 / n
+    theirs = ~mine
+    pts[theirs] = np.tile(ref, b)
+    delta[theirs] = np.tile(ref_delta, b)
+    return pts, delta
+
+
 def kantorovich_interval_rows(samples: np.ndarray, mu: EmpiricalMeasure) -> np.ndarray:
     """``kantorovich_interval`` from the uniform measure on each row of
-    ``samples`` to ``mu``, bit for bit, without sorting ``mu`` per row.
-
-    ``mu`` is stable-sorted once.  Each block of ``MERGE_BLOCK`` sorted rows
-    is merged into it by ``searchsorted(side="left")``, which puts a row
-    point ahead of the ``mu`` atoms tied with it, as the stable sort of the
-    concatenation does; the cumulative sums and breakpoint sums then run
-    over the same sequence in the same order."""
+    ``samples`` to ``mu``, bit for bit, without sorting ``mu`` per row:
+    ``mu`` is stable-sorted once and each block of ``MERGE_BLOCK`` rows
+    merged into it (``_merge``); the cumulative sums and breakpoint sums
+    then run over the same sequence in the same order."""
     if not isinstance(mu.space, Interval):
         raise ValueError("the reference must live on an Interval space")
     order = np.argsort(mu.positions, kind="stable")
     ref, ref_delta = mu.positions[order], -mu.weights[order]
-    rows, n = samples.shape
-    w = 1.0 / n
-    out = np.empty(rows)
-    for lo in range(0, rows, MERGE_BLOCK):
-        o = np.sort(samples[lo:lo + MERGE_BLOCK], axis=1, kind="stable")
-        b = len(o)
-        at = np.searchsorted(ref, o, side="left") + np.arange(n)
-        mine = np.zeros((b, n + len(ref)), dtype=bool)
-        mine[np.arange(b)[:, None], at] = True
-        pts = np.empty(mine.shape)
-        delta = np.empty(mine.shape)
-        pts[mine] = o.ravel()
-        delta[mine] = w
-        theirs = ~mine
-        pts[theirs] = np.tile(ref, b)
-        delta[theirs] = np.tile(ref_delta, b)
+    out = np.empty(len(samples))
+    for lo in range(0, len(samples), MERGE_BLOCK):
+        pts, delta = _merge(samples[lo:lo + MERGE_BLOCK], ref, ref_delta)
         # the same operations as kantorovich_interval, in place
         diff = np.cumsum(delta, axis=1, out=delta)[:, :-1]
         gaps = np.diff(pts, axis=1)
         np.multiply(np.abs(diff, out=diff), gaps, out=gaps)
-        out[lo:lo + b] = np.sum(gaps, axis=1)
+        out[lo:lo + len(pts)] = np.sum(gaps, axis=1)
     return out
+
+
+def _circle_shift_cost(lengths: np.ndarray, values: np.ndarray) -> float:
+    """min over t of sum len * |value - t| over the segments of positive
+    length, attained at a weighted median of the values."""
+    keep = lengths > 0
+    lengths, values = lengths[keep], values[keep]
+    order = np.argsort(values)
+    values, lengths = values[order], lengths[order]
+    cum = np.cumsum(lengths)
+    t = values[np.searchsorted(cum, 0.5 * cum[-1])]
+    return float(np.sum(lengths * np.abs(values - t)))
 
 
 def kantorovich_circle(mu1: EmpiricalMeasure, mu2: EmpiricalMeasure) -> float:
@@ -132,16 +154,31 @@ def kantorovich_circle(mu1: EmpiricalMeasure, mu2: EmpiricalMeasure) -> float:
     order = np.argsort(pts, kind="stable")
     pts = pts[order]
     diff = np.cumsum(delta[order])
-    lengths = np.diff(pts)
-    values = diff[:-1]
-    keep = lengths > 0
-    lengths, values = lengths[keep], values[keep]
-    # weighted median of the segment values minimizes sum len * |value - t|
-    order = np.argsort(values)
-    values, lengths = values[order], lengths[order]
-    cum = np.cumsum(lengths)
-    t = values[np.searchsorted(cum, 0.5 * cum[-1])]
-    return float(np.sum(lengths * np.abs(values - t)))
+    return _circle_shift_cost(np.diff(pts), diff[:-1])
+
+
+def kantorovich_circle_rows(samples: np.ndarray, mu: EmpiricalMeasure) -> np.ndarray:
+    """``kantorovich_circle`` from the uniform measure on each row of
+    ``samples`` to ``mu``, bit for bit.  The points of ``mu`` (mod 1) and
+    the sentinels 0 and 1 are stable-sorted once and each block of
+    ``MERGE_BLOCK`` rows (mod 1) merged into them (``_merge``); the
+    cumulative sums and segment lengths run over the block.  The weighted
+    median sorts its values with an unstable sort, so it runs row by row
+    on the arrays ``kantorovich_circle`` builds."""
+    if not isinstance(mu.space, Circle):
+        raise ValueError("the reference must live on a Circle space")
+    ref = np.concatenate([mu.positions % 1.0, [0.0, 1.0]])
+    ref_delta = np.concatenate([-mu.weights, [0.0, 0.0]])
+    order = np.argsort(ref, kind="stable")
+    ref, ref_delta = ref[order], ref_delta[order]
+    out = np.empty(len(samples))
+    for lo in range(0, len(samples), MERGE_BLOCK):
+        pts, delta = _merge(samples[lo:lo + MERGE_BLOCK] % 1.0, ref, ref_delta)
+        diff = np.cumsum(delta, axis=1, out=delta)
+        lengths = np.diff(pts, axis=1)
+        for r in range(len(pts)):
+            out[lo + r] = _circle_shift_cost(lengths[r], diff[r, :-1])
+    return out
 
 
 def _gaussian_cdf_antiderivative(t: np.ndarray, sigma: float) -> np.ndarray:

@@ -14,7 +14,14 @@ from rdslab.chains import (
     word_maps,
     word_table,
 )
-from rdslab.maps import Affine, DrivingMeasure, MoebiusDecay, ProjectiveAction, apply_map
+from rdslab.maps import (
+    _SCAN_ATOMS,
+    Affine,
+    DrivingMeasure,
+    MoebiusDecay,
+    ProjectiveAction,
+    apply_map,
+)
 from rdslab.spaces import Interval
 from rdslab.streams import SeededStream
 
@@ -48,12 +55,19 @@ class TestSimulate:
 
 class TestSampleIndices:
     def test_cached_weights_draw_as_fresh_choice(self):
-        nu = DrivingMeasure(atoms=((MoebiusDecay(1.0), 0.2), (MoebiusDecay(2.0), 0.3),
-                                   (Affine(0.5, 0.0), 0.5)))
-        rng, fresh = SeededStream(6).generator(), SeededStream(6).generator()
-        for size in (1, 7, 1000):
-            expect = fresh.choice(3, size=size, p=np.array([0.2, 0.3, 0.5]))
-            assert np.array_equal(nu.sample_indices(rng, size), expect)
+        # the CDF compare (and the bisection beyond _SCAN_ATOMS atoms) draws
+        # rng.choice's labels, in its dtype, from as many doubles
+        for k in (1, 2, 3, 10, _SCAN_ATOMS + 1, 100):
+            w = np.arange(1.0, k + 1.0) ** 1.5
+            w /= w.sum()
+            nu = DrivingMeasure(atoms=tuple((MoebiusDecay(1.0 + i), wi) for i, wi in enumerate(w)))
+            rng, fresh = SeededStream(k).generator(), SeededStream(k).generator()
+            for size in (1, 7, 2**16):
+                expect = fresh.choice(k, size=size, p=nu._weights)
+                got = nu.sample_indices(rng, size)
+                assert got.dtype == expect.dtype == np.int64
+                assert np.array_equal(got, expect)
+                assert rng.random() == fresh.random()
 
     def test_weights_are_not_a_field(self):
         a = DrivingMeasure(atoms=((MoebiusDecay(1.0), 0.5), (MoebiusDecay(2.0), 0.5)))

@@ -418,3 +418,38 @@ class TestObservableChecks:
         assert "ProjectiveAction" in capsys.readouterr().err
         orbit.assert_not_called()
         cocycle.assert_not_called()
+
+
+CIRCLE_CHART = {"kind": "atoms", "space": {"kind": "circle"},
+                "atoms": [[{"kind": "projective", "matrix": a, "chart": "circle"}, 0.5]
+                          for a in MATRICES_2]}
+
+
+class TestReference:
+    """``params.reference`` of the kappa observables."""
+
+    @pytest.mark.parametrize("reference", [{"kind": "lebesge"}, {"atoms": 64}, "lebesgue"],
+                             ids=["misspelt-kind", "no-kind", "not-an-object"])
+    def test_unknown_kind_fails_before_drawing(self, tmp_path, capsys, reference):
+        doc = observable_doc("kappa-to-stationary", params={"reference": reference})
+        with mock.patch("rdslab.estimators.draw_word") as draw, \
+                mock.patch("rdslab.harness.stationary_approx") as simulated:
+            assert main(["tail", "--config", write_cfg(tmp_path, doc)]) == 2
+        assert "'reference'" in capsys.readouterr().err
+        draw.assert_not_called()
+        simulated.assert_not_called()
+
+    def test_lebesgue_on_the_circle(self, tmp_path):
+        # the k midpoints of [0, 1), the circle's coordinates
+        doc = observable_doc("kappa-interval", CIRCLE_CHART,
+                             {"x0": 0.3, "reference": {"kind": "lebesgue", "atoms": 64}})
+        out = tmp_path / "r.json"
+        with mock.patch("rdslab.harness.stationary_approx") as simulated:
+            code = main(["tail", "--config", write_cfg(tmp_path, doc), "--out", str(out),
+                         "--format", "json"])
+        assert code == 0
+        simulated.assert_not_called()
+        report = json.loads(out.read_text())
+        assert report["provenance"]["reference"] == "analytic"
+        # a circle distance is at most 1/2
+        assert 0.0 < report["center"] < 0.5

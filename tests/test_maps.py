@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -140,6 +142,75 @@ class TestDrivingMeasure:
         nu = DrivingMeasure(family="moebius", sampler=("uniform", 1.0, 2.0))
         p = nu.sample_params(SeededStream(0).generator(), 100)
         assert np.all((p >= 1.0) & (p <= 2.0))
+
+
+GATHER_MEASURES = {
+    "affine": DrivingMeasure(atoms=((Affine(0.5, 0.0), 0.2), (Affine(-0.3, 0.9), 0.3),
+                                    (Affine(1.7, -0.2), 0.5))),
+    "moebius": DrivingMeasure(atoms=((MoebiusDecay(1.0), 0.7), (MoebiusDecay(2.7), 0.3))),
+    "polynomial": DrivingMeasure(atoms=((PolynomialDecay(1.25), 0.6), (PolynomialDecay(1.5), 0.1),
+                                        (PolynomialDecay(1.37), 0.3))),
+}
+CIRCLE_PAIR = ((ProjectiveAction([[2.0, 1.0], [1.0, 1.0]], chart="circle"), 0.5),
+               (ProjectiveAction([[1.0, 1.0], [0.0, 1.0]], chart="circle"), 0.5))
+
+
+class TestGatherKernel:
+    """``step`` / ``log_derivative`` of a one-family support gather the atom
+    parameters by label; the mask loop ``_masked`` is their oracle."""
+
+    @staticmethod
+    def _labels_and_states(nu, width, cols):
+        rng = SeededStream(width).generator()
+        labels = nu.sample_indices(rng, width)
+        X = rng.random((width, cols) if cols else width)
+        X.flat[:2] = [0.0, 1.0][:X.size]
+        return labels, X
+
+    @pytest.mark.parametrize("family", sorted(GATHER_MEASURES))
+    @pytest.mark.parametrize("width", [1, 7, 10**5])
+    @pytest.mark.parametrize("cols", [0, 3], ids=["1d", "2d"])
+    def test_equals_mask_loop(self, family, width, cols):
+        nu = GATHER_MEASURES[family]
+        labels, X = self._labels_and_states(nu, width, cols)
+        assert np.array_equal(nu.step(labels, X), nu._masked(apply_map, labels, X))
+        assert np.array_equal(nu.log_derivative(labels, X),
+                              nu._masked(log_derivative, labels, X))
+
+    @pytest.mark.parametrize("atoms, x", [
+        (((Affine(0.0, 0.5), 0.5), (Affine(0.5, 0.0), 0.5)), 0.3),
+        # 1 - 1.5 sqrt(x) = 0 at x = 1.5 ** -2
+        (((PolynomialDecay(1.25), 0.5), (PolynomialDecay(1.5), 0.5)), (2.0 / 3.0) ** 2),
+    ], ids=["affine-slope-0", "polynomial-critical"])
+    def test_critical_point_raises(self, atoms, x):
+        nu = DrivingMeasure(atoms=atoms)
+        critical = 0 if isinstance(atoms[0][0], Affine) else 1
+        X = np.array([0.1, x, 0.7])
+        for labels in (np.array([1 - critical, critical, 1 - critical]),
+                       np.full(3, critical)):
+            with pytest.raises(SingularDerivativeError):
+                nu._masked(log_derivative, labels, X)
+            with pytest.raises(SingularDerivativeError):
+                nu.log_derivative(labels, X)
+        # a critical map nobody drew, or a critical point nobody visits
+        regular = np.full(3, 1 - critical)
+        assert np.array_equal(nu.log_derivative(regular, X),
+                              nu._masked(log_derivative, regular, X))
+
+    @pytest.mark.parametrize("atoms, gathered", [
+        (GATHER_MEASURES["affine"].atoms, True),
+        (((MoebiusDecay(1.0), 0.5), (Affine(0.5, 0.0), 0.5)), False),
+        (((MoebiusDecay(1.5), 0.5), (PolynomialDecay(1.5), 0.5)), False),
+        (CIRCLE_PAIR, False),
+    ], ids=["affine", "moebius-affine", "moebius-polynomial", "circle-chart"])
+    def test_only_one_scalar_family_gathers(self, atoms, gathered):
+        nu = DrivingMeasure(atoms=atoms)
+        labels, X = self._labels_and_states(nu, 50, 0)
+        with mock.patch.object(DrivingMeasure, "_masked", autospec=True,
+                               side_effect=DrivingMeasure._masked) as masked:
+            nu.step(labels, X)
+            nu.log_derivative(labels, X)
+        assert masked.call_count == (0 if gathered else 2)
 
 
 class TestGeeDiameter:

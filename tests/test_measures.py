@@ -8,6 +8,7 @@ from rdslab import measures as M
 from rdslab.measures import (
     EmpiricalMeasure,
     kantorovich_circle,
+    kantorovich_circle_rows,
     kantorovich_gaussian,
     kantorovich_interval,
     kantorovich_interval_rows,
@@ -168,6 +169,51 @@ class TestKantorovichCircle:
                 EmpiricalMeasure.from_samples(CIRC, xs), EmpiricalMeasure.from_samples(CIRC, ys)
             )
             assert got == pytest.approx(assignment_oracle_circle(xs, ys), abs=1e-9)
+
+
+class TestKantorovichCircleRows:
+    """The merged circle distance of each row against ``kantorovich_circle``,
+    bit for bit."""
+
+    @staticmethod
+    def _compare(samples, ref):
+        samples = np.asarray(samples, dtype=float)
+        expect = [kantorovich_circle(EmpiricalMeasure.from_samples(CIRC, o), ref)
+                  for o in samples]
+        assert np.array_equal(kantorovich_circle_rows(samples, ref), expect)
+
+    def test_points_tied_with_atoms(self):
+        ref = EmpiricalMeasure.from_samples(CIRC, [0.0, 0.25, 0.5, 0.75])
+        self._compare([[0.5, 0.75, 0.3], [0.25, 0.0, 0.9], [0.0, 0.5, 0.5]], ref)
+
+    def test_wrap_points(self):
+        # a point at 0 ties with the sentinel, one just below 1 ends the
+        # last segment; points outside [0, 1) wrap onto the atoms
+        ref = EmpiricalMeasure.from_samples(CIRC, [0.1, 0.4, 1.0 - 2.0**-53, 1.6])
+        self._compare([[0.0, 1.0 - 2.0**-53, 0.5], [1.0, -0.6, 2.4], [-0.0, 3.0, 1.1],
+                       [-1e-17, 0.9999999999999999, 0.4]], ref)
+
+    def test_repeated_points_change_segment_counts(self):
+        # rows with ties keep fewer positive-length segments than the others
+        ref = EmpiricalMeasure(CIRC, [0.7, 0.2, 0.7, 0.2, 0.95], [0.1, 0.3, 0.15, 0.25, 0.2])
+        rng = np.random.default_rng(4)
+        samples = np.concatenate([rng.choice([0.2, 0.7, 0.95, 0.0], (6, 9)),
+                                  rng.uniform(0.0, 1.0, (6, 9)),
+                                  np.full((2, 9), 0.3)])
+        self._compare(samples, ref)
+
+    @pytest.mark.parametrize("rows", [1, M.MERGE_BLOCK - 1, M.MERGE_BLOCK + 1,
+                                      3 * M.MERGE_BLOCK + 5])
+    def test_rows_across_blocks(self, rows):
+        rng = np.random.default_rng(rows)
+        ref = EmpiricalMeasure.from_samples(CIRC, rng.uniform(-1.0, 2.0, 200))
+        samples = rng.uniform(0.0, 1.0, (rows, 60))
+        samples[:, ::7] = ref.positions[rng.integers(0, 200, (rows, 9))]
+        self._compare(samples, ref)
+
+    def test_needs_a_circle(self):
+        with pytest.raises(ValueError):
+            kantorovich_circle_rows(np.zeros((2, 3)), EmpiricalMeasure.from_samples(SP, [0.5]))
 
 
 class TestKantorovichGaussian:
