@@ -49,9 +49,6 @@ __all__ = [
 ]
 
 _DERIVATIVE_FLOOR = 1e-300
-# most atoms whose labels are drawn by a linear scan of the cumulative
-# weights: on 2**16 labels the scan beats bisection up to about 64 atoms
-_SCAN_ATOMS = 32
 
 
 class SingularDerivativeError(ValueError):
@@ -354,13 +351,7 @@ class DrivingMeasure:
         doubles: one uniform per label, whose label is the number of
         cumulative weights at or below it (``searchsorted(cdf, u, "right")``
         as ``choice`` computes it, the last weight being 1)."""
-        u = rng.random(size)
-        if len(self._cdf) > _SCAN_ATOMS:
-            return np.searchsorted(self._cdf, u, "right")
-        labels = np.zeros(size, dtype=np.int64)
-        for c in self._cdf[:-1]:
-            labels += u >= c
-        return labels
+        return np.searchsorted(self._cdf, rng.random(size), "right")
 
     def support_maps(self, param_grid=None) -> list:
         """The support as a finite list of maps.  Parametric measures need

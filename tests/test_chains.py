@@ -14,14 +14,7 @@ from rdslab.chains import (
     word_maps,
     word_table,
 )
-from rdslab.maps import (
-    _SCAN_ATOMS,
-    Affine,
-    DrivingMeasure,
-    MoebiusDecay,
-    ProjectiveAction,
-    apply_map,
-)
+from rdslab.maps import Affine, DrivingMeasure, MoebiusDecay, ProjectiveAction, apply_map
 from rdslab.spaces import Interval
 from rdslab.streams import SeededStream
 
@@ -55,9 +48,9 @@ class TestSimulate:
 
 class TestSampleIndices:
     def test_cached_weights_draw_as_fresh_choice(self):
-        # the CDF compare (and the bisection beyond _SCAN_ATOMS atoms) draws
-        # rng.choice's labels, in its dtype, from as many doubles
-        for k in (1, 2, 3, 10, _SCAN_ATOMS + 1, 100):
+        # the CDF compare draws rng.choice's labels, in its dtype, from as
+        # many doubles
+        for k in (1, 2, 3, 10, 33, 100):
             w = np.arange(1.0, k + 1.0) ** 1.5
             w /= w.sum()
             nu = DrivingMeasure(atoms=tuple((MoebiusDecay(1.0 + i), wi) for i, wi in enumerate(w)))
