@@ -2,7 +2,10 @@
 exact enumeration oracle over length-n words of a finite driving measure.
 
 Composition is on the left: step k applies the k-th drawn map to the
-current state, realizing f_n o ... o f_1.  The reversed product
+current state, realizing f_n o ... o f_1.  One orbit is sequential, so only
+its stepping runs one map at a time (``DrivingMeasure.orbit``, on plain
+floats for scalar states); its log-derivatives, which need the points
+alone, are then taken in one call.  The reversed product
 f_1 o ... o f_n is available through :func:`compose_reversed` given a
 recorded word.
 """
@@ -17,11 +20,11 @@ import numpy as np
 
 from .maps import (
     DrivingMeasure,
-    MapDescriptor,
     apply_map,
     cocycle_matrices,
     log_derivative,
     space_of,
+    word_maps,
 )
 from .spaces import StateSpace, distance
 from .streams import as_generator
@@ -76,12 +79,6 @@ def draw_word(nu: DrivingMeasure, stream, n: int) -> np.ndarray:
     return nu.sample_params(rng, n)
 
 
-def word_maps(nu: DrivingMeasure, word) -> list[MapDescriptor]:
-    if nu.finite:
-        return [nu.atoms[int(i)][0] for i in word]
-    return [nu.make_map(float(p)) for p in word]
-
-
 def _resolve_space(nu: DrivingMeasure, space: StateSpace | None) -> StateSpace:
     if space is not None:
         return space
@@ -125,29 +122,31 @@ def simulate_coupled(
         raise ValueError("n must be >= 0")
     space = _resolve_space(nu, space)
     word = draw_word(nu, stream, n)
-    maps = word_maps(nu, word)
-
     out = []
     for x0 in starts:
-        pts = [np.asarray(x0, dtype=float) if np.ndim(x0) else float(x0)]
-        logs = [] if record_log_derivative else None
-        acc = 0.0
-        for f in maps:
-            x = pts[-1]
-            if record_log_derivative:
-                acc += float(log_derivative(f, x))
-                logs.append(acc)
-            pts.append(apply_map(f, x))
-        points = np.array(pts)
-        out.append(
-            Trajectory(
-                space=space,
-                points=points,
-                log_derivative_sum=np.array(logs) if record_log_derivative else None,
-                map_ids=list(word) if record_maps else None,
-            )
-        )
+        points = nu.orbit(word, x0)
+        logs = _log_derivative_sums(nu, word, points) if record_log_derivative else None
+        out.append(Trajectory(space=space, points=points, log_derivative_sum=logs,
+                              map_ids=list(word) if record_maps else None))
     return out
+
+
+def _log_derivative_sums(nu: DrivingMeasure, word, points: np.ndarray) -> np.ndarray:
+    """Running sums of log |f_k'(X_{k-1})|, k = 1..n, along one orbit.
+
+    A scalar orbit takes all n log-derivatives in one call, on an (n, 1)
+    column: a circle-chart ``v @ A.T`` is then a stack of 1-row products,
+    which rounds as the call on one point does (a flat (n,) batch would
+    not).  Vector states take them map by map.  The sums start from +0.0,
+    so an orbit of zero log-derivatives sums to +0.0, not -0.0."""
+    if points.ndim == 1:
+        d = nu.log_derivative(word, points[:-1, None])[:, 0]
+    else:
+        d = [log_derivative(f, x) for f, x in zip(word_maps(nu, word), points[:-1])]
+    sums = np.empty(len(points))
+    sums[0] = 0.0
+    sums[1:] = d
+    return np.cumsum(sums)[1:]
 
 
 def matrix_product(nu: DrivingMeasure, n: int, stream) -> MatrixProduct:

@@ -13,13 +13,18 @@ The built-in families:
 
 A :class:`DrivingMeasure` is either a finite weighted family or a
 parametric family with a parameter sampler.  Only this module evaluates
-maps: :func:`apply_map`, :func:`derivative`, :func:`log_derivative` and the
-per-trial kernels ``DrivingMeasure.step`` / ``.log_derivative`` share one
-formula per family.  The per-trial kernels gather each trial's parameters
-by its label and call that formula once when the support is one scalar
-family (or parametric); other finite supports apply each atom under a mask.
-Finite measures draw their labels by comparing uniforms against the
-cumulative weights, as ``Generator.choice`` does.
+maps: :func:`apply_map`, :func:`derivative`, :func:`log_derivative`, the
+per-trial kernels ``DrivingMeasure.step`` / ``.log_derivative`` and the
+single-orbit stepper ``DrivingMeasure.orbit`` share one formula per family.
+The per-trial kernels gather each trial's parameters by its label and call
+that formula once when the support is one scalar family (or parametric);
+other finite supports apply each atom under a mask.  ``orbit`` steps one
+scalar start on plain floats through the same formula, taking the labels'
+parameters as Python floats, so a step is a few float operations instead
+of a map descriptor and a handful of 0-d array calls; other supports and
+vector states step through :func:`apply_map`.  Finite measures draw their
+labels by comparing uniforms against the cumulative weights, as
+``Generator.choice`` does.
 """
 
 from __future__ import annotations
@@ -41,6 +46,7 @@ __all__ = [
     "SingularDerivativeError",
     "cocycle_matrices",
     "sample_map",
+    "word_maps",
     "apply_map",
     "derivative",
     "log_derivative",
@@ -111,7 +117,9 @@ class PolynomialDecay(_DecayFamily):
 
     @staticmethod
     def image(alpha, x):
-        return x - x**alpha
+        # np.power, not **: on the plain floats of DrivingMeasure.orbit, **
+        # would call libm pow, which rounds differently from numpy's power
+        return x - np.power(x, alpha)
 
     @staticmethod
     def deriv(alpha, x):
@@ -176,7 +184,10 @@ MapDescriptor = MoebiusDecay | PolynomialDecay | Affine | ProjectiveAction
 
 def _circle_direction(theta):
     u = np.pi * np.asarray(theta, dtype=float)
-    return np.stack([np.cos(u), np.sin(u)], axis=-1)
+    v = np.empty(u.shape + (2,))
+    np.cos(u, out=v[..., 0])
+    np.sin(u, out=v[..., 1])
+    return v
 
 
 def apply_map(f: MapDescriptor, x):
@@ -217,6 +228,15 @@ def log_derivative(f: MapDescriptor, x):
     if isinstance(f, _DecayFamily):
         return f.log_deriv(f.alpha, np.asarray(x, dtype=float))[()]
     return _log_abs(derivative(f, x), f)[()]
+
+
+def _steps(step, params, x) -> np.ndarray:
+    """x and its images under ``step(*p, x)`` for each p in turn."""
+    pts = [x]
+    for p in params:
+        x = step(*p, x)
+        pts.append(x)
+    return np.array(pts)
 
 
 @dataclass(frozen=True)
@@ -284,6 +304,26 @@ class DrivingMeasure:
 
     def make_map(self, param: float) -> MapDescriptor:
         return _FAMILIES[self.family](param)
+
+    def orbit(self, word: np.ndarray, x0) -> np.ndarray:
+        """The n + 1 points x0, f_1(x0), ..., f_n o ... o f_1(x0) of the
+        maps that ``word`` (n labels of ``draw_word``) names.
+
+        A scalar start on a one-family or parametric support stays a Python
+        float and steps through the family ``image`` with each label's
+        parameters as Python floats: ``+ - * /`` round as numpy's do, and
+        the formulas call numpy for anything else.  Other supports, and
+        vector states, step through :func:`apply_map`."""
+        x = np.asarray(x0, dtype=float) if np.ndim(x0) else float(x0)
+        if self._kind is not None and not np.ndim(x0):
+            cols = (word,) if self._table is None else [col[word] for col in self._table]
+            try:
+                return _steps(self._kind.image, zip(*(col.tolist() for col in cols)), x)
+            except ZeroDivisionError:
+                # a Python float divides by zero where numpy gives inf or nan
+                # (a Moebius map at x = -1/alpha, a start outside [0, 1])
+                pass
+        return _steps(apply_map, zip(word_maps(self, word)), x)
 
     def step(self, labels: np.ndarray, X: np.ndarray) -> np.ndarray:
         """Image of each trial's states under its drawn map."""
@@ -373,6 +413,13 @@ def cocycle_matrices(nu: DrivingMeasure) -> np.ndarray:
         raise ValueError("a matrix cocycle needs a finite measure over "
                          "ProjectiveAction matrices of one size")
     return np.stack([f.matrix for f in maps])
+
+
+def word_maps(nu: DrivingMeasure, word) -> list[MapDescriptor]:
+    """The map descriptors that the labels ``word`` name."""
+    if nu.finite:
+        return [nu.atoms[int(i)][0] for i in word]
+    return [nu.make_map(float(p)) for p in word]
 
 
 def sample_map(nu: DrivingMeasure, stream_or_rng) -> MapDescriptor:

@@ -14,8 +14,18 @@ from rdslab.chains import (
     word_maps,
     word_table,
 )
-from rdslab.maps import Affine, DrivingMeasure, MoebiusDecay, ProjectiveAction, apply_map
-from rdslab.spaces import Interval
+from rdslab.maps import (
+    Affine,
+    DrivingMeasure,
+    MoebiusDecay,
+    PolynomialDecay,
+    ProjectiveAction,
+    SingularDerivativeError,
+    _circle_direction,
+    apply_map,
+    log_derivative,
+)
+from rdslab.spaces import Circle, Interval
 from rdslab.streams import SeededStream
 
 TWO_ATOM = DrivingMeasure(atoms=((MoebiusDecay(1.0), 0.5), (MoebiusDecay(2.0), 0.5)))
@@ -44,6 +54,121 @@ class TestSimulate:
         np.testing.assert_allclose(
             traj.log_derivative_sum, np.log(0.5) * np.arange(1, 6), atol=1e-12
         )
+
+
+def descriptor_orbit(nu, x0, n, stream):
+    """The per-step body simulate_coupled had before DrivingMeasure.orbit:
+    one map descriptor per step, apply_map and log_derivative on each point,
+    the log-derivatives summed into acc = 0.0 one by one."""
+    maps = word_maps(nu, draw_word(nu, stream, n))
+    pts = [np.asarray(x0, dtype=float) if np.ndim(x0) else float(x0)]
+    logs = []
+    acc = 0.0
+    for f in maps:
+        x = pts[-1]
+        acc += float(log_derivative(f, x))
+        logs.append(acc)
+        pts.append(apply_map(f, x))
+    return np.array(pts), np.array(logs)
+
+
+def circle_chart(*matrices):
+    w = 1.0 / len(matrices)
+    return DrivingMeasure(atoms=tuple((ProjectiveAction(a, chart="circle"), w) for a in matrices))
+
+
+HYPERBOLIC, ROTATION = [[2.0, 1.0], [1.0, 1.0]], [[0.6, -0.8], [0.8, 0.6]]
+ORBIT_SYSTEMS = {
+    "halving": (HALVING, SP),
+    "negative-slope-affine": (
+        DrivingMeasure(atoms=((Affine(-0.5, 1.0), 0.3), (Affine(-0.25, 0.5), 0.7))), SP),
+    "moebius-finite": (TWO_ATOM, SP),
+    "moebius-parametric": (DrivingMeasure(family="moebius", sampler=("uniform", 1.0, 2.0)), SP),
+    "polynomial-finite": (
+        DrivingMeasure(atoms=((PolynomialDecay(1.25), 0.5), (PolynomialDecay(1.5), 0.5))), SP),
+    "polynomial-parametric": (
+        DrivingMeasure(family="polynomial", sampler=("uniform", 1.25, 1.5)), SP),
+    "mixed": (DrivingMeasure(atoms=((MoebiusDecay(1.5), 0.4), (Affine(0.5, 0.25), 0.3),
+                                    (PolynomialDecay(1.3), 0.3))), SP),
+    # non-dyadic rotation: a batch of points would round apart from one point
+    "circle-chart": (circle_chart(HYPERBOLIC, ROTATION), Circle()),
+}
+
+
+def assert_bits_equal(got, expect):
+    assert got.shape == expect.shape and got.dtype == expect.dtype
+    assert np.array_equal(got, expect)
+    assert np.array_equal(np.signbit(got), np.signbit(expect))
+
+
+class TestOrbitOracle:
+    """simulate_coupled (plain-float stepping, one log-derivative call) equals
+    the per-step descriptor loop bit for bit, sign bits included: from 0.0 a
+    Moebius log-derivative is -0.0, and the sums must still read +0.0."""
+
+    STARTS = (0.0, 0.3, 0.7071067811865476, 1.0)
+
+    @pytest.mark.parametrize("n", [0, 1, 7, 3000])
+    @pytest.mark.parametrize("system", ORBIT_SYSTEMS)
+    def test_equals_descriptor_loop(self, system, n):
+        nu, space = ORBIT_SYSTEMS[system]
+        trajs = simulate_coupled(nu, self.STARTS, n, SeededStream(n + 11),
+                                 record_log_derivative=True, space=space)
+        for x0, traj in zip(self.STARTS, trajs):
+            points, logs = descriptor_orbit(nu, x0, n, SeededStream(n + 11))
+            assert_bits_equal(traj.points, points)
+            assert_bits_equal(traj.log_derivative_sum, logs)
+
+    def test_random_hyperbolic_circle_charts(self):
+        rng = np.random.default_rng(5)
+        for k in range(40):
+            a, b, c = rng.uniform(-2.0, 2.0, 3)
+            a += np.copysign(0.5, a)  # det = a d - b c = 1
+            nu = circle_chart([[a, b], [c, (1.0 + b * c) / a]], ROTATION)
+            (traj,) = simulate_coupled(nu, [rng.random()], 200, SeededStream(k),
+                                       record_log_derivative=True, space=Circle())
+            points, logs = descriptor_orbit(nu, traj.points[0], 200, SeededStream(k))
+            assert_bits_equal(traj.points, points)
+            assert_bits_equal(traj.log_derivative_sum, logs)
+
+    def test_projective_states_keep_the_step_loop(self):
+        nu = DrivingMeasure(atoms=((ProjectiveAction(HYPERBOLIC), 0.5),
+                                   (ProjectiveAction(ROTATION), 0.5)))
+        start = np.array([0.6, 0.8])
+        (traj,) = simulate_coupled(nu, [start], 300, SeededStream(2), record_log_derivative=True)
+        points, logs = descriptor_orbit(nu, start, 300, SeededStream(2))
+        assert traj.points.shape == (301, 2)
+        assert_bits_equal(traj.points, points)
+        assert_bits_equal(traj.log_derivative_sum, logs)
+
+    def test_start_outside_the_interval(self):
+        # 1 + alpha x = 0 at x = -1: numpy's -inf, then nan, as the step loop gave
+        nu = DrivingMeasure(atoms=((MoebiusDecay(1.0), 1.0),))
+        with np.errstate(all="ignore"):
+            (traj,) = simulate_coupled(nu, [-1.0], 4, SeededStream(0), record_log_derivative=True)
+            points, logs = descriptor_orbit(nu, -1.0, 4, SeededStream(0))
+        assert traj.points[1] == -np.inf and np.isnan(traj.points[-1])
+        assert np.array_equal(traj.points, points, equal_nan=True)
+        assert np.array_equal(traj.log_derivative_sum, logs, equal_nan=True)
+
+    def test_critical_point_stays_loud(self):
+        # PolynomialDecay(1.5) has f'(x) = 1 - 1.5 sqrt(x) = 0 at x = 4/9
+        nu = DrivingMeasure(atoms=((PolynomialDecay(1.5), 1.0),))
+        with pytest.raises(SingularDerivativeError, match="vanishing derivative"):
+            simulate(nu, (2.0 / 3.0) ** 2, 10, SeededStream(0), record_log_derivative=True)
+        traj = simulate(nu, (2.0 / 3.0) ** 2, 10, SeededStream(0))
+        assert traj.n == 10
+
+
+@pytest.mark.parametrize("theta", [np.float64(0.3), np.linspace(-1.0, 2.0, 257),
+                                   np.linspace(0.0, 1.0, 64)[:, None]],
+                         ids=["0-d", "(N,)", "(N, 1)"])
+def test_circle_direction_as_stacked(theta):
+    u = np.pi * np.asarray(theta, dtype=float)
+    expect = np.stack([np.cos(u), np.sin(u)], axis=-1)
+    got = _circle_direction(theta)
+    assert got.shape == expect.shape and got.flags.c_contiguous
+    assert np.array_equal(got, expect)
 
 
 class TestSampleIndices:

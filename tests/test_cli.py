@@ -202,6 +202,15 @@ def projective_system(matrices):
             "atoms": [[{"kind": "projective", "matrix": a}, 0.5] for a in matrices]}
 
 
+CIRCLE_CHART = {"kind": "atoms", "space": {"kind": "circle"},
+                "atoms": [[{"kind": "projective", "matrix": a, "chart": "circle"}, 0.5]
+                          for a in MATRICES_2]}
+
+
+POLYNOMIAL_ATOMS = {"kind": "atoms", "atoms": [[{"kind": "polynomial", "alpha": 1.25}, 0.5],
+                                               [{"kind": "polynomial", "alpha": 1.5}, 0.5]]}
+
+
 LYAP_DOC = {
     "observable": "lyap-1d", "n": 30, "trials": 300, "t_ladder": [0.001, 0.002, 0.004],
     "seed": 7, "bound": "circle-lyap",
@@ -270,6 +279,110 @@ class TestPinnedOutput:
             "t_ladder": ladder, "seed": 3, "bound": bound, "inputs": inputs})
         assert main(["tail", "--config", cfg, "--out", str(out)]) == 0
         assert out.read_text() == "t,p_hat,ci_lo,ci_hi,bound,threshold,verdict\n" + body
+
+    @pytest.mark.parametrize("command, doc, text", [
+        # parametric family: plain-float steps with the drawn parameters
+        pytest.param("simulate", dict(TAIL_DOC, system={"kind": "moebius-uniform"}, n=30, seed=5),
+                     ("k,x\n"
+                      "0,0.5\n"
+                      "1,0.2671237091182091\n"
+                      "2,0.19060266482491428\n"
+                      "3,0.14493448384484447\n"
+                      "4,0.11551259445062591\n"
+                      "5,0.10239644366886112\n"
+                      "6,0.086360751501692354\n"
+                      "7,0.07440425433876606\n"
+                      "8,0.067000568978631533\n"
+                      "9,0.062483711286131116\n"
+                      "10,0.058309226618061052\n"
+                      "11,0.053657257621268446\n"
+                      "12,0.048722897550864064\n"
+                      "13,0.045790658573947811\n"
+                      "14,0.043220559244332137\n"
+                      "15,0.04130715916206458\n"
+                      "16,0.039280999024961481\n"
+                      "17,0.037498206905073696\n"
+                      "18,0.035633775994480713\n"
+                      "19,0.034394644319373495\n"
+                      "20,0.032620966491503256\n"
+                      "21,0.031176220624990512\n"
+                      "22,0.029944377326133368\n"
+                      "23,0.028659761571715139\n"
+                      "24,0.027190110478838136\n"
+                      "25,0.026137088476398649\n"
+                      "26,0.025024092129700828\n"
+                      "27,0.024292892065949173\n"
+                      "28,0.023567251303172252\n"
+                      "29,0.022576882033237339\n"
+                      "30,0.021691011905361546\n"),
+                     id="simulate-moebius-uniform"),
+        # finite one-family support: np.power on plain floats
+        pytest.param("simulate", dict(TAIL_DOC, system=POLYNOMIAL_ATOMS, n=30, seed=5,
+                                      params={"x0": 0.7}),
+                     ("k,x\n"
+                      "0,0.69999999999999996\n"
+                      "1,0.11433798142614715\n"
+                      "2,0.075675851045053005\n"
+                      "3,0.054857996463233555\n"
+                      "4,0.042009275037890197\n"
+                      "5,0.022990546324338071\n"
+                      "6,0.019504573980422175\n"
+                      "7,0.016780589033298172\n"
+                      "8,0.010740977556148829\n"
+                      "9,0.0072831386110869915\n"
+                      "10,0.0051554982546773865\n"
+                      "11,0.0037740382842026856\n"
+                      "12,0.0035421870286636661\n"
+                      "13,0.0026780365786550045\n"
+                      "14,0.0020688215185169188\n"
+                      "15,0.0016276029502706407\n"
+                      "16,0.0013006873950996603\n"
+                      "17,0.0010536764687301054\n"
+                      "18,0.00086383805269580585\n"
+                      "19,0.00071574304661509679\n"
+                      "20,0.00069659450485021679\n"
+                      "21,0.00058342613626945672\n"
+                      "22,0.00049275222474653871\n"
+                      "23,0.00041933706599947367\n"
+                      "24,0.00041074999846845643\n"
+                      "25,0.00035227476518054032\n"
+                      "26,0.00034566292570432737\n"
+                      "27,0.00029853091128352485\n"
+                      "28,0.00025929022146233157\n"
+                      "29,0.0002551150029641292\n"
+                      "30,0.00025104022452568679\n"),
+                     id="simulate-polynomial"),
+        # circle chart: apply_map steps, log-derivatives on an (n, 1) column
+        pytest.param("lyap", dict(TAIL_DOC, system=CIRCLE_CHART, observable="lyap-1d", n=500,
+                                  seed=6, params={"x0": 0.3}),
+                     "n,rate\n"
+                     "500,-0.58813877771999312\n",
+                     id="lyap-circle-chart"),
+        pytest.param("lyap", dict(TAIL_DOC, system={"kind": "moebius-two-atom"},
+                                  observable="lyap-1d", n=400, seed=6),
+                     "n,rate\n"
+                     "400,-0.028552135086874389\n",
+                     id="lyap-moebius-two-atom"),
+        pytest.param("asclt", dict(TAIL_DOC, observable="asclt-kappa", seed=8,
+                                   params={"h": "centered", "n_ladder": [64, 256]}),
+                     ("n,kappa,sigma2,degenerate\n"
+                      "64,0.24877999076741636,0.2504519552465031,false\n"
+                      "256,0.24749604543533027,0.2504519552465031,false\n"),
+                     id="asclt-halving"),
+    ])
+    def test_orbit_commands(self, tmp_path, command, doc, text):
+        out = tmp_path / "o.csv"
+        assert main([command, "--config", write_cfg(tmp_path, doc), "--out", str(out)]) == 0
+        assert out.read_text() == text
+
+    def test_lyap_at_a_critical_point(self, tmp_path, capsys):
+        # PolynomialDecay(1.5) has a vanishing derivative at x = 4/9
+        system = {"kind": "atoms", "atoms": [[{"kind": "polynomial", "alpha": 1.5}, 1.0]]}
+        doc = dict(TAIL_DOC, system=system, observable="lyap-1d", n=20,
+                   params={"x0": (2.0 / 3.0) ** 2})
+        assert main(["lyap", "--config", write_cfg(tmp_path, doc)]) == 2
+        captured = capsys.readouterr()
+        assert "vanishing derivative" in captured.err and captured.out == ""
 
 
 # the halving system as explicit atoms, so no analytic constant fills an input
@@ -418,11 +531,6 @@ class TestObservableChecks:
         assert "ProjectiveAction" in capsys.readouterr().err
         orbit.assert_not_called()
         cocycle.assert_not_called()
-
-
-CIRCLE_CHART = {"kind": "atoms", "space": {"kind": "circle"},
-                "atoms": [[{"kind": "projective", "matrix": a, "chart": "circle"}, 0.5]
-                          for a in MATRICES_2]}
 
 
 class TestReference:
