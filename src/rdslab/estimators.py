@@ -140,7 +140,6 @@ class LambdaEstimate:
     trials: int
     n: int
     diverged: bool = False
-    grid_lower_bound: bool = True  # suprema are approximated from below
 
 
 def _dense_sums(nu, space, x, n, c, rng):
@@ -185,7 +184,7 @@ def _ordered_sums(nu, space, x, n, c, rng):
     return np.abs(S, out=S)
 
 
-def _pair_sum_stats(nu, space, starts, n, trials, stream, chunk=TRIAL_CHUNK):
+def _pair_sum_stats(nu, space, starts, n, trials, stream):
     """Per-pair mean and stderr of sum_{k=0}^n d(X_k^x, X_k^y) over a common
     grid of starts, trials chunked with independent streams per chunk.
 
@@ -197,8 +196,8 @@ def _pair_sum_stats(nu, space, starts, n, trials, stream, chunk=TRIAL_CHUNK):
     total = np.zeros((len(x), len(x)))
     m2 = np.zeros_like(total)
     done = 0
-    for chunk_idx, lo in enumerate(range(0, trials, chunk)):
-        c = min(chunk, trials - lo)
+    for chunk_idx, lo in enumerate(range(0, trials, TRIAL_CHUNK)):
+        c = min(TRIAL_CHUNK, trials - lo)
         # step-major draws keep the n-step word a prefix of the
         # (n+1)-step word at fixed seed, so the estimate is pathwise
         # nondecreasing in n

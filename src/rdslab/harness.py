@@ -4,6 +4,11 @@ Estimates tail probabilities of orbit observables, evaluates the matching
 closed-form bound, and performs dominance checks with confidence
 intervals folded into the margin.
 
+Every ``rdslab`` command is a ``run_*`` function here that takes an
+``ExperimentConfig`` and returns rows for ``rows_to_csv`` (``run_tail``: a
+report).  They share one start check (``orbit_start``), one single orbit
+(``_orbit``), one reference measure and one bound ladder.
+
 Determinism contract: identical config + seed yields byte-identical
 reports, because the draw order is fixed:
 
@@ -30,7 +35,7 @@ from __future__ import annotations
 import json
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -38,9 +43,12 @@ import numpy as np
 from . import bounds as B
 from .chains import simulate
 from .estimators import (
+    correlation_dimension,
     correlation_sum,
     lambda_n,
     log_averaged_measure_from_values,
+    lyapunov_1d,
+    lyapunov_projective,
     lyapunov_projective_trials,
     phi0,
     sigma2_estimate,
@@ -66,6 +74,10 @@ __all__ = [
     "run_tail",
     "run_lambda_survey",
     "run_asclt",
+    "run_simulate",
+    "run_corrdim",
+    "run_lyap",
+    "run_bounds",
     "report_to_csv",
     "report_to_json",
 ]
@@ -94,7 +106,6 @@ ORBIT_KINDS = ("kappa-to-stationary", "kappa-interval", "corr-sum")
 class SystemSpec:
     nu: DrivingMeasure
     space: object
-    name: str
     analytic: dict = field(default_factory=dict)  # known constants by name
 
 
@@ -123,26 +134,26 @@ def build_system(spec: dict) -> SystemSpec:
             atoms=((Affine(0.5, 0.0), 0.5), (Affine(0.5, 0.5), 0.5))
         )
         # coupled orbits contract by exactly 1/2 per step: lambda = sum 2^-k = 2
-        return SystemSpec(nu, Interval(0.0, 1.0), "halving-ifs",
+        return SystemSpec(nu, Interval(0.0, 1.0),
                           analytic={"lambda_nu": 2.0, "gee_inf": 0.5, "stationary": "lebesgue"})
     if kind == "moebius-uniform":
         lo, hi = float(spec.get("lo", 1.0)), float(spec.get("hi", 2.0))
         nu = DrivingMeasure(family="moebius", sampler=("uniform", lo, hi))
-        return SystemSpec(nu, Interval(0.0, 1.0), "moebius-uniform",
+        return SystemSpec(nu, Interval(0.0, 1.0),
                           analytic={"lambda_cap": "1+log(n+1)", "gee_rho": 0.5})
     if kind == "moebius-two-atom":
         a1, a2 = float(spec.get("alpha1", 1.0)), float(spec.get("alpha2", 2.0))
         w1 = float(spec.get("weight1", 0.5))
         nu = DrivingMeasure(atoms=((MoebiusDecay(a1), w1), (MoebiusDecay(a2), 1.0 - w1)))
-        return SystemSpec(nu, Interval(0.0, 1.0), "moebius-two-atom",
+        return SystemSpec(nu, Interval(0.0, 1.0),
                           analytic={"lambda_cap": "1+log(n+1)", "gee_rho": 0.5})
     if kind == "identity":
         nu = DrivingMeasure(atoms=((Affine(1.0, 0.0), 1.0),))
-        return SystemSpec(nu, Interval(0.0, 1.0), "identity", analytic={})
+        return SystemSpec(nu, Interval(0.0, 1.0))
     if kind == "atoms":
         atoms = tuple((_map_from_dict(m), float(w)) for m, w in spec["atoms"])
         space = _space_from_dict(spec.get("space"))
-        return SystemSpec(DrivingMeasure(atoms=atoms), space, "custom", analytic={})
+        return SystemSpec(DrivingMeasure(atoms=atoms), space)
     raise ValueError(f"unknown system kind {kind!r}")
 
 
@@ -189,24 +200,14 @@ class ExperimentConfig:
     def from_json(cls, text: str) -> "ExperimentConfig":
         return cls(**json.loads(text))
 
-    def to_dict(self) -> dict:
-        return {
-            "system": self.system,
-            "observable": self.observable,
-            "params": self.params,
-            "n": self.n,
-            "t_ladder": list(self.t_ladder),
-            "trials": self.trials,
-            "seed": self.seed,
-            "bound": self.bound,
-            "inputs": self.inputs,
-            "threads": self.threads,
-        }
+
+# the columns of a tail report's rows, in CSV order
+TAIL_COLUMNS = ("t", "p_hat", "ci_lo", "ci_hi", "bound", "threshold", "verdict")
 
 
 @dataclass
 class TailReport:
-    rows: list  # dicts: t, p_hat, ci_lo, ci_hi, bound, threshold, verdict
+    rows: list  # dicts with the keys TAIL_COLUMNS
     center: float
     center_halfwidth: float
     provenance: dict
@@ -218,8 +219,9 @@ class TailReport:
 # per-trial observable engines (vectorized across a group of chunks)
 
 
-def _reference_measure(sys_spec: SystemSpec, params: dict, stream: SeededStream):
-    ref = params.get("reference", "auto")
+def _reference_measure(sys_spec: SystemSpec, ref, stream: SeededStream, samples: int = 2000):
+    """(measure, provenance) named by a ``params.reference`` value; "auto"
+    is Lebesgue where the system's law is known to be, else simulated."""
     if ref == "auto":
         ref = {"kind": "lebesgue"} if sys_spec.analytic.get("stationary") == "lebesgue" else {
             "kind": "simulate"}
@@ -238,7 +240,7 @@ def _reference_measure(sys_spec: SystemSpec, params: dict, stream: SeededStream)
         sys_spec.nu,
         sys_spec.space,
         burn_in=int(ref.get("burn_in", 1000)),
-        samples=int(ref.get("samples", 2000)),
+        samples=int(ref.get("samples", samples)),
         stride=int(ref.get("stride", 1)),
         seed=stream,
     )
@@ -246,13 +248,31 @@ def _reference_measure(sys_spec: SystemSpec, params: dict, stream: SeededStream)
 
 
 def orbit_start(sys_spec: SystemSpec, cfg: ExperimentConfig):
-    """Start of every orbit of an experiment: ``params.start`` (default
-    e_1) on projective systems and for matrix-cocycle rates,
-    ``params.x0`` (default 0.5) otherwise."""
-    if isinstance(sys_spec.space, Projective) or cfg.observable in COCYCLE_KINDS:
+    """Start of every orbit of an experiment, checked before any draw:
+    ``params.start`` (default e_1), a nonzero finite vector, on projective
+    systems and for matrix-cocycle rates; ``params.x0`` (default 0.5), a
+    finite number inside an interval (any circle lift), otherwise."""
+    space = sys_spec.space
+    if isinstance(space, Projective) or cfg.observable in COCYCLE_KINDS:
         m = cocycle_matrices(sys_spec.nu).shape[1]
-        return np.asarray(cfg.params.get("start", [1.0] + [0.0] * (m - 1)), dtype=float)
-    return float(cfg.params.get("x0", 0.5))
+        start = cfg.params.get("start", [1.0] + [0.0] * (m - 1))
+        if not (isinstance(start, (list, tuple, np.ndarray)) and len(start) == m
+                and all(map(_number, start)) and any(start)):
+            raise ValueError(f"params 'start' must be {m} finite numbers, not all 0, "
+                             f"got {start!r}")
+        return np.asarray(start, dtype=float)
+    x0 = cfg.params.get("x0", 0.5)
+    if not _number(x0) or (isinstance(space, Interval) and not space.a <= x0 <= space.b):
+        raise ValueError(f"params 'x0' must be a finite number in {space!r}, got {x0!r}")
+    return float(x0)
+
+
+def _orbit(cfg: ExperimentConfig, sys_spec: SystemSpec, stream: SeededStream, n: int,
+           record_log_derivative: bool = False):
+    """One orbit of n steps from the experiment's start, drawn from
+    ``stream``: the orbit of every single-orbit command."""
+    return simulate(sys_spec.nu, orbit_start(sys_spec, cfg), n, stream,
+                    record_log_derivative=record_log_derivative, space=sys_spec.space)
 
 
 def _birkhoff(cfg, sys_spec, ctx, gens, counts):
@@ -422,7 +442,7 @@ def _build_context(cfg: ExperimentConfig, sys_spec: SystemSpec, stream: SeededSt
         ctx["h"] = get_observable(cfg.params.get("h", "coordinate"))
     if cfg.observable in ("kappa-to-stationary", "kappa-interval"):
         ctx["reference"], prov["reference"] = _reference_measure(
-            sys_spec, cfg.params, stream.substream(10_000_001))
+            sys_spec, cfg.params.get("reference", "auto"), stream.substream(10_000_001))
     return ctx, prov
 
 
@@ -436,10 +456,7 @@ def run_tail(cfg: ExperimentConfig) -> TailReport:
     """
     t0 = time.perf_counter()
     sys_spec = build_system(cfg.system)
-    # bound errors, missing inputs included, surface before any simulation
-    inputs, prov = B.resolve_inputs(cfg.bound, cfg.inputs, sys_spec.analytic)
-    ladder = [float(t) for t in cfg.t_ladder]
-    results = [B.evaluate(cfg.bound, cfg.n, t, inputs) for t in ladder]
+    ladder, results, prov = _bound_ladder(cfg, sys_spec)
     _check_observable(cfg, sys_spec)
     stream = SeededStream(cfg.seed)
     ctx, ctx_prov = _build_context(cfg, sys_spec, stream)
@@ -471,6 +488,59 @@ def run_tail(cfg: ExperimentConfig) -> TailReport:
                      "bound": res.value, "threshold": res.threshold, "verdict": verdict})
     return TailReport(rows=rows, center=center, center_halfwidth=halfwidth,
                       provenance=prov, config=cfg, runtime=time.perf_counter() - t0)
+
+
+def _bound_ladder(cfg: ExperimentConfig, sys_spec: SystemSpec):
+    """(ladder, results, provenance) of the bound along the t-ladder; every
+    bound error, an empty ladder or a missing input included, surfaces
+    here, before any simulation."""
+    inputs, prov = B.resolve_inputs(cfg.bound, cfg.inputs, sys_spec.analytic)
+    ladder = [float(t) for t in cfg.t_ladder]
+    if not ladder:
+        raise ValueError("the bound needs 't_ladder', a nonempty list of deviations")
+    return ladder, [B.evaluate(cfg.bound, cfg.n, t, inputs) for t in ladder], prov
+
+
+def run_bounds(cfg: ExperimentConfig) -> list[dict]:
+    """The bound and its validity threshold at each t, with no simulation."""
+    ladder, results, _ = _bound_ladder(cfg, build_system(cfg.system))
+    return [{"t": t, "bound": res.value, "threshold": res.threshold,
+             "applicable": res.applicable, "vacuous": res.vacuous}
+            for t, res in zip(ladder, results)]
+
+
+def run_simulate(cfg: ExperimentConfig) -> list[dict]:
+    """The n + 1 points of one orbit, as ``x`` or ``x1``…``xm``."""
+    sys_spec = build_system(cfg.system)
+    points = _orbit(cfg, sys_spec, SeededStream(cfg.seed), cfg.n).points
+    if points.ndim == 2:
+        return [{"k": k, **{f"x{i}": float(c) for i, c in enumerate(x, start=1)}}
+                for k, x in enumerate(points)]
+    return [{"k": k, "x": float(x)} for k, x in enumerate(np.atleast_1d(points))]
+
+
+def run_corrdim(cfg: ExperimentConfig) -> list[dict]:
+    """Correlation sums of n orbit points at ``epsilon0`` · 2^-j, j <
+    ``rungs``, with the fitted log-log slope and intercept."""
+    sys_spec = build_system(cfg.system)
+    eps0 = float(cfg.params.get("epsilon0", 0.1))
+    ladder = [eps0 * 2.0**-j for j in range(int(cfg.params.get("rungs", 5)))]
+    points = _orbit(cfg, sys_spec, SeededStream(cfg.seed), cfg.n).points[:-1]
+    slope, intercept, table = correlation_dimension(sys_spec.space, points, ladder)
+    return [{"epsilon": e, "K": k, "slope": slope, "intercept": intercept} for e, k in table]
+
+
+def run_lyap(cfg: ExperimentConfig) -> list[dict]:
+    """Finite-time Lyapunov rate of one orbit (vector and norm rates for a
+    matrix cocycle)."""
+    sys_spec = build_system(cfg.system)
+    stream = SeededStream(cfg.seed)
+    if cfg.observable in COCYCLE_KINDS:
+        v, w = lyapunov_projective(sys_spec.nu, orbit_start(sys_spec, cfg), cfg.n,
+                                   stream.generator())
+        return [{"n": cfg.n, "vector_rate": v, "norm_rate": w}]
+    traj = _orbit(cfg, sys_spec, stream, cfg.n, record_log_derivative=True)
+    return [{"n": cfg.n, "rate": lyapunov_1d(traj)}]
 
 
 def run_lambda_survey(cfg: ExperimentConfig) -> list[dict]:
@@ -518,24 +588,17 @@ def run_asclt(cfg: ExperimentConfig) -> list[dict]:
     for key, value in (("sigma_n", sigma_n), ("sigma_trials", sigma_trials)):
         if value < 1:
             raise ValueError(f"asclt needs params {key!r} >= 1, got {value}")
-    n_max = max(ladder)
+    if isinstance(sys_spec.space, Projective):
+        raise ValueError(f"asclt needs a one-dimensional system, not {sys_spec.space!r}")
     stream = SeededStream(cfg.seed)
-
-    if sys_spec.analytic.get("stationary") == "lebesgue":
-        k = 512
-        a, b = sys_spec.space.a, sys_spec.space.b
-        eta = EmpiricalMeasure.from_samples(sys_spec.space, a + (b - a) * (np.arange(k) + 0.5) / k)
-    else:
-        eta = stationary_approx(sys_spec.nu, sys_spec.space, 1000, 4000, 1,
-                                stream.substream(1)).measure
+    # one orbit, its start checked before any draw; every rung is a prefix
+    traj = _orbit(cfg, sys_spec, stream.substream(3), max(ladder))
+    eta, _ = _reference_measure(sys_spec, "auto", stream.substream(1), samples=4000)
     s2 = sigma2_estimate(sys_spec.nu, sys_spec.space, sigma_n, sigma_trials,
                          eta, h, stream.substream(2))
     sigma = float(np.sqrt(max(0.0, s2.value)))
     degenerate = s2.value <= 0.0
 
-    # one orbit, extended once to n_max; every rung reuses its prefix
-    traj = simulate(sys_spec.nu, float(cfg.params.get("x0", 0.5)), n_max,
-                    stream.substream(3), space=sys_spec.space)
     hvals = np.asarray(h(traj.points[:-1]), dtype=float) - s2.centering_offset
     out = []
     for n in ladder:
@@ -560,23 +623,15 @@ def _fmt(x) -> str:
     return format(float(x), ".17g")
 
 
+def rows_to_csv(rows: list[dict], keys=None) -> str:
+    """One CSV line per row under the header ``keys`` (default: row 0's)."""
+    keys = list(keys or (rows[0] if rows else ()))
+    lines = [",".join(keys)] + [",".join(_fmt(r[k]) for k in keys) for r in rows]
+    return "\n".join(lines) + "\n"
+
+
 def report_to_csv(report: TailReport) -> str:
-    header = "t,p_hat,ci_lo,ci_hi,bound,threshold,verdict"
-    lines = [header]
-    for r in report.rows:
-        lines.append(",".join(_fmt(r[k]) for k in
-                              ("t", "p_hat", "ci_lo", "ci_hi", "bound", "threshold", "verdict")))
-    return "\n".join(lines) + "\n"
-
-
-def rows_to_csv(rows: list[dict]) -> str:
-    if not rows:
-        return "\n"
-    keys = list(rows[0].keys())
-    lines = [",".join(keys)]
-    for r in rows:
-        lines.append(",".join(_fmt(r[k]) for k in keys))
-    return "\n".join(lines) + "\n"
+    return rows_to_csv(report.rows, TAIL_COLUMNS)
 
 
 def report_to_json(report: TailReport) -> str:
@@ -586,7 +641,7 @@ def report_to_json(report: TailReport) -> str:
         "center": report.center,
         "center_halfwidth": report.center_halfwidth,
         "provenance": report.provenance,
-        "config": report.config.to_dict(),
+        "config": asdict(report.config),
         "runtime_seconds": report.runtime,
     }
     return json.dumps(doc, indent=2, default=float) + "\n"

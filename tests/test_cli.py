@@ -13,6 +13,19 @@ def write_cfg(tmp_path, doc, name="cfg.json"):
     return str(p)
 
 
+def fails_before_drawing(tmp_path, capsys, command, doc, named):
+    """Exit 2 naming the key, with no output and no draw."""
+    out = tmp_path / "rows.csv"
+    with mock.patch("rdslab.chains.draw_word") as orbit_draw, \
+            mock.patch("rdslab.estimators.draw_word") as draw:
+        assert main([command, "--config", write_cfg(tmp_path, doc), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert named in captured.err
+    assert captured.out == "" and not out.exists()
+    orbit_draw.assert_not_called()
+    draw.assert_not_called()
+
+
 TAIL_DOC = {
     "system": {"kind": "halving-ifs"},
     "observable": "birkhoff",
@@ -146,15 +159,7 @@ class TestOtherCommands:
     def test_ladder_checks_fail_before_drawing(self, tmp_path, capsys, command, params, named,
                                                system):
         doc = dict(TAIL_DOC, system=system, observable="asclt-kappa", params=params)
-        out = tmp_path / "rows.csv"
-        with mock.patch("rdslab.chains.draw_word") as orbit_draw, \
-                mock.patch("rdslab.estimators.draw_word") as draw:
-            assert main([command, "--config", write_cfg(tmp_path, doc), "--out", str(out)]) == 2
-        captured = capsys.readouterr()
-        assert named in captured.err
-        assert captured.out == "" and not out.exists()
-        orbit_draw.assert_not_called()
-        draw.assert_not_called()
+        fails_before_drawing(tmp_path, capsys, command, doc, named)
 
     def test_lambda_without_trials(self, tmp_path, capsys):
         doc = dict(TAIL_DOC, observable="asclt-kappa", trials=0, params={"n_ladder": [5]})
@@ -218,6 +223,57 @@ LYAP_DOC = {
 }
 BOUND_COLUMNS = ("1.9999999982853223,0,pass-vacuous\n", "1.9999999931412895,0,pass-vacuous\n",
                  "1.9999999725651578,0,pass-vacuous\n")
+
+
+TAIL_JSON = """{
+  "rows": [
+    {
+      "t": 0.1,
+      "p_hat": 0.15,
+      "ci_lo": 0.10713593562241995,
+      "ci_hi": 0.20605579284166659,
+      "bound": 1.9966694429018774,
+      "threshold": 0.08,
+      "verdict": "pass-vacuous"
+    },
+    {
+      "t": 0.2,
+      "p_hat": 0.01,
+      "ci_lo": 0.0027466581335444384,
+      "ci_hi": 0.0357217617161768,
+      "bound": 1.9867110125100689,
+      "threshold": 0.08,
+      "verdict": "pass-vacuous"
+    }
+  ],
+  "center": 0.5047002041412497,
+  "center_halfwidth": 0.009202662083560418,
+  "provenance": {
+    "lambda_nu": "analytic",
+    "gee_inf": "analytic",
+    "lipschitz_L": "default"
+  },
+  "config": {
+    "system": {
+      "kind": "halving-ifs"
+    },
+    "observable": "birkhoff",
+    "params": {
+      "h": "coordinate"
+    },
+    "n": 50,
+    "t_ladder": [
+      0.1,
+      0.2
+    ],
+    "trials": 200,
+    "seed": 4,
+    "bound": "lln",
+    "inputs": {},
+    "threads": 1
+  },
+}
+"""
 
 
 class TestPinnedOutput:
@@ -369,11 +425,59 @@ class TestPinnedOutput:
                       "64,0.24877999076741636,0.2504519552465031,false\n"
                       "256,0.24749604543533027,0.2504519552465031,false\n"),
                      id="asclt-halving"),
+        # simulated stationary reference, 4000 samples from substream 1
+        pytest.param("asclt", dict(TAIL_DOC, system={"kind": "moebius-two-atom"},
+                                   observable="asclt-kappa", seed=8,
+                                   params={"h": "centered", "n_ladder": [64, 256],
+                                           "sigma_n": 50, "sigma_trials": 500}),
+                     ("n,kappa,sigma2,degenerate\n"
+                      "64,0.51372053986074939,7.6181618516494485e-07,false\n"
+                      "256,0.46339973057089412,7.6181618516494485e-07,false\n"),
+                     id="asclt-moebius-two-atom"),
+        pytest.param("corr-dim", dict(TAIL_DOC, n=400, seed=9,
+                                      params={"epsilon0": 0.2, "rungs": 4}),
+                     ("epsilon,K,slope,intercept\n"
+                      "0.20000000000000001,0.36364088011909973,0.96739797049924403,"
+                      "0.55728294057234073\n"
+                      "0.10000000000000001,0.19088532817681383,0.96739797049924403,"
+                      "0.55728294057234073\n"
+                      "0.050000000000000003,0.096968354937528839,0.96739797049924403,"
+                      "0.55728294057234073\n"
+                      "0.025000000000000001,0.048752944543638294,0.96739797049924403,"
+                      "0.55728294057234073\n"),
+                     id="corr-dim-halving"),
+        pytest.param("corr-dim", dict(TAIL_DOC, system=CIRCLE_CHART, n=300, seed=9,
+                                      params={"x0": 0.3, "epsilon0": 0.2, "rungs": 4}),
+                     ("epsilon,K,slope,intercept\n"
+                      "0.20000000000000001,0.45053228547660384,0.69453092568365227,"
+                      "0.32576673005844992\n"
+                      "0.10000000000000001,0.28247492772370547,0.69453092568365227,"
+                      "0.32576673005844992\n"
+                      "0.050000000000000003,0.17246394704786772,0.69453092568365227,"
+                      "0.32576673005844992\n"
+                      "0.025000000000000001,0.10671799113201504,0.69453092568365227,"
+                      "0.32576673005844992\n"),
+                     id="corr-dim-circle-chart"),
+        pytest.param("lyap", dict(TAIL_DOC, system=projective_system(MATRICES_2),
+                                  observable="lyap-projective", n=300, seed=6),
+                     "n,vector_rate,norm_rate\n"
+                     "300,0.31063649859127829,0.31091540623396968\n",
+                     id="lyap-projective"),
     ])
     def test_orbit_commands(self, tmp_path, command, doc, text):
         out = tmp_path / "o.csv"
         assert main([command, "--config", write_cfg(tmp_path, doc), "--out", str(out)]) == 0
         assert out.read_text() == text
+
+    def test_tail_json(self, tmp_path):
+        # every line but the two that vary from run to run
+        out = tmp_path / "t.json"
+        assert main(["tail", "--config", write_cfg(tmp_path, TAIL_DOC), "--out", str(out),
+                     "--format", "json"]) == 0
+        lines = out.read_text().splitlines(keepends=True)
+        assert lines[1].startswith('  "timestamp": "') and lines[-2].startswith(
+            '  "runtime_seconds": ')
+        assert "".join(lines[:1] + lines[2:-2] + lines[-1:]) == TAIL_JSON
 
     def test_lyap_at_a_critical_point(self, tmp_path, capsys):
         # PolynomialDecay(1.5) has a vanishing derivative at x = 4/9
@@ -525,8 +629,8 @@ class TestObservableChecks:
     def test_orbit_commands_reject_non_cocycle(self, tmp_path, capsys, command, system):
         # the orbit start of a cocycle rate reads the same check as tail
         doc = observable_doc("lyap-projective", system)
-        with mock.patch("rdslab.cli.simulate") as orbit, \
-                mock.patch("rdslab.cli.lyapunov_projective") as cocycle:
+        with mock.patch("rdslab.harness.simulate") as orbit, \
+                mock.patch("rdslab.harness.lyapunov_projective") as cocycle:
             assert main([command, "--config", write_cfg(tmp_path, doc)]) == 2
         assert "ProjectiveAction" in capsys.readouterr().err
         orbit.assert_not_called()
@@ -561,3 +665,72 @@ class TestReference:
         assert report["provenance"]["reference"] == "analytic"
         # a circle distance is at most 1/2
         assert 0.0 < report["center"] < 0.5
+
+
+MOEBIUS_ONE_ATOM = {"kind": "atoms", "atoms": [[{"kind": "moebius", "alpha": 1.0}, 1.0]]}
+START_COMMANDS = ("simulate", "lyap", "corr-dim", "asclt", "tail")
+
+
+class TestStarts:
+    """``params.x0`` and ``params.start`` are checked before any draw."""
+
+    @pytest.mark.parametrize("command", START_COMMANDS)
+    @pytest.mark.parametrize("system, x0", [
+        # 1 + x = 0 at x = -1: the orbit would be -inf, then nan
+        (MOEBIUS_ONE_ATOM, -1.0),
+        ({"kind": "halving-ifs"}, 1.5),
+        ({"kind": "moebius-two-atom"}, float("nan")),
+        (HALVING_ATOMS, float("inf")),
+        ({"kind": "halving-ifs"}, "0.5"),
+        ({"kind": "halving-ifs"}, True),
+        (CIRCLE_CHART, float("-inf")),
+    ], ids=["moebius-pole", "above", "nan", "inf", "string", "bool", "circle-inf"])
+    def test_bad_x0(self, tmp_path, capsys, command, system, x0):
+        doc = dict(TAIL_DOC, system=system, inputs=CONTRACTION,
+                   params={"h": "coordinate", "x0": x0, "n_ladder": [64]})
+        if command == "asclt":
+            doc["observable"] = "asclt-kappa"
+        fails_before_drawing(tmp_path, capsys, command, doc, "'x0'")
+
+    @pytest.mark.parametrize("command, observable", [
+        ("simulate", "birkhoff"), ("corr-dim", "birkhoff"), ("lyap", "lyap-projective"),
+        ("tail", "lyap-projective")])
+    @pytest.mark.parametrize("start", [[0.0, 0.0], [1.0], [1.0, 0.0, 0.0], [float("nan"), 1.0],
+                                       [1.0, float("inf")], "e1", [[1.0, 0.0]], 1.0],
+                             ids=["zero", "short", "long", "nan", "inf", "string", "nested",
+                                  "scalar"])
+    def test_bad_start(self, tmp_path, capsys, command, observable, start):
+        doc = dict(TAIL_DOC, system=projective_system(MATRICES_2), observable=observable,
+                   bound="projective-lyap", inputs=MATRIX_INPUTS, params={"start": start})
+        fails_before_drawing(tmp_path, capsys, command, doc, "'start'")
+
+    @pytest.mark.parametrize("x0, first", [(0, "0,0"), (1, "0,1")])
+    def test_interval_endpoints(self, tmp_path, x0, first):
+        out = tmp_path / "s.csv"
+        doc = dict(TAIL_DOC, n=2, params={"x0": x0})
+        assert main(["simulate", "--config", write_cfg(tmp_path, doc), "--out", str(out)]) == 0
+        assert out.read_text().split("\n")[1] == first
+
+    @pytest.mark.parametrize("x0", [1.7, -3.25])
+    def test_circle_lift(self, tmp_path, x0):
+        out = tmp_path / "s.csv"
+        doc = dict(TAIL_DOC, system=CIRCLE_CHART, n=2, params={"x0": x0})
+        assert main(["simulate", "--config", write_cfg(tmp_path, doc), "--out", str(out)]) == 0
+        assert out.read_text().split("\n")[1] == f"0,{x0}"
+
+
+def test_asclt_rejects_projective_systems(tmp_path, capsys):
+    doc = dict(TAIL_DOC, system=projective_system(MATRICES_2), observable="asclt-kappa")
+    fails_before_drawing(tmp_path, capsys, "asclt", doc, "Projective(m=2)")
+
+
+@pytest.mark.parametrize("command", ["tail", "bounds"])
+def test_empty_t_ladder(tmp_path, capsys, command):
+    fails_before_drawing(tmp_path, capsys, command, dict(TAIL_DOC, t_ladder=[]), "'t_ladder'")
+
+
+@pytest.mark.parametrize("flag", ["--grid", "--trials"])
+def test_removed_flags(capsys, flag):
+    # params.grid and trials stay config keys
+    assert main(["lambda", flag, "8"]) == 2
+    assert f"unrecognized arguments: {flag} 8" in capsys.readouterr().err

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from unittest import mock
 
@@ -58,7 +59,7 @@ class TestConfig:
 
     def test_json_roundtrip(self):
         cfg = halving_cfg()
-        back = ExperimentConfig.from_json(json.dumps(cfg.to_dict()))
+        back = ExperimentConfig.from_json(json.dumps(dataclasses.asdict(cfg)))
         assert back == cfg
 
 
