@@ -13,6 +13,9 @@ a group of chunks into one row per step, and the group is only the width of
 the vector: each chunk's labels are those it draws alone.  The cocycle kernel
 ``lyapunov_projective_trials`` draws trial-major (trial i's n labels follow
 trial i-1's).
+
+Every pair distance, in the dense pair sums, the correlation sums and the
+tracking distances, goes through :func:`rdslab.spaces.distance`.
 """
 
 from __future__ import annotations
@@ -147,22 +150,15 @@ def _dense_sums(nu, space, x, n, c, rng):
     trials from the starts x, at O(G^2) work per step.
 
     The general kernel, and the test oracle of the order-preserving one.
-    Circle states are reduced mod 1 once per step, so the pair fold is
-    min(D, 1 - D) on differences already inside (-1, 1)."""
-    circle = isinstance(space, Circle)
+    The pair block of each step goes through ``distance`` in two buffers
+    allocated once."""
     X = np.tile(x, (c, 1))
     S = np.tile(distance(space, x[:, None], x[None, :]), (c, 1, 1))
     D = np.empty_like(S)
-    W = np.empty_like(S) if circle else None
+    W = np.empty_like(S) if isinstance(space, Circle) else None
     for labels in step_labels(nu, rng, n, c):
         X = nu.step(labels, X)
-        R = X % 1.0 if circle else X
-        np.subtract(R[:, :, None], R[:, None, :], out=D)
-        np.abs(D, out=D)
-        if circle:
-            np.subtract(1.0, D, out=W)
-            np.minimum(D, W, out=D)
-        S += D
+        S += distance(space, X[:, :, None], X[:, None, :], out=D, scratch=W)
     return S
 
 
@@ -400,17 +396,7 @@ def _correlation_sums_chunked(space, points, epsilons, kernel, chunk=512):
     for lo in range(0, n, chunk):
         block = points[lo : lo + chunk]
         D, T = D_buf[: len(block)], T_buf[: len(block)]
-        if isinstance(space, Projective):
-            dot = np.abs(block @ points.T)
-            np.clip(dot, 0.0, 1.0, out=dot)
-            D = np.sqrt(np.maximum(0.0, 1.0 - dot * dot))
-        else:
-            np.subtract(block[:, None], points[None, :], out=D)
-            np.abs(D, out=D)
-            if isinstance(space, Circle):
-                D %= 1.0
-                np.subtract(1.0, D, out=T)
-                np.minimum(D, T, out=D)
+        distance(space, block[:, None], points[None, :], out=D, scratch=T)
         Y = D if len(epsilons) == 1 else T
         for e_idx, eps in enumerate(epsilons):
             if kernel == "heaviside":
@@ -437,8 +423,9 @@ def correlation_dimension(space, points, epsilon_ladder, kernel=phi0):
     Returns (slope, intercept, table) with per-rung (epsilon, K) rows.
     """
     ladder = [float(e) for e in epsilon_ladder]
-    if len(ladder) < 3 or any(b >= a for a, b in zip(ladder, ladder[1:])):
-        raise ValueError("ladder must be strictly decreasing with >= 3 rungs")
+    if (len(ladder) < 3 or any(b >= a for a, b in zip(ladder, ladder[1:]))
+            or not all(0.0 < e < np.inf for e in ladder)):
+        raise ValueError("ladder must be >= 3 strictly decreasing positive finite rungs")
     K = _correlation_sums_chunked(space, points, ladder, kernel)
     table = list(zip(ladder, K))
     keep = K > 0

@@ -262,7 +262,7 @@ def orbit_start(sys_spec: SystemSpec, cfg: ExperimentConfig):
                              f"got {start!r}")
         return np.asarray(start, dtype=float)
     x0 = cfg.params.get("x0", 0.5)
-    if not _number(x0) or (isinstance(space, Interval) and not space.a <= x0 <= space.b):
+    if not _in_space(space, x0):
         raise ValueError(f"params 'x0' must be a finite number in {space!r}, got {x0!r}")
     return float(x0)
 
@@ -302,7 +302,7 @@ def _sync(cfg, sys_spec, ctx, gens, counts):
     Y = np.tile(np.asarray(Bset), (len(X), 1))
     acc = np.zeros(Y.shape)
     for labels in step_labels(nu, gens, cfg.n, counts):
-        acc += np.asarray(distance(space, X[:, None], Y))
+        acc += distance(space, X[:, None], Y)
         X = nu.step(labels, X)
         Y = nu.step(labels, Y)
     return acc.min(axis=1) / cfg.n
@@ -358,14 +358,19 @@ def _number(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
 
 
-_NONEMPTY_NUMBERS = ("a nonempty list of numbers",
-                    lambda v: isinstance(v, list) and len(v) > 0 and all(map(_number, v)))
-_POSITIVE = ("a positive number", lambda v: _number(v) and v > 0)
+def _in_space(space, v) -> bool:
+    """A finite JSON number inside an interval, or any finite circle lift."""
+    return _number(v) and not (isinstance(space, Interval) and not space.a <= v <= space.b)
+
+
+_NONEMPTY_POINTS = ("a nonempty list of points of the space", lambda v, space: (
+    isinstance(v, list) and len(v) > 0 and all(_in_space(space, b) for b in v)))
+_POSITIVE = ("a positive number", lambda v, space: _number(v) and v > 0)
 
 ENGINES = {
     "birkhoff": Engine(_birkhoff),
     "lyap-1d": Engine(_lyap_1d),
-    "sync": Engine(_sync, {"B": _NONEMPTY_NUMBERS}),
+    "sync": Engine(_sync, {"B": _NONEMPTY_POINTS}),
     "kappa-to-stationary": Engine(_kappa),
     "kappa-interval": Engine(_kappa),
     "corr-sum": Engine(_corr_sum, {"epsilon": _POSITIVE}),
@@ -383,8 +388,8 @@ def _check_observable(cfg: ExperimentConfig, sys_spec: SystemSpec):
     if kind not in ENGINES:
         raise ValueError(f"unknown observable kind {kind!r}")
     for key, (what, valid) in ENGINES[kind].params.items():
-        if key not in cfg.params or not valid(cfg.params[key]):
-            raise ValueError(f"observable {kind!r} needs params {key!r}, {what}")
+        if key not in cfg.params or not valid(cfg.params[key], space):
+            raise ValueError(f"observable {kind!r} on {space!r} needs params {key!r}, {what}")
     if kind in COCYCLE_KINDS:
         cocycle_matrices(nu)
     elif isinstance(space, Projective) or any(
@@ -523,8 +528,12 @@ def run_corrdim(cfg: ExperimentConfig) -> list[dict]:
     """Correlation sums of n orbit points at ``epsilon0`` · 2^-j, j <
     ``rungs``, with the fitted log-log slope and intercept."""
     sys_spec = build_system(cfg.system)
-    eps0 = float(cfg.params.get("epsilon0", 0.1))
-    ladder = [eps0 * 2.0**-j for j in range(int(cfg.params.get("rungs", 5)))]
+    eps0, rungs = cfg.params.get("epsilon0", 0.1), int(cfg.params.get("rungs", 5))
+    if not (_number(eps0) and eps0 > 0):
+        raise ValueError(f"corr-dim needs params 'epsilon0', a positive number, got {eps0!r}")
+    if rungs < 3:
+        raise ValueError(f"corr-dim needs params 'rungs' >= 3, got {rungs}")
+    ladder = [float(eps0) * 2.0**-j for j in range(rungs)]
     points = _orbit(cfg, sys_spec, SeededStream(cfg.seed), cfg.n).points[:-1]
     slope, intercept, table = correlation_dimension(sys_spec.space, points, ladder)
     return [{"epsilon": e, "K": k, "slope": slope, "intercept": intercept} for e, k in table]

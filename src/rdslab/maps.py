@@ -437,19 +437,12 @@ def gee_diameter_sup(
     max over map pairs of max over grid points of d(f(x), g(x))."""
     maps = nu.support_maps(param_grid)
     pts = grid(space, resolution)
-    best = 0.0
     if isinstance(space, Projective):
-        images = [[apply_map(f, p) for p in pts] for f in maps]
-        for i in range(len(maps)):
-            for j in range(i + 1, len(maps)):
-                for u, v in zip(images[i], images[j]):
-                    best = max(best, float(distance(space, u, v)))
-        return best
-    images = [apply_map(f, pts) for f in maps]
-    for i in range(len(maps)):
-        for j in range(i + 1, len(maps)):
-            best = max(best, float(np.max(distance(space, images[i], images[j]))))
-    return best
+        images = np.array([[apply_map(f, p) for p in pts] for f in maps])
+    else:
+        images = np.array([apply_map(f, pts) for f in maps])
+    i, j = np.triu_indices(len(maps), 1)
+    return float(np.max(distance(space, images[i], images[j]), initial=0.0))
 
 
 def gee_diameter_c1(

@@ -2,8 +2,9 @@
 
 Points are plain floats for the interval and the circle (circle coordinates
 live in [0, 1) with the length-1 metric), and canonical-sign unit vectors
-for projective space.  Suprema over a space are approximated by maxima over
-deterministic grids.
+for projective space.  :func:`distance` is the one metric: every pair sum,
+correlation sum and diameter goes through it.  Suprema over a space are
+approximated by maxima over deterministic grids.
 """
 
 from __future__ import annotations
@@ -75,10 +76,6 @@ def canonical_direction(v) -> np.ndarray:
     return v
 
 
-def _wrap(x: float) -> float:
-    return x - np.floor(x)
-
-
 def circle_delta(x, y):
     """Signed circle displacement y - x reduced to (-1/2, 1/2]."""
     d = np.asarray(y, dtype=float) - np.asarray(x, dtype=float)
@@ -86,22 +83,34 @@ def circle_delta(x, y):
     return np.where(d > 0.5, d - 1.0, d)[()]
 
 
-def distance(space: StateSpace, x, y) -> float:
-    """Metric of the space.  Broadcasts over array-valued x, y for the
-    one-dimensional spaces."""
-    if isinstance(space, Interval):
-        return np.abs(np.asarray(x, dtype=float) - np.asarray(y, dtype=float))[()]
-    if isinstance(space, Circle):
-        d = np.abs(np.asarray(x, dtype=float) - np.asarray(y, dtype=float)) % 1.0
-        return np.minimum(d, 1.0 - d)[()]
+def distance(space: StateSpace, x, y, out=None, scratch=None):
+    """Metric of the space, broadcasting x against y (projective points lie
+    along the last axis).  Circle coordinates are reduced mod 1 per point,
+    then folded as min(D, 1 - D).  The projective dot is summed coordinate
+    by coordinate, left to right (the bits of ``np.sum(x * y, axis=-1)`` for
+    m < 8), with no BLAS call whose rounding could follow the thread count.
+    ``out`` and ``scratch``, float arrays of the result shape, let block
+    callers keep their buffers; they change no bit."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
     if isinstance(space, Projective):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        if x.shape != y.shape or x.shape[-1] != space.m:
+        if x.shape[-1:] != (space.m,) or y.shape[-1:] != (space.m,):
             raise ValueError("projective points must share the space dimension")
-        dot = np.clip(np.abs(np.sum(x * y, axis=-1)), 0.0, 1.0)
-        return np.sqrt(np.maximum(0.0, 1.0 - dot * dot))[()]
-    raise TypeError(f"not a state space: {space!r}")
+        D = np.asarray(np.multiply(x[..., 0], y[..., 0], out=out))
+        for j in range(1, space.m):
+            D += np.multiply(x[..., j], y[..., j], out=scratch)
+        np.clip(np.abs(D, out=D), 0.0, 1.0, out=D)
+        np.maximum(0.0, np.subtract(1.0, np.multiply(D, D, out=scratch), out=D), out=D)
+        return np.sqrt(D, out=D)[()]
+    if isinstance(space, Circle):
+        x, y = x % 1.0, y % 1.0
+    elif not isinstance(space, Interval):
+        raise TypeError(f"not a state space: {space!r}")
+    D = np.asarray(np.subtract(x, y, out=out))
+    np.abs(D, out=D)
+    if isinstance(space, Circle):
+        np.minimum(D, np.subtract(1.0, D, out=scratch), out=D)
+    return D[()]
 
 
 def diameter(space: StateSpace) -> float:

@@ -153,6 +153,11 @@ class TestOtherCommands:
                      id="lambda-last-rung"),
         pytest.param("lambda", {"n_ladder": []}, "'n_ladder'", id="lambda-empty-ladder"),
         pytest.param("asclt", {"n_ladder": []}, "'n_ladder'", id="asclt-empty-ladder"),
+        pytest.param("corr-dim", {"rungs": 2}, "'rungs'", id="corr-dim-two-rungs"),
+        pytest.param("corr-dim", {"rungs": -1}, "'rungs'", id="corr-dim-negative-rungs"),
+        *[pytest.param("corr-dim", {"epsilon0": e}, "'epsilon0'", id=f"corr-dim-epsilon0-{tag}")
+          for tag, e in (("zero", 0), ("negative", -0.1), ("nan", float("nan")),
+                         ("inf", float("inf")), ("string", "0.1"), ("bool", True))],
     ])
     @pytest.mark.parametrize("system", [{"kind": "halving-ifs"}, {"kind": "moebius-uniform"}],
                              ids=["halving", "moebius-uniform"])
@@ -600,6 +605,14 @@ class TestObservableChecks:
         # present with a value the engine cannot use
         pytest.param(observable_doc("sync", params={"B": []}), "'B'", id="sync-B-empty"),
         pytest.param(observable_doc("sync", params={"B": 0.5}), "'B'", id="sync-B-scalar"),
+        # candidates outside the interval, as orbit_start checks x0
+        pytest.param(observable_doc("sync", {"kind": "moebius-two-atom"}, {"B": [-1.0, 0.5]}),
+                     "'B'", id="sync-B-below"),
+        pytest.param(observable_doc("sync", params={"B": [0.5, 1.5]}), "'B'", id="sync-B-above"),
+        pytest.param(observable_doc("sync", params={"B": [0.5, float("nan")]}), "'B'",
+                     id="sync-B-nan"),
+        pytest.param(observable_doc("sync", CIRCLE_CHART, {"B": [0.5, float("inf")]}), "'B'",
+                     id="sync-B-circle-inf"),
         pytest.param(observable_doc("corr-sum", params={"epsilon": 0}), "'epsilon'",
                      id="corr-sum-epsilon-zero"),
         pytest.param(observable_doc("corr-sum", params={"epsilon": [0.1]}), "'epsilon'",
@@ -717,6 +730,16 @@ class TestStarts:
         doc = dict(TAIL_DOC, system=CIRCLE_CHART, n=2, params={"x0": x0})
         assert main(["simulate", "--config", write_cfg(tmp_path, doc), "--out", str(out)]) == 0
         assert out.read_text().split("\n")[1] == f"0,{x0}"
+
+
+@pytest.mark.parametrize("system, B", [({"kind": "halving-ifs"}, [0.0, 1.0]),
+                                       (CIRCLE_CHART, [1.7, -3.25])],
+                         ids=["interval-endpoints", "circle-lifts"])
+def test_sync_candidates_in_the_space(tmp_path, system, B):
+    doc = observable_doc("sync", system, {"B": B, "x0": 0.25})
+    out = tmp_path / "r.csv"
+    assert main(["tail", "--config", write_cfg(tmp_path, doc), "--out", str(out)]) == 0
+    assert "nan" not in out.read_text()
 
 
 def test_asclt_rejects_projective_systems(tmp_path, capsys):

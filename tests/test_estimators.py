@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from unittest import mock
 
 import numpy as np
@@ -175,7 +178,7 @@ class TestPairSumKernels:
             X = nu.step(draw_word(nu, rng, c), X)
             expected += distance(Circle(), X[:, :, None], X[:, None, :])
         assert np.any(X < 0.0) and np.any(X > 1.0)
-        np.testing.assert_allclose(S, expected, rtol=0.0, atol=1e-12)
+        assert np.array_equal(S, expected)
         # starts 0.0 and 1.0 are the same circle point; dyadic lifts stay exact
         assert np.all(S[:, 0, 4] == 0.0)
 
@@ -383,6 +386,8 @@ CORR_POINTS = {
     "circle": (Circle(), np.random.default_rng(12).uniform(-1.5, 2.5, 100)),
     "projective-2": (Projective(2), (lambda t: np.column_stack([np.cos(t), np.sin(t)]))(
         np.random.default_rng(13).uniform(0, np.pi, 100))),
+    "projective-3": (Projective(3), (lambda v: v / np.linalg.norm(v, axis=1, keepdims=True))(
+        np.random.default_rng(14).normal(size=(100, 3)))),
 }
 
 
@@ -403,7 +408,7 @@ class TestCorrelationSumBlocks:
     @pytest.mark.parametrize("kernel", ["heaviside", phi0], ids=["heaviside", "phi0"])
     @pytest.mark.parametrize("chunk", [512, 7])
     @pytest.mark.parametrize("ladder", [[0.2], [0.2, 0.1, 0.05, 0.025]], ids=["one", "four"])
-    @pytest.mark.parametrize("name", ["interval", "circle"])
+    @pytest.mark.parametrize("name", sorted(CORR_POINTS))
     def test_matches_blockwise_distance(self, name, ladder, chunk, kernel):
         space, pts = CORR_POINTS[name]
         assert np.array_equal(E._correlation_sums_chunked(space, pts, ladder, kernel, chunk=chunk),
@@ -435,6 +440,47 @@ class TestCorrelationDimension:
     def test_nondecreasing_ladder_rejected(self):
         with pytest.raises(ValueError):
             correlation_dimension(SP, np.linspace(0, 1, 50), [0.1, 0.2, 0.05])
+
+    @pytest.mark.parametrize("ladder", [[0.1, 0.05, 0.025, 0.0], [0.1, 0.05, -0.025],
+                                        [np.inf, 0.1, 0.05], [0.1, np.nan, 0.05, 0.025],
+                                        [0.1, 0.05, np.nan]])
+    def test_rungs_must_be_positive_and_finite(self, ladder):
+        with mock.patch.object(E, "_correlation_sums_chunked") as sums, \
+                pytest.raises(ValueError, match="positive finite"):
+            correlation_dimension(SP, np.linspace(0, 1, 50), ladder)
+        sums.assert_not_called()
+
+
+# the benchmark's projective correlation dimension (PROJECTIVE_2, n = 1500,
+# 5 rungs) at a seed whose bytes followed the BLAS thread count while the
+# dot products went through a matrix product
+BLAS_THREADS_RUN = """
+import json
+import numpy as np
+from rdslab.chains import simulate
+from rdslab.estimators import correlation_dimension
+from rdslab.harness import build_system
+from rdslab.streams import SeededStream
+spec = build_system({"kind": "atoms", "space": {"kind": "projective", "m": 2}, "atoms": [
+    [{"kind": "projective", "matrix": [[2.0, 1.0], [1.0, 1.0]]}, 0.5],
+    [{"kind": "projective", "matrix": [[0.6, -0.8], [0.8, 0.6]]}, 0.5]]})
+traj = simulate(spec.nu, np.array([1.0, 0.0]), 1500, SeededStream(364522461), space=spec.space)
+slope, intercept, table = correlation_dimension(spec.space, traj.points[:-1],
+                                                [0.1 * 2.0**-j for j in range(5)])
+print(json.dumps([slope.hex(), intercept.hex(), [float(k).hex() for _, k in table]]))
+"""
+
+
+def test_projective_correlation_dimension_ignores_blas_threads():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(E.__file__)))
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+        proc = subprocess.run([sys.executable, "-c", BLAS_THREADS_RUN], env=env,
+                              capture_output=True, text=True, timeout=120, check=True)
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
 
 
 class TestSynchronization:
