@@ -20,6 +20,7 @@ tracking distances, goes through :func:`rdslab.spaces.distance`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -403,13 +404,14 @@ def _correlation_sums_chunked(space, points, epsilons, kernel, chunk=512):
                 sums[e_idx] += np.count_nonzero(D <= eps)
             else:
                 np.divide(D, eps, out=Y)
-                np.subtract(1.0, Y, out=Y)
                 if kernel is phi0:
-                    # phi0's own two operations, run in Y instead of two temporaries
-                    np.add(Y, 0.5, out=Y)
+                    # phi0(1 - Q) bit for bit: 1 - Q is exact on [0.5, 2], and
+                    # both forms clip to the same end outside it
+                    np.subtract(1.5, Y, out=Y)
                     np.clip(Y, 0.0, 1.0, out=Y)
                     sums[e_idx] += float(np.sum(Y))
                 else:
+                    np.subtract(1.0, Y, out=Y)
                     sums[e_idx] += float(np.sum(kernel(Y)))
     diag = float(n) if kernel == "heaviside" else float(n) * float(kernel(1.0))
     return (sums - diag) / n**2
@@ -467,34 +469,41 @@ def lyapunov_1d(traj: Trajectory) -> float:
 def lyapunov_projective(nu: DrivingMeasure, x, n: int, stream):
     """Finite-time rates of a matrix cocycle.
 
-    vector_rate: (1/n) log ||A_n x|| accumulated incrementally in log space.
+    vector_rate: (1/n) log ||A_n x||, the step-order sum of the log-norms.
     norm_rate: (1/n) log of the spectral norm of the full product, kept
     readable by periodic QR re-factorization with the scale split off.
+
+    ``A.dot`` is the BLAS call of ``@``, and ``math.sqrt(w.dot(w))`` what
+    ``np.linalg.norm`` returns; plain floats would round apart (no FMA).
     """
-    m = cocycle_matrices(nu).shape[1]
+    mats = list(cocycle_matrices(nu))
+    m = len(mats[0])
     v = np.asarray(x, dtype=float)
     if v.shape != (m,):
         raise ValueError("start vector dimension mismatch")
     v = v / np.linalg.norm(v)
-    word = draw_word(nu, stream, n)
-    acc = 0.0
+    # norms[0] = 1 logs to the sum's start, 0.0
+    norms = np.ones(n + 1)
     Z = np.eye(m)
     log_scale = 0.0
-    for step, idx in enumerate(word, start=1):
-        A = nu.atoms[int(idx)][0].matrix
-        w = A @ v
-        r = np.linalg.norm(w)
-        acc += np.log(r)
+    for step, idx in enumerate(draw_word(nu, stream, n).tolist(), start=1):
+        A = mats[idx]
+        w = A.dot(v)
+        r = math.sqrt(w.dot(w))
+        norms[step] = r
         v = w / r
-        Z = A @ Z
+        Z = A.dot(Z)
         if step % QR_PERIOD == 0:
             Q, R = np.linalg.qr(Z)
             scale = np.max(np.abs(np.diag(R)))
             log_scale += np.log(scale)
             Z = Q @ (R / scale)
-    norm_rate = (log_scale + np.log(np.linalg.norm(Z, 2))) / n if n > 0 else 0.0
-    vector_rate = acc / n if n > 0 else 0.0
-    return float(vector_rate), float(norm_rate)
+    if n == 0:
+        return 0.0, 0.0
+    # a running sum in step order: np.sum would add pairwise
+    acc = np.cumsum(np.log(norms))[-1]
+    norm_rate = (log_scale + np.log(np.linalg.norm(Z, 2))) / n
+    return float(acc / n), float(norm_rate)
 
 
 def lyapunov_projective_trials(nu: DrivingMeasure, x, n: int, trials: int, stream):

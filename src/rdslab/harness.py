@@ -166,7 +166,7 @@ def _space_from_dict(d):
     if kind == "circle":
         return Circle()
     if kind == "projective":
-        return Projective(int(d.get("m", 2)))
+        return Projective(_count(d, "m", 2, 2, where="space"))
     raise ValueError(f"unknown space kind {kind!r}")
 
 
@@ -230,7 +230,7 @@ def _reference_measure(sys_spec: SystemSpec, ref, stream: SeededStream, samples:
         raise ValueError(f"params 'reference' needs kind 'lebesgue' or 'simulate', got {ref!r}")
     if kind == "lebesgue":
         # k midpoints of the interval, or of [0, 1) for the circle's coordinates
-        k = int(ref.get("atoms", 512))
+        k = _count(ref, "atoms", 512, 1, where="params 'reference'")
         pts = (np.arange(k) + 0.5) / k
         if isinstance(sys_spec.space, Interval):
             a, b = sys_spec.space.a, sys_spec.space.b
@@ -239,9 +239,9 @@ def _reference_measure(sys_spec: SystemSpec, ref, stream: SeededStream, samples:
     approx = stationary_approx(
         sys_spec.nu,
         sys_spec.space,
-        burn_in=int(ref.get("burn_in", 1000)),
-        samples=int(ref.get("samples", samples)),
-        stride=int(ref.get("stride", 1)),
+        burn_in=_count(ref, "burn_in", 1000, 0, where="params 'reference'"),
+        samples=_count(ref, "samples", samples, 1, where="params 'reference'"),
+        stride=_count(ref, "stride", 1, 1, where="params 'reference'"),
         seed=stream,
     )
     return approx.measure, "estimated"
@@ -356,6 +356,30 @@ class Engine:
 def _number(v) -> bool:
     """A JSON number that is finite as a double."""
     return isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
+
+
+def _integral(v, minimum: int) -> bool:
+    """A JSON number that is an integer >= minimum, such as 3 or 3.0."""
+    return _number(v) and float(v).is_integer() and v >= minimum
+
+
+def _count(mapping: dict, key: str, default: int, minimum: int, where: str = "params") -> int:
+    """``mapping[key]`` (default ``default``) as an int; a ValueError naming
+    the key unless it is an integral number, not a bool, >= ``minimum``."""
+    value = mapping.get(key, default)
+    if not _integral(value, minimum):
+        raise ValueError(f"{where} {key!r} must be an integer >= {minimum}, got {value!r}")
+    return int(value)
+
+
+def _n_ladder(cfg: ExperimentConfig, command: str, default: list, minimum: int) -> list[int]:
+    """``params.n_ladder``: a nonempty list of integers >= ``minimum``."""
+    ladder = cfg.params.get("n_ladder", default)
+    if not (isinstance(ladder, (list, tuple)) and ladder
+            and all(_integral(n, minimum) for n in ladder)):
+        raise ValueError(f"{command} needs params 'n_ladder', a nonempty list of integers "
+                         f">= {minimum}, got {ladder!r}")
+    return [int(n) for n in ladder]
 
 
 def _in_space(space, v) -> bool:
@@ -528,11 +552,10 @@ def run_corrdim(cfg: ExperimentConfig) -> list[dict]:
     """Correlation sums of n orbit points at ``epsilon0`` · 2^-j, j <
     ``rungs``, with the fitted log-log slope and intercept."""
     sys_spec = build_system(cfg.system)
-    eps0, rungs = cfg.params.get("epsilon0", 0.1), int(cfg.params.get("rungs", 5))
+    eps0 = cfg.params.get("epsilon0", 0.1)
     if not (_number(eps0) and eps0 > 0):
         raise ValueError(f"corr-dim needs params 'epsilon0', a positive number, got {eps0!r}")
-    if rungs < 3:
-        raise ValueError(f"corr-dim needs params 'rungs' >= 3, got {rungs}")
+    rungs = _count(cfg.params, "rungs", 5, 3)
     ladder = [float(eps0) * 2.0**-j for j in range(rungs)]
     points = _orbit(cfg, sys_spec, SeededStream(cfg.seed), cfg.n).points[:-1]
     slope, intercept, table = correlation_dimension(sys_spec.space, points, ladder)
@@ -556,11 +579,8 @@ def run_lambda_survey(cfg: ExperimentConfig) -> list[dict]:
     """Grid-max contraction-sum estimates along an n-ladder, with the
     analytic cap column for library families and a divergence marker."""
     sys_spec = build_system(cfg.system)
-    ladder = [int(v) for v in cfg.params.get("n_ladder", [10, 100])]
-    if not ladder or any(n < 0 for n in ladder):
-        raise ValueError(f"lambda needs params 'n_ladder', a nonempty list of rungs >= 0, "
-                         f"got {ladder}")
-    resolution = int(cfg.params.get("grid", 64))
+    ladder = _n_ladder(cfg, "lambda", [10, 100], 0)
+    resolution = _count(cfg.params, "grid", 64, 2)
     trials = cfg.trials
     out = []
     for i, n in enumerate(ladder):
@@ -589,14 +609,9 @@ def run_asclt(cfg: ExperimentConfig) -> list[dict]:
     variance along a powers-of-2 ladder."""
     sys_spec = build_system(cfg.system)
     h = get_observable(cfg.params.get("h", "centered"))
-    ladder = [int(v) for v in cfg.params.get("n_ladder", [2**k for k in range(6, 15)])]
-    if not ladder:
-        raise ValueError("asclt needs params 'n_ladder', a nonempty list of rungs")
-    sigma_n = int(cfg.params.get("sigma_n", 200))
-    sigma_trials = int(cfg.params.get("sigma_trials", 4000))
-    for key, value in (("sigma_n", sigma_n), ("sigma_trials", sigma_trials)):
-        if value < 1:
-            raise ValueError(f"asclt needs params {key!r} >= 1, got {value}")
+    ladder = _n_ladder(cfg, "asclt", [2**k for k in range(6, 15)], 1)
+    sigma_n = _count(cfg.params, "sigma_n", 200, 1)
+    sigma_trials = _count(cfg.params, "sigma_trials", 4000, 1)
     if isinstance(sys_spec.space, Projective):
         raise ValueError(f"asclt needs a one-dimensional system, not {sys_spec.space!r}")
     stream = SeededStream(cfg.seed)
@@ -632,11 +647,28 @@ def _fmt(x) -> str:
     return format(float(x), ".17g")
 
 
+# '%.17g' % x is format(x, '.17g'), nan, inf and -0 included
+_FLOATS, _INTS = {float, np.float64}, {int, np.int64}
+
+
+def _column(values: list) -> tuple[str, list]:
+    """(spec, cells) of one CSV column with the bytes of ``_fmt``."""
+    types = set(map(type, values))
+    if types <= _FLOATS:
+        return "%.17g", values
+    if types <= _INTS:
+        return "%d", values
+    return "%s", [_fmt(v) for v in values]
+
+
 def rows_to_csv(rows: list[dict], keys=None) -> str:
     """One CSV line per row under the header ``keys`` (default: row 0's)."""
     keys = list(keys or (rows[0] if rows else ()))
-    lines = [",".join(keys)] + [",".join(_fmt(r[k]) for k in keys) for r in rows]
-    return "\n".join(lines) + "\n"
+    if not keys:
+        return "\n" * (len(rows) + 1)
+    specs, columns = zip(*(_column([r[k] for r in rows]) for k in keys))
+    line = ",".join(specs)
+    return "\n".join([",".join(keys)] + [line % cells for cells in zip(*columns)]) + "\n"
 
 
 def report_to_csv(report: TailReport) -> str:

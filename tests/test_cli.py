@@ -680,6 +680,68 @@ class TestReference:
         assert 0.0 < report["center"] < 0.5
 
 
+class TestCounts:
+    """Integer parameters are integral numbers, not bools, at or above their
+    minimum: anything else exits 2 naming the key before any draw, where a
+    truncating ``int()`` ran 3.9 rungs as 3."""
+
+    @pytest.mark.parametrize("command, params, named", [
+        pytest.param("corr-dim", {"rungs": 3.9}, "'rungs'", id="rungs-fraction"),
+        pytest.param("corr-dim", {"rungs": "abc"}, "'rungs'", id="rungs-string"),
+        pytest.param("corr-dim", {"rungs": float("inf")}, "'rungs'", id="rungs-inf"),
+        pytest.param("lambda", {"n_ladder": [10.7]}, "'n_ladder'", id="lambda-rung-fraction"),
+        pytest.param("lambda", {"n_ladder": [10, True]}, "'n_ladder'", id="lambda-rung-bool"),
+        pytest.param("lambda", {"n_ladder": "10"}, "'n_ladder'", id="lambda-ladder-string"),
+        pytest.param("lambda", {"n_ladder": [10], "grid": 8.5}, "'grid'", id="grid-fraction"),
+        pytest.param("lambda", {"n_ladder": [10], "grid": 1}, "'grid'", id="grid-one"),
+        pytest.param("asclt", {"n_ladder": [64.5]}, "'n_ladder'", id="asclt-rung-fraction"),
+        pytest.param("asclt", {"n_ladder": [0, 64]}, "'n_ladder'", id="asclt-rung-zero"),
+        pytest.param("asclt", {"n_ladder": [64], "sigma_n": 100.5}, "'sigma_n'",
+                     id="sigma_n-fraction"),
+        pytest.param("asclt", {"n_ladder": [64], "sigma_n": True}, "'sigma_n'",
+                     id="sigma_n-bool"),
+        pytest.param("asclt", {"n_ladder": [64], "sigma_trials": "4000"}, "'sigma_trials'",
+                     id="sigma_trials-string"),
+    ])
+    def test_params_fail_before_drawing(self, tmp_path, capsys, command, params, named):
+        doc = dict(TAIL_DOC, observable="asclt-kappa", params=params)
+        fails_before_drawing(tmp_path, capsys, command, doc, named)
+
+    @pytest.mark.parametrize("reference, named", [
+        ({"kind": "lebesgue", "atoms": 0}, "'atoms'"),
+        ({"kind": "lebesgue", "atoms": 64.5}, "'atoms'"),
+        ({"kind": "simulate", "burn_in": -1}, "'burn_in'"),
+        ({"kind": "simulate", "samples": 1.5}, "'samples'"),
+        ({"kind": "simulate", "stride": 0}, "'stride'"),
+        ({"kind": "simulate", "stride": False}, "'stride'"),
+    ], ids=["atoms-zero", "atoms-fraction", "burn_in-negative", "samples-fraction",
+            "stride-zero", "stride-bool"])
+    def test_reference_fails_before_drawing(self, tmp_path, capsys, reference, named):
+        doc = observable_doc("kappa-to-stationary", params={"reference": reference})
+        fails_before_drawing(tmp_path, capsys, "tail", doc, named)
+
+    @pytest.mark.parametrize("m", [2.5, 1, True, "2"])
+    def test_projective_dimension_fails_before_drawing(self, tmp_path, capsys, m):
+        system = dict(PROJECTIVE_ATOMS, space={"kind": "projective", "m": m})
+        fails_before_drawing(tmp_path, capsys, "simulate", dict(TAIL_DOC, system=system), "'m'")
+
+    @pytest.mark.parametrize("command, ints, floats", [
+        ("corr-dim", {"rungs": 4}, {"rungs": 4.0}),
+        ("lambda", {"n_ladder": [0, 10], "grid": 8}, {"n_ladder": [0.0, 10.0], "grid": 8.0}),
+        ("asclt", {"n_ladder": [64], "sigma_n": 50, "sigma_trials": 500},
+         {"n_ladder": [64.0], "sigma_n": 50.0, "sigma_trials": 500.0}),
+    ], ids=["corr-dim", "lambda", "asclt"])
+    def test_integral_floats_give_the_same_bytes(self, tmp_path, command, ints, floats):
+        outputs = []
+        for name, params in (("ints", ints), ("floats", floats)):
+            out = tmp_path / f"{name}.csv"
+            doc = dict(TAIL_DOC, observable="asclt-kappa", params=params)
+            assert main([command, "--config", write_cfg(tmp_path, doc, f"{name}.json"),
+                         "--out", str(out)]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+
+
 MOEBIUS_ONE_ATOM = {"kind": "atoms", "atoms": [[{"kind": "moebius", "alpha": 1.0}, 1.0]]}
 START_COMMANDS = ("simulate", "lyap", "corr-dim", "asclt", "tail")
 

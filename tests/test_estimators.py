@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -396,14 +397,15 @@ class TestCorrelationSumBlocks:
     kernels against block sums through ``distance``: equal bits, one rung
     and several, one block and several with a short last block."""
 
-    @pytest.mark.parametrize("chunk", [512, 7])
-    @pytest.mark.parametrize("ladder", [[0.2], [0.2, 0.1, 0.05, 0.025]], ids=["one", "four"])
+    @pytest.mark.parametrize("chunk", [512, 100, 33, 7, 1])
+    @pytest.mark.parametrize("ladder", [[0.2], [0.2, 0.1, 0.05, 0.025], [3.0, 1.0, 1e-300]],
+                             ids=["one", "four", "wide"])
     @pytest.mark.parametrize("name", sorted(CORR_POINTS))
     def test_phi0_in_place_matches_generic_kernel(self, name, ladder, chunk):
         space, pts = CORR_POINTS[name]
         fast = E._correlation_sums_chunked(space, pts, ladder, phi0, chunk=chunk)
         generic = E._correlation_sums_chunked(space, pts, ladder, lambda y: phi0(y), chunk=chunk)
-        assert np.array_equal(fast, generic)
+        assert fast.tobytes() == generic.tobytes()
 
     @pytest.mark.parametrize("kernel", ["heaviside", phi0], ids=["heaviside", "phi0"])
     @pytest.mark.parametrize("chunk", [512, 7])
@@ -413,6 +415,32 @@ class TestCorrelationSumBlocks:
         space, pts = CORR_POINTS[name]
         assert np.array_equal(E._correlation_sums_chunked(space, pts, ladder, kernel, chunk=chunk),
                               _blockwise_sums(space, pts, ladder, kernel, chunk))
+
+
+def _neighbours(x, k=64):
+    """The k floats below x, x and the k floats above it."""
+    below = [x]
+    for _ in range(k):
+        below.append(np.nextafter(below[-1], -np.inf))
+    above = [x]
+    for _ in range(k):
+        above.append(np.nextafter(above[-1], np.inf))
+    return below[::-1] + above[1:]
+
+
+def test_phi0_is_one_clip_of_one_and_a_half_minus_q():
+    # the in-place phi0 path computes phi0(1 - Q) as clip(1.5 - Q, 0, 1)
+    tiny = np.finfo(float).tiny
+    q = np.concatenate([
+        *(_neighbours(x) for x in (0.5, 1.0, 1.5, 2.0)),
+        _neighbours(0.0)[64:], [tiny, tiny / 2, 5e-324, 2.5e-310],
+        [np.inf, np.nan, 3.0, 1e300, np.finfo(float).max],
+        np.random.default_rng(3).uniform(0.0, 4.0, 100_000),
+        np.random.default_rng(4).uniform(0.49, 2.01, 100_000),
+    ])
+    assert np.all(np.isnan(q) | (q >= 0))
+    got = np.clip(1.5 - q, 0.0, 1.0)
+    assert got.tobytes() == phi0(1.0 - q).tobytes()
 
 
 class TestCorrelationDimension:
@@ -471,15 +499,34 @@ print(json.dumps([slope.hex(), intercept.hex(), [float(k).hex() for _, k in tabl
 """
 
 
-def test_projective_correlation_dimension_ignores_blas_threads():
+def _under_blas_threads(args) -> list[str]:
+    """Standard output of ``python args`` under 1 and under 2 OpenBLAS threads."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(E.__file__)))
     outputs = []
     for threads in ("1", "2"):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(
             [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
-        proc = subprocess.run([sys.executable, "-c", BLAS_THREADS_RUN], env=env,
+        proc = subprocess.run([sys.executable, *args], env=env,
                               capture_output=True, text=True, timeout=120, check=True)
         outputs.append(proc.stdout)
+    return outputs
+
+
+def test_projective_correlation_dimension_ignores_blas_threads():
+    outputs = _under_blas_threads(["-c", BLAS_THREADS_RUN])
+    assert outputs[0] == outputs[1]
+
+
+def test_projective_lyap_ignores_blas_threads(tmp_path):
+    # ``rdslab lyap`` on the benchmark's PROJECTIVE_2 at its full n
+    doc = {"system": {"kind": "atoms", "space": {"kind": "projective", "m": 2}, "atoms": [
+        [{"kind": "projective", "matrix": [[2.0, 1.0], [1.0, 1.0]]}, 0.5],
+        [{"kind": "projective", "matrix": [[0.6, -0.8], [0.8, 0.6]]}, 0.5]]},
+        "observable": "lyap-projective", "n": 20000, "seed": 2}
+    cfg = tmp_path / "lyap.json"
+    cfg.write_text(json.dumps(doc))
+    outputs = _under_blas_threads(["-m", "rdslab.cli", "lyap", "--config", str(cfg)])
+    assert outputs[0].startswith("n,vector_rate,norm_rate\n20000,")
     assert outputs[0] == outputs[1]
 
 
@@ -554,6 +601,54 @@ HYPERBOLIC_ROTATION = {
     3: _matrix_measure([[2.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
                        [[1.0, 0.0, 0.0], [0.0, 0.6, -0.8], [0.0, 0.8, 0.6]]),
 }
+
+
+def _lyapunov_projective_loop(nu, x, n, stream):
+    """The per-step cocycle loop, ``@``, ``np.linalg.norm`` and a running
+    ``np.log`` sum: the oracle of ``lyapunov_projective``."""
+    v = np.asarray(x, dtype=float)
+    v = v / np.linalg.norm(v)
+    word = draw_word(nu, stream, n)
+    acc, log_scale, Z = 0.0, 0.0, np.eye(len(v))
+    for step, idx in enumerate(word, start=1):
+        A = nu.atoms[int(idx)][0].matrix
+        w = A @ v
+        r = np.linalg.norm(w)
+        acc += np.log(r)
+        v = w / r
+        Z = A @ Z
+        if step % E.QR_PERIOD == 0:
+            Q, R = np.linalg.qr(Z)
+            scale = np.max(np.abs(np.diag(R)))
+            log_scale += np.log(scale)
+            Z = Q @ (R / scale)
+    norm_rate = (log_scale + np.log(np.linalg.norm(Z, 2))) / n if n > 0 else 0.0
+    vector_rate = acc / n if n > 0 else 0.0
+    return float(vector_rate), float(norm_rate)
+
+
+# unnormalised starts off e_1, one per seed
+COCYCLE_STARTS = {2: ([3.0, -4.0], [0.1, 2.5], [-1e-3, 7.0]),
+                  3: ([1.0, 2.0, 3.0], [0.0, -5.0, 0.25], [-2.0, 1e-3, 9.0])}
+
+
+class TestLyapunovProjectiveOracle:
+    """The lean cocycle step against the per-step loop, bit for bit."""
+
+    @pytest.mark.parametrize("n", [0, 1, 31, 32, 33, 20_000])
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_matches_per_step_loop(self, m, n):
+        nu = HYPERBOLIC_ROTATION[m]
+        for seed, x in enumerate(COCYCLE_STARTS[m]):
+            got = lyapunov_projective(nu, x, n, SeededStream(seed).generator())
+            assert got == _lyapunov_projective_loop(nu, x, n, SeededStream(seed).generator())
+
+    def test_leaves_the_generator_where_the_loop_does(self):
+        nu, x = HYPERBOLIC_ROTATION[2], COCYCLE_STARTS[2][0]
+        fast, slow = SeededStream(9).generator(), SeededStream(9).generator()
+        for n in (0, 5, 40):
+            assert lyapunov_projective(nu, x, n, fast) == _lyapunov_projective_loop(nu, x, n, slow)
+        assert fast.random() == slow.random()
 
 
 class TestLyapunovProjectiveTrials:

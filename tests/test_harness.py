@@ -14,6 +14,7 @@ from rdslab.harness import (
     build_system,
     report_to_csv,
     report_to_json,
+    rows_to_csv,
     run_asclt,
     run_lambda_survey,
     run_tail,
@@ -159,6 +160,86 @@ class TestCSVFormat:
         doc = json.loads(report_to_json(run_tail(halving_cfg())))
         assert doc["config"]["system"] == {"kind": "halving-ifs"}
         assert "timestamp" in doc and "provenance" in doc
+
+
+def _fmt_cell(x) -> str:
+    """One cell as the cell-by-cell writer formatted it."""
+    if isinstance(x, str):
+        return x
+    if isinstance(x, bool):
+        return str(x).lower()
+    if isinstance(x, (int, np.integer)):
+        return str(int(x))
+    return format(float(x), ".17g")
+
+
+def _cell_csv(rows, keys=None) -> str:
+    """The cell-by-cell writer: the oracle of ``rows_to_csv``."""
+    keys = list(keys or (rows[0] if rows else ()))
+    lines = [",".join(keys)] + [",".join(_fmt_cell(r[k]) for k in keys) for r in rows]
+    return "\n".join(lines) + "\n"
+
+
+EDGE_FLOATS = [float("nan"), float("inf"), -float("inf"), -0.0, 0.0, 5e-324, 0.1, 1 / 3,
+               1e300, -2.5e-310, 1.0, 20000.0]
+
+
+class TestRowsToCSV:
+    """``rows_to_csv`` formats column by column with the bytes of the
+    cell-by-cell writer."""
+
+    @pytest.mark.parametrize("column", [
+        EDGE_FLOATS,
+        [np.float64(v) for v in EDGE_FLOATS],
+        [float(v) if i % 2 else np.float64(v) for i, v in enumerate(EDGE_FLOATS)],
+        [True, False, True],
+        [np.bool_(True), np.bool_(False)],
+        [0, -1, 7, 2**62, -(2**63)],
+        [np.int64(3), np.int64(-4), 5],
+        [np.int32(3), np.uint64(2**64 - 1)],
+        ["pass", "fail", "not-applicable", "50%"],
+        [1.5, 2, float("nan")],
+        [0, True, 0.5],
+        [np.float32(0.1), 0.1],
+    ], ids=["float", "float64", "float-and-float64", "bool", "numpy-bool", "int", "int64",
+            "other-numpy-ints", "str", "float-and-int", "int-bool-float", "float32"])
+    def test_one_column_matches_cells(self, column):
+        rows = [{"k": k, "v": v} for k, v in enumerate(column)]
+        assert rows_to_csv(rows) == _cell_csv(rows)
+
+    def test_every_column_kind_together(self):
+        rows = [{"t": t, "n": i, "ok": i % 2 == 0, "verdict": "pass", "mixed": [1, 0.5][i % 2]}
+                for i, t in enumerate(EDGE_FLOATS)]
+        assert rows_to_csv(rows) == _cell_csv(rows)
+        keys = ("verdict", "t", "n")
+        assert rows_to_csv(rows, keys) == _cell_csv(rows, keys)
+
+    @pytest.mark.parametrize("rows, keys, text", [
+        ([], None, "\n"),
+        ([], ("a", "b"), "a,b\n"),
+        ([{}], None, "\n\n"),
+        ([{}, {}], None, "\n\n\n"),
+    ], ids=["no-rows", "no-rows-with-keys", "one-empty-row", "two-empty-rows"])
+    def test_empty(self, rows, keys, text):
+        assert rows_to_csv(rows, keys) == _cell_csv(rows, keys) == text
+
+    def test_none_cell_raises_as_the_cell_writer_does(self):
+        rows = [{"x": 0.5}, {"x": None}]
+        for write in (rows_to_csv, _cell_csv):
+            with pytest.raises(TypeError):
+                write(rows)
+
+    def test_missing_key_raises(self):
+        rows = [{"x": 0.5}, {"y": 0.5}]
+        for write in (rows_to_csv, _cell_csv):
+            with pytest.raises(KeyError):
+                write(rows)
+
+    def test_orbit_of_the_benchmark_size(self):
+        x = np.random.default_rng(5).uniform(0, 1, 20001)
+        x[[0, 7, 100]] = [0.0, 1.0, 0.5]
+        rows = [{"k": k, "x": float(v)} for k, v in enumerate(x)]
+        assert rows_to_csv(rows) == _cell_csv(rows)
 
 
 class TestLambdaSurvey:
