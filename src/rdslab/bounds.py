@@ -15,6 +15,7 @@ Conventions shared by every routine here:
 from __future__ import annotations
 
 import inspect
+import sys
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -255,7 +256,24 @@ class Bound(NamedTuple):
 # further keys an input is read from, in order: gee_rho stands in for the
 # sup-diameter G, and the C^1 diameter gee_c1 falls back on G
 _ALTERNATIVES = {"gee_inf": ("gee_inf", "gee_rho"), "gee_c1": ("gee_c1", "gee_inf", "gee_rho")}
-_CONVERT = {"m_dim": int, "u": list}  # every other input is a float
+
+
+def _number(v) -> bool:
+    """A JSON number that is finite as a double."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
+
+
+def _integral(v, minimum: int) -> bool:
+    """A JSON number that is an integer >= minimum, such as 3 or 3.0."""
+    return _number(v) and float(v).is_integer() and v >= minimum
+
+
+# (description, test, conversion) of an input's value; every input but
+# these is a finite number, read as a float
+_READ = {"m_dim": ("an integer >= 1", lambda v: _integral(v, 1), int),
+         "u": ("a list of finite numbers",
+               lambda v: isinstance(v, (list, tuple)) and all(map(_number, v)), list)}
+_FLOAT = ("a finite number", _number, float)
 
 
 def _past_t_n(t, value, t_n_hat, log_part=-0.0):
@@ -304,7 +322,8 @@ def resolve_inputs(selector: str, config: dict, analytic: dict):
     """(inputs, provenance) of the bound ``selector``: each input from
     ``config``, else the system's ``analytic`` constants, else its default,
     with ``config``, ``analytic`` or ``default`` recorded under the key
-    read.  A missing required input raises ValueError naming its key."""
+    read.  A missing required input, or one of the wrong value (see
+    ``_READ``), raises ValueError naming its key."""
     if selector not in BOUNDS:
         raise ValueError(f"unknown bound selector {selector!r}; one of {', '.join(BOUNDS)}")
     inputs, provenance = {}, {}
@@ -316,7 +335,10 @@ def resolve_inputs(selector: str, config: dict, analytic: dict):
             alternatives = "".join(f" (or {k!r})" for k in keys[1:])
             raise ValueError(f"bound {selector!r} needs input {name!r}{alternatives}")
         key, origin, value = found[0] if found else (name, "default", param.default)
-        inputs[name] = _CONVERT.get(name, float)(value)
+        what, valid, convert = _READ.get(name, _FLOAT)
+        if not valid(value):
+            raise ValueError(f"bound {selector!r} needs input {key!r}, {what}, got {value!r}")
+        inputs[name] = convert(value)
         provenance[key] = origin
     return inputs, provenance
 

@@ -23,7 +23,7 @@ from .maps import (
     apply_map,
     cocycle_matrices,
     log_derivative,
-    space_of,
+    support_space,
     word_maps,
 )
 from .spaces import StateSpace, distance
@@ -79,13 +79,6 @@ def draw_word(nu: DrivingMeasure, stream, n: int) -> np.ndarray:
     return nu.sample_params(rng, n)
 
 
-def _resolve_space(nu: DrivingMeasure, space: StateSpace | None) -> StateSpace:
-    if space is not None:
-        return space
-    probe = nu.atoms[0][0] if nu.finite else nu.make_map(nu._param_range()[0])
-    return space_of(probe)
-
-
 def simulate(
     nu: DrivingMeasure,
     x0,
@@ -117,10 +110,11 @@ def simulate_coupled(
     space: StateSpace | None = None,
 ) -> list[Trajectory]:
     """Draw ONE map sequence and run it from every start, so trajectories
-    differ only through their starting point."""
+    differ only through their starting point; ``space`` defaults to
+    ``support_space(nu)``."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    space = _resolve_space(nu, space)
+    space = support_space(nu) if space is None else space
     word = draw_word(nu, stream, n)
     out = []
     for x0 in starts:

@@ -29,7 +29,8 @@ from .chains import Trajectory, draw_word, simulate_coupled, word_maps
 from .maps import DrivingMeasure, apply_map, cocycle_matrices, derivative
 from .measures import EmpiricalMeasure, kantorovich_circle, kantorovich_interval
 from .observables import Observable
-from .spaces import Circle, Projective, RegionSet, StateSpace, circle_delta, distance, grid
+from .spaces import (Circle, RegionSet, StateSpace, circle_delta, distance, grid,
+                     require_one_dimensional)
 from .streams import SeededStream, as_generator
 
 __all__ = [
@@ -62,11 +63,6 @@ LABEL_BLOCK = 1 << 16
 QR_PERIOD = 32
 
 TRIAL_CHUNK = 128
-
-
-def _require_1d(space: StateSpace):
-    if isinstance(space, Projective):
-        raise ValueError("vectorized estimators support interval and circle spaces")
 
 
 def step_labels(nu: DrivingMeasure, rng, n: int, count):
@@ -116,7 +112,7 @@ def pair_distance_profile(
 ):
     """Means and standard errors of d(X_k^x, X_k^y), k = 0..n, under
     coupled noise.  The k = 0 entry is exact."""
-    _require_1d(space)
+    require_one_dimensional(space, "pair_distance_profile")
     X = np.full(trials, float(x))
     Y = np.full(trials, float(y))
     means = np.empty(n + 1)
@@ -140,9 +136,6 @@ class LambdaEstimate:
     argmax_pair: tuple
     table: np.ndarray
     table_stderr: np.ndarray
-    resolution: int
-    trials: int
-    n: int
     diverged: bool = False
 
 
@@ -237,7 +230,7 @@ def lambda_n(
     slopes, circles) steps all G^2 pair distances; that dense path is the
     test oracle of the fast one.
     """
-    _require_1d(space)
+    require_one_dimensional(space, "lambda_n")
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     if trials < 1:
@@ -266,9 +259,6 @@ def lambda_n(
         argmax_pair=pair,
         table=table,
         table_stderr=table_err,
-        resolution=len(grids[0]),
-        trials=trials,
-        n=n,
         diverged=ceiling is not None and value > ceiling,
     )
 
@@ -324,7 +314,7 @@ def sigma2_estimate(
 ) -> Sigma2Estimate:
     """Monte Carlo limit-variance estimate: (1/n) E_eta[ S_n(h_centered)^2 ],
     starts drawn from the eta sample and h centered by its eta-sample mean."""
-    _require_1d(space)
+    require_one_dimensional(space, "sigma2_estimate")
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     rng = as_generator(seed)
@@ -653,7 +643,7 @@ def stationary_approx(
 ) -> StationaryApprox:
     """Empirical approximation of the stationary law from one long run,
     with a first-half / second-half Kantorovich self-check."""
-    _require_1d(space)
+    require_one_dimensional(space, "stationary_approx")
     if burn_in < 0 or samples < 1 or stride < 1:
         raise ValueError("need burn_in >= 0, samples >= 1, stride >= 1")
     total = burn_in + samples * stride
@@ -681,7 +671,7 @@ def correlation_coefficient_pj(
 ):
     """Monte Carlo estimate of the double eta-average of E[d(X_j^x, X_j^y)]
     under coupled noise.  Returns (value, stderr)."""
-    _require_1d(space)
+    require_one_dimensional(space, "correlation_coefficient_pj")
     rng = as_generator(seed)
     X = rng.choice(eta_sample.positions, size=trials, p=eta_sample.weights)
     Y = rng.choice(eta_sample.positions, size=trials, p=eta_sample.weights)

@@ -33,7 +33,6 @@ is accepted and has no effect.
 from __future__ import annotations
 
 import json
-import sys
 import time
 from dataclasses import asdict, dataclass, field
 from typing import Callable
@@ -55,7 +54,9 @@ from .estimators import (
     stationary_approx,
     step_labels,
 )
-from .maps import Affine, DrivingMeasure, MoebiusDecay, PolynomialDecay, ProjectiveAction, cocycle_matrices
+from .bounds import _integral, _number
+from .maps import (Affine, DrivingMeasure, MoebiusDecay, PolynomialDecay, ProjectiveAction,
+                   cocycle_matrices, space_of, support_space)
 from .measures import (
     EmpiricalMeasure,
     kantorovich_circle_rows,
@@ -63,7 +64,7 @@ from .measures import (
     kantorovich_interval_rows,
 )
 from .observables import get_observable
-from .spaces import Circle, Interval, Projective, distance
+from .spaces import Circle, Interval, Projective, distance, require_one_dimensional
 from .streams import SeededStream
 
 __all__ = [
@@ -126,7 +127,9 @@ def build_system(spec: dict) -> SystemSpec:
     """Instantiate a named or explicit system from its config block.
 
     Named systems carry their analytic constants; explicit atom lists do
-    not, and bound inputs must then be supplied in the config.
+    not, and bound inputs must then be supplied in the config.  An atoms
+    system lives on its ``space`` block, which each chart matrix must fit,
+    or else where its maps act (``maps.support_space``).
     """
     kind = spec["kind"]
     if kind == "halving-ifs":
@@ -151,15 +154,19 @@ def build_system(spec: dict) -> SystemSpec:
         nu = DrivingMeasure(atoms=((Affine(1.0, 0.0), 1.0),))
         return SystemSpec(nu, Interval(0.0, 1.0))
     if kind == "atoms":
-        atoms = tuple((_map_from_dict(m), float(w)) for m, w in spec["atoms"])
-        space = _space_from_dict(spec.get("space"))
-        return SystemSpec(DrivingMeasure(atoms=atoms), space)
+        nu = DrivingMeasure(atoms=tuple((_map_from_dict(m), float(w)) for m, w in spec["atoms"]))
+        if spec.get("space") is None:
+            return SystemSpec(nu, support_space(nu))
+        space = _space_from_dict(spec["space"])
+        for f, _ in nu.atoms:
+            if isinstance(f, ProjectiveAction) and space != space_of(f):
+                raise ValueError(f"system 'space' {space!r} does not fit {f!r}, "
+                                 f"which acts on {space_of(f)!r}")
+        return SystemSpec(nu, space)
     raise ValueError(f"unknown system kind {kind!r}")
 
 
 def _space_from_dict(d):
-    if d is None:
-        return Interval(0.0, 1.0)
     kind = d["kind"]
     if kind == "interval":
         return Interval(float(d.get("a", 0.0)), float(d.get("b", 1.0)))
@@ -188,17 +195,14 @@ class ExperimentConfig:
     threads: int = 1  # accepted and ignored: chunks run in order in one thread
 
     def __post_init__(self):
+        self.n = _count(vars(self), "n", None, 1, where="config")
+        self.trials = _count(vars(self), "trials", None, 1, where="config")
+        self.seed = _count(vars(self), "seed", None, 0, where="config")
         if self.trials < 100 and self.observable != "asclt-kappa":
             raise ValueError("tail experiments need at least 100 trials")
         t = list(self.t_ladder)
         if any(b <= a for a, b in zip(t, t[1:])):
             raise ValueError("t-ladder must be strictly increasing")
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
-
-    @classmethod
-    def from_json(cls, text: str) -> "ExperimentConfig":
-        return cls(**json.loads(text))
 
 
 # the columns of a tail report's rows, in CSV order
@@ -353,16 +357,6 @@ class Engine:
     params: dict = field(default_factory=dict)
 
 
-def _number(v) -> bool:
-    """A JSON number that is finite as a double."""
-    return isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
-
-
-def _integral(v, minimum: int) -> bool:
-    """A JSON number that is an integer >= minimum, such as 3 or 3.0."""
-    return _number(v) and float(v).is_integer() and v >= minimum
-
-
 def _count(mapping: dict, key: str, default: int, minimum: int, where: str = "params") -> int:
     """``mapping[key]`` (default ``default``) as an int; a ValueError naming
     the key unless it is an integral number, not a bool, >= ``minimum``."""
@@ -416,11 +410,8 @@ def _check_observable(cfg: ExperimentConfig, sys_spec: SystemSpec):
             raise ValueError(f"observable {kind!r} on {space!r} needs params {key!r}, {what}")
     if kind in COCYCLE_KINDS:
         cocycle_matrices(nu)
-    elif isinstance(space, Projective) or any(
-            isinstance(f, ProjectiveAction) and f.chart == "projective"
-            for f, _ in (nu.atoms if nu.finite else ())):
-        raise ValueError(f"observable {kind!r} needs a one-dimensional system, "
-                         f"not a projective action on {space!r}")
+    else:
+        require_one_dimensional(space, f"observable {kind!r}")
 
 
 def _group_values(cfg: ExperimentConfig, sys_spec: SystemSpec, ctx: dict,
@@ -581,12 +572,14 @@ def run_lambda_survey(cfg: ExperimentConfig) -> list[dict]:
     sys_spec = build_system(cfg.system)
     ladder = _n_ladder(cfg, "lambda", [10, 100], 0)
     resolution = _count(cfg.params, "grid", 64, 2)
-    trials = cfg.trials
+    given = cfg.params.get("ceiling")
+    if "ceiling" in cfg.params and not (_number(given) and given > 0):
+        raise ValueError(f"lambda needs params 'ceiling', a positive number, got {given!r}")
     out = []
     for i, n in enumerate(ladder):
         cap = _analytic_cap(sys_spec, n)
         ceiling = cfg.params.get("ceiling", 10.0 * cap if cap is not None else 100.0)
-        est = lambda_n(sys_spec.nu, sys_spec.space, n, trials,
+        est = lambda_n(sys_spec.nu, sys_spec.space, n, cfg.trials,
                        SeededStream(cfg.seed).substream(i),
                        resolution=resolution, ceiling=float(ceiling))
         out.append({"n": n, "lambda_hat": est.value, "stderr": est.stderr,
@@ -612,8 +605,7 @@ def run_asclt(cfg: ExperimentConfig) -> list[dict]:
     ladder = _n_ladder(cfg, "asclt", [2**k for k in range(6, 15)], 1)
     sigma_n = _count(cfg.params, "sigma_n", 200, 1)
     sigma_trials = _count(cfg.params, "sigma_trials", 4000, 1)
-    if isinstance(sys_spec.space, Projective):
-        raise ValueError(f"asclt needs a one-dimensional system, not {sys_spec.space!r}")
+    require_one_dimensional(sys_spec.space, "asclt")
     stream = SeededStream(cfg.seed)
     # one orbit, its start checked before any draw; every rung is a prefix
     traj = _orbit(cfg, sys_spec, stream.substream(3), max(ladder))

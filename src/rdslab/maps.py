@@ -12,7 +12,8 @@ The built-in families:
   ``chart="circle"``.
 
 A :class:`DrivingMeasure` is either a finite weighted family or a
-parametric family with a parameter sampler.  Only this module evaluates
+parametric family drawn uniformly from a range, and its maps fix the
+space a system lives on (:func:`support_space`).  Only this module evaluates
 maps: :func:`apply_map`, :func:`derivative`, :func:`log_derivative`, the
 per-trial kernels ``DrivingMeasure.step`` / ``.log_derivative`` and the
 single-orbit stepper ``DrivingMeasure.orbit`` share one formula per family.
@@ -33,7 +34,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .spaces import Circle, Interval, Projective, StateSpace, canonical_direction, distance, grid
+from .spaces import (Circle, Interval, Projective, StateSpace, canonical_direction, distance, grid,
+                     require_one_dimensional)
 from .streams import as_generator
 
 __all__ = [
@@ -244,8 +246,8 @@ class DrivingMeasure:
     """Law of one random map draw.
 
     Exactly one of ``atoms`` (finite support: list of (map, weight)) or
-    ``family``/``sampler`` (parametric support) is set.  Samplers are
-    ("uniform", lo, hi) or ("discrete", values, weights).
+    ``family``/``sampler`` (parametric support) is set.  The sampler is
+    ("uniform", lo, hi).
     """
 
     atoms: tuple | None = None
@@ -282,21 +284,14 @@ class DrivingMeasure:
         else:
             if self.family not in _FAMILIES:
                 raise ValueError(f"unknown parametric family {self.family!r}")
-            lo, hi = self._param_range()
+            if self.sampler[0] != "uniform":
+                raise ValueError(f"unknown sampler kind {self.sampler[0]!r}")
+            lo, hi = float(self.sampler[1]), float(self.sampler[2])
             vlo, vhi = _FAMILIES[self.family].ALPHA_RANGE
             if lo < vlo or hi > vhi:
                 raise ValueError("sampler range outside the family's parameter set")
             object.__setattr__(self, "_kind", _FAMILIES[self.family])
             object.__setattr__(self, "_table", None)
-
-    def _param_range(self):
-        kind = self.sampler[0]
-        if kind == "uniform":
-            return float(self.sampler[1]), float(self.sampler[2])
-        if kind == "discrete":
-            values = np.asarray(self.sampler[1], dtype=float)
-            return float(values.min()), float(values.max())
-        raise ValueError(f"unknown sampler kind {kind!r}")
 
     @property
     def finite(self) -> bool:
@@ -378,12 +373,7 @@ class DrivingMeasure:
 
     def sample_params(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """Vectorized parameter draws (parametric measures only)."""
-        kind = self.sampler[0]
-        if kind == "uniform":
-            return rng.uniform(self.sampler[1], self.sampler[2], size=size)
-        values = np.asarray(self.sampler[1], dtype=float)
-        weights = np.asarray(self.sampler[2], dtype=float)
-        return rng.choice(values, size=size, p=weights / weights.sum())
+        return rng.uniform(self.sampler[1], self.sampler[2], size=size)
 
     def sample_indices(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """Vectorized atom-index draws (finite measures only), equal to
@@ -450,18 +440,14 @@ def gee_diameter_c1(
 ) -> float:
     """Grid lower bound for the C1-type diameter:
     max over pairs of max over x of d(f(x), g(x)) + |f'(x) - g'(x)|."""
-    if isinstance(space, Projective):
-        raise ValueError("C1 diameter is defined for 1-D and circle families")
+    require_one_dimensional(space, "gee_diameter_c1")
     maps = nu.support_maps(param_grid)
     pts = grid(space, resolution)
-    images = [apply_map(f, pts) for f in maps]
-    derivs = [np.broadcast_to(derivative(f, pts), pts.shape) for f in maps]
-    best = 0.0
-    for i in range(len(maps)):
-        for j in range(i + 1, len(maps)):
-            vals = distance(space, images[i], images[j]) + np.abs(derivs[i] - derivs[j])
-            best = max(best, float(np.max(vals)))
-    return best
+    images = np.array([apply_map(f, pts) for f in maps])
+    derivs = np.array([np.broadcast_to(derivative(f, pts), pts.shape) for f in maps])
+    i, j = np.triu_indices(len(maps), 1)
+    vals = distance(space, images[i], images[j]) + np.abs(derivs[i] - derivs[j])
+    return float(np.max(vals, initial=0.0))
 
 
 def space_of(f: MapDescriptor) -> StateSpace:
@@ -471,3 +457,11 @@ def space_of(f: MapDescriptor) -> StateSpace:
     if isinstance(f, ProjectiveAction):
         return Circle() if f.chart == "circle" else Projective(f.m)
     raise ValueError(f"{f!r} has no canonical space; supply one explicitly")
+
+
+def support_space(nu: DrivingMeasure) -> StateSpace:
+    """The space a system driven by ``nu`` lives on when none is named: that
+    of the first map of the support, and [0, 1] for affine maps, which name
+    none.  A chart matrix acts on its own chart's space alone."""
+    f = nu.atoms[0][0] if nu.finite else nu.make_map(float(nu.sampler[1]))
+    return Interval(0.0, 1.0) if isinstance(f, Affine) else space_of(f)

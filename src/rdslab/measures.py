@@ -58,17 +58,6 @@ class EmpiricalMeasure:
     def mean(self) -> float:
         return float(np.sum(self.positions * self.weights))
 
-    def to_text(self) -> str:
-        lines = [f"{p:.17g}\t{w:.17g}" for p, w in zip(self.positions, self.weights)]
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_text(cls, text: str, space=None) -> "EmpiricalMeasure":
-        rows = [line.split() for line in text.strip().splitlines()]
-        pos = np.array([float(r[0]) for r in rows])
-        w = np.array([float(r[1]) for r in rows])
-        return cls(space, pos, w)
-
 
 def _check_same_kind(mu1: EmpiricalMeasure, mu2: EmpiricalMeasure, kind):
     if not isinstance(mu1.space, kind) or not isinstance(mu2.space, kind):

@@ -1,7 +1,8 @@
 """Built-in scalar observables with analytic Lipschitz constants.
 
-Every bound formula consumes L(h) and ||h||_inf, so each observable
-carries them alongside the callable.
+Each observable carries its Lipschitz constant L(h) and sup norm
+||h||_inf for reference.  The bound formulas do not read them: they take
+``lipschitz_L`` and ``sup_norm`` from the config's ``inputs`` (default 1).
 """
 
 from __future__ import annotations

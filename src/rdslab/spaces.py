@@ -24,6 +24,7 @@ __all__ = [
     "diameter",
     "grid",
     "circle_delta",
+    "require_one_dimensional",
 ]
 
 DEFAULT_GRID_RESOLUTION = 256
@@ -56,6 +57,15 @@ class Projective:
 
 
 StateSpace = Interval | Circle | Projective
+
+
+def require_one_dimensional(space: StateSpace, caller: str):
+    """ValueError unless ``space`` is an interval or the circle: the rule of
+    every per-trial engine and scalar-orbit estimator, ``caller`` naming
+    which one asks."""
+    if isinstance(space, Projective):
+        raise ValueError(f"{caller} needs a one-dimensional system, "
+                         f"not a projective action on {space!r}")
 
 
 def canonical_direction(v) -> np.ndarray:

@@ -229,6 +229,29 @@ class TestSelectorTable:
             "circle-lyap", {"m_nu": 0.5, "M_nu": 1.0}, {"lambda_nu": 2.0, "gee_inf": 0.5})
         assert inputs["gee_c1"] == 0.5 and prov["gee_inf"] == "analytic"
 
+    @pytest.mark.parametrize("selector, config, key", [
+        ("lln", {"lambda_nu": None, "gee_inf": 0.5}, "lambda_nu"),
+        ("lln", {"lambda_nu": "abc", "gee_inf": 0.5}, "lambda_nu"),
+        ("lln", {"lambda_nu": True, "gee_inf": 0.5}, "lambda_nu"),
+        ("lln", {"lambda_nu": float("nan"), "gee_inf": 0.5}, "lambda_nu"),
+        ("lln", {"lambda_nu": 1.0, "gee_rho": float("inf")}, "gee_rho"),
+        ("lln", {"lambda_nu": 1.0, "gee_inf": 0.5, "lipschitz_L": [1.0]}, "lipschitz_L"),
+        ("matrix-norm", {"lambda_nu": 1.0, "C": 2.0, "m_dim": 2.5}, "m_dim"),
+        ("matrix-norm", {"lambda_nu": 1.0, "C": 2.0, "m_dim": 0}, "m_dim"),
+        ("matrix-norm", {"lambda_nu": 1.0, "C": 2.0, "m_dim": True}, "m_dim"),
+        ("refined", {"gee_inf": 0.5, "u": "abc"}, "u"),
+        ("refined", {"gee_inf": 0.5, "u": [0.5, None]}, "u"),
+        ("refined", {"gee_inf": 0.5, "u": 0.5}, "u"),
+    ])
+    def test_values_are_checked(self, selector, config, key):
+        with pytest.raises(ValueError, match=f"input '{key}'"):
+            resolve_inputs(selector, config, {})
+
+    def test_integral_m_dim_reads_as_int(self):
+        inputs, _ = resolve_inputs("matrix-norm", {"lambda_nu": 1, "C": 2, "m_dim": 3.0}, {})
+        assert inputs == {"lambda_nu": 1.0, "C": 2.0, "m_dim": 3, "t_n_hat": 0.0}
+        assert type(inputs["m_dim"]) is int and type(inputs["C"]) is float
+
     def test_missing_and_unknown(self):
         with pytest.raises(ValueError, match="'lambda_nu'"):
             resolve_inputs("lln", {"gee_inf": 0.5}, {"lambda_cap": "1+log(n+1)"})

@@ -49,6 +49,12 @@ class TestSimulate:
         traj = simulate(HALVING, 0.3, 0, SeededStream(0), space=SP)
         assert traj.n == 0 and traj.points[0] == 0.3
 
+    def test_affine_support_defaults_to_the_unit_interval(self):
+        (traj,) = simulate_coupled(HALVING, [0.3], 20, SeededStream(4))
+        (named,) = simulate_coupled(HALVING, [0.3], 20, SeededStream(4), space=SP)
+        assert traj.space == SP
+        assert np.array_equal(traj.points, named.points)
+
     def test_log_derivative_record(self):
         traj = simulate(HALVING, 0.3, 5, SeededStream(0), record_log_derivative=True, space=SP)
         np.testing.assert_allclose(

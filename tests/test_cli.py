@@ -168,8 +168,7 @@ class TestOtherCommands:
 
     def test_lambda_without_trials(self, tmp_path, capsys):
         doc = dict(TAIL_DOC, observable="asclt-kappa", trials=0, params={"n_ladder": [5]})
-        assert main(["lambda", "--config", write_cfg(tmp_path, doc)]) == 2
-        assert "trials must be >= 1" in capsys.readouterr().err
+        fails_before_drawing(tmp_path, capsys, "lambda", doc, "'trials' must be an integer >= 1")
 
     def test_lambda_n0_rung(self, tmp_path):
         doc = dict(TAIL_DOC, params={"n_ladder": [0], "grid": 8})
@@ -740,6 +739,113 @@ class TestCounts:
                          "--out", str(out)]) == 0
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1]
+
+
+class TestConfigNumbers:
+    """``n``, ``trials`` and ``seed``, ``params.ceiling`` and the bound inputs
+    are checked numbers: anything else exits 2 naming the key before any
+    draw, where numpy raised a TypeError or ``float()`` read true as 1.0."""
+
+    LAMBDA = {"n_ladder": [10], "grid": 8}
+
+    @pytest.mark.parametrize("command, doc, named", [
+        pytest.param("simulate", dict(TAIL_DOC, n=20.5), "'n'", id="n-fraction"),
+        pytest.param("simulate", dict(TAIL_DOC, n=True), "'n'", id="n-bool"),
+        pytest.param("tail", dict(TAIL_DOC, trials=150.5), "'trials'", id="trials-fraction"),
+        pytest.param("simulate", dict(TAIL_DOC, seed=2.5), "'seed'", id="seed-fraction"),
+        pytest.param("simulate", dict(TAIL_DOC, seed=-1), "'seed'", id="seed-negative"),
+        pytest.param("lambda", dict(TAIL_DOC, params=dict(LAMBDA, ceiling=None)), "'ceiling'",
+                     id="ceiling-null"),
+        pytest.param("lambda", dict(TAIL_DOC, params=dict(LAMBDA, ceiling="abc")), "'ceiling'",
+                     id="ceiling-string"),
+        pytest.param("lambda", dict(TAIL_DOC, params=dict(LAMBDA, ceiling=0)), "'ceiling'",
+                     id="ceiling-zero"),
+        pytest.param("tail", dict(TAIL_DOC, inputs={"lambda_nu": None}), "'lambda_nu'",
+                     id="lambda_nu-null"),
+        pytest.param("tail", dict(TAIL_DOC, inputs={"lambda_nu": "abc"}), "'lambda_nu'",
+                     id="lambda_nu-string"),
+        pytest.param("tail", dict(TAIL_DOC, inputs={"lambda_nu": True}), "'lambda_nu'",
+                     id="lambda_nu-bool"),
+        pytest.param("bounds", dict(TAIL_DOC, inputs={"gee_inf": float("inf")}), "'gee_inf'",
+                     id="gee_inf-inf"),
+        pytest.param("tail", dict(TAIL_DOC, system=projective_system(MATRICES_3),
+                                  observable="lyap-matrix-norm", bound="matrix-norm",
+                                  inputs=dict(MATRIX_INPUTS, m_dim=2.5)), "'m_dim'",
+                     id="m_dim-fraction"),
+        pytest.param("tail", dict(TAIL_DOC, bound="refined", inputs={"u": [0.5, None]}), "'u'",
+                     id="u-null-entry"),
+    ])
+    def test_fails_before_drawing(self, tmp_path, capsys, command, doc, named):
+        fails_before_drawing(tmp_path, capsys, command, doc, named)
+
+    @pytest.mark.parametrize("command", ["simulate", "tail"])
+    def test_integral_floats_give_the_same_bytes(self, tmp_path, command):
+        outputs = []
+        for name, numbers in (("ints", {"n": 20, "trials": 150, "seed": 2}),
+                              ("floats", {"n": 20.0, "trials": 150.0, "seed": 2.0})):
+            out = tmp_path / f"{name}.csv"
+            cfg = write_cfg(tmp_path, dict(TAIL_DOC, **numbers), f"{name}.json")
+            assert main([command, "--config", cfg, "--out", str(out)]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+
+
+def without_space(system):
+    return {k: v for k, v in system.items() if k != "space"}
+
+
+class TestSupportSpace:
+    """An atoms system without a ``space`` block lives where its maps act:
+    it gives the bytes of the same config naming that space, or the exit of
+    that config, and a block that a chart matrix does not fit exits 2 naming
+    'space' before any draw."""
+
+    @pytest.mark.parametrize("command, doc", [
+        pytest.param("corr-dim", dict(TAIL_DOC, system=CIRCLE_CHART, n=2000, seed=3,
+                                      params={"x0": 0.3, "epsilon0": 0.1}), id="corr-dim-circle"),
+        pytest.param("lambda", dict(TAIL_DOC, system=CIRCLE_CHART, seed=4,
+                                    params={"n_ladder": [10], "grid": 16}), id="lambda-circle"),
+        # B - x0 = 0.55, farther apart on the interval than on the circle
+        pytest.param("tail", dict(observable_doc("sync", CIRCLE_CHART, {"B": [0.85], "x0": 0.3}),
+                                  t_ladder=[0.01, 0.02], bound="sync",
+                                  inputs={"lambda_nu": 0.01, "gee_inf": 0.5, "muB": 1.0}),
+                     id="tail-sync-circle"),
+        pytest.param("simulate", dict(TAIL_DOC, system=PROJECTIVE_ATOMS), id="simulate-projective"),
+        pytest.param("corr-dim", dict(TAIL_DOC, system=PROJECTIVE_ATOMS, n=300,
+                                      params={"epsilon0": 0.2, "rungs": 3}),
+                     id="corr-dim-projective"),
+        pytest.param("lyap", dict(TAIL_DOC, system=PROJECTIVE_ATOMS, observable="lyap-projective"),
+                     id="lyap-projective"),
+    ])
+    def test_bytes_of_the_named_space(self, tmp_path, command, doc):
+        outputs = []
+        for name, system in (("named", doc["system"]), ("unnamed", without_space(doc["system"]))):
+            out = tmp_path / f"{name}.csv"
+            cfg = write_cfg(tmp_path, dict(doc, system=system), f"{name}.json")
+            assert main([command, "--config", cfg, "--out", str(out)]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1] and outputs[0].count(b"\n") > 1
+
+    @pytest.mark.parametrize("command, doc", [
+        ("lambda", dict(TAIL_DOC, params={"n_ladder": [10], "grid": 8})),
+        ("asclt", dict(TAIL_DOC, observable="asclt-kappa", params={"n_ladder": [64]})),
+        ("tail", dict(TAIL_DOC, inputs=CONTRACTION)),
+    ], ids=["lambda", "asclt", "tail-birkhoff"])
+    def test_projective_maps_need_a_one_dimensional_command(self, tmp_path, capsys, command, doc):
+        doc = dict(doc, system=without_space(PROJECTIVE_ATOMS))
+        fails_before_drawing(tmp_path, capsys, command, doc, "Projective(m=2)")
+
+    @pytest.mark.parametrize("command", ["simulate", "lambda", "tail"])
+    @pytest.mark.parametrize("system", [
+        dict(CIRCLE_CHART, space={"kind": "interval"}),
+        dict(CIRCLE_CHART, space={"kind": "projective", "m": 2}),
+        dict(PROJECTIVE_ATOMS, space={"kind": "projective", "m": 3}),
+        dict(PROJECTIVE_ATOMS, space={"kind": "circle"}),
+    ], ids=["circle-chart-on-interval", "circle-chart-on-projective", "2x2-on-projective-3",
+            "projective-chart-on-circle"])
+    def test_space_a_chart_does_not_fit(self, tmp_path, capsys, command, system):
+        doc = dict(TAIL_DOC, system=system, params={"n_ladder": [10], "grid": 8})
+        fails_before_drawing(tmp_path, capsys, command, doc, "'space'")
 
 
 MOEBIUS_ONE_ATOM = {"kind": "atoms", "atoms": [[{"kind": "moebius", "alpha": 1.0}, 1.0]]}

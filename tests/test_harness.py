@@ -60,7 +60,7 @@ class TestConfig:
 
     def test_json_roundtrip(self):
         cfg = halving_cfg()
-        back = ExperimentConfig.from_json(json.dumps(dataclasses.asdict(cfg)))
+        back = ExperimentConfig(**json.loads(json.dumps(dataclasses.asdict(cfg))))
         assert back == cfg
 
 

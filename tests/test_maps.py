@@ -18,6 +18,7 @@ from rdslab.maps import (
     log_derivative,
     sample_map,
     space_of,
+    support_space,
 )
 from rdslab.spaces import Circle, Interval, Projective, distance, grid
 from rdslab.streams import SeededStream
@@ -143,6 +144,11 @@ class TestDrivingMeasure:
         p = nu.sample_params(SeededStream(0).generator(), 100)
         assert np.all((p >= 1.0) & (p <= 2.0))
 
+    @pytest.mark.parametrize("sampler", [("discrete", [1.0, 2.0], [0.5, 0.5]), ("normal", 1.5, 0.1)])
+    def test_only_uniform_samplers(self, sampler):
+        with pytest.raises(ValueError, match="unknown sampler kind"):
+            DrivingMeasure(family="moebius", sampler=sampler)
+
 
 GATHER_MEASURES = {
     "affine": DrivingMeasure(atoms=((Affine(0.5, 0.0), 0.2), (Affine(-0.3, 0.9), 0.3),
@@ -245,6 +251,44 @@ class TestGeeDiameter:
                     best = max(best, float(distance(space, u, v)))
         return best
 
+    @staticmethod
+    def _pair_loop_c1(nu, space, resolution, param_grid=None):
+        """The former C1 diameter: a Python loop over map pairs, each pair's
+        maximum folded into a running float."""
+        maps = nu.support_maps(param_grid)
+        pts = grid(space, resolution)
+        images = [apply_map(f, pts) for f in maps]
+        derivs = [np.broadcast_to(derivative(f, pts), pts.shape) for f in maps]
+        best = 0.0
+        for i in range(len(maps)):
+            for j in range(i + 1, len(maps)):
+                vals = distance(space, images[i], images[j]) + np.abs(derivs[i] - derivs[j])
+                best = max(best, float(np.max(vals)))
+        return best
+
+    @pytest.mark.parametrize("nu, space, resolution, param_grid", [
+        (DrivingMeasure(atoms=((MoebiusDecay(1.0), 0.5), (MoebiusDecay(2.0), 0.5))),
+         Interval(0.0, 1.0), 101, None),
+        (DrivingMeasure(atoms=((MoebiusDecay(1.0), 0.3), (PolynomialDecay(1.37), 0.3),
+                               (Affine(-0.3, 0.9), 0.2), (Affine(0.5, 0.0), 0.2))),
+         Interval(0.0, 1.0), 257, None),
+        (DrivingMeasure(atoms=((MoebiusDecay(1.5), 1.0),)), Interval(0.0, 1.0), 64, None),
+        (DrivingMeasure(atoms=(CIRCLE_PAIR[0], (ProjectiveAction([[0.6, -0.8], [0.8, 0.6]],
+                                                                 chart="circle"), 0.25),
+                               (CIRCLE_PAIR[1][0], 0.25))), Circle(), 256, None),
+        (DrivingMeasure(family="polynomial", sampler=("uniform", 1.25, 1.5)),
+         Interval(0.0, 1.0), 128, np.linspace(1.25, 1.5, 7)),
+    ], ids=["two-moebius", "mixed-families", "one-map", "circle-charts", "parametric-grid"])
+    def test_c1_equals_pair_loop(self, nu, space, resolution, param_grid):
+        d = gee_diameter_c1(nu, space, resolution, param_grid)
+        assert d == self._pair_loop_c1(nu, space, resolution, param_grid)
+
+    def test_c1_needs_a_one_dimensional_space(self):
+        nu = DrivingMeasure(atoms=((ProjectiveAction([[2.0, 1.0], [1.0, 1.0]]), 1.0),))
+        with pytest.raises(ValueError, match=r"gee_diameter_c1 needs a one-dimensional system, "
+                                             r"not a projective action on Projective\(m=2\)"):
+            gee_diameter_c1(nu, Projective(2), 16)
+
     @pytest.mark.parametrize("matrices, resolution", [
         (([[2.0, 1.0], [1.0, 1.0]], [[0.6, -0.8], [0.8, 0.6]]), 257),
         (([[2.0, 1.0], [1.0, 1.0]], [[0.6, -0.8], [0.8, 0.6]], [[1.0, 0.5], [0.0, 1.0]]), 64),
@@ -266,3 +310,16 @@ def test_space_of():
     assert space_of(ProjectiveAction(np.eye(3))) == Projective(3)
     with pytest.raises(ValueError):
         space_of(Affine(0.5, 0.0))
+
+
+@pytest.mark.parametrize("nu, space", [
+    (DrivingMeasure(atoms=((Affine(0.5, 0.0), 0.5), (Affine(0.5, 0.5), 0.5))), Interval(0.0, 1.0)),
+    (DrivingMeasure(family="moebius", sampler=("uniform", 1.0, 2.0)), Interval(0.0, 1.0)),
+    (DrivingMeasure(atoms=CIRCLE_PAIR), Circle()),
+    (DrivingMeasure(atoms=((ProjectiveAction(np.eye(3)), 1.0),)), Projective(3)),
+    # mixed supports take the first map's space
+    (DrivingMeasure(atoms=((Affine(0.5, 0.0), 0.5), CIRCLE_PAIR[0])), Interval(0.0, 1.0)),
+    (DrivingMeasure(atoms=(CIRCLE_PAIR[0], (MoebiusDecay(1.0), 0.5))), Circle()),
+], ids=["affine", "parametric", "circle-chart", "projective", "affine-first", "circle-first"])
+def test_support_space(nu, space):
+    assert support_space(nu) == space

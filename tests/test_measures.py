@@ -44,12 +44,6 @@ class TestEmpiricalMeasure:
         mu = EmpiricalMeasure.from_samples(SP, [0.1, 0.2, 0.3])
         np.testing.assert_allclose(mu.weights, 1.0 / 3.0)
 
-    def test_serialization_roundtrip(self):
-        mu = EmpiricalMeasure(SP, [0.1, 1.7], [0.25, 0.75])
-        back = EmpiricalMeasure.from_text(mu.to_text(), SP)
-        np.testing.assert_array_equal(back.positions, mu.positions)
-        np.testing.assert_array_equal(back.weights, mu.weights)
-
 
 class TestKantorovichInterval:
     def test_diracs(self):

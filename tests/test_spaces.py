@@ -12,6 +12,7 @@ from rdslab.spaces import (
     diameter,
     distance,
     grid,
+    require_one_dimensional,
 )
 
 unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
@@ -78,6 +79,15 @@ class TestProjective:
             g = grid(Projective(m), 16)
             norms = np.linalg.norm(np.asarray(g), axis=-1)
             np.testing.assert_allclose(norms, 1.0, atol=1e-12)
+
+
+def test_require_one_dimensional():
+    require_one_dimensional(Interval(-1.0, 2.0), "lambda_n")
+    require_one_dimensional(Circle(), "lambda_n")
+    with pytest.raises(ValueError) as err:
+        require_one_dimensional(Projective(2), "observable 'birkhoff'")
+    assert str(err.value) == ("observable 'birkhoff' needs a one-dimensional system, "
+                              "not a projective action on Projective(m=2)")
 
 
 class TestRegionSet:
