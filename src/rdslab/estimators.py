@@ -15,7 +15,8 @@ the vector: each chunk's labels are those it draws alone.  The cocycle kernel
 trial i-1's).
 
 Every pair distance, in the dense pair sums, the correlation sums and the
-tracking distances, goes through :func:`rdslab.spaces.distance`.
+tracking distances, goes through :func:`rdslab.spaces.distance`, or through
+its two steps where the dense pair sums reduce each step's states once.
 """
 
 from __future__ import annotations
@@ -24,13 +25,14 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .chains import Trajectory, draw_word, simulate_coupled, word_maps
 from .maps import DrivingMeasure, apply_map, cocycle_matrices, derivative
 from .measures import EmpiricalMeasure, kantorovich_circle, kantorovich_interval
 from .observables import Observable
 from .spaces import (Circle, RegionSet, StateSpace, circle_delta, distance, grid,
-                     require_one_dimensional)
+                     pair_metric, reduce_points, require_one_dimensional)
 from .streams import SeededStream, as_generator
 
 __all__ = [
@@ -139,26 +141,44 @@ class LambdaEstimate:
     diverged: bool = False
 
 
-def _dense_sums(nu, space, x, n, c, rng):
-    """Orbit sums S[t, i, j] = sum_{k=0}^n d(X_k^i, X_k^j) of c coupled
-    trials from the starts x, at O(G^2) work per step.
+def _circulant(XX):
+    """The (..., G//2 + 1, G) view of a doubled row XX = [X, X] whose row k
+    holds X[..., (i + k) % G] at column i: with X itself subtracted, row k
+    pairs each start i with the start k places on, so the rows cover every
+    unordered pair of starts once (row G/2 of an even G twice, from both
+    ends) and row 0 is the diagonal."""
+    G = XX.shape[-1] // 2
+    return sliding_window_view(XX, G, axis=-1)[..., :G // 2 + 1, :]
 
-    The general kernel, and the test oracle of the order-preserving one.
-    The pair block of each step goes through ``distance`` in two buffers
-    allocated once."""
-    X = np.tile(x, (c, 1))
-    S = np.tile(distance(space, x[:, None], x[None, :]), (c, 1, 1))
+
+def _dense_sums(nu, space, x, n, c, rng):
+    """Orbit sums S[t, k, i] = sum_{m=0}^n d(X_m^i, X_m^{(i+k) % G}) of c
+    coupled trials from the G starts x, in the layout of :func:`_circulant`:
+    G (G//2 + 1) pair distances per step instead of G^2.
+
+    The general kernel.  Each step reduces the states once
+    (``reduce_points``) into a doubled row and takes the pair metric of its
+    circulant view against the states, in two buffers allocated once; the
+    diagonal row stays, so a non-finite orbit sums to what the full G x G
+    block gives."""
+    G = len(x)
+    xx = np.tile(reduce_points(space, x), 2)
+    S = np.tile(pair_metric(space, _circulant(xx), xx[:G]), (c, 1, 1))
     D = np.empty_like(S)
     W = np.empty_like(S) if isinstance(space, Circle) else None
+    X = np.tile(x, (c, 1))
+    XX = np.empty((c, 2 * G))
+    rows = _circulant(XX)
     for labels in step_labels(nu, rng, n, c):
         X = nu.step(labels, X)
-        S += distance(space, X[:, :, None], X[:, None, :], out=D, scratch=W)
+        XX[:, :G] = XX[:, G:] = reduce_points(space, X)
+        S += pair_metric(space, rows, XX[:, None, :G], out=D, scratch=W)
     return S
 
 
 def _ordered_sums(nu, space, x, n, c, rng):
-    """The same orbit sums for order-preserving maps on an interval, at O(G)
-    work per step.
+    """The same orbit sums, in the same layout, for order-preserving maps on
+    an interval, at O(G) work per step.
 
     Coupled orbits never cross, so d(X_k^i, X_k^j) = |X_k^j - X_k^i| with a
     sign fixed by the starts, and each pair's sum is a difference of
@@ -170,20 +190,33 @@ def _ordered_sums(nu, space, x, n, c, rng):
     for labels in step_labels(nu, rng, n, c):
         X = nu.step(labels, X)
         Dsum += X - X[:, :1]
-    S = Dsum[:, None, :] - Dsum[:, :, None]
+    S = _circulant(np.concatenate([Dsum, Dsum], axis=1)) - Dsum[:, None, :]
     return np.abs(S, out=S)
 
 
-def _pair_sum_stats(nu, space, starts, n, trials, stream):
-    """Per-pair mean and stderr of sum_{k=0}^n d(X_k^x, X_k^y) over a common
-    grid of starts, trials chunked with independent streams per chunk.
+def _unfold(half):
+    """The symmetric G x G table of a (G//2 + 1, G) circulant table."""
+    G = half.shape[1]
+    i = np.arange(G)
+    j = (i + np.arange(len(half))[:, None]) % G
+    full = np.empty((G, G))
+    full[i, j] = full[j, i] = half
+    return full
 
-    Chunk variances are merged pairwise (Chan et al.), so a pair whose sum
-    is the same in every trial gets a stderr at rounding level, not the
-    square root of it."""
+
+def _pair_sum_stats(nu, space, starts, n, trials, stream):
+    """Per-pair mean and stderr, as G x G tables, of
+    sum_{k=0}^n d(X_k^x, X_k^y) over a common grid of starts, trials
+    chunked with independent streams per chunk.
+
+    Both kernels give each chunk's sums in the circulant layout, and the
+    statistics run on it before one symmetric scatter into the G x G
+    tables.  Chunk variances are merged pairwise (Chan et al.), so a pair
+    whose sum is the same in every trial gets a stderr at rounding level,
+    not the square root of it."""
     sums = _ordered_sums if nu.order_preserving(space) else _dense_sums
     x = np.asarray(starts, dtype=float)
-    total = np.zeros((len(x), len(x)))
+    total = np.zeros((len(x) // 2 + 1, len(x)))
     m2 = np.zeros_like(total)
     done = 0
     for chunk_idx, lo in enumerate(range(0, trials, TRIAL_CHUNK)):
@@ -192,6 +225,7 @@ def _pair_sum_stats(nu, space, starts, n, trials, stream):
         # (n+1)-step word at fixed seed, so the estimate is pathwise
         # nondecreasing in n
         S = sums(nu, space, x, n, c, stream.substream(chunk_idx).generator())
+        # axis 0 adds trial by trial, as on the G x G block: the same bits
         s = S.sum(axis=0)
         S -= s / c
         np.square(S, out=S)
@@ -203,7 +237,7 @@ def _pair_sum_stats(nu, space, starts, n, trials, stream):
         done += c
     mean = total / trials
     stderr = np.sqrt(m2 / trials / trials) if trials > 1 else np.zeros_like(mean)
-    return mean, stderr
+    return _unfold(mean), _unfold(stderr)
 
 
 def lambda_n(
@@ -227,8 +261,10 @@ def lambda_n(
     with slope >= 0, the parametric Moebius family) coupled orbits never
     cross, and the G x G pair table comes from G per-start orbit sums at
     O(G) work per step.  Every other system (polynomial maps, negative
-    slopes, circles) steps all G^2 pair distances; that dense path is the
-    test oracle of the fast one.
+    slopes, circles) steps G (G//2 + 1) pair distances, each unordered pair
+    of starts once in a circulant layout; the full G x G table is the
+    symmetric unfolding of its statistics, bit for bit what the dense
+    G^2 sums of the tests give.
     """
     require_one_dimensional(space, "lambda_n")
     if n < 0:

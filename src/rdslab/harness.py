@@ -113,11 +113,11 @@ class SystemSpec:
 def _map_from_dict(d: dict):
     kind = d["kind"]
     if kind == "moebius":
-        return MoebiusDecay(float(d["alpha"]))
+        return MoebiusDecay(_real(d["alpha"], "system 'alpha'"))
     if kind == "polynomial":
-        return PolynomialDecay(float(d["alpha"]))
+        return PolynomialDecay(_real(d["alpha"], "system 'alpha'"))
     if kind == "affine":
-        return Affine(float(d["slope"]), float(d["offset"]))
+        return Affine(_real(d["slope"], "system 'slope'"), _real(d["offset"], "system 'offset'"))
     if kind == "projective":
         return ProjectiveAction(d["matrix"], chart=d.get("chart", "projective"))
     raise ValueError(f"unknown map kind {kind!r}")
@@ -140,13 +140,15 @@ def build_system(spec: dict) -> SystemSpec:
         return SystemSpec(nu, Interval(0.0, 1.0),
                           analytic={"lambda_nu": 2.0, "gee_inf": 0.5, "stationary": "lebesgue"})
     if kind == "moebius-uniform":
-        lo, hi = float(spec.get("lo", 1.0)), float(spec.get("hi", 2.0))
+        lo = _real(spec.get("lo", 1.0), "system 'lo'")
+        hi = _real(spec.get("hi", 2.0), "system 'hi'")
         nu = DrivingMeasure(family="moebius", sampler=("uniform", lo, hi))
         return SystemSpec(nu, Interval(0.0, 1.0),
                           analytic={"lambda_cap": "1+log(n+1)", "gee_rho": 0.5})
     if kind == "moebius-two-atom":
-        a1, a2 = float(spec.get("alpha1", 1.0)), float(spec.get("alpha2", 2.0))
-        w1 = float(spec.get("weight1", 0.5))
+        a1 = _real(spec.get("alpha1", 1.0), "system 'alpha1'")
+        a2 = _real(spec.get("alpha2", 2.0), "system 'alpha2'")
+        w1 = _real(spec.get("weight1", 0.5), "system 'weight1'")
         nu = DrivingMeasure(atoms=((MoebiusDecay(a1), w1), (MoebiusDecay(a2), 1.0 - w1)))
         return SystemSpec(nu, Interval(0.0, 1.0),
                           analytic={"lambda_cap": "1+log(n+1)", "gee_rho": 0.5})
@@ -154,7 +156,8 @@ def build_system(spec: dict) -> SystemSpec:
         nu = DrivingMeasure(atoms=((Affine(1.0, 0.0), 1.0),))
         return SystemSpec(nu, Interval(0.0, 1.0))
     if kind == "atoms":
-        nu = DrivingMeasure(atoms=tuple((_map_from_dict(m), float(w)) for m, w in spec["atoms"]))
+        nu = DrivingMeasure(atoms=tuple((_map_from_dict(m), _real(w, "system 'atoms' weight"))
+                                        for m, w in spec["atoms"]))
         if spec.get("space") is None:
             return SystemSpec(nu, support_space(nu))
         space = _space_from_dict(spec["space"])
@@ -169,7 +172,7 @@ def build_system(spec: dict) -> SystemSpec:
 def _space_from_dict(d):
     kind = d["kind"]
     if kind == "interval":
-        return Interval(float(d.get("a", 0.0)), float(d.get("b", 1.0)))
+        return Interval(_real(d.get("a", 0.0), "space 'a'"), _real(d.get("b", 1.0), "space 'b'"))
     if kind == "circle":
         return Circle()
     if kind == "projective":
@@ -200,7 +203,9 @@ class ExperimentConfig:
         self.seed = _count(vars(self), "seed", None, 0, where="config")
         if self.trials < 100 and self.observable != "asclt-kappa":
             raise ValueError("tail experiments need at least 100 trials")
-        t = list(self.t_ladder)
+        t = self.t_ladder
+        if not (isinstance(t, (list, tuple)) and all(map(_number, t))):
+            raise ValueError(f"config 't_ladder' must be a list of finite numbers, got {t!r}")
         if any(b <= a for a, b in zip(t, t[1:])):
             raise ValueError("t-ladder must be strictly increasing")
 
@@ -364,6 +369,14 @@ def _count(mapping: dict, key: str, default: int, minimum: int, where: str = "pa
     if not _integral(value, minimum):
         raise ValueError(f"{where} {key!r} must be an integer >= {minimum}, got {value!r}")
     return int(value)
+
+
+def _real(value, name: str) -> float:
+    """``value`` as a float; a ValueError naming ``name`` unless it is a
+    finite number, not a bool."""
+    if not _number(value):
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
+    return float(value)
 
 
 def _n_ladder(cfg: ExperimentConfig, command: str, default: list, minimum: int) -> list[int]:

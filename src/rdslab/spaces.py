@@ -3,8 +3,10 @@
 Points are plain floats for the interval and the circle (circle coordinates
 live in [0, 1) with the length-1 metric), and canonical-sign unit vectors
 for projective space.  :func:`distance` is the one metric: every pair sum,
-correlation sum and diameter goes through it.  Suprema over a space are
-approximated by maxima over deterministic grids.
+correlation sum and diameter goes through it, or through its two steps,
+:func:`reduce_points` and :func:`pair_metric`, where a caller reuses the
+reduced points.  Suprema over a space are approximated by maxima over
+deterministic grids.
 """
 
 from __future__ import annotations
@@ -21,6 +23,8 @@ __all__ = [
     "RegionSet",
     "canonical_direction",
     "distance",
+    "reduce_points",
+    "pair_metric",
     "diameter",
     "grid",
     "circle_delta",
@@ -93,16 +97,24 @@ def circle_delta(x, y):
     return np.where(d > 0.5, d - 1.0, d)[()]
 
 
-def distance(space: StateSpace, x, y, out=None, scratch=None):
-    """Metric of the space, broadcasting x against y (projective points lie
-    along the last axis).  Circle coordinates are reduced mod 1 per point,
-    then folded as min(D, 1 - D).  The projective dot is summed coordinate
-    by coordinate, left to right (the bits of ``np.sum(x * y, axis=-1)`` for
-    m < 8), with no BLAS call whose rounding could follow the thread count.
-    ``out`` and ``scratch``, float arrays of the result shape, let block
-    callers keep their buffers; they change no bit."""
+def reduce_points(space: StateSpace, x):
+    """The points of ``x`` as :func:`pair_metric` takes them: circle lifts
+    reduced mod 1, other points as they are.  Reduce a point once: a tiny
+    negative lift reduces to 1.0, which a second ``% 1.0`` would read as
+    0.0."""
     x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+    return x % 1.0 if isinstance(space, Circle) else x
+
+
+def pair_metric(space: StateSpace, x, y, out=None, scratch=None):
+    """Metric of the space between points that :func:`reduce_points` gave,
+    broadcasting x against y (projective points lie along the last axis).
+    Circle coordinates are folded as min(D, 1 - D).  The projective dot is
+    summed coordinate by coordinate, left to right (the bits of
+    ``np.sum(x * y, axis=-1)`` for m < 8), with no BLAS call whose rounding
+    could follow the thread count.  ``out`` and ``scratch``, float arrays of
+    the result shape, let block callers keep their buffers; they change no
+    bit."""
     if isinstance(space, Projective):
         if x.shape[-1:] != (space.m,) or y.shape[-1:] != (space.m,):
             raise ValueError("projective points must share the space dimension")
@@ -112,15 +124,20 @@ def distance(space: StateSpace, x, y, out=None, scratch=None):
         np.clip(np.abs(D, out=D), 0.0, 1.0, out=D)
         np.maximum(0.0, np.subtract(1.0, np.multiply(D, D, out=scratch), out=D), out=D)
         return np.sqrt(D, out=D)[()]
-    if isinstance(space, Circle):
-        x, y = x % 1.0, y % 1.0
-    elif not isinstance(space, Interval):
+    if not isinstance(space, (Interval, Circle)):
         raise TypeError(f"not a state space: {space!r}")
     D = np.asarray(np.subtract(x, y, out=out))
     np.abs(D, out=D)
     if isinstance(space, Circle):
         np.minimum(D, np.subtract(1.0, D, out=scratch), out=D)
     return D[()]
+
+
+def distance(space: StateSpace, x, y, out=None, scratch=None):
+    """Metric of the space, broadcasting x against y: each point reduced by
+    :func:`reduce_points` (circle lifts mod 1), then :func:`pair_metric`.
+    ``out`` and ``scratch`` are :func:`pair_metric`'s buffers."""
+    return pair_metric(space, reduce_points(space, x), reduce_points(space, y), out, scratch)
 
 
 def diameter(space: StateSpace) -> float:

@@ -774,9 +774,60 @@ class TestConfigNumbers:
                      id="m_dim-fraction"),
         pytest.param("tail", dict(TAIL_DOC, bound="refined", inputs={"u": [0.5, None]}), "'u'",
                      id="u-null-entry"),
+        # t_ladder entries, where [null] ended in a TypeError and true read as 1.0
+        pytest.param("bounds", dict(TAIL_DOC, t_ladder=[None]), "'t_ladder'", id="t-null"),
+        pytest.param("bounds", dict(TAIL_DOC, t_ladder=[None, 1]), "'t_ladder'",
+                     id="t-null-first"),
+        pytest.param("tail", dict(TAIL_DOC, t_ladder=["a"]), "'t_ladder'", id="t-string"),
+        pytest.param("bounds", dict(TAIL_DOC, t_ladder=[True, 2]), "'t_ladder'", id="t-bool"),
+        pytest.param("bounds", dict(TAIL_DOC, t_ladder=0.1), "'t_ladder'", id="t-scalar"),
     ])
     def test_fails_before_drawing(self, tmp_path, capsys, command, doc, named):
         fails_before_drawing(tmp_path, capsys, command, doc, named)
+
+    @staticmethod
+    def _atom(m, w=1.0):
+        return {"kind": "atoms", "atoms": [[m, w]]}
+
+    # numbers of a system block, where float() read true as 1.0 and a
+    # string exited naming no key
+    @pytest.mark.parametrize("system, named", [
+        pytest.param(_atom({"kind": "moebius", "alpha": True}), "'alpha'", id="moebius-bool"),
+        pytest.param(_atom({"kind": "polynomial", "alpha": "1.3"}), "'alpha'",
+                     id="polynomial-string"),
+        pytest.param(_atom({"kind": "affine", "slope": None, "offset": 0.0}), "'slope'",
+                     id="slope-null"),
+        pytest.param(_atom({"kind": "affine", "slope": 0.5, "offset": float("nan")}), "'offset'",
+                     id="offset-nan"),
+        pytest.param(_atom({"kind": "moebius", "alpha": 1.0}, "abc"), "'atoms' weight",
+                     id="weight-string"),
+        pytest.param(_atom({"kind": "moebius", "alpha": 1.0}, False), "'atoms' weight",
+                     id="weight-bool"),
+        pytest.param(dict(_atom({"kind": "moebius", "alpha": 1.0}),
+                          space={"kind": "interval", "a": "x"}), "'a'", id="space-a-string"),
+        pytest.param(dict(_atom({"kind": "moebius", "alpha": 1.0}),
+                          space={"kind": "interval", "b": True}), "'b'", id="space-b-bool"),
+        pytest.param({"kind": "moebius-uniform", "lo": True}, "'lo'", id="lo-bool"),
+        pytest.param({"kind": "moebius-uniform", "hi": float("inf")}, "'hi'", id="hi-inf"),
+        pytest.param({"kind": "moebius-two-atom", "alpha1": None}, "'alpha1'", id="alpha1-null"),
+        pytest.param({"kind": "moebius-two-atom", "alpha2": "2"}, "'alpha2'",
+                     id="alpha2-string"),
+        pytest.param({"kind": "moebius-two-atom", "weight1": True}, "'weight1'",
+                     id="weight1-bool"),
+    ])
+    @pytest.mark.parametrize("command", ["simulate", "tail"])
+    def test_system_numbers_fail_before_drawing(self, tmp_path, capsys, command, system, named):
+        fails_before_drawing(tmp_path, capsys, command, dict(TAIL_DOC, system=system), named)
+
+    def test_integral_system_numbers_give_the_same_bytes(self, tmp_path):
+        outputs = []
+        for name, (alpha, weight) in (("ints", (1, 1)), ("floats", (1.0, 1.0))):
+            out = tmp_path / f"{name}.csv"
+            system = self._atom({"kind": "moebius", "alpha": alpha}, weight)
+            cfg = write_cfg(tmp_path, dict(TAIL_DOC, system=system), f"{name}.json")
+            assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
 
     @pytest.mark.parametrize("command", ["simulate", "tail"])
     def test_integral_floats_give_the_same_bytes(self, tmp_path, command):

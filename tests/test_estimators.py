@@ -98,7 +98,7 @@ class TestLambdaN:
 
 
 def _dense_lambda(*args, **kwargs):
-    """lambda_n forced onto the dense O(G^2) kernel, the oracle."""
+    """lambda_n forced onto the dense kernel, the oracle of the ordered one."""
     with mock.patch.object(DrivingMeasure, "order_preserving", lambda nu, space: False):
         return lambda_n(*args, **kwargs)
 
@@ -164,25 +164,6 @@ class TestPairSumKernels:
         est = run(HALVING, SP, 0, 10, 0, resolution=4)
         assert (est.value, est.stderr, est.argmax_pair) == (1.0, 0.0, (0.0, 1.0))
 
-    def test_dense_circle_fold_matches_distance(self):
-        # lifts of circle maps leave [0, 1), and 0.5 + 0.5 lands on 1.0
-        nu = DrivingMeasure(atoms=((Affine(1.0, 0.5), 0.4), (Affine(2.0, 0.25), 0.3),
-                                   (Affine(-1.0, 0.75), 0.3)))
-        x = np.array([0.0, 0.25, 0.5, 0.9, 1.0])
-        n, c = 8, 5
-        S = E._dense_sums(nu, Circle(), x, n, c, SeededStream(2).generator())
-
-        rng = SeededStream(2).generator()
-        X = np.tile(x, (c, 1))
-        expected = np.tile(distance(Circle(), x[:, None], x[None, :]), (c, 1, 1))
-        for _ in range(n):
-            X = nu.step(draw_word(nu, rng, c), X)
-            expected += distance(Circle(), X[:, :, None], X[:, None, :])
-        assert np.any(X < 0.0) and np.any(X > 1.0)
-        assert np.array_equal(S, expected)
-        # starts 0.0 and 1.0 are the same circle point; dyadic lifts stay exact
-        assert np.all(S[:, 0, 4] == 0.0)
-
 
 CIRCLE_CHART = DrivingMeasure(atoms=(
     (ProjectiveAction([[2.0, 1.0], [1.0, 1.0]], chart="circle"), 0.5),
@@ -192,6 +173,129 @@ BLOCK_SYSTEMS = {
     "moebius-uniform": (DrivingMeasure(family="moebius", sampler=("uniform", 1.0, 2.0)), SP),
     "circle-chart": (CIRCLE_CHART, Circle()),
 }
+
+
+def _oracle_sums(nu, space, x, n, c, rng):
+    """The dense O(G^2) orbit sums: the full G x G block of pair distances,
+    S[t, i, j] = sum_{k=0}^n d(X_k^i, X_k^j), stepped one draw per step.
+    Also the states X_0..X_n, shape (n + 1, c, G)."""
+    states = [np.tile(x, (c, 1))]
+    S = np.tile(distance(space, x[:, None], x[None, :]), (c, 1, 1))
+    for _ in range(n):
+        X = nu.step(draw_word(nu, rng, c), states[-1])
+        S += distance(space, X[:, :, None], X[:, None, :])
+        states.append(X)
+    return S, np.stack(states)
+
+
+def _oracle_lambda(nu, space, n, trials, seed, resolution=64, region=None, ceiling=None):
+    """lambda_n on the dense G x G sums, chunk by chunk and piece by piece
+    with the same streams and the same Chan merge: the oracle of the
+    circulant pair tables, which must match it bit for bit."""
+    stream = SeededStream(seed)
+    grids = region.grids if region is not None else [E.grid(space, resolution)]
+    best = None
+    for piece, x in enumerate(grids):
+        total, m2, done = 0.0, 0.0, 0
+        for chunk, lo in enumerate(range(0, trials, E.TRIAL_CHUNK)):
+            c = min(E.TRIAL_CHUNK, trials - lo)
+            rng = stream.substream(piece).substream(chunk).generator()
+            S = _oracle_sums(nu, space, x, n, c, rng)[0]
+            s = S.sum(axis=0)
+            S -= s / c
+            m2 = m2 + np.square(S).sum(axis=0)
+            if done:
+                delta = s / c - total / done
+                m2 += delta * delta * (done * c / (done + c))
+            total = total + s
+            done += c
+        mean = total / trials
+        stderr = np.sqrt(m2 / trials / trials) if trials > 1 else np.zeros_like(mean)
+        i, j = np.unravel_index(int(np.argmax(mean)), mean.shape)
+        if best is None or mean[i, j] > best[0]:
+            best = (float(mean[i, j]), float(stderr[i, j]), (float(x[i]), float(x[j])),
+                    mean, stderr)
+    value, err, pair, table, table_err = best
+    return E.LambdaEstimate(value, err, pair, table, table_err,
+                            diverged=ceiling is not None and value > ceiling)
+
+
+def _assert_same_estimate(got, want):
+    assert np.array_equal(got.table, want.table, equal_nan=True)
+    assert np.array_equal(got.table_stderr, want.table_stderr, equal_nan=True)
+    assert np.array_equal([got.value, got.stderr], [want.value, want.stderr], equal_nan=True)
+    assert got.argmax_pair == want.argmax_pair
+    assert got.diverged == want.diverged
+
+
+# circle lifts that leave [0, 1): 0.5 + 0.5 lands on 1.0, and a start of 0
+# shifted by -1e-20 reduces to 1.0, which a second reduction reads as 0.0
+CIRCLE_LIFTS = DrivingMeasure(atoms=((Affine(1.0, 0.5), 0.3), (Affine(2.0, 0.25), 0.2),
+                                     (Affine(-1.0, 0.75), 0.2), (Affine(1.0, -1e-20), 0.3)))
+DENSE_SYSTEMS = {
+    "polynomial-atoms": (DrivingMeasure(atoms=((PolynomialDecay(1.25), 0.5),
+                                               (PolynomialDecay(1.5), 0.5))), SP),
+    "polynomial-family": (DrivingMeasure(family="polynomial", sampler=("uniform", 1.25, 1.5)), SP),
+    "negative-slope": (DrivingMeasure(atoms=((Affine(-0.5, 1.0), 0.5), (Affine(0.5, 0.0), 0.5))),
+                       SP),
+    "circle-chart": (CIRCLE_CHART, Circle()),
+    "circle-lifts": (CIRCLE_LIFTS, Circle()),
+}
+
+
+class TestDenseKernelOracle:
+    """The dense kernel steps each unordered pair of starts once, in the
+    circulant half table; the dense G x G sums are its oracle, bit for bit."""
+
+    @pytest.mark.parametrize("name", sorted(DENSE_SYSTEMS))
+    @pytest.mark.parametrize("G", [2, 3, 8, 13])
+    @pytest.mark.parametrize("trials", [1, 2, 129])
+    def test_lambda_equals_dense_oracle(self, name, G, trials):
+        nu, space = DENSE_SYSTEMS[name]
+        assert not nu.order_preserving(space)
+        got = lambda_n(nu, space, 12, trials, 5, resolution=G, ceiling=4.0)
+        _assert_same_estimate(got, _oracle_lambda(nu, space, 12, trials, 5, resolution=G,
+                                                  ceiling=4.0))
+
+    @pytest.mark.parametrize("name", sorted(DENSE_SYSTEMS))
+    @pytest.mark.parametrize("resolution", [1, 6])
+    def test_region_pieces_equal_dense_oracle(self, name, resolution):
+        # resolution 1 gives each piece one start, G = 1: the diagonal alone
+        nu, space = DENSE_SYSTEMS[name]
+        region = RegionSet(space, pieces=((0.0, 0.3), (0.5, 1.0)), resolution=resolution)
+        got = lambda_n(nu, space, 9, 129, 2, region=region)
+        _assert_same_estimate(got, _oracle_lambda(nu, space, 9, 129, 2, region=region))
+
+    def test_full_grid_equals_dense_oracle(self):
+        nu, space = DENSE_SYSTEMS["circle-chart"]
+        got = lambda_n(nu, space, 20, 130, 0, resolution=64)
+        _assert_same_estimate(got, _oracle_lambda(nu, space, 20, 130, 0, resolution=64))
+
+    @pytest.mark.parametrize("trials", [1, 2, 129])
+    def test_overflow_to_inf_equals_dense_oracle(self, trials):
+        # |slope| 1e200 overflows in two steps; inf - inf makes the diagonal nan
+        nu = DrivingMeasure(atoms=((Affine(-1e200, 0.5), 0.5), (Affine(1e200, 0.0), 0.5)))
+        assert not nu.order_preserving(SP)
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = lambda_n(nu, SP, 4, trials, 1, resolution=5, ceiling=10.0)
+            want = _oracle_lambda(nu, SP, 4, trials, 1, resolution=5, ceiling=10.0)
+        assert np.isnan(want.table).any() and np.isinf(want.table).any()
+        _assert_same_estimate(got, want)
+
+    @pytest.mark.parametrize("G", [1, 2, 5, 6])
+    def test_dense_circle_fold_matches_distance(self, G):
+        # each trial's half table, unfolded, is the G x G block of distance
+        x = np.array([0.0, 0.25, 0.5, 0.9, 1.0, 0.75])[:G]
+        n, c = 8, 7
+        S = E._dense_sums(CIRCLE_LIFTS, Circle(), x, n, c, SeededStream(2).generator())
+        expected, states = _oracle_sums(CIRCLE_LIFTS, Circle(), x, n, c, SeededStream(2).generator())
+        assert S.shape == (c, G // 2 + 1, G)
+        assert np.array_equal(np.stack([E._unfold(half) for half in S]), expected)
+        if G >= 5:
+            assert np.any(states < 0.0) and np.any(states > 1.0)
+            assert np.any(states % 1.0 == 1.0)
+            # starts 0.0 and 1.0 are the same circle point; dyadic lifts stay exact
+            assert np.all(expected[:, 0, 4] == 0.0)
 
 
 def _loop_outputs(nu, space):

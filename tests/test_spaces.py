@@ -12,6 +12,8 @@ from rdslab.spaces import (
     diameter,
     distance,
     grid,
+    pair_metric,
+    reduce_points,
     require_one_dimensional,
 )
 
@@ -178,3 +180,49 @@ class TestOneMetric:
         assert distance(Circle(), 1.1, 0.3) == 0.3 - 1.1 % 1.0
         d = abs(1.1 - 0.3) % 1.0
         assert min(d, 1.0 - d) == 0.19999999999999996
+
+
+# circle lifts whose % 1.0 is 1.0, signed zeros and non-finite values
+SPECIAL = (-1e-20, -1e-300, -0.0, 0.0, 1.0, -1.0, 0.5, 1.1, -3.25, np.inf, -np.inf, np.nan)
+_coordinate = st.sampled_from(SPECIAL) | st.floats(-4.0, 4.0)
+_SPLIT_SPACES = {"interval": Interval(0.0, 1.0), "circle": Circle(), "projective-2": Projective(2),
+                 "projective-3": Projective(3)}
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).tobytes()
+
+
+class TestSplitMetric:
+    """``distance`` is ``reduce_points`` of each side, then ``pair_metric``:
+    callers that reduce a block of points once get its bits."""
+
+    @pytest.mark.parametrize("name", sorted(_SPLIT_SPACES))
+    @given(data=st.data())
+    def test_distance_is_reduce_then_pair_metric(self, name, data):
+        space = _SPLIT_SPACES[name]
+        m = (space.m,) if isinstance(space, Projective) else ()
+        rows, cols = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+        x = np.array(data.draw(st.lists(_coordinate, min_size=rows * int(np.prod(m)),
+                                        max_size=rows * int(np.prod(m))))).reshape((rows, 1) + m)
+        y = np.array(data.draw(st.lists(_coordinate, min_size=cols * int(np.prod(m)),
+                                        max_size=cols * int(np.prod(m))))).reshape((1, cols) + m)
+        with np.errstate(invalid="ignore", over="ignore"):
+            fresh = distance(space, x, y)
+            split = pair_metric(space, reduce_points(space, x), reduce_points(space, y))
+            assert _bits(fresh) == _bits(split)
+            bufs = [np.full((rows, cols), 7.0) for _ in range(4)]
+            got = distance(space, x, y, out=bufs[0], scratch=bufs[1])
+            want = pair_metric(space, reduce_points(space, x), reduce_points(space, y),
+                               out=bufs[2], scratch=bufs[3])
+            assert _bits(got) == _bits(want) == _bits(fresh)
+
+    def test_a_point_is_reduced_once(self):
+        # -1e-20 % 1.0 rounds to 1.0; reduced again it would read 0.0
+        assert reduce_points(Circle(), -1e-20) == 1.0
+        assert reduce_points(Circle(), 1.0) == 0.0
+        assert distance(Circle(), -1e-20, 0.3) == 1.0 - (1.0 - 0.3)
+        assert distance(Circle(), 0.0, 0.3) == 0.3
+        x = np.array([0.25, -1e-20, 2.5])
+        assert np.array_equal(reduce_points(Interval(0.0, 1.0), x), x)
+        assert np.array_equal(reduce_points(Circle(), x), [0.25, 1.0, 0.5])
