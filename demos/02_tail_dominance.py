@@ -8,8 +8,13 @@ the closed-form two-sided bound; the upper confidence limit must stay
 below the bound.
 """
 
-from rdslab import ExperimentConfig, run_tail
+from rdslab import ExperimentConfig, build_system, gee_diameter_sup, run_tail
 from rdslab.harness import report_to_csv
+
+halving = build_system({"kind": "halving-ifs"})
+sup = gee_diameter_sup(halving.nu, halving.space, 256)
+print(f"sup-diameter on a 256-point grid = {sup} (stated: 1/2; a grid maximum is a lower"
+      " bound, so the bound reads the stated constant)")
 
 cfg = ExperimentConfig(
     system={"kind": "halving-ifs"},

@@ -1,9 +1,10 @@
 """Optimal transport distances and the correlation dimension.
 
 Exact one-dimensional Wasserstein distances (interval, circle, and
-against a Gaussian), the empirical approximation of a stationary law, and
-the log-log slope of the smoothed correlation sum for uniform points
-(whose correlation dimension is 1).
+against a Gaussian), the empirical approximation of a stationary law, the
+correlation coefficients p_j of coupled orbits started from it, and the
+log-log slope of the smoothed correlation sum for uniform points (whose
+correlation dimension is 1).
 """
 
 import numpy as np
@@ -11,6 +12,7 @@ import numpy as np
 from rdslab import (
     EmpiricalMeasure,
     Interval,
+    correlation_coefficient_pj,
     correlation_dimension,
     kantorovich_circle,
     kantorovich_gaussian,
@@ -42,6 +44,14 @@ halving = build_system({"kind": "halving-ifs"})
 approx = stationary_approx(halving.nu, halving.space, 1000, 20_000, 1, seed=0)
 print(f"  empirical mean = {approx.measure.mean():.4f} (Lebesgue: 0.5);"
       f" half-vs-half self-check = {approx.self_check_distance:.4f}")
+
+print("\n== correlation coefficients of the halving system ==")
+# p_j: the mean distance after j coupled steps of two starts drawn from the
+# stationary approximation; every step halves it
+for j in range(4):
+    p, err = correlation_coefficient_pj(halving.nu, halving.space, approx.measure, j,
+                                        trials=20_000, seed=j)
+    print(f"  p_{j} = {p:.4f} +- {err:.4f}  (closed form 2^-{j}/3 = {2.0**-j / 3:.4f})")
 
 print("\n== correlation dimension of uniform points ==")
 pts = np.random.default_rng(0).uniform(0, 1, 5000)

@@ -10,7 +10,6 @@ from .spaces import (
     Circle,
     Interval,
     Projective,
-    RegionSet,
     canonical_direction,
     circle_delta,
     diameter,
@@ -27,25 +26,18 @@ from .maps import (
     SingularDerivativeError,
     apply_map,
     derivative,
-    gee_diameter_c1,
     gee_diameter_sup,
     log_derivative,
-    sample_map,
 )
 from .chains import (
     EnumerationGuardError,
-    MatrixProduct,
     Trajectory,
-    WordTable,
-    compose_reversed,
     coupled_distance,
     draw_word,
     enumerate_expectation,
-    matrix_product,
     simulate,
     simulate_coupled,
     word_maps,
-    word_table,
 )
 from .observables import OBSERVABLES, Observable, get_observable
 from .measures import (
@@ -55,15 +47,12 @@ from .measures import (
     kantorovich_interval,
 )
 from .estimators import (
-    CorrelationSum,
     LambdaEstimate,
     Sigma2Estimate,
     StationaryApprox,
-    birkhoff_average,
     correlation_coefficient_pj,
     correlation_dimension,
     correlation_sum,
-    empirical_measure,
     lambda_n,
     lyapunov_1d,
     lyapunov_projective,
@@ -72,7 +61,6 @@ from .estimators import (
     phi0,
     sigma2_estimate,
     stationary_approx,
-    synchronization,
 )
 from .bounds import (
     BoundInputs,
@@ -81,7 +69,6 @@ from .bounds import (
     beta_n,
     circle_lyap_bound,
     corrdim_bound,
-    devroye_rhs,
     empirical_kappa_bound,
     interval_kappa_bound,
     lln_bound,

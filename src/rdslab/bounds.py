@@ -36,7 +36,6 @@ __all__ = [
     "circle_lyap_bound",
     "projective_lyap_bound",
     "matrix_norm_bound",
-    "devroye_rhs",
     "appendix_checks",
     "wilson_interval",
     "BOUNDS",
@@ -346,17 +345,6 @@ def resolve_inputs(selector: str, config: dict, analytic: dict):
 def evaluate(selector: str, n: int, t: float, inputs: dict) -> BoundResult:
     """The bound ``selector`` at deviation t after n steps, on resolved inputs."""
     return BOUNDS[selector].formula(n, t, **inputs)
-
-
-def devroye_rhs(gamma, lambda_nu: float, diam_M: float) -> float:
-    """Second-moment bound lambda * diam * sum gamma_k^2 for strictly
-    positive nonincreasing gamma."""
-    g = np.asarray([float(x) for x in gamma])
-    if len(g) == 0 or np.any(g <= 0):
-        raise ValueError("gamma must be strictly positive")
-    if np.any(np.diff(g) > 0):
-        raise ValueError("gamma must be nonincreasing")
-    return float(lambda_nu * diam_M * np.sum(g * g))
 
 
 def appendix_checks(seed: int = 0, random_cases: int = 1000) -> dict:

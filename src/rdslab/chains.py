@@ -1,44 +1,32 @@
-"""Trajectory simulation, coupled multi-start runs, matrix products, and an
-exact enumeration oracle over length-n words of a finite driving measure.
+"""Trajectory simulation, coupled multi-start runs, and an exact
+enumeration oracle over length-n words of a finite driving measure.
 
 Composition is on the left: step k applies the k-th drawn map to the
 current state, realizing f_n o ... o f_1.  One orbit is sequential, so only
 its stepping runs one map at a time (``DrivingMeasure.orbit``, on plain
 floats for scalar states); its log-derivatives, which need the points
-alone, are then taken in one call.  The reversed product
-f_1 o ... o f_n is available through :func:`compose_reversed` given a
-recorded word.
+alone, are then taken in one call.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .maps import (
-    DrivingMeasure,
-    apply_map,
-    cocycle_matrices,
-    log_derivative,
-    support_space,
-    word_maps,
-)
+from .maps import DrivingMeasure, apply_map, log_derivative, support_space, word_maps
 from .spaces import StateSpace, distance
 from .streams import as_generator
 
 __all__ = [
     "Trajectory",
-    "MatrixProduct",
-    "WordTable",
     "EnumerationGuardError",
     "simulate",
     "simulate_coupled",
-    "matrix_product",
-    "word_table",
     "enumerate_expectation",
+    "coupled_distance",
     "draw_word",
     "word_maps",
 ]
@@ -60,12 +48,6 @@ class Trajectory:
     @property
     def n(self) -> int:
         return len(self.points) - 1
-
-
-@dataclass
-class MatrixProduct:
-    matrix: np.ndarray
-    n: int
 
 
 def draw_word(nu: DrivingMeasure, stream, n: int) -> np.ndarray:
@@ -143,45 +125,20 @@ def _log_derivative_sums(nu: DrivingMeasure, word, points: np.ndarray) -> np.nda
     return np.cumsum(sums)[1:]
 
 
-def matrix_product(nu: DrivingMeasure, n: int, stream) -> MatrixProduct:
-    """Left product A_n ... A_1 of n matrix draws from a projective family."""
-    mats = cocycle_matrices(nu)
-    prod = np.eye(mats.shape[1])
-    for i in draw_word(nu, stream, n):
-        prod = mats[i] @ prod
-    return MatrixProduct(matrix=prod, n=n)
-
-
-@dataclass
-class WordTable:
-    words: list  # tuples of atom indices
-    probs: np.ndarray
-
-    def __len__(self):
-        return len(self.words)
-
-
-def word_table(nu: DrivingMeasure, n: int) -> WordTable:
-    if not nu.finite:
-        raise ValueError("word enumeration needs a finite driving measure")
-    k = len(nu.atoms)
-    if k**n > ENUMERATION_GUARD:
-        raise EnumerationGuardError(f"{k}^{n} words exceed the enumeration guard")
-    weights = nu._weights
-    words = list(itertools.product(range(k), repeat=n))
-    probs = np.array([math.prod(weights[i] for i in word) for word in words])
-    return WordTable(words=words, probs=probs)
-
-
 def enumerate_expectation(nu: DrivingMeasure, n: int, functional) -> float:
     """Exact expectation of a per-word functional over all length-n words.
 
     ``functional`` receives the word's map list (in application order
     f_1, ..., f_n).
     """
-    table = word_table(nu, n)
+    if not nu.finite:
+        raise ValueError("word enumeration needs a finite driving measure")
+    k = len(nu.atoms)
+    if k**n > ENUMERATION_GUARD:
+        raise EnumerationGuardError(f"{k}^{n} words exceed the enumeration guard")
     total = 0.0
-    for word, p in zip(table.words, table.probs):
+    for word in itertools.product(range(k), repeat=n):
+        p = math.prod(nu._weights[i] for i in word)
         total += p * float(functional([nu.atoms[i][0] for i in word]))
     return total
 
@@ -195,9 +152,3 @@ def coupled_distance(space: StateSpace, maps, x, y, k: int | None = None) -> flo
         y = apply_map(f, y)
     return float(distance(space, x, y))
 
-
-def compose_reversed(maps, x):
-    """Apply f_1 o ... o f_n, i.e. the last drawn map acts first."""
-    for f in reversed(maps):
-        x = apply_map(f, x)
-    return x

@@ -14,9 +14,10 @@ the vector: each chunk's labels are those it draws alone.  The cocycle kernel
 ``lyapunov_projective_trials`` draws trial-major (trial i's n labels follow
 trial i-1's).
 
-Every pair distance, in the dense pair sums, the correlation sums and the
-tracking distances, goes through :func:`rdslab.spaces.distance`, or through
-its two steps where the dense pair sums reduce each step's states once.
+Every pair distance, in the coupled pair profiles, the dense pair sums and
+the correlation sums, goes through :func:`rdslab.spaces.distance`, or
+through its two steps where the dense pair sums reduce each step's states
+once.
 """
 
 from __future__ import annotations
@@ -31,25 +32,21 @@ from .chains import Trajectory, draw_word, simulate_coupled, word_maps
 from .maps import DrivingMeasure, apply_map, cocycle_matrices, derivative
 from .measures import EmpiricalMeasure, kantorovich_circle, kantorovich_interval
 from .observables import Observable
-from .spaces import (Circle, RegionSet, StateSpace, circle_delta, distance, grid,
-                     pair_metric, reduce_points, require_one_dimensional)
+from .spaces import (Circle, StateSpace, circle_delta, distance, grid, pair_metric,
+                     reduce_points, require_one_dimensional)
 from .streams import SeededStream, as_generator
 
 __all__ = [
     "LambdaEstimate",
-    "CorrelationSum",
     "Sigma2Estimate",
     "StationaryApprox",
     "step_labels",
     "pair_distance_profile",
     "lambda_n",
-    "birkhoff_average",
-    "empirical_measure",
     "sigma2_estimate",
     "phi0",
     "correlation_sum",
     "correlation_dimension",
-    "synchronization",
     "lyapunov_1d",
     "lyapunov_projective",
     "lyapunov_projective_trials",
@@ -151,6 +148,17 @@ def _circulant(XX):
     return sliding_window_view(XX, G, axis=-1)[..., :G // 2 + 1, :]
 
 
+def _aligned(shape):
+    """An uninitialized float array whose data starts on a 64-byte cache
+    line.  The dense kernel streams its tables once per step; at the 16- to
+    48-byte offsets that malloc may give them, one call of the benchmark's
+    polynomial job took 10-20 % longer (2-core Xeon, numpy 2.4)."""
+    size = math.prod(shape)
+    raw = np.empty(size + 7)
+    at = (-raw.ctypes.data % 64) // 8
+    return raw[at:at + size].reshape(shape)
+
+
 def _dense_sums(nu, space, x, n, c, rng):
     """Orbit sums S[t, k, i] = sum_{m=0}^n d(X_m^i, X_m^{(i+k) % G}) of c
     coupled trials from the G starts x, in the layout of :func:`_circulant`:
@@ -160,14 +168,15 @@ def _dense_sums(nu, space, x, n, c, rng):
     (``reduce_points``) into a doubled row and takes the pair metric of its
     circulant view against the states, in two buffers allocated once; the
     diagonal row stays, so a non-finite orbit sums to what the full G x G
-    block gives."""
+    block gives.  The buffers start on cache lines (:func:`_aligned`)."""
     G = len(x)
     xx = np.tile(reduce_points(space, x), 2)
-    S = np.tile(pair_metric(space, _circulant(xx), xx[:G]), (c, 1, 1))
-    D = np.empty_like(S)
-    W = np.empty_like(S) if isinstance(space, Circle) else None
+    S = _aligned((c, G // 2 + 1, G))
+    S[:] = pair_metric(space, _circulant(xx), xx[:G])
+    D = _aligned(S.shape)
+    W = _aligned(S.shape) if isinstance(space, Circle) else None
     X = np.tile(x, (c, 1))
-    XX = np.empty((c, 2 * G))
+    XX = _aligned((c, 2 * G))
     rows = _circulant(XX)
     for labels in step_labels(nu, rng, n, c):
         X = nu.step(labels, X)
@@ -247,15 +256,13 @@ def lambda_n(
     trials: int,
     seed: int | SeededStream,
     resolution: int = 64,
-    region: RegionSet | None = None,
     ceiling: float | None = None,
 ) -> LambdaEstimate:
     """Maximum over grid pairs of the Monte Carlo mean of
     sum_{k=0}^n d(X_k^x, X_k^y).
 
-    With ``region`` set, pairs are confined to each piece and the outer
-    maximum runs over pieces.  The reported value is a grid lower bound of
-    the underlying supremum.
+    The reported value is a grid lower bound of the underlying supremum.
+    Trial chunk i draws from substream i of substream 0 of ``seed``.
 
     On an interval whose maps all preserve order (Moebius maps, affine maps
     with slope >= 0, the parametric Moebius family) coupled orbits never
@@ -272,47 +279,22 @@ def lambda_n(
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     stream = seed if isinstance(seed, SeededStream) else SeededStream(seed)
-    if region is not None:
-        grids = [g for g in region.grids]
-    else:
-        grids = [grid(space, resolution)]
-    if any(len(g) == 0 for g in grids) or not grids:
-        raise ValueError("empty grid")
-
-    best = None
-    for piece_idx, starts in enumerate(grids):
-        mean, stderr = _pair_sum_stats(nu, space, starts, n, trials, stream.substream(piece_idx))
-        flat = int(np.argmax(mean))
-        i, j = np.unravel_index(flat, mean.shape)
-        cand = (float(mean[i, j]), float(stderr[i, j]),
-                (float(starts[i]), float(starts[j])), mean, stderr)
-        if best is None or cand[0] > best[0]:
-            best = cand
-    value, err, pair, table, table_err = best
+    starts = grid(space, resolution)
+    mean, stderr = _pair_sum_stats(nu, space, starts, n, trials, stream.substream(0))
+    i, j = np.unravel_index(int(np.argmax(mean)), mean.shape)
+    value = float(mean[i, j])
     return LambdaEstimate(
         value=value,
-        stderr=err,
-        argmax_pair=pair,
-        table=table,
-        table_stderr=table_err,
+        stderr=float(stderr[i, j]),
+        argmax_pair=(float(starts[i]), float(starts[j])),
+        table=mean,
+        table_stderr=stderr,
         diverged=ceiling is not None and value > ceiling,
     )
 
 
 # ---------------------------------------------------------------------------
-# Birkhoff sums, empirical and log-averaged measures
-
-
-def birkhoff_average(traj: Trajectory, h: Observable) -> float:
-    """Time average of h over the first n orbit points."""
-    if traj.n < 1:
-        raise ValueError("trajectory must have at least one step")
-    return float(np.mean(h(traj.points[:-1])))
-
-
-def empirical_measure(traj: Trajectory) -> EmpiricalMeasure:
-    """Equal-weight atoms at the first n orbit points."""
-    return EmpiricalMeasure.from_samples(traj.space, traj.points[:-1])
+# log-averaged measures and the limit variance
 
 
 def _log_weights(n: int) -> np.ndarray:
@@ -379,15 +361,7 @@ def phi0(y):
     return np.clip(y + 0.5, 0.0, 1.0)[()]
 
 
-@dataclass
-class CorrelationSum:
-    n: int
-    epsilon: float
-    kernel: str
-    value: float
-
-
-def correlation_sum(space, points, epsilon: float, kernel="heaviside") -> CorrelationSum:
+def correlation_sum(space, points, epsilon: float, kernel="heaviside") -> float:
     """(1/n^2) sum over ordered pairs i != j of the kernel response.
 
     heaviside counts d <= epsilon (ties included); a callable kernel phi is
@@ -399,10 +373,8 @@ def correlation_sum(space, points, epsilon: float, kernel="heaviside") -> Correl
         raise ValueError("need at least two points")
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    name = "heaviside" if kernel == "heaviside" else getattr(kernel, "__name__", "smoothed")
     # a single block keeps the summation order of one sum over the pair matrix
-    K = _correlation_sums_chunked(space, points, [epsilon], kernel, chunk=n)
-    return CorrelationSum(n=n, epsilon=epsilon, kernel=name, value=float(K[0]))
+    return float(_correlation_sums_chunked(space, points, [epsilon], kernel, chunk=n)[0])
 
 
 class CorrelationDimensionError(RuntimeError):
@@ -465,22 +437,7 @@ def correlation_dimension(space, points, epsilon_ladder, kernel=phi0):
 
 
 # ---------------------------------------------------------------------------
-# synchronization and Lyapunov estimators
-
-
-def synchronization(nu: DrivingMeasure, space, x, B, n: int, stream) -> float:
-    """Best coupled time-averaged tracking distance between the orbit of x
-    and orbits started in the finite candidate set B."""
-    B = list(B)
-    if not B:
-        raise ValueError("candidate set B must be nonempty")
-    trajs = simulate_coupled(nu, [x] + B, n - 1, stream, space=space)
-    ref = trajs[0].points
-    best = np.inf
-    for t in trajs[1:]:
-        avg = float(np.mean(distance(space, ref, t.points)))
-        best = min(best, avg)
-    return best
+# Lyapunov estimators
 
 
 def lyapunov_1d(traj: Trajectory) -> float:

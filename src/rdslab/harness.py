@@ -110,7 +110,14 @@ class SystemSpec:
     analytic: dict = field(default_factory=dict)  # known constants by name
 
 
+# the keys each map kind reads; "chart" of a projective map is optional
+_MAP_KEYS = {"moebius": ("alpha",), "polynomial": ("alpha",), "affine": ("slope", "offset"),
+             "projective": ("matrix",)}
+
+
 def _map_from_dict(d: dict):
+    """The map of a map block that ``_atoms`` checked: every number read by
+    ``_real``, a projective matrix a square list of lists of them."""
     kind = d["kind"]
     if kind == "moebius":
         return MoebiusDecay(_real(d["alpha"], "system 'alpha'"))
@@ -118,9 +125,36 @@ def _map_from_dict(d: dict):
         return PolynomialDecay(_real(d["alpha"], "system 'alpha'"))
     if kind == "affine":
         return Affine(_real(d["slope"], "system 'slope'"), _real(d["offset"], "system 'offset'"))
-    if kind == "projective":
-        return ProjectiveAction(d["matrix"], chart=d.get("chart", "projective"))
-    raise ValueError(f"unknown map kind {kind!r}")
+    rows = d["matrix"]
+    if not (isinstance(rows, list) and rows
+            and all(isinstance(r, list) and len(r) == len(rows) for r in rows)):
+        raise ValueError(f"system 'matrix' must be a square list of lists, got {rows!r}")
+    return ProjectiveAction([[_real(v, "system 'matrix'") for v in r] for r in rows],
+                            chart=d.get("chart", "projective"))
+
+
+def _atoms(spec: dict) -> tuple:
+    """The (map, weight) pairs of an ``atoms`` system; a ValueError naming
+    'atoms' (and the atom's index) unless they are a nonempty list of
+    [map, weight] pairs, each map a dict of a known kind holding its keys."""
+    atoms = spec.get("atoms")
+    if not (isinstance(atoms, list) and atoms):
+        raise ValueError(f"system 'atoms' must be a nonempty list of [map, weight] pairs, "
+                         f"got {atoms!r}")
+    out = []
+    for i, atom in enumerate(atoms):
+        where = f"system 'atoms' entry {i}"
+        if not (isinstance(atom, list) and len(atom) == 2 and isinstance(atom[0], dict)):
+            raise ValueError(f"{where} must be a [map, weight] pair, got {atom!r}")
+        m, w = atom
+        kind = m.get("kind")
+        if not (isinstance(kind, str) and kind in _MAP_KEYS):
+            raise ValueError(f"{where} needs a map 'kind' of {', '.join(_MAP_KEYS)}, got {kind!r}")
+        missing = [k for k in _MAP_KEYS[kind] if k not in m]
+        if missing:
+            raise ValueError(f"{where}: map kind {kind!r} needs {missing[0]!r}")
+        out.append((_map_from_dict(m), _real(w, "system 'atoms' weight")))
+    return tuple(out)
 
 
 def build_system(spec: dict) -> SystemSpec:
@@ -156,8 +190,7 @@ def build_system(spec: dict) -> SystemSpec:
         nu = DrivingMeasure(atoms=((Affine(1.0, 0.0), 1.0),))
         return SystemSpec(nu, Interval(0.0, 1.0))
     if kind == "atoms":
-        nu = DrivingMeasure(atoms=tuple((_map_from_dict(m), _real(w, "system 'atoms' weight"))
-                                        for m, w in spec["atoms"]))
+        nu = DrivingMeasure(atoms=_atoms(spec))
         if spec.get("space") is None:
             return SystemSpec(nu, support_space(nu))
         space = _space_from_dict(spec["space"])
@@ -336,7 +369,7 @@ def _kappa(cfg, sys_spec, ctx, gens, counts):
 
 def _corr_sum(cfg, sys_spec, ctx, gens, counts):
     eps = float(cfg.params["epsilon"])
-    return np.array([correlation_sum(sys_spec.space, o, eps, phi0).value
+    return np.array([correlation_sum(sys_spec.space, o, eps, phi0)
                      for o in _orbits(cfg, sys_spec, ctx, gens, counts)])
 
 

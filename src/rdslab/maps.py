@@ -34,9 +34,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .spaces import (Circle, Interval, Projective, StateSpace, canonical_direction, distance, grid,
-                     require_one_dimensional)
-from .streams import as_generator
+from .spaces import Circle, Interval, Projective, StateSpace, canonical_direction, distance, grid
 
 __all__ = [
     "MoebiusDecay",
@@ -47,13 +45,11 @@ __all__ = [
     "DrivingMeasure",
     "SingularDerivativeError",
     "cocycle_matrices",
-    "sample_map",
     "word_maps",
     "apply_map",
     "derivative",
     "log_derivative",
     "gee_diameter_sup",
-    "gee_diameter_c1",
 ]
 
 _DERIVATIVE_FLOOR = 1e-300
@@ -412,14 +408,6 @@ def word_maps(nu: DrivingMeasure, word) -> list[MapDescriptor]:
     return [nu.make_map(float(p)) for p in word]
 
 
-def sample_map(nu: DrivingMeasure, stream_or_rng) -> MapDescriptor:
-    """One map draw, consuming the stream."""
-    rng = as_generator(stream_or_rng)
-    if nu.finite:
-        return nu.atoms[int(nu.sample_indices(rng, 1)[0])][0]
-    return nu.make_map(float(nu.sample_params(rng, 1)[0]))
-
-
 def gee_diameter_sup(
     nu: DrivingMeasure, space: StateSpace, resolution: int, param_grid=None
 ) -> float:
@@ -433,21 +421,6 @@ def gee_diameter_sup(
         images = np.array([apply_map(f, pts) for f in maps])
     i, j = np.triu_indices(len(maps), 1)
     return float(np.max(distance(space, images[i], images[j]), initial=0.0))
-
-
-def gee_diameter_c1(
-    nu: DrivingMeasure, space: StateSpace, resolution: int, param_grid=None
-) -> float:
-    """Grid lower bound for the C1-type diameter:
-    max over pairs of max over x of d(f(x), g(x)) + |f'(x) - g'(x)|."""
-    require_one_dimensional(space, "gee_diameter_c1")
-    maps = nu.support_maps(param_grid)
-    pts = grid(space, resolution)
-    images = np.array([apply_map(f, pts) for f in maps])
-    derivs = np.array([np.broadcast_to(derivative(f, pts), pts.shape) for f in maps])
-    i, j = np.triu_indices(len(maps), 1)
-    vals = distance(space, images[i], images[j]) + np.abs(derivs[i] - derivs[j])
-    return float(np.max(vals, initial=0.0))
 
 
 def space_of(f: MapDescriptor) -> StateSpace:

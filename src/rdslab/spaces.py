@@ -11,7 +11,7 @@ deterministic grids.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,7 +20,6 @@ __all__ = [
     "Circle",
     "Projective",
     "StateSpace",
-    "RegionSet",
     "canonical_direction",
     "distance",
     "reduce_points",
@@ -30,9 +29,6 @@ __all__ = [
     "circle_delta",
     "require_one_dimensional",
 ]
-
-DEFAULT_GRID_RESOLUTION = 256
-
 
 @dataclass(frozen=True)
 class Interval:
@@ -179,31 +175,3 @@ def grid(space: StateSpace, resolution: int):
         return np.array([canonical_direction(p) for p in pts])
     raise TypeError(f"not a state space: {space!r}")
 
-
-@dataclass(frozen=True)
-class RegionSet:
-    """Disjoint closed pieces of an interval or circle, each carrying a
-    finite grid of representative points used to approximate suprema."""
-
-    space: StateSpace
-    pieces: tuple  # of (lo, hi) pairs
-    resolution: int = DEFAULT_GRID_RESOLUTION
-    grids: tuple = field(init=False)
-
-    def __post_init__(self):
-        if isinstance(self.space, Projective):
-            raise ValueError("region sets are defined for interval and circle spaces")
-        pieces = tuple((float(lo), float(hi)) for lo, hi in self.pieces)
-        for lo, hi in pieces:
-            if not lo < hi:
-                raise ValueError(f"degenerate piece ({lo}, {hi})")
-        for (lo1, hi1) in pieces:
-            for (lo2, hi2) in pieces:
-                if (lo1, hi1) != (lo2, hi2) and lo1 < hi2 and lo2 < hi1:
-                    raise ValueError("region pieces must be pairwise disjoint")
-        object.__setattr__(self, "pieces", pieces)
-        object.__setattr__(
-            self,
-            "grids",
-            tuple(np.linspace(lo, hi, self.resolution) for lo, hi in pieces),
-        )

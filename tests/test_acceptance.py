@@ -109,9 +109,9 @@ def test_05_kernel_sandwich():
         for _ in range(1000):
             pts = rng.uniform(0.0, 1.0, int(rng.integers(2, 201)))
             for eps in (0.02, 0.05, 0.1, 0.2):
-                lo = correlation_sum(SP, pts, eps / 2.0).value
-                mid = correlation_sum(SP, pts, eps, kernel=phi0).value
-                hi = correlation_sum(SP, pts, 2.0 * eps).value
+                lo = correlation_sum(SP, pts, eps / 2.0)
+                mid = correlation_sum(SP, pts, eps, kernel=phi0)
+                hi = correlation_sum(SP, pts, 2.0 * eps)
                 assert lo <= mid + 1e-12
                 assert mid <= hi + 1e-12
 

@@ -9,7 +9,6 @@ from rdslab.bounds import (
     beta_n,
     circle_lyap_bound,
     corrdim_bound,
-    devroye_rhs,
     empirical_kappa_bound,
     interval_kappa_bound,
     lln_bound,
@@ -259,22 +258,6 @@ class TestSelectorTable:
             resolve_inputs("circle-lyap", {"lambda_nu": 1.0, "m_nu": 0.5, "M_nu": 1.0}, {})
         with pytest.raises(ValueError, match="unknown bound selector"):
             resolve_inputs("lnn", {}, {})
-
-
-class TestDevroye:
-    def test_uniform_gamma(self):
-        n = 10
-        assert devroye_rhs([1.0 / n] * n, 2.0, 1.0) == pytest.approx(2.0 / n)
-
-    def test_checkpoint(self):
-        assert devroye_rhs([0.5, 0.25], 2.0, 1.0) == pytest.approx(5.0 / 8.0)
-
-    def test_single(self):
-        assert devroye_rhs([1.0], 3.0, 2.0) == pytest.approx(6.0)
-
-    def test_increasing_rejected(self):
-        with pytest.raises(ValueError):
-            devroye_rhs([0.25, 0.5], 1.0, 1.0)
 
 
 class TestAppendix:

@@ -4,15 +4,12 @@ import pytest
 from rdslab.chains import (
     ENUMERATION_GUARD,
     EnumerationGuardError,
-    compose_reversed,
     coupled_distance,
     draw_word,
     enumerate_expectation,
-    matrix_product,
     simulate,
     simulate_coupled,
     word_maps,
-    word_table,
 )
 from rdslab.maps import (
     Affine,
@@ -221,13 +218,14 @@ class TestEnumeration:
     def test_guard(self):
         big = DrivingMeasure(atoms=tuple((MoebiusDecay(1.0 + i), 0.1) for i in range(10)))
         with pytest.raises(EnumerationGuardError):
-            word_table(big, 8)  # 10^8 > guard
+            enumerate_expectation(big, 8, lambda maps: 1.0)  # 10^8 > guard
         assert 10**7 <= ENUMERATION_GUARD
 
     def test_probabilities_sum_to_one(self):
-        table = word_table(TWO_ATOM, 5)
-        assert len(table) == 32
-        assert table.probs.sum() == pytest.approx(1.0)
+        words = []
+        total = enumerate_expectation(TWO_ATOM, 5, lambda maps: words.append(maps) or 1.0)
+        assert len(words) == 32
+        assert total == pytest.approx(1.0)
 
     def test_exact_u1_checkpoint(self):
         # one step from the extremal pair (0, 1): mean gap 5/12
@@ -245,36 +243,4 @@ class TestEnumeration:
     def test_parametric_rejected(self):
         nu = DrivingMeasure(family="moebius", sampler=("uniform", 1.0, 2.0))
         with pytest.raises(ValueError):
-            word_table(nu, 2)
-
-
-class TestMatrixProduct:
-    def test_deterministic_diagonal(self):
-        A = ProjectiveAction([[2.0, 0.0], [0.0, 0.5]])
-        nu = DrivingMeasure(atoms=((A, 1.0),))
-        prod = matrix_product(nu, 5, SeededStream(0))
-        np.testing.assert_allclose(prod.matrix, np.diag([32.0, 1.0 / 32.0]))
-
-    def test_left_order(self):
-        A = ProjectiveAction([[1.0, 1.0], [0.0, 1.0]])
-        B = ProjectiveAction([[1.0, 0.0], [1.0, 1.0]])
-        nu = DrivingMeasure(atoms=((A, 0.5), (B, 0.5)))
-        stream = SeededStream(2)
-        prod = matrix_product(nu, 4, stream)
-        word = draw_word(nu, SeededStream(2), 4)
-        expect = np.eye(2)
-        for i in word:
-            expect = nu.atoms[int(i)][0].matrix @ expect
-        np.testing.assert_allclose(prod.matrix, expect)
-
-
-def test_compose_reversed_vs_forward():
-    word = draw_word(TWO_ATOM, SeededStream(4), 5)
-    maps = word_maps(TWO_ATOM, word)
-    x = 0.37
-    fwd = x
-    for f in maps:
-        fwd = apply_map(f, fwd)
-    rev = compose_reversed(maps, x)
-    # Moebius parameters add, so both orders agree for this family
-    assert rev == pytest.approx(fwd, abs=1e-12)
+            enumerate_expectation(nu, 2, lambda maps: 1.0)

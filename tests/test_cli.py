@@ -280,6 +280,12 @@ TAIL_JSON = """{
 """
 
 
+TWO_SLOPES_LAMBDA = ("n,lambda_hat,stderr,analytic_cap,diverged\n"
+                     "0,1,0,nan,false\n"
+                     "3,1.585703125,0.014010745692968913,nan,false\n"
+                     "40,1.5892647748849791,0.015345974309218989,nan,false\n")
+
+
 class TestPinnedOutput:
     """Full CSV text, byte for byte, of runs whose bytes must not move."""
 
@@ -293,6 +299,30 @@ class TestPinnedOutput:
             "0.20000000000000001,0,0,0.0009217947494830625,1.94737149870629,0.02,pass-vacuous\n"
             "0.29999999999999999,0,0,0.0009217947494830625,1.8835290671684974,0.02,pass-vacuous\n"
         )
+
+    # rung i of ``rdslab lambda`` draws trial chunk c from substream c of
+    # substream 0 of substream i of the seed.  These systems step by dyadic
+    # slopes and offsets, so the bytes do not follow the CPU's numpy kernels.
+    # The halving CSV is the same at every seed (every step halves every
+    # gap); the two-slope CSVs follow the stream, through the dense kernel
+    # (a negative slope) and the order-preserving one.
+    @pytest.mark.parametrize("affine, text", [
+        pytest.param(None, "n,lambda_hat,stderr,analytic_cap,diverged\n"
+                           "10,1.9990234375,0,2,false\n"
+                           "100,2,0,2,false\n", id="halving-ifs"),
+        pytest.param(((0.5, 0.0), (-0.25, 0.75)), TWO_SLOPES_LAMBDA, id="two-slopes-dense"),
+        pytest.param(((0.5, 0.0), (0.25, 0.5)), TWO_SLOPES_LAMBDA, id="two-slopes-ordered"),
+    ])
+    def test_lambda_seed_0(self, tmp_path, affine, text):
+        out = tmp_path / "l.csv"
+        argv = ["lambda", "--seed", "0", "--out", str(out)]
+        if affine is not None:
+            atoms = [[{"kind": "affine", "slope": a, "offset": b}, 0.5] for a, b in affine]
+            doc = {"system": {"kind": "atoms", "atoms": atoms}, "trials": 200,
+                   "params": {"n_ladder": [0, 3, 40], "grid": 5}}
+            argv += ["--config", write_cfg(tmp_path, doc)]
+        assert main(argv) == 0
+        assert out.read_text() == text
 
     @pytest.mark.parametrize("system, cells", [
         # parametric family: per-trial parameters through the family formula
@@ -807,6 +837,25 @@ class TestConfigNumbers:
                           space={"kind": "interval", "a": "x"}), "'a'", id="space-a-string"),
         pytest.param(dict(_atom({"kind": "moebius", "alpha": 1.0}),
                           space={"kind": "interval", "b": True}), "'b'", id="space-b-bool"),
+        # projective matrix entries, where bools and numeric strings ran
+        pytest.param(_atom({"kind": "projective", "matrix": [[True, 1], [0, True]],
+                            "chart": "circle"}), "'matrix'", id="matrix-bool"),
+        pytest.param(_atom({"kind": "projective", "matrix": [["2", 1], [1, 1]]}), "'matrix'",
+                     id="matrix-string"),
+        pytest.param(_atom({"kind": "projective", "matrix": [[2, 1], [1]]}), "'matrix'",
+                     id="matrix-ragged"),
+        pytest.param(_atom({"kind": "projective", "matrix": 1}), "'matrix'", id="matrix-scalar"),
+        # the atoms list, where [map] exited naming no key, 5 ended in a
+        # TypeError traceback and a missing key printed only its name
+        pytest.param({"kind": "atoms", "atoms": [[{"kind": "moebius", "alpha": 1.0}]]},
+                     "'atoms' entry 0 must be a [map, weight] pair", id="atom-without-weight"),
+        pytest.param({"kind": "atoms", "atoms": 5}, "'atoms'", id="atoms-number"),
+        pytest.param({"kind": "atoms", "atoms": []}, "'atoms'", id="atoms-empty"),
+        pytest.param({"kind": "atoms", "atoms": [[{"kind": "moebius", "alpha": 1.0}, 0.5],
+                                                 [{"kind": "affine", "slope": 0.5}, 0.5]]},
+                     "'atoms' entry 1: map kind 'affine' needs 'offset'", id="affine-no-offset"),
+        pytest.param(_atom({"kind": "mobius", "alpha": 1.0}), "'atoms' entry 0 needs a map 'kind'",
+                     id="unknown-map-kind"),
         pytest.param({"kind": "moebius-uniform", "lo": True}, "'lo'", id="lo-bool"),
         pytest.param({"kind": "moebius-uniform", "hi": float("inf")}, "'hi'", id="hi-inf"),
         pytest.param({"kind": "moebius-two-atom", "alpha1": None}, "'alpha1'", id="alpha1-null"),

@@ -7,8 +7,8 @@ import pytest
 
 from rdslab import estimators as E
 from rdslab import harness as H
-from rdslab.chains import draw_word, word_maps
-from rdslab.estimators import correlation_sum, lyapunov_projective, phi0, synchronization
+from rdslab.chains import draw_word, simulate_coupled, word_maps
+from rdslab.estimators import correlation_sum, lyapunov_projective, phi0
 from rdslab.harness import (
     ExperimentConfig,
     build_system,
@@ -30,7 +30,7 @@ from rdslab.maps import (
     log_derivative,
 )
 from rdslab.measures import EmpiricalMeasure, kantorovich_circle, kantorovich_interval
-from rdslab.spaces import Circle, distance
+from rdslab.spaces import Circle, Interval, distance
 from rdslab.streams import SeededStream
 
 
@@ -458,6 +458,43 @@ class TestChunkEngines:
         assert np.array_equal(got, expect)
 
 
+def synchronization(nu, space, x, B, n, stream) -> float:
+    """Best coupled time-averaged tracking distance between the orbit of x
+    and orbits started in the finite candidate set B, from one coupled
+    ``simulate_coupled`` run: the oracle of the ``sync`` engine."""
+    B = list(B)
+    if not B:
+        raise ValueError("candidate set B must be nonempty")
+    trajs = simulate_coupled(nu, [x] + B, n - 1, stream, space=space)
+    ref = trajs[0].points
+    return min(float(np.mean(distance(space, ref, t.points))) for t in trajs[1:])
+
+
+class TestSynchronization:
+    HALVING = DrivingMeasure(atoms=((Affine(0.5, 0.0), 0.5), (Affine(0.5, 0.5), 0.5)))
+    SP = Interval(0.0, 1.0)
+
+    def test_x_in_B_zero(self):
+        val = synchronization(self.HALVING, self.SP, 0.3, [0.8, 0.3], 20, SeededStream(0))
+        assert val == pytest.approx(0.0, abs=1e-15)
+
+    def test_identity_single_candidate(self):
+        identity = DrivingMeasure(atoms=((Affine(1.0, 0.0), 1.0),))
+        val = synchronization(identity, self.SP, 0.2, [0.9], 10, SeededStream(0))
+        assert val == pytest.approx(0.7)
+
+    def test_halving_geometric_decay(self):
+        x, y, n = 0.0, 1.0, 50
+        val = synchronization(self.HALVING, self.SP, x, [y], n, SeededStream(1))
+        expect = sum(0.5**i for i in range(n)) / n
+        assert val == pytest.approx(expect, abs=1e-12)
+        assert val <= 2.0 * abs(x - y) / n
+
+    def test_empty_B(self):
+        with pytest.raises(ValueError):
+            synchronization(self.HALVING, self.SP, 0.5, [], 10, SeededStream(0))
+
+
 SYNC_SYSTEMS = {
     "halving": {"kind": "halving-ifs"},
     "moebius-two-atom": {"kind": "moebius-two-atom"},
@@ -495,7 +532,7 @@ def per_chunk_run(cfg, sys_spec, ctx, stream):
         values = per_step_values(cfg, sys_spec, ctx, stream.substream(i).generator(), count)
         if cfg.observable == "corr-sum":
             eps = float(cfg.params["epsilon"])
-            values = [correlation_sum(space, o, eps, phi0).value for o in values]
+            values = [correlation_sum(space, o, eps, phi0) for o in values]
         elif cfg.observable.startswith("kappa"):
             kant = kantorovich_circle if isinstance(space, Circle) else kantorovich_interval
             w = np.full(cfg.n, 1.0 / cfg.n)

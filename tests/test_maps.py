@@ -13,10 +13,8 @@ from rdslab.maps import (
     SingularDerivativeError,
     apply_map,
     derivative,
-    gee_diameter_c1,
     gee_diameter_sup,
     log_derivative,
-    sample_map,
     space_of,
     support_space,
 )
@@ -134,11 +132,6 @@ class TestDrivingMeasure:
         with pytest.raises(ValueError):
             DrivingMeasure(family="moebius", sampler=("uniform", 0.5, 2.0))
 
-    def test_sample_map_finite(self):
-        nu = DrivingMeasure(atoms=((MoebiusDecay(1.0), 0.5), (MoebiusDecay(2.0), 0.5)))
-        f = sample_map(nu, SeededStream(0))
-        assert isinstance(f, MoebiusDecay)
-
     def test_sample_params_in_range(self):
         nu = DrivingMeasure(family="moebius", sampler=("uniform", 1.0, 2.0))
         p = nu.sample_params(SeededStream(0).generator(), 100)
@@ -229,11 +222,6 @@ class TestGeeDiameter:
         assert d == pytest.approx(exact, abs=1e-4)
         assert d < 0.5
 
-    def test_c1_diameter_at_least_sup(self):
-        nu = DrivingMeasure(atoms=((MoebiusDecay(1.0), 0.5), (MoebiusDecay(2.0), 0.5)))
-        sp = Interval(0.0, 1.0)
-        assert gee_diameter_c1(nu, sp, 101) >= gee_diameter_sup(nu, sp, 101)
-
     def test_single_map_zero(self):
         nu = DrivingMeasure(atoms=((MoebiusDecay(1.0), 1.0),))
         assert gee_diameter_sup(nu, Interval(0.0, 1.0), 64) == 0.0
@@ -250,44 +238,6 @@ class TestGeeDiameter:
                 for u, v in zip(images[i], images[j]):
                     best = max(best, float(distance(space, u, v)))
         return best
-
-    @staticmethod
-    def _pair_loop_c1(nu, space, resolution, param_grid=None):
-        """The former C1 diameter: a Python loop over map pairs, each pair's
-        maximum folded into a running float."""
-        maps = nu.support_maps(param_grid)
-        pts = grid(space, resolution)
-        images = [apply_map(f, pts) for f in maps]
-        derivs = [np.broadcast_to(derivative(f, pts), pts.shape) for f in maps]
-        best = 0.0
-        for i in range(len(maps)):
-            for j in range(i + 1, len(maps)):
-                vals = distance(space, images[i], images[j]) + np.abs(derivs[i] - derivs[j])
-                best = max(best, float(np.max(vals)))
-        return best
-
-    @pytest.mark.parametrize("nu, space, resolution, param_grid", [
-        (DrivingMeasure(atoms=((MoebiusDecay(1.0), 0.5), (MoebiusDecay(2.0), 0.5))),
-         Interval(0.0, 1.0), 101, None),
-        (DrivingMeasure(atoms=((MoebiusDecay(1.0), 0.3), (PolynomialDecay(1.37), 0.3),
-                               (Affine(-0.3, 0.9), 0.2), (Affine(0.5, 0.0), 0.2))),
-         Interval(0.0, 1.0), 257, None),
-        (DrivingMeasure(atoms=((MoebiusDecay(1.5), 1.0),)), Interval(0.0, 1.0), 64, None),
-        (DrivingMeasure(atoms=(CIRCLE_PAIR[0], (ProjectiveAction([[0.6, -0.8], [0.8, 0.6]],
-                                                                 chart="circle"), 0.25),
-                               (CIRCLE_PAIR[1][0], 0.25))), Circle(), 256, None),
-        (DrivingMeasure(family="polynomial", sampler=("uniform", 1.25, 1.5)),
-         Interval(0.0, 1.0), 128, np.linspace(1.25, 1.5, 7)),
-    ], ids=["two-moebius", "mixed-families", "one-map", "circle-charts", "parametric-grid"])
-    def test_c1_equals_pair_loop(self, nu, space, resolution, param_grid):
-        d = gee_diameter_c1(nu, space, resolution, param_grid)
-        assert d == self._pair_loop_c1(nu, space, resolution, param_grid)
-
-    def test_c1_needs_a_one_dimensional_space(self):
-        nu = DrivingMeasure(atoms=((ProjectiveAction([[2.0, 1.0], [1.0, 1.0]]), 1.0),))
-        with pytest.raises(ValueError, match=r"gee_diameter_c1 needs a one-dimensional system, "
-                                             r"not a projective action on Projective\(m=2\)"):
-            gee_diameter_c1(nu, Projective(2), 16)
 
     @pytest.mark.parametrize("matrices, resolution", [
         (([[2.0, 1.0], [1.0, 1.0]], [[0.6, -0.8], [0.8, 0.6]]), 257),

@@ -1,0 +1,30 @@
+"""The public names of rdslab: every ``__all__`` entry of a module exists,
+and every name that the package root imports is in the ``__all__`` of the
+module it comes from."""
+
+import ast
+import importlib
+import pkgutil
+
+import pytest
+
+import rdslab
+
+MODULES = sorted(m.name for m in pkgutil.iter_modules(rdslab.__path__))
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_all_entries_exist(module):
+    mod = importlib.import_module(f"rdslab.{module}")
+    assert [name for name in mod.__all__ if not hasattr(mod, name)] == []
+
+
+def test_root_imports_are_public():
+    with open(rdslab.__file__) as fh:
+        tree = ast.parse(fh.read())
+    imports = [(node.module, alias.name) for node in tree.body
+               if isinstance(node, ast.ImportFrom) for alias in node.names]
+    assert {module for module, _ in imports} <= set(MODULES)
+    private = [f"{module}.{name}" for module, name in imports
+               if name not in importlib.import_module(f"rdslab.{module}").__all__]
+    assert private == []

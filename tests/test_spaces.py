@@ -6,7 +6,6 @@ from rdslab.spaces import (
     Circle,
     Interval,
     Projective,
-    RegionSet,
     canonical_direction,
     circle_delta,
     diameter,
@@ -90,17 +89,6 @@ def test_require_one_dimensional():
         require_one_dimensional(Projective(2), "observable 'birkhoff'")
     assert str(err.value) == ("observable 'birkhoff' needs a one-dimensional system, "
                               "not a projective action on Projective(m=2)")
-
-
-class TestRegionSet:
-    def test_disjointness_enforced(self):
-        with pytest.raises(ValueError):
-            RegionSet(Interval(0.0, 1.0), pieces=((0.0, 0.6), (0.5, 1.0)))
-
-    def test_grids_within_pieces(self):
-        rs = RegionSet(Interval(0.0, 1.0), pieces=((0.0, 0.4), (0.6, 1.0)), resolution=8)
-        for (lo, hi), g in zip(rs.pieces, rs.grids):
-            assert np.all(g >= lo) and np.all(g <= hi)
 
 
 def _directions(rng, shape, m):
