@@ -16,6 +16,7 @@ import sys
 from .bounds import appendix_checks, wilson_interval
 from .harness import (
     ExperimentConfig,
+    _object,
     report_to_csv,
     report_to_json,
     rows_to_csv,
@@ -44,6 +45,7 @@ def _load_config(args) -> ExperimentConfig:
             raise ConfigError(f"cannot read config {args.config}: {e}") from e
     else:
         doc = {"system": {"kind": "halving-ifs"}}
+    _object(doc, "config")
     if args.seed is not None:
         doc["seed"] = args.seed
     try:

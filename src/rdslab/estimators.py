@@ -17,7 +17,7 @@ trial i-1's).
 Every pair distance, in the coupled pair profiles, the dense pair sums and
 the correlation sums, goes through :func:`rdslab.spaces.distance`, or
 through its two steps where the dense pair sums reduce each step's states
-once.
+once and the correlation sums their points once.
 """
 
 from __future__ import annotations
@@ -381,36 +381,75 @@ class CorrelationDimensionError(RuntimeError):
     pass
 
 
+# nodes of numpy's pairwise-sum tree at most this long are evaluated whole:
+# their distances (512 KB) are still in cache when every rung reads them
+_NODE = 1 << 16
+
+
+def _tree_sum(lo, size, leaf):
+    """``leaf(lo, size)`` of each node of at most ``_NODE`` elements of
+    numpy's pairwise-sum tree on ``size`` elements from ``lo``, added in
+    the tree's order.
+
+    For a contiguous float64 array of length L > 128, ``np.sum`` adds the
+    sums of its first h = L//2 - (L//2 mod 8) elements and of the rest,
+    each by the same rule (``test_np_sum_is_the_pairwise_tree`` pins it).
+    So when ``leaf`` returns ``np.sum`` of its node, the result is ``np.sum``
+    of the whole run, bit for bit."""
+    if size <= _NODE:
+        return leaf(lo, size)
+    half = size // 2
+    half -= half % 8
+    return _tree_sum(lo, half, leaf) + _tree_sum(lo + half, size - half, leaf)
+
+
 def _correlation_sums_chunked(space, points, epsilons, kernel, chunk=512):
     """K values for several epsilons without materializing the full pair
-    matrix; diagonal (i = j) contributions are removed."""
+    matrix; diagonal (i = j) contributions are removed.
+
+    The pair matrix is summed in blocks of ``chunk`` rows, each block's sum
+    ``np.sum`` of its C-ordered kernel values, evaluated node by node along
+    numpy's pairwise-sum tree (:func:`_tree_sum`): each node gets the
+    distance rows that cover it, and every rung reads them while they are
+    in cache.  A callable kernel must act element by element, since it
+    sees one node at a time."""
     points = np.asarray(points, dtype=float)
     n = len(points)
-    sums = np.zeros(len(epsilons))
-    # the distance block D and one scratch block T (1 - D/eps when several
-    # rungs share D) are allocated once: per-orbit calls that freed more
-    # temporaries ran 3x slower on fresh pages
-    D_buf = np.empty((min(chunk, n), n))
+    P = reduce_points(space, points)
+    # the distance rows of one node and a scratch (1 - D/eps when several
+    # rungs share D), allocated once per call
+    rows = min(chunk, n, _NODE // max(n, 1) + 2)
+    D_buf = np.empty(rows * n)
     T_buf = np.empty_like(D_buf)
-    for lo in range(0, n, chunk):
-        block = points[lo : lo + chunk]
-        D, T = D_buf[: len(block)], T_buf[: len(block)]
-        distance(space, block[:, None], points[None, :], out=D, scratch=T)
-        Y = D if len(epsilons) == 1 else T
+
+    def node(lo, size):
+        # lo counts elements of the full n x n pair matrix in C order
+        r0, r1 = lo // n, -(-(lo + size) // n)
+        at = lo - r0 * n
+        k = (r1 - r0) * n
+        pair_metric(space, P[r0:r1, None], P[None, :],
+                    out=D_buf[:k].reshape(-1, n), scratch=T_buf[:k].reshape(-1, n))
+        D = D_buf[at : at + size]
+        if kernel == "heaviside":
+            return np.array([np.count_nonzero(D <= eps) for eps in epsilons])
+        Y = D if len(epsilons) == 1 else T_buf[at : at + size]
+        out = np.empty(len(epsilons))
         for e_idx, eps in enumerate(epsilons):
-            if kernel == "heaviside":
-                sums[e_idx] += np.count_nonzero(D <= eps)
+            np.divide(D, eps, out=Y)
+            if kernel is phi0:
+                # phi0(1 - Q) bit for bit: 1 - Q is exact on [0.5, 2], and
+                # both forms clip to the same end outside it
+                np.subtract(1.5, Y, out=Y)
+                np.clip(Y, 0.0, 1.0, out=Y)
+                out[e_idx] = np.sum(Y)
             else:
-                np.divide(D, eps, out=Y)
-                if kernel is phi0:
-                    # phi0(1 - Q) bit for bit: 1 - Q is exact on [0.5, 2], and
-                    # both forms clip to the same end outside it
-                    np.subtract(1.5, Y, out=Y)
-                    np.clip(Y, 0.0, 1.0, out=Y)
-                    sums[e_idx] += float(np.sum(Y))
-                else:
-                    np.subtract(1.0, Y, out=Y)
-                    sums[e_idx] += float(np.sum(kernel(Y)))
+                np.subtract(1.0, Y, out=Y)
+                out[e_idx] = np.sum(kernel(Y))
+        return out
+
+    sums = np.zeros(len(epsilons))
+    for lo in range(0, n, chunk):
+        sums += _tree_sum(lo * n, min(chunk, n - lo) * n, node)
     diag = float(n) if kernel == "heaviside" else float(n) * float(kernel(1.0))
     return (sums - diag) / n**2
 

@@ -203,7 +203,7 @@ def build_system(spec: dict) -> SystemSpec:
 
 
 def _space_from_dict(d):
-    kind = d["kind"]
+    kind = _object(d, "system 'space'")["kind"]
     if kind == "interval":
         return Interval(_real(d.get("a", 0.0), "space 'a'"), _real(d.get("b", 1.0), "space 'b'"))
     if kind == "circle":
@@ -231,6 +231,8 @@ class ExperimentConfig:
     threads: int = 1  # accepted and ignored: chunks run in order in one thread
 
     def __post_init__(self):
+        for key in ("system", "params", "inputs"):
+            _object(getattr(self, key), f"config {key!r}")
         self.n = _count(vars(self), "n", None, 1, where="config")
         self.trials = _count(vars(self), "trials", None, 1, where="config")
         self.seed = _count(vars(self), "seed", None, 0, where="config")
@@ -402,6 +404,15 @@ def _count(mapping: dict, key: str, default: int, minimum: int, where: str = "pa
     if not _integral(value, minimum):
         raise ValueError(f"{where} {key!r} must be an integer >= {minimum}, got {value!r}")
     return int(value)
+
+
+def _object(value, name: str) -> dict:
+    """``value``; a ValueError naming ``name`` unless it is an object (a
+    JSON object, read as a dict): the rule of the whole config and of its
+    ``system``, ``space``, ``params`` and ``inputs`` blocks."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{name} must be an object, got {value!r}")
+    return value
 
 
 def _real(value, name: str) -> float:

@@ -13,12 +13,13 @@ def write_cfg(tmp_path, doc, name="cfg.json"):
     return str(p)
 
 
-def fails_before_drawing(tmp_path, capsys, command, doc, named):
+def fails_before_drawing(tmp_path, capsys, command, doc, named, flags=()):
     """Exit 2 naming the key, with no output and no draw."""
     out = tmp_path / "rows.csv"
     with mock.patch("rdslab.chains.draw_word") as orbit_draw, \
             mock.patch("rdslab.estimators.draw_word") as draw:
-        assert main([command, "--config", write_cfg(tmp_path, doc), "--out", str(out)]) == 2
+        assert main([command, "--config", write_cfg(tmp_path, doc), "--out", str(out),
+                     *flags]) == 2
     captured = capsys.readouterr()
     assert named in captured.err
     assert captured.out == "" and not out.exists()
@@ -1025,3 +1026,44 @@ def test_removed_flags(capsys, flag):
     # params.grid and trials stay config keys
     assert main(["lambda", flag, "8"]) == 2
     assert f"unrecognized arguments: {flag} 8" in capsys.readouterr().err
+
+
+# values that are not an object, where "system": 5 and "space": 5 ended in
+# a TypeError, "params": 5 in an AttributeError and a top level of [1, 2]
+# in a TypeError once --seed was given
+NOT_OBJECTS = {"number": 5, "list": [1, 2], "string": "abc", "null": None}
+ALL_COMMANDS = ["simulate", "lambda", "tail", "corr-dim", "lyap", "asclt", "bounds", "selftest"]
+
+
+def _blocks():
+    """(command, doc with a bad block, named) for every block and every
+    command that reads it."""
+    readers = {"system": ALL_COMMANDS, "space": [c for c in ALL_COMMANDS if c != "selftest"],
+               "params": ["simulate", "lambda", "tail", "corr-dim", "lyap", "asclt"],
+               "inputs": ["tail", "bounds"]}
+    for block, commands in readers.items():
+        for kind, bad in NOT_OBJECTS.items():
+            if block == "space":
+                if bad is None:
+                    continue  # a null space is no space block: the system's maps decide
+                doc = dict(TAIL_DOC, system=dict(MOEBIUS_ONE_ATOM, space=bad))
+            else:
+                doc = dict(TAIL_DOC, **{block: bad})
+            for command in commands:
+                yield pytest.param(command, doc, f"'{block}' must be an object",
+                                   id=f"{block}-{kind}-{command}")
+
+
+class TestConfigObjects:
+    """The config and its system, space, params and inputs blocks must be
+    objects: anything else exits 2 naming the block before any draw."""
+
+    @pytest.mark.parametrize("command, doc, named", list(_blocks()))
+    def test_blocks_fail_before_drawing(self, tmp_path, capsys, command, doc, named):
+        fails_before_drawing(tmp_path, capsys, command, doc, named)
+
+    @pytest.mark.parametrize("flags", [(), ("--seed", "3")], ids=["no-seed", "seed"])
+    @pytest.mark.parametrize("doc", list(NOT_OBJECTS.values()), ids=list(NOT_OBJECTS))
+    @pytest.mark.parametrize("command", ALL_COMMANDS)
+    def test_top_level_fails_before_drawing(self, tmp_path, capsys, command, doc, flags):
+        fails_before_drawing(tmp_path, capsys, command, doc, "config must be an object", flags)

@@ -1,4 +1,6 @@
+import functools
 import json
+import operator
 import os
 import subprocess
 import sys
@@ -445,10 +447,32 @@ CORR_POINTS = {
 }
 
 
+def _squared_hinge(y):
+    """An element-wise callable kernel that is neither phi0 nor heaviside."""
+    return np.square(np.clip(y, 0.0, 1.0))
+
+
+def _corr_points(name, n):
+    """n points of CORR_POINTS' kind ``name``, at a seed of their own."""
+    rng = np.random.default_rng(n)
+    if name == "interval":
+        return SP, rng.uniform(0, 1, n)
+    if name == "circle":
+        return Circle(), rng.uniform(-1.5, 2.5, n)
+    m = int(name[-1])
+    v = rng.normal(size=(n, m))
+    return Projective(m), v / np.linalg.norm(v, axis=1, keepdims=True)
+
+
+LADDER_5 = [0.1 * 2.0**-j for j in range(5)]
+
+
 class TestCorrelationSumBlocks:
     """The in-place phi0 path against the generic callable path, and both
     kernels against block sums through ``distance``: equal bits, one rung
-    and several, one block and several with a short last block."""
+    and several, one block and several with a short last block.  Blocks of
+    more than ``E._NODE`` elements are summed node by node along numpy's
+    pairwise tree; at n = 700, 1501 and 3000 node edges fall mid-row."""
 
     @pytest.mark.parametrize("chunk", [512, 100, 33, 7, 1])
     @pytest.mark.parametrize("ladder", [[0.2], [0.2, 0.1, 0.05, 0.025], [3.0, 1.0, 1e-300]],
@@ -468,6 +492,66 @@ class TestCorrelationSumBlocks:
         space, pts = CORR_POINTS[name]
         assert np.array_equal(E._correlation_sums_chunked(space, pts, ladder, kernel, chunk=chunk),
                               _blockwise_sums(space, pts, ladder, kernel, chunk))
+
+    @pytest.mark.parametrize("kernel", ["heaviside", phi0, _squared_hinge],
+                             ids=["heaviside", "phi0", "callable"])
+    @pytest.mark.parametrize("n, ladder", [(700, [0.05]), (700, LADDER_5), (1501, LADDER_5)],
+                             ids=["700-one", "700-five", "1501-five"])
+    @pytest.mark.parametrize("name", sorted(CORR_POINTS))
+    def test_nodes_match_blockwise_distance(self, name, n, ladder, kernel):
+        space, pts = _corr_points(name, n)
+        assert n * 512 > E._NODE
+        assert np.array_equal(E._correlation_sums_chunked(space, pts, ladder, kernel),
+                              _blockwise_sums(space, pts, ladder, kernel, 512))
+
+    @pytest.mark.parametrize("name, kernel", [("interval", phi0), ("circle", _squared_hinge),
+                                              ("projective-3", "heaviside")],
+                             ids=["interval-phi0", "circle-callable", "projective-3-heaviside"])
+    def test_benchmark_size_matches_blockwise_distance(self, name, kernel):
+        # corrdim-interval's n: six blocks, the last of 440 rows
+        space, pts = _corr_points(name, 3000)
+        assert np.array_equal(E._correlation_sums_chunked(space, pts, LADDER_5, kernel),
+                              _blockwise_sums(space, pts, LADDER_5, kernel, 512))
+
+    @pytest.mark.parametrize("kernel", ["heaviside", phi0, _squared_hinge],
+                             ids=["heaviside", "phi0", "callable"])
+    @pytest.mark.parametrize("name", sorted(CORR_POINTS))
+    def test_correlation_sum_single_block(self, name, kernel):
+        space, pts = _corr_points(name, 1000)
+        assert correlation_sum(space, pts, 0.05, kernel) == \
+            _blockwise_sums(space, pts, [0.05], kernel, 1000)[0]
+
+
+def _pairwise_model(a, lo, size):
+    """numpy's pairwise float64 sum of a[lo:lo + size], in plain floats.
+
+    Below 8 elements a running sum from 0.0; up to 128 eight running sums
+    over strided elements, added as ((r0 + r1) + (r2 + r3)) + ((r4 + r5) +
+    (r6 + r7)), then the remainder one by one; above 128 the sums of the
+    first h = L//2 - (L//2 mod 8) elements and of the rest."""
+    if size < 8:
+        return functools.reduce(operator.add, a[lo:lo + size], 0.0)
+    if size <= 128:
+        m = lo + size - size % 8
+        r = [functools.reduce(operator.add, a[lo + j:m:8]) for j in range(8)]
+        res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        return functools.reduce(operator.add, a[m:lo + size], res)
+    half = size // 2
+    half -= half % 8
+    return _pairwise_model(a, lo, half) + _pairwise_model(a, lo + half, size - half)
+
+
+@pytest.mark.parametrize("shape", [(512, 3000), (440, 3000), (512, 2000), (7, 13), (100_003,)])
+def test_np_sum_is_the_pairwise_tree(shape):
+    # the rule _correlation_sums_chunked rests on: a numpy release that sums
+    # otherwise fails here by name, not by moving a correlation sum's bits
+    rng = np.random.default_rng(sum(shape))
+    A = rng.normal(size=shape) * 10.0 ** rng.uniform(-6, 6, size=shape)
+    flat = A.ravel().tolist()
+    assert np.sum(A) == _pairwise_model(flat, 0, len(flat))
+    if len(flat) > 128:
+        # the data tells orders apart: one running sum gives other bits
+        assert np.sum(A) != functools.reduce(operator.add, flat)
 
 
 def _neighbours(x, k=64):
