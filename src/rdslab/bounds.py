@@ -267,12 +267,69 @@ def _integral(v, minimum: int) -> bool:
     return _number(v) and float(v).is_integer() and v >= minimum
 
 
-# (description, test, conversion) of an input's value; every input but
-# these is a finite number, read as a float
-_READ = {"m_dim": ("an integer >= 1", lambda v: _integral(v, 1), int),
-         "u": ("a list of finite numbers",
-               lambda v: isinstance(v, (list, tuple)) and all(map(_number, v)), list)}
-_FLOAT = ("a finite number", _number, float)
+# A rule of a config value is (what, test(value, space), convert): the
+# values ``test`` accepts, on the system's space where that matters (which
+# ``what`` names as ``{space}``), and what ``convert`` reads from them.
+# ``_read`` reads every config block by its table of key -> (rule, default).
+REAL = ("a finite number", lambda v, space: _number(v), float)
+POSITIVE = ("a positive number", lambda v, space: _number(v) and v > 0, float)
+TEXT = ("a string", lambda v, space: isinstance(v, str), str)
+OBJECT = ("an object", lambda v, space: isinstance(v, dict), lambda v: v)
+
+
+def integer(minimum: int) -> tuple:
+    """The rule of an integral number >= ``minimum`` (3 or 3.0), read as an int."""
+    return f"an integer >= {minimum}", lambda v, space: _integral(v, minimum), int
+
+
+def one_of(names, convert=str) -> tuple:
+    """The rule of a string among ``names``, read by ``convert``."""
+    return f"one of {', '.join(names)}", lambda v, space: isinstance(v, str) and v in names, convert
+
+
+def list_of(rule: tuple, least: int = 0) -> tuple:
+    """The rule of a list of at least ``least`` entries, each read by ``rule``."""
+    what, test, convert = rule
+    return (f"a {'nonempty ' if least else ''}list, each entry {what}",
+            lambda v, space: isinstance(v, (list, tuple)) and len(v) >= least
+            and all(test(x, space) for x in v), lambda v: [convert(x) for x in v])
+
+
+def _value(rule: tuple, value, name: str, space=None):
+    """``value`` read by ``rule``; a ValueError naming ``name`` unless the
+    rule accepts it."""
+    what, test, convert = rule
+    if not test(value, space):
+        raise ValueError(f"{name} must be {what.format(space=space)}, got {value!r}")
+    return convert(value)
+
+
+def _read(block: dict, keys: dict, where: str, space=None) -> dict:
+    """The value of each key of ``keys`` (key -> (rule, default)) in
+    ``block``, which ``where`` names: a key the block leaves out takes its
+    default, which None leaves out and ``...`` makes needed.  Keys not in
+    ``keys`` are ignored."""
+    out = {}
+    for key, (rule, default) in keys.items():
+        value = block.get(key, default)
+        if value is ...:
+            raise ValueError(f"{where} needs {key!r}")
+        out[key] = None if value is None and key not in block else _value(
+            rule, value, f"{where} {key!r}", space)
+    return out
+
+
+def _kind(block, table: dict, where: str, label: str, space=None) -> tuple:
+    """(kind, values) of an object whose ``kind`` is a key of ``table``,
+    its values read by ``table[kind]``."""
+    kind = _value(OBJECT, block, where).get("kind")
+    if not (isinstance(kind, str) and kind in table):
+        raise ValueError(f"{where} needs a {label} 'kind' of {', '.join(table)}, got {kind!r}")
+    return kind, _read(block, table[kind], f"{where}: {label} kind {kind!r}", space)
+
+
+# the rules of the inputs that are not finite numbers
+_INPUTS = {"m_dim": integer(1), "u": list_of(REAL)}
 
 
 def _past_t_n(t, value, t_n_hat, log_part=-0.0):
@@ -321,8 +378,8 @@ def resolve_inputs(selector: str, config: dict, analytic: dict):
     """(inputs, provenance) of the bound ``selector``: each input from
     ``config``, else the system's ``analytic`` constants, else its default,
     with ``config``, ``analytic`` or ``default`` recorded under the key
-    read.  A missing required input, or one of the wrong value (see
-    ``_READ``), raises ValueError naming its key."""
+    read.  A missing required input, or one its rule (``_INPUTS``, else
+    ``REAL``) rejects, raises ValueError naming its key."""
     if selector not in BOUNDS:
         raise ValueError(f"unknown bound selector {selector!r}; one of {', '.join(BOUNDS)}")
     inputs, provenance = {}, {}
@@ -334,10 +391,7 @@ def resolve_inputs(selector: str, config: dict, analytic: dict):
             alternatives = "".join(f" (or {k!r})" for k in keys[1:])
             raise ValueError(f"bound {selector!r} needs input {name!r}{alternatives}")
         key, origin, value = found[0] if found else (name, "default", param.default)
-        what, valid, convert = _READ.get(name, _FLOAT)
-        if not valid(value):
-            raise ValueError(f"bound {selector!r} needs input {key!r}, {what}, got {value!r}")
-        inputs[name] = convert(value)
+        inputs[name] = _value(_INPUTS.get(name, REAL), value, f"bound {selector!r} input {key!r}")
         provenance[key] = origin
     return inputs, provenance
 

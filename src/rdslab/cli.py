@@ -13,10 +13,9 @@ import argparse
 import json
 import sys
 
-from .bounds import appendix_checks, wilson_interval
+from .bounds import OBJECT, _value, appendix_checks, wilson_interval
 from .harness import (
     ExperimentConfig,
-    _object,
     report_to_csv,
     report_to_json,
     rows_to_csv,
@@ -45,7 +44,7 @@ def _load_config(args) -> ExperimentConfig:
             raise ConfigError(f"cannot read config {args.config}: {e}") from e
     else:
         doc = {"system": {"kind": "halving-ifs"}}
-    _object(doc, "config")
+    _value(OBJECT, doc, "config")
     if args.seed is not None:
         doc["seed"] = args.seed
     try:

@@ -535,10 +535,10 @@ def lyapunov_projective_trials(nu: DrivingMeasure, x, n: int, trials: int, strea
     Trial i's word is the n labels drawn after trial i-1's, so column i is
     bit for bit ``lyapunov_projective(nu, x, n, rng)`` of the i-th of
     ``trials`` calls on the same generator.  Trials step together in
-    sub-batches of at most LABEL_BLOCK labels (one trial's word, if longer,
-    is drawn in pieces of LABEL_BLOCK).  Stacked ``matmul`` and batched
-    ``np.linalg.qr`` round as the per-vector products and norms do; an
-    ``einsum`` or a ``sum(W * W)`` would not.
+    sub-batches of at most LABEL_BLOCK labels, drawn in one piece (one
+    trial's word, if longer, in pieces of LABEL_BLOCK).  Stacked ``matmul``
+    and batched ``np.linalg.qr`` round as the per-vector products and norms
+    do; an ``einsum`` or a ``sum(W * W)`` would not.
     """
     mats = cocycle_matrices(nu)
     m = mats.shape[1]
@@ -551,12 +551,12 @@ def lyapunov_projective_trials(nu: DrivingMeasure, x, n: int, trials: int, strea
     if n == 0:
         return out
     per_batch = max(1, LABEL_BLOCK // n)
+    # steps per draw: all n whenever b > 1, since then b * n <= LABEL_BLOCK
+    steps = min(n, LABEL_BLOCK)
     for lo in range(0, trials, per_batch):
         b = min(per_batch, trials - lo)
-        if b > 1:
-            columns = draw_word(nu, rng, b * n).reshape(b, n).T
-        else:
-            columns = step_labels(nu, rng, n, 1)
+        columns = (c for k in range(0, n, steps)
+                   for c in draw_word(nu, rng, b * min(steps, n - k)).reshape(b, -1).T)
         V = np.tile(v, (b, 1))
         Z = np.tile(np.eye(m), (b, 1, 1))
         acc, log_scale = np.zeros(b), np.zeros(b)

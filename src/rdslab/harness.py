@@ -9,6 +9,11 @@ Every ``rdslab`` command is a ``run_*`` function here that takes an
 report).  They share one start check (``orbit_start``), one single orbit
 (``_orbit``), one reference measure and one bound ladder.
 
+Every key a config block reads is declared once, as key -> (rule,
+default), in ``CONFIG``, ``SYSTEMS``, ``MAPS``, ``SPACES``, ``REFERENCES``
+and ``PARAMS``; ``bounds._read`` reads each block by its table before any
+draw, so a bad value is a ValueError naming block and key.
+
 Determinism contract: identical config + seed yields byte-identical
 reports, because the draw order is fixed:
 
@@ -35,7 +40,6 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import asdict, dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -54,7 +58,8 @@ from .estimators import (
     stationary_approx,
     step_labels,
 )
-from .bounds import _integral, _number
+from .bounds import (OBJECT, POSITIVE, REAL, TEXT, _kind, _number, _read, _value, integer,
+                     list_of, one_of)
 from .maps import (Affine, DrivingMeasure, MoebiusDecay, PolynomialDecay, ProjectiveAction,
                    cocycle_matrices, space_of, support_space)
 from .measures import (
@@ -63,7 +68,7 @@ from .measures import (
     kantorovich_gaussian,
     kantorovich_interval_rows,
 )
-from .observables import get_observable
+from .observables import OBSERVABLES, get_observable
 from .spaces import Circle, Interval, Projective, distance, require_one_dimensional
 from .streams import SeededStream
 
@@ -100,6 +105,63 @@ ORBIT_KINDS = ("kappa-to-stationary", "kappa-interval", "corr-sum")
 
 
 # ---------------------------------------------------------------------------
+# the config schema: every key a block reads, key -> (rule, default), read
+# by ``bounds._read`` before any draw; a default of None leaves the key
+# out, ``...`` makes it needed, and keys not named here are ignored
+
+
+POINT = ("a finite number in {space}", lambda v, space: _number(v) and not (
+    isinstance(space, Interval) and not space.a <= v <= space.b), float)
+# the start vector of Projective(m)
+START = ("{space.m} finite numbers, not all 0", lambda v, space: isinstance(
+    v, (list, tuple, np.ndarray)) and len(v) == space.m and all(map(_number, v)) and any(v),
+         lambda v: np.asarray(v, dtype=float))
+_ROWS, _NUMBERS = list_of(list_of(REAL), 1), list_of(REAL)
+MATRIX = ("a square list of lists of finite numbers", lambda v, space: _ROWS[1](v, space)
+          and all(len(r) == len(v) for r in v), _ROWS[2])
+T_LADDER = ("a strictly increasing list of finite numbers", lambda v, space: _NUMBERS[1](
+    v, space) and all(a < b for a, b in zip(v, v[1:])), lambda v: v)
+ATOMS = ("a nonempty list of [map, weight] pairs",
+         lambda v, space: isinstance(v, list) and len(v) > 0, lambda v: v)
+PAIR = ("a [map, weight] pair", lambda v, space: isinstance(v, list) and len(v) == 2, tuple)
+# a null space is no space block: the system's maps decide
+SPACE = ("an object", lambda v, space: v is None or isinstance(v, dict), lambda v: v)
+H = one_of(OBSERVABLES, get_observable)  # the h of a Birkhoff sum
+
+# the fields of ExperimentConfig
+CONFIG = {"system": (OBJECT, ...), "observable": (TEXT, ...), "params": (OBJECT, ...),
+          "inputs": (OBJECT, ...), "n": (integer(1), ...), "trials": (integer(1), ...),
+          "seed": (integer(0), ...), "t_ladder": (T_LADDER, ...), "bound": (TEXT, ...)}
+SYSTEMS = {"halving-ifs": {}, "moebius-uniform": {"lo": (REAL, 1.0), "hi": (REAL, 2.0)},
+           "moebius-two-atom": {"alpha1": (REAL, 1.0), "alpha2": (REAL, 2.0),
+                                "weight1": (REAL, 0.5)},
+           "identity": {}, "atoms": {"atoms": (ATOMS, ...), "space": (SPACE, None)}}
+MAPS = {"moebius": {"alpha": (REAL, ...)}, "polynomial": {"alpha": (REAL, ...)},
+        "affine": {"slope": (REAL, ...), "offset": (REAL, ...)},
+        "projective": {"matrix": (MATRIX, ...),
+                       "chart": (one_of(("projective", "circle")), "projective")}}
+SPACES = {"interval": {"a": (REAL, 0.0), "b": (REAL, 1.0)}, "circle": {},
+          "projective": {"m": (integer(2), 2)}}
+# the reference measure of the kappa observables (``params.reference``)
+REFERENCES = {"lebesgue": {"atoms": (integer(1), 512)},
+              "simulate": {"burn_in": (integer(0), 1000), "samples": (integer(1), 2000),
+                           "stride": (integer(1), 1)}}
+# the params of each command and tail observable; ``x0`` and ``start``
+# (``orbit_start``) and ``reference`` have readers of their own
+PARAMS = {
+    "lambda": {"n_ladder": (list_of(integer(0), 1), [10, 100]), "grid": (integer(2), 64),
+               "ceiling": (POSITIVE, None)},
+    "corr-dim": {"epsilon0": (POSITIVE, 0.1), "rungs": (integer(3), 5)},
+    "asclt": {"h": (H, "centered"),
+              "n_ladder": (list_of(integer(1), 1), [2**k for k in range(6, 15)]),
+              "sigma_n": (integer(1), 200), "sigma_trials": (integer(1), 4000)},
+    "birkhoff": {"h": (H, "coordinate")},
+    "sync": {"B": (list_of(POINT, 1), ...)},
+    "corr-sum": {"epsilon": (POSITIVE, ...)},
+}
+
+
+# ---------------------------------------------------------------------------
 # system construction
 
 
@@ -110,51 +172,15 @@ class SystemSpec:
     analytic: dict = field(default_factory=dict)  # known constants by name
 
 
-# the keys each map kind reads; "chart" of a projective map is optional
-_MAP_KEYS = {"moebius": ("alpha",), "polynomial": ("alpha",), "affine": ("slope", "offset"),
-             "projective": ("matrix",)}
-
-
-def _map_from_dict(d: dict):
-    """The map of a map block that ``_atoms`` checked: every number read by
-    ``_real``, a projective matrix a square list of lists of them."""
-    kind = d["kind"]
-    if kind == "moebius":
-        return MoebiusDecay(_real(d["alpha"], "system 'alpha'"))
-    if kind == "polynomial":
-        return PolynomialDecay(_real(d["alpha"], "system 'alpha'"))
-    if kind == "affine":
-        return Affine(_real(d["slope"], "system 'slope'"), _real(d["offset"], "system 'offset'"))
-    rows = d["matrix"]
-    if not (isinstance(rows, list) and rows
-            and all(isinstance(r, list) and len(r) == len(rows) for r in rows)):
-        raise ValueError(f"system 'matrix' must be a square list of lists, got {rows!r}")
-    return ProjectiveAction([[_real(v, "system 'matrix'") for v in r] for r in rows],
-                            chart=d.get("chart", "projective"))
-
-
-def _atoms(spec: dict) -> tuple:
-    """The (map, weight) pairs of an ``atoms`` system; a ValueError naming
-    'atoms' (and the atom's index) unless they are a nonempty list of
-    [map, weight] pairs, each map a dict of a known kind holding its keys."""
-    atoms = spec.get("atoms")
-    if not (isinstance(atoms, list) and atoms):
-        raise ValueError(f"system 'atoms' must be a nonempty list of [map, weight] pairs, "
-                         f"got {atoms!r}")
-    out = []
-    for i, atom in enumerate(atoms):
-        where = f"system 'atoms' entry {i}"
-        if not (isinstance(atom, list) and len(atom) == 2 and isinstance(atom[0], dict)):
-            raise ValueError(f"{where} must be a [map, weight] pair, got {atom!r}")
-        m, w = atom
-        kind = m.get("kind")
-        if not (isinstance(kind, str) and kind in _MAP_KEYS):
-            raise ValueError(f"{where} needs a map 'kind' of {', '.join(_MAP_KEYS)}, got {kind!r}")
-        missing = [k for k in _MAP_KEYS[kind] if k not in m]
-        if missing:
-            raise ValueError(f"{where}: map kind {kind!r} needs {missing[0]!r}")
-        out.append((_map_from_dict(m), _real(w, "system 'atoms' weight")))
-    return tuple(out)
+def _atom(atom, i: int) -> tuple:
+    """The (map, weight) of entry i of an ``atoms`` list: a [map, weight]
+    pair, the map an object read by ``MAPS``."""
+    where = f"system 'atoms' entry {i}"
+    m, w = _value(PAIR, atom, where)
+    kind, v = _kind(m, MAPS, where, "map")
+    f = {"moebius": MoebiusDecay, "polynomial": PolynomialDecay, "affine": Affine,
+         "projective": ProjectiveAction}[kind](**v)
+    return f, _value(REAL, w, f"system 'atoms' weight of entry {i}")
 
 
 def build_system(spec: dict) -> SystemSpec:
@@ -165,7 +191,7 @@ def build_system(spec: dict) -> SystemSpec:
     system lives on its ``space`` block, which each chart matrix must fit,
     or else where its maps act (``maps.support_space``).
     """
-    kind = spec["kind"]
+    kind, v = _kind(spec, SYSTEMS, "config 'system'", "system")
     if kind == "halving-ifs":
         nu = DrivingMeasure(
             atoms=((Affine(0.5, 0.0), 0.5), (Affine(0.5, 0.5), 0.5))
@@ -174,43 +200,28 @@ def build_system(spec: dict) -> SystemSpec:
         return SystemSpec(nu, Interval(0.0, 1.0),
                           analytic={"lambda_nu": 2.0, "gee_inf": 0.5, "stationary": "lebesgue"})
     if kind == "moebius-uniform":
-        lo = _real(spec.get("lo", 1.0), "system 'lo'")
-        hi = _real(spec.get("hi", 2.0), "system 'hi'")
-        nu = DrivingMeasure(family="moebius", sampler=("uniform", lo, hi))
+        nu = DrivingMeasure(family="moebius", sampler=("uniform", v["lo"], v["hi"]))
         return SystemSpec(nu, Interval(0.0, 1.0),
                           analytic={"lambda_cap": "1+log(n+1)", "gee_rho": 0.5})
     if kind == "moebius-two-atom":
-        a1 = _real(spec.get("alpha1", 1.0), "system 'alpha1'")
-        a2 = _real(spec.get("alpha2", 2.0), "system 'alpha2'")
-        w1 = _real(spec.get("weight1", 0.5), "system 'weight1'")
-        nu = DrivingMeasure(atoms=((MoebiusDecay(a1), w1), (MoebiusDecay(a2), 1.0 - w1)))
+        w1 = v["weight1"]
+        nu = DrivingMeasure(atoms=((MoebiusDecay(v["alpha1"]), w1),
+                                   (MoebiusDecay(v["alpha2"]), 1.0 - w1)))
         return SystemSpec(nu, Interval(0.0, 1.0),
                           analytic={"lambda_cap": "1+log(n+1)", "gee_rho": 0.5})
     if kind == "identity":
         nu = DrivingMeasure(atoms=((Affine(1.0, 0.0), 1.0),))
         return SystemSpec(nu, Interval(0.0, 1.0))
-    if kind == "atoms":
-        nu = DrivingMeasure(atoms=_atoms(spec))
-        if spec.get("space") is None:
-            return SystemSpec(nu, support_space(nu))
-        space = _space_from_dict(spec["space"])
-        for f, _ in nu.atoms:
-            if isinstance(f, ProjectiveAction) and space != space_of(f):
-                raise ValueError(f"system 'space' {space!r} does not fit {f!r}, "
-                                 f"which acts on {space_of(f)!r}")
-        return SystemSpec(nu, space)
-    raise ValueError(f"unknown system kind {kind!r}")
-
-
-def _space_from_dict(d):
-    kind = _object(d, "system 'space'")["kind"]
-    if kind == "interval":
-        return Interval(_real(d.get("a", 0.0), "space 'a'"), _real(d.get("b", 1.0), "space 'b'"))
-    if kind == "circle":
-        return Circle()
-    if kind == "projective":
-        return Projective(_count(d, "m", 2, 2, where="space"))
-    raise ValueError(f"unknown space kind {kind!r}")
+    nu = DrivingMeasure(atoms=tuple(_atom(a, i) for i, a in enumerate(v["atoms"])))
+    if v["space"] is None:
+        return SystemSpec(nu, support_space(nu))
+    kind, s = _kind(v["space"], SPACES, "system 'space'", "space")
+    space = {"interval": Interval, "circle": Circle, "projective": Projective}[kind](**s)
+    for f, _ in nu.atoms:
+        if isinstance(f, ProjectiveAction) and space != space_of(f):
+            raise ValueError(f"system 'space' {space!r} does not fit {f!r}, "
+                             f"which acts on {space_of(f)!r}")
+    return SystemSpec(nu, space)
 
 
 # ---------------------------------------------------------------------------
@@ -231,18 +242,9 @@ class ExperimentConfig:
     threads: int = 1  # accepted and ignored: chunks run in order in one thread
 
     def __post_init__(self):
-        for key in ("system", "params", "inputs"):
-            _object(getattr(self, key), f"config {key!r}")
-        self.n = _count(vars(self), "n", None, 1, where="config")
-        self.trials = _count(vars(self), "trials", None, 1, where="config")
-        self.seed = _count(vars(self), "seed", None, 0, where="config")
+        vars(self).update(_read(vars(self), CONFIG, "config"))
         if self.trials < 100 and self.observable != "asclt-kappa":
             raise ValueError("tail experiments need at least 100 trials")
-        t = self.t_ladder
-        if not (isinstance(t, (list, tuple)) and all(map(_number, t))):
-            raise ValueError(f"config 't_ladder' must be a list of finite numbers, got {t!r}")
-        if any(b <= a for a, b in zip(t, t[1:])):
-            raise ValueError("t-ladder must be strictly increasing")
 
 
 # the columns of a tail report's rows, in CSV order
@@ -263,52 +265,36 @@ class TailReport:
 # per-trial observable engines (vectorized across a group of chunks)
 
 
-def _reference_measure(sys_spec: SystemSpec, ref, stream: SeededStream, samples: int = 2000):
-    """(measure, provenance) named by a ``params.reference`` value; "auto"
-    is Lebesgue where the system's law is known to be, else simulated."""
+def _reference_measure(sys_spec: SystemSpec, ref, stream: SeededStream, simulated=None):
+    """(measure, provenance) of a reference block read by ``REFERENCES``;
+    "auto" is Lebesgue where the system's law is known to be, else the
+    ``simulated`` block (default: the simulate kind's defaults)."""
     if ref == "auto":
-        ref = {"kind": "lebesgue"} if sys_spec.analytic.get("stationary") == "lebesgue" else {
-            "kind": "simulate"}
-    kind = ref.get("kind") if isinstance(ref, dict) else None
-    if kind not in ("lebesgue", "simulate"):
-        raise ValueError(f"params 'reference' needs kind 'lebesgue' or 'simulate', got {ref!r}")
+        lebesgue = sys_spec.analytic.get("stationary") == "lebesgue"
+        ref = {"kind": "lebesgue"} if lebesgue else simulated or {"kind": "simulate"}
+    kind, v = _kind(ref, REFERENCES, "params 'reference'", "reference")
     if kind == "lebesgue":
         # k midpoints of the interval, or of [0, 1) for the circle's coordinates
-        k = _count(ref, "atoms", 512, 1, where="params 'reference'")
+        k = v["atoms"]
         pts = (np.arange(k) + 0.5) / k
         if isinstance(sys_spec.space, Interval):
             a, b = sys_spec.space.a, sys_spec.space.b
             pts = a + (b - a) * pts
         return EmpiricalMeasure.from_samples(sys_spec.space, pts), "analytic"
-    approx = stationary_approx(
-        sys_spec.nu,
-        sys_spec.space,
-        burn_in=_count(ref, "burn_in", 1000, 0, where="params 'reference'"),
-        samples=_count(ref, "samples", samples, 1, where="params 'reference'"),
-        stride=_count(ref, "stride", 1, 1, where="params 'reference'"),
-        seed=stream,
-    )
-    return approx.measure, "estimated"
+    return stationary_approx(sys_spec.nu, sys_spec.space, seed=stream, **v).measure, "estimated"
 
 
 def orbit_start(sys_spec: SystemSpec, cfg: ExperimentConfig):
     """Start of every orbit of an experiment, checked before any draw:
-    ``params.start`` (default e_1), a nonzero finite vector, on projective
-    systems and for matrix-cocycle rates; ``params.x0`` (default 0.5), a
-    finite number inside an interval (any circle lift), otherwise."""
+    ``params.start`` (default e_1, rule ``START``) on projective systems
+    and for matrix-cocycle rates, ``params.x0`` (default 0.5, rule
+    ``POINT``) otherwise."""
     space = sys_spec.space
     if isinstance(space, Projective) or cfg.observable in COCYCLE_KINDS:
         m = cocycle_matrices(sys_spec.nu).shape[1]
-        start = cfg.params.get("start", [1.0] + [0.0] * (m - 1))
-        if not (isinstance(start, (list, tuple, np.ndarray)) and len(start) == m
-                and all(map(_number, start)) and any(start)):
-            raise ValueError(f"params 'start' must be {m} finite numbers, not all 0, "
-                             f"got {start!r}")
-        return np.asarray(start, dtype=float)
-    x0 = cfg.params.get("x0", 0.5)
-    if not _in_space(space, x0):
-        raise ValueError(f"params 'x0' must be a finite number in {space!r}, got {x0!r}")
-    return float(x0)
+        start = {"start": (START, [1.0] + [0.0] * (m - 1))}
+        return _read(cfg.params, start, "params", Projective(m))["start"]
+    return _read(cfg.params, {"x0": (POINT, 0.5)}, "params", space)["x0"]
 
 
 def _orbit(cfg: ExperimentConfig, sys_spec: SystemSpec, stream: SeededStream, n: int,
@@ -341,9 +327,8 @@ def _lyap_1d(cfg, sys_spec, ctx, gens, counts):
 
 def _sync(cfg, sys_spec, ctx, gens, counts):
     nu, space = sys_spec.nu, sys_spec.space
-    Bset = [float(b) for b in cfg.params["B"]]
     X = np.full(sum(counts), ctx["start"])
-    Y = np.tile(np.asarray(Bset), (len(X), 1))
+    Y = np.tile(np.asarray(ctx["B"]), (len(X), 1))
     acc = np.zeros(Y.shape)
     for labels in step_labels(nu, gens, cfg.n, counts):
         acc += distance(space, X[:, None], Y)
@@ -370,8 +355,7 @@ def _kappa(cfg, sys_spec, ctx, gens, counts):
 
 
 def _corr_sum(cfg, sys_spec, ctx, gens, counts):
-    eps = float(cfg.params["epsilon"])
-    return np.array([correlation_sum(sys_spec.space, o, eps, phi0)
+    return np.array([correlation_sum(sys_spec.space, o, ctx["epsilon"], phi0)
                      for o in _orbits(cfg, sys_spec, ctx, gens, counts)])
 
 
@@ -385,90 +369,35 @@ def _cocycle_rate(row):
     return values
 
 
-@dataclass(frozen=True)
-class Engine:
-    """A tail observable: ``values(cfg, sys_spec, ctx, gens, counts)`` gives
-    one value per trial of a group of chunks, chunk i holding ``counts[i]``
-    trials and drawing only from ``gens[i]``; ``params`` maps each
-    ``cfg.params`` key it reads without a default to a (description, test)
-    rule for its value."""
-
-    values: Callable
-    params: dict = field(default_factory=dict)
-
-
-def _count(mapping: dict, key: str, default: int, minimum: int, where: str = "params") -> int:
-    """``mapping[key]`` (default ``default``) as an int; a ValueError naming
-    the key unless it is an integral number, not a bool, >= ``minimum``."""
-    value = mapping.get(key, default)
-    if not _integral(value, minimum):
-        raise ValueError(f"{where} {key!r} must be an integer >= {minimum}, got {value!r}")
-    return int(value)
-
-
-def _object(value, name: str) -> dict:
-    """``value``; a ValueError naming ``name`` unless it is an object (a
-    JSON object, read as a dict): the rule of the whole config and of its
-    ``system``, ``space``, ``params`` and ``inputs`` blocks."""
-    if not isinstance(value, dict):
-        raise ValueError(f"{name} must be an object, got {value!r}")
-    return value
-
-
-def _real(value, name: str) -> float:
-    """``value`` as a float; a ValueError naming ``name`` unless it is a
-    finite number, not a bool."""
-    if not _number(value):
-        raise ValueError(f"{name} must be a finite number, got {value!r}")
-    return float(value)
-
-
-def _n_ladder(cfg: ExperimentConfig, command: str, default: list, minimum: int) -> list[int]:
-    """``params.n_ladder``: a nonempty list of integers >= ``minimum``."""
-    ladder = cfg.params.get("n_ladder", default)
-    if not (isinstance(ladder, (list, tuple)) and ladder
-            and all(_integral(n, minimum) for n in ladder)):
-        raise ValueError(f"{command} needs params 'n_ladder', a nonempty list of integers "
-                         f">= {minimum}, got {ladder!r}")
-    return [int(n) for n in ladder]
-
-
-def _in_space(space, v) -> bool:
-    """A finite JSON number inside an interval, or any finite circle lift."""
-    return _number(v) and not (isinstance(space, Interval) and not space.a <= v <= space.b)
-
-
-_NONEMPTY_POINTS = ("a nonempty list of points of the space", lambda v, space: (
-    isinstance(v, list) and len(v) > 0 and all(_in_space(space, b) for b in v)))
-_POSITIVE = ("a positive number", lambda v, space: _number(v) and v > 0)
-
+# the tail observables: ``ENGINES[kind](cfg, sys_spec, ctx, gens, counts)``
+# gives one value per trial of a group of chunks, chunk i holding
+# ``counts[i]`` trials and drawing only from ``gens[i]``; ``ctx`` holds the
+# params that ``PARAMS[kind]`` reads (``_build_context``)
 ENGINES = {
-    "birkhoff": Engine(_birkhoff),
-    "lyap-1d": Engine(_lyap_1d),
-    "sync": Engine(_sync, {"B": _NONEMPTY_POINTS}),
-    "kappa-to-stationary": Engine(_kappa),
-    "kappa-interval": Engine(_kappa),
-    "corr-sum": Engine(_corr_sum, {"epsilon": _POSITIVE}),
-    "lyap-projective": Engine(_cocycle_rate(0)),
-    "lyap-matrix-norm": Engine(_cocycle_rate(1)),
+    "birkhoff": _birkhoff,
+    "lyap-1d": _lyap_1d,
+    "sync": _sync,
+    "kappa-to-stationary": _kappa,
+    "kappa-interval": _kappa,
+    "corr-sum": _corr_sum,
+    "lyap-projective": _cocycle_rate(0),
+    "lyap-matrix-norm": _cocycle_rate(1),
 }
 
 
-def _check_observable(cfg: ExperimentConfig, sys_spec: SystemSpec):
-    """Fail with a ValueError, before any draw, when the observable is
-    unknown, misses a parameter or has one of the wrong value, or cannot
-    run on the system: the cocycle rates need a finite measure over
-    matrices of one size, every other engine a one-dimensional system."""
+def _check_observable(cfg: ExperimentConfig, sys_spec: SystemSpec) -> dict:
+    """The observable's params, read by ``PARAMS`` before any draw; a
+    ValueError when the observable is unknown or cannot run on the system:
+    the cocycle rates need a finite measure over matrices of one size,
+    every other engine a one-dimensional system."""
     kind, nu, space = cfg.observable, sys_spec.nu, sys_spec.space
-    if kind not in ENGINES:
-        raise ValueError(f"unknown observable kind {kind!r}")
-    for key, (what, valid) in ENGINES[kind].params.items():
-        if key not in cfg.params or not valid(cfg.params[key], space):
-            raise ValueError(f"observable {kind!r} on {space!r} needs params {key!r}, {what}")
+    _value(one_of(ENGINES), kind, "config 'observable'")
+    params = _read(cfg.params, PARAMS.get(kind, {}), f"{kind} params", space)
     if kind in COCYCLE_KINDS:
         cocycle_matrices(nu)
     else:
         require_one_dimensional(space, f"observable {kind!r}")
+    return params
 
 
 def _group_values(cfg: ExperimentConfig, sys_spec: SystemSpec, ctx: dict,
@@ -477,7 +406,7 @@ def _group_values(cfg: ExperimentConfig, sys_spec: SystemSpec, ctx: dict,
     realization per trial: chunk i holds ``counts[i]`` trials, all drawing
     from ``streams[i]``, and the group is stepped as one vector."""
     gens = [s.generator() for s in streams]
-    return ENGINES[cfg.observable].values(cfg, sys_spec, ctx, gens, counts)
+    return ENGINES[cfg.observable](cfg, sys_spec, ctx, gens, counts)
 
 
 def _group_chunks(cfg: ExperimentConfig, sys_spec: SystemSpec) -> int:
@@ -512,11 +441,11 @@ def _run_trials(cfg: ExperimentConfig, sys_spec: SystemSpec, ctx: dict,
 # runners
 
 
-def _build_context(cfg: ExperimentConfig, sys_spec: SystemSpec, stream: SeededStream):
-    ctx = {"start": orbit_start(sys_spec, cfg)}
-    prov = {}
-    if cfg.observable == "birkhoff":
-        ctx["h"] = get_observable(cfg.params.get("h", "coordinate"))
+def _build_context(cfg: ExperimentConfig, sys_spec: SystemSpec, stream: SeededStream,
+                   params: dict):
+    """(ctx, provenance) of the engine: its ``params``, the orbit start and
+    the kappa observables' reference measure."""
+    ctx, prov = dict(params, start=orbit_start(sys_spec, cfg)), {}
     if cfg.observable in ("kappa-to-stationary", "kappa-interval"):
         ctx["reference"], prov["reference"] = _reference_measure(
             sys_spec, cfg.params.get("reference", "auto"), stream.substream(10_000_001))
@@ -534,9 +463,9 @@ def run_tail(cfg: ExperimentConfig) -> TailReport:
     t0 = time.perf_counter()
     sys_spec = build_system(cfg.system)
     ladder, results, prov = _bound_ladder(cfg, sys_spec)
-    _check_observable(cfg, sys_spec)
+    params = _check_observable(cfg, sys_spec)
     stream = SeededStream(cfg.seed)
-    ctx, ctx_prov = _build_context(cfg, sys_spec, stream)
+    ctx, ctx_prov = _build_context(cfg, sys_spec, stream, params)
     prov.update(ctx_prov)
 
     pilot_stream, main_stream = stream.substream(1), stream.substream(2)
@@ -572,9 +501,7 @@ def _bound_ladder(cfg: ExperimentConfig, sys_spec: SystemSpec):
     bound error, an empty ladder or a missing input included, surfaces
     here, before any simulation."""
     inputs, prov = B.resolve_inputs(cfg.bound, cfg.inputs, sys_spec.analytic)
-    ladder = [float(t) for t in cfg.t_ladder]
-    if not ladder:
-        raise ValueError("the bound needs 't_ladder', a nonempty list of deviations")
+    ladder = _value(list_of(REAL, 1), cfg.t_ladder, f"bound {cfg.bound!r} 't_ladder'")
     return ladder, [B.evaluate(cfg.bound, cfg.n, t, inputs) for t in ladder], prov
 
 
@@ -600,11 +527,8 @@ def run_corrdim(cfg: ExperimentConfig) -> list[dict]:
     """Correlation sums of n orbit points at ``epsilon0`` · 2^-j, j <
     ``rungs``, with the fitted log-log slope and intercept."""
     sys_spec = build_system(cfg.system)
-    eps0 = cfg.params.get("epsilon0", 0.1)
-    if not (_number(eps0) and eps0 > 0):
-        raise ValueError(f"corr-dim needs params 'epsilon0', a positive number, got {eps0!r}")
-    rungs = _count(cfg.params, "rungs", 5, 3)
-    ladder = [float(eps0) * 2.0**-j for j in range(rungs)]
+    p = _read(cfg.params, PARAMS["corr-dim"], "corr-dim params")
+    ladder = [p["epsilon0"] * 2.0**-j for j in range(p["rungs"])]
     points = _orbit(cfg, sys_spec, SeededStream(cfg.seed), cfg.n).points[:-1]
     slope, intercept, table = correlation_dimension(sys_spec.space, points, ladder)
     return [{"epsilon": e, "K": k, "slope": slope, "intercept": intercept} for e, k in table]
@@ -627,18 +551,13 @@ def run_lambda_survey(cfg: ExperimentConfig) -> list[dict]:
     """Grid-max contraction-sum estimates along an n-ladder, with the
     analytic cap column for library families and a divergence marker."""
     sys_spec = build_system(cfg.system)
-    ladder = _n_ladder(cfg, "lambda", [10, 100], 0)
-    resolution = _count(cfg.params, "grid", 64, 2)
-    given = cfg.params.get("ceiling")
-    if "ceiling" in cfg.params and not (_number(given) and given > 0):
-        raise ValueError(f"lambda needs params 'ceiling', a positive number, got {given!r}")
+    p = _read(cfg.params, PARAMS["lambda"], "lambda params")
     out = []
-    for i, n in enumerate(ladder):
+    for i, n in enumerate(p["n_ladder"]):
         cap = _analytic_cap(sys_spec, n)
-        ceiling = cfg.params.get("ceiling", 10.0 * cap if cap is not None else 100.0)
         est = lambda_n(sys_spec.nu, sys_spec.space, n, cfg.trials,
-                       SeededStream(cfg.seed).substream(i),
-                       resolution=resolution, ceiling=float(ceiling))
+                       SeededStream(cfg.seed).substream(i), resolution=p["grid"],
+                       ceiling=p["ceiling"] or (10.0 * cap if cap is not None else 100.0))
         out.append({"n": n, "lambda_hat": est.value, "stderr": est.stderr,
                     "analytic_cap": cap if cap is not None else float("nan"),
                     "diverged": est.diverged})
@@ -658,16 +577,15 @@ def run_asclt(cfg: ExperimentConfig) -> list[dict]:
     orbit, compared against the Gaussian with the estimated limit
     variance along a powers-of-2 ladder."""
     sys_spec = build_system(cfg.system)
-    h = get_observable(cfg.params.get("h", "centered"))
-    ladder = _n_ladder(cfg, "asclt", [2**k for k in range(6, 15)], 1)
-    sigma_n = _count(cfg.params, "sigma_n", 200, 1)
-    sigma_trials = _count(cfg.params, "sigma_trials", 4000, 1)
+    p = _read(cfg.params, PARAMS["asclt"], "asclt params")
+    ladder, h = p["n_ladder"], p["h"]
     require_one_dimensional(sys_spec.space, "asclt")
     stream = SeededStream(cfg.seed)
     # one orbit, its start checked before any draw; every rung is a prefix
     traj = _orbit(cfg, sys_spec, stream.substream(3), max(ladder))
-    eta, _ = _reference_measure(sys_spec, "auto", stream.substream(1), samples=4000)
-    s2 = sigma2_estimate(sys_spec.nu, sys_spec.space, sigma_n, sigma_trials,
+    eta, _ = _reference_measure(sys_spec, "auto", stream.substream(1),
+                                {"kind": "simulate", "samples": 4000})
+    s2 = sigma2_estimate(sys_spec.nu, sys_spec.space, p["sigma_n"], p["sigma_trials"],
                          eta, h, stream.substream(2))
     sigma = float(np.sqrt(max(0.0, s2.value)))
     degenerate = s2.value <= 0.0

@@ -284,8 +284,8 @@ class DrivingMeasure:
                 raise ValueError(f"unknown sampler kind {self.sampler[0]!r}")
             lo, hi = float(self.sampler[1]), float(self.sampler[2])
             vlo, vhi = _FAMILIES[self.family].ALPHA_RANGE
-            if lo < vlo or hi > vhi:
-                raise ValueError("sampler range outside the family's parameter set")
+            if not vlo <= lo <= hi <= vhi:
+                raise ValueError(f"sampler needs {vlo} <= lo <= hi <= {vhi}, got lo {lo}, hi {hi}")
             object.__setattr__(self, "_kind", _FAMILIES[self.family])
             object.__setattr__(self, "_table", None)
 

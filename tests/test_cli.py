@@ -4,7 +4,9 @@ from unittest import mock
 import numpy as np
 import pytest
 
+from rdslab import harness as H
 from rdslab.cli import main
+from rdslab.spaces import Interval
 
 
 def write_cfg(tmp_path, doc, name="cfg.json"):
@@ -812,6 +814,16 @@ class TestConfigNumbers:
         pytest.param("tail", dict(TAIL_DOC, t_ladder=["a"]), "'t_ladder'", id="t-string"),
         pytest.param("bounds", dict(TAIL_DOC, t_ladder=[True, 2]), "'t_ladder'", id="t-bool"),
         pytest.param("bounds", dict(TAIL_DOC, t_ladder=0.1), "'t_ladder'", id="t-scalar"),
+        # strings read before any lookup, where a list or an object ended in
+        # a TypeError traceback
+        pytest.param("tail", dict(TAIL_DOC, observable=["birkhoff"]), "'observable'",
+                     id="observable-list"),
+        *[pytest.param(command, dict(TAIL_DOC, bound=["lln"]), "'bound'",
+                       id=f"bound-list-{command}") for command in ("tail", "bounds")],
+        *[pytest.param(command, dict(TAIL_DOC, observable=observable, params={"h": h}), "'h'",
+                       id=f"h-{tag}-{command}")
+          for command, observable in (("tail", "birkhoff"), ("asclt", "asclt-kappa"))
+          for tag, h in (("list", ["coordinate"]), ("object", {}))],
     ])
     def test_fails_before_drawing(self, tmp_path, capsys, command, doc, named):
         fails_before_drawing(tmp_path, capsys, command, doc, named)
@@ -859,6 +871,8 @@ class TestConfigNumbers:
                      id="unknown-map-kind"),
         pytest.param({"kind": "moebius-uniform", "lo": True}, "'lo'", id="lo-bool"),
         pytest.param({"kind": "moebius-uniform", "hi": float("inf")}, "'hi'", id="hi-inf"),
+        # an empty range, where numpy's uniform raised inside the first draw
+        pytest.param({"kind": "moebius-uniform", "lo": 2, "hi": 1}, "lo <= hi", id="lo-above-hi"),
         pytest.param({"kind": "moebius-two-atom", "alpha1": None}, "'alpha1'", id="alpha1-null"),
         pytest.param({"kind": "moebius-two-atom", "alpha2": "2"}, "'alpha2'",
                      id="alpha2-string"),
@@ -868,6 +882,13 @@ class TestConfigNumbers:
     @pytest.mark.parametrize("command", ["simulate", "tail"])
     def test_system_numbers_fail_before_drawing(self, tmp_path, capsys, command, system, named):
         fails_before_drawing(tmp_path, capsys, command, dict(TAIL_DOC, system=system), named)
+
+    def test_one_point_range(self, tmp_path):
+        # lo == hi draws every map at alpha = lo
+        out = tmp_path / "s.csv"
+        doc = dict(TAIL_DOC, system={"kind": "moebius-uniform", "lo": 1.5, "hi": 1.5}, n=2)
+        assert main(["simulate", "--config", write_cfg(tmp_path, doc), "--out", str(out)]) == 0
+        assert float(out.read_text().split("\n")[2].split(",")[1]) == 0.5 / (1.0 + 1.5 * 0.5)
 
     def test_integral_system_numbers_give_the_same_bytes(self, tmp_path):
         outputs = []
@@ -1067,3 +1088,76 @@ class TestConfigObjects:
     @pytest.mark.parametrize("command", ALL_COMMANDS)
     def test_top_level_fails_before_drawing(self, tmp_path, capsys, command, doc, flags):
         fails_before_drawing(tmp_path, capsys, command, doc, "config must be an object", flags)
+
+
+@pytest.mark.parametrize("command", ["simulate", "tail"])
+@pytest.mark.parametrize("system, named", [
+    ({}, "config 'system' needs a system 'kind' of halving-ifs, moebius-uniform, "
+         "moebius-two-atom, identity, atoms, got None"),
+    (dict(MOEBIUS_ONE_ATOM, space={}),
+     "system 'space' needs a space 'kind' of interval, circle, projective, got None"),
+], ids=["system", "space"])
+def test_block_without_kind(tmp_path, capsys, command, system, named):
+    # where only "error: 'kind'" was printed
+    fails_before_drawing(tmp_path, capsys, command, dict(TAIL_DOC, system=system), named)
+
+
+# values fed to every key of every schema table
+WALK_VALUES = {"bool": True, "null": None, "string": "abc", "nan": float("nan"), "negative": -1,
+               "empty-list": []}
+WALK_MAPS = {"moebius": {"alpha": 1.0}, "polynomial": {"alpha": 1.25},
+             "affine": {"slope": 0.5, "offset": 0.0}, "projective": {"matrix": MATRICES_2[0]}}
+WALK_PARAMS = {"lambda": {"n_ladder": [10], "grid": 8}, "asclt": {"n_ladder": [64]},
+               "sync": {"B": [0.5]}, "corr-sum": {"epsilon": 0.5}}
+
+
+def _placed(table, kind, key, value):
+    """(command, config) of a config that runs, but for ``value`` at ``key``
+    of the block that ``table[kind]`` reads."""
+    if table == "CONFIG":
+        return "tail", dict(TAIL_DOC, **{key: value})
+    if table == "SYSTEMS":
+        base = MOEBIUS_ONE_ATOM if kind == "atoms" else {}
+        return "simulate", dict(TAIL_DOC, system=dict(base, kind=kind, **{key: value}))
+    if table == "MAPS":
+        m = dict(WALK_MAPS[kind], kind=kind, **{key: value})
+        return "simulate", dict(TAIL_DOC, system={"kind": "atoms", "atoms": [[m, 1.0]]})
+    if table == "SPACES":
+        system = PROJECTIVE_ATOMS if kind == "projective" else MOEBIUS_ONE_ATOM
+        return "simulate", dict(TAIL_DOC, system=dict(system, space={"kind": kind, key: value}))
+    if table == "REFERENCES":
+        reference = {"kind": kind, key: value}
+        return "tail", observable_doc("kappa-to-stationary", params={"reference": reference})
+    params = dict(WALK_PARAMS.get(kind, {}), **{key: value})
+    if kind in ("lambda", "corr-dim", "asclt"):
+        return kind, dict(TAIL_DOC, observable="asclt-kappa", params=params)
+    return "tail", observable_doc(kind, params=params)
+
+
+def _walk():
+    """(command, config, named) for each value that the rule of a schema
+    key rejects, on the unit interval of the configs that place it."""
+    tables = {"CONFIG": {"": H.CONFIG}, "SYSTEMS": H.SYSTEMS, "MAPS": H.MAPS,
+              "SPACES": H.SPACES, "REFERENCES": H.REFERENCES, "PARAMS": H.PARAMS}
+    for table, kinds in tables.items():
+        for kind, keys in kinds.items():
+            for key, ((_, test, _), _) in keys.items():
+                for tag, value in WALK_VALUES.items():
+                    if not test(value, Interval(0.0, 1.0)):
+                        yield pytest.param(*_placed(table, kind, key, value), f"{key!r}",
+                                           id=f"{table}-{kind}-{key}-{tag}")
+
+
+@pytest.mark.parametrize("command, doc, named", list(_walk()))
+def test_schema_walk(tmp_path, capsys, command, doc, named):
+    """Every key of every schema table, fed each value its rule rejects,
+    exits 2 naming the key before any draw."""
+    fails_before_drawing(tmp_path, capsys, command, doc, named)
+
+
+def test_no_rule_takes_a_bool_or_nan():
+    # so the walk feeds each key at least these two values
+    for kinds in (H.SYSTEMS, H.MAPS, H.SPACES, H.REFERENCES, H.PARAMS, {"": H.CONFIG}):
+        for keys in kinds.values():
+            for key, ((what, test, _), _) in keys.items():
+                assert not test(True, None) and not test(float("nan"), None), (key, what)

@@ -792,8 +792,9 @@ class TestLyapunovProjectiveTrials:
 
     @pytest.mark.parametrize("n, block", [(33, 100), (65, 64), (65, 10)])
     def test_sub_batches(self, n, block):
-        # 3 trials per sub-batch (3 + 3 + 1); then one trial per sub-batch,
-        # its 65-label word drawn in pieces of 64 + 1 or of 10 labels
+        # 3 trials per sub-batch (3 + 3 + 1), each sub-batch's word drawn at
+        # once; then one trial per sub-batch, whose 65-label word the same
+        # path draws in pieces of 64 + 1 or of 10 labels
         nu = HYPERBOLIC_ROTATION[2]
         with mock.patch.object(E, "LABEL_BLOCK", block):
             got = lyapunov_projective_trials(nu, [1.0, 0.0], n, 7, SeededStream(4).generator())

@@ -411,7 +411,8 @@ class TestChunkEngines:
     def _compare(kind, system, params, n, count):
         cfg = halving_cfg(observable=kind, system=system, params=params, n=n)
         sys_spec = build_system(system)
-        ctx, _ = H._build_context(cfg, sys_spec, SeededStream(0))
+        ctx, _ = H._build_context(cfg, sys_spec, SeededStream(0),
+                                  H._check_observable(cfg, sys_spec))
         rng = SeededStream(9).generator
         if kind == "corr-sum":  # the orbit engine
             got = H._orbits(cfg, sys_spec, ctx, [rng()], [count])
@@ -438,7 +439,8 @@ class TestChunkEngines:
         system = {"kind": "halving-ifs"} if kind == "birkhoff" else PROJECTIVE_SYSTEM
         cfg = halving_cfg(observable=kind, system=system, n=n)
         sys_spec = build_system(system)
-        ctx, _ = H._build_context(cfg, sys_spec, SeededStream(0))
+        ctx, _ = H._build_context(cfg, sys_spec, SeededStream(0),
+                                  H._check_observable(cfg, sys_spec))
         with mock.patch.object(E, "LABEL_BLOCK", 50), \
                 mock.patch("rdslab.estimators.draw_word", wraps=draw_word) as draws:
             H._group_values(cfg, sys_spec, ctx, [SeededStream(9)], [37])
@@ -450,7 +452,8 @@ class TestChunkEngines:
     def test_cocycle_engine(self, kind, row, block):
         cfg = halving_cfg(observable=kind, system=PROJECTIVE_SYSTEM, n=40)
         sys_spec = build_system(PROJECTIVE_SYSTEM)
-        ctx, _ = H._build_context(cfg, sys_spec, SeededStream(0))
+        ctx, _ = H._build_context(cfg, sys_spec, SeededStream(0),
+                                  H._check_observable(cfg, sys_spec))
         with mock.patch.object(E, "LABEL_BLOCK", block):
             got = H._group_values(cfg, sys_spec, ctx, [SeededStream(9)], [5])
         rng = SeededStream(9).generator()
@@ -518,7 +521,8 @@ def test_one_trial_sync_engine_matches_synchronization(name, n):
     sys_spec = build_system(SYNC_SYSTEMS[name])
     rtol = 2e-12 if name == "circle-chart" else 1e-14
     for seed in range(4):
-        got = H._sync(cfg, sys_spec, {"start": x0}, [SeededStream(seed).generator()], [1])
+        got = H._sync(cfg, sys_spec, {"start": x0, "B": B}, [SeededStream(seed).generator()],
+                     [1])
         expect = synchronization(sys_spec.nu, sys_spec.space, x0, B, n, SeededStream(seed))
         np.testing.assert_allclose(got, [expect], rtol=rtol, atol=0.0)
 
@@ -559,7 +563,8 @@ class TestGroupedRuns:
     def _setup(kind, system, params, trials):
         cfg = halving_cfg(observable=kind, system=system, params=params, n=12, trials=trials)
         sys_spec = build_system(system)
-        ctx, _ = H._build_context(cfg, sys_spec, SeededStream(0))
+        ctx, _ = H._build_context(cfg, sys_spec, SeededStream(0),
+                                  H._check_observable(cfg, sys_spec))
         return cfg, sys_spec, ctx
 
     @pytest.mark.parametrize("kind, system, params", GROUP_CASES)
@@ -605,3 +610,81 @@ class TestGroupedRuns:
             H._run_trials(cfg, sys_spec, ctx, SeededStream(9))
         sizes = [c.args[2] for c in draws.call_args_list]
         assert max(sizes) <= max(block, H.CHUNK) and sum(sizes) == cfg.n * trials
+
+
+class Recording(dict):
+    """A params block that records every key a reader asks it for."""
+
+    def __init__(self, *args, **kw):
+        super().__init__(*args, **kw)
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
+
+    def __contains__(self, key):
+        self.read.add(key)
+        return super().__contains__(key)
+
+
+CIRCLE_SYSTEM = SYNC_SYSTEMS["circle-chart"]
+SIMULATED = {"kind": "simulate", "burn_in": 50, "samples": 200}
+MATRIX_INPUTS = {"lambda_nu": 2.0, "C": 3.0}
+# (runner, its PARAMS entry, config): the benchmark's jobs at small sizes
+DECLARED_CASES = [
+    (H.run_simulate, "simulate", {"system": {"kind": "moebius-uniform"}, "n": 50,
+                                  "params": {"x0": 0.5}}),
+    (H.run_lambda_survey, "lambda", {"system": SYNC_SYSTEMS["polynomial"], "trials": 128,
+                                     "params": {"n_ladder": [4, 8], "grid": 16}}),
+    (H.run_corrdim, "corr-dim", {"system": CIRCLE_SYSTEM, "n": 300,
+                                 "params": {"epsilon0": 0.1, "rungs": 4, "x0": 0.3}}),
+    (H.run_asclt, "asclt", {"system": {"kind": "moebius-two-atom"}, "observable": "asclt-kappa",
+                            "trials": 100, "params": {"h": "centered", "n_ladder": [64, 128],
+                                                      "sigma_n": 20, "sigma_trials": 100}}),
+    (H.run_lyap, "lyap", {"system": CIRCLE_SYSTEM, "observable": "lyap-1d", "n": 200,
+                          "params": {"x0": 0.3}}),
+    (H.run_lyap, "lyap", {"system": PROJECTIVE_SYSTEM, "observable": "lyap-projective",
+                          "n": 200}),
+    (H.run_bounds, "bounds", {"system": {"kind": "halving-ifs"}, "params": {"h": "coordinate"}}),
+    (run_tail, "birkhoff", {"system": {"kind": "halving-ifs"}, "params": {"h": "coordinate"}}),
+    (run_tail, "lyap-1d", {"system": {"kind": "moebius-uniform"}, "observable": "lyap-1d",
+                           "bound": "circle-lyap", "t_ladder": [0.01],
+                           "inputs": {"lambda_nu": 2.0, "m_nu": 0.1, "M_nu": 1.0}}),
+    (run_tail, "kappa-to-stationary", {"system": {"kind": "moebius-two-atom"},
+                                       "observable": "kappa-to-stationary",
+                                       "bound": "empirical-kappa",
+                                       "params": {"reference": SIMULATED}}),
+    (run_tail, "kappa-interval", {"system": CIRCLE_SYSTEM, "observable": "kappa-interval",
+                                  "bound": "interval-kappa", "inputs": {"lambda_nu": 0.1},
+                                  "params": {"x0": 0.3, "reference": SIMULATED}}),
+    (run_tail, "sync", {"system": {"kind": "halving-ifs"}, "observable": "sync",
+                        "bound": "sync", "params": {"B": [0.0, 0.5, 1.0], "x0": 0.25}}),
+    (run_tail, "corr-sum", {"system": {"kind": "halving-ifs"}, "observable": "corr-sum",
+                            "bound": "corrdim", "inputs": {"epsilon": 0.5},
+                            "params": {"epsilon": 0.5}}),
+    (run_tail, "lyap-projective", {"system": PROJECTIVE_SYSTEM, "observable": "lyap-projective",
+                                   "bound": "projective-lyap", "inputs": MATRIX_INPUTS}),
+    (run_tail, "lyap-matrix-norm", {"system": PROJECTIVE_SYSTEM,
+                                    "observable": "lyap-matrix-norm", "bound": "matrix-norm",
+                                    "inputs": MATRIX_INPUTS}),
+]
+
+
+@pytest.mark.parametrize("runner, name, doc", DECLARED_CASES,
+                         ids=[f"{r.__name__}-{name}" for r, name, _ in DECLARED_CASES])
+def test_runners_read_declared_params_only(runner, name, doc):
+    # every params key a runner or engine reads is declared in PARAMS, and
+    # each declared key is read; the start and the reference have readers
+    # of their own
+    params = Recording(doc.get("params", {}))
+    base = {"n": 40, "trials": 100, "t_ladder": [0.1, 0.2],
+            "inputs": {"lambda_nu": 2.0, "gee_inf": 0.5}}
+    inputs = dict(base["inputs"], **doc.get("inputs", {}))
+    runner(ExperimentConfig(**dict(base, **dict(doc, inputs=inputs, params=params))))
+    declared = set(H.PARAMS.get(name, {}))
+    assert declared <= params.read <= declared | {"x0", "start", "reference"}
