@@ -63,21 +63,18 @@ from .estimators import (
     stationary_approx,
 )
 from .bounds import (
-    BoundInputs,
     BoundResult,
     appendix_checks,
-    beta_n,
     circle_lyap_bound,
     corrdim_bound,
     empirical_kappa_bound,
     interval_kappa_bound,
     lln_bound,
-    main_tail_bound,
     matrix_norm_bound,
     projective_lyap_bound,
-    refined_alpha,
-    refined_tail_bound,
+    refined_bound,
     sync_bound,
+    theorem_a_bound,
     wilson_interval,
 )
 from .harness import (

@@ -1,15 +1,19 @@
-"""Closed-form concentration bounds, validity thresholds, and the two
-inequality utilities used by the proofs.
+"""Closed-form concentration bounds, the rules of config values, and the
+two inequality utilities used by the proofs.
 
-Conventions shared by every routine here:
+Each config selector of :data:`BOUNDS` is one formula, a public
+``*_bound(n, t, ...)`` function whose parameters after (n, t) are the
+inputs it reads, by key and with their defaults.  Every formula returns a
+:class:`BoundResult`, with ``applicable`` False below the theorem's
+validity threshold; callers must not compare empirical tails against
+out-of-regime bounds.  The range of each input is its rule in
+:data:`_INPUTS`, which :func:`resolve_inputs` applies before any
+simulation; a formula checks only what relates two inputs.
 
-* bounds above 1 are returned unchanged and flagged vacuous — they are
+* bounds above 1 are returned unchanged and flagged vacuous: they are
   still valid upper bounds and dominance tests must not clip them;
-* theorems with a validity threshold return a :class:`BoundResult` whose
-  ``applicable`` flag is False below the threshold, and callers must not
-  compare empirical tails against out-of-regime bounds;
-* a degenerate zero denominator (possible only when the contraction and
-  diameter inputs are both 0) yields bound 0 for t > 0.
+* a zero denominator (the contraction and diameter inputs both 0) yields
+  bound 0.
 """
 
 from __future__ import annotations
@@ -22,12 +26,9 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 __all__ = [
-    "BoundInputs",
     "BoundResult",
-    "beta_n",
-    "main_tail_bound",
-    "refined_alpha",
-    "refined_tail_bound",
+    "theorem_a_bound",
+    "refined_bound",
     "sync_bound",
     "lln_bound",
     "empirical_kappa_bound",
@@ -44,37 +45,6 @@ __all__ = [
 ]
 
 
-@dataclass
-class BoundInputs:
-    """Shared ingredient bundle for the bound formulas.
-
-    gamma may be given explicitly (length n+1) or through uniform_c, the
-    shorthand for the constant ladder gamma_i = c / n.
-    """
-
-    n: int
-    gamma: list | None = None
-    uniform_c: float | None = None
-    gee_diameter: float = 0.0
-    lam: float = 0.0
-    u: list | None = None
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
-        if (self.gamma is None) == (self.uniform_c is None):
-            raise ValueError("give exactly one of gamma or uniform_c")
-        if self.gamma is None:
-            self.gamma = [self.uniform_c / self.n] * (self.n + 1)
-        self.gamma = [float(g) for g in self.gamma]
-        if len(self.gamma) != self.n + 1:
-            raise ValueError("gamma must have n + 1 entries")
-        if any(g < 0 for g in self.gamma) or not any(g > 0 for g in self.gamma):
-            raise ValueError("gamma must be nonnegative with at least one positive entry")
-        if self.gee_diameter < 0 or self.lam < 0:
-            raise ValueError("diameter and contraction inputs must be nonnegative")
-
-
 @dataclass(frozen=True)
 class BoundResult:
     """A bound value together with its validity gate."""
@@ -88,173 +58,111 @@ class BoundResult:
         return self.applicable and self.value > 1.0
 
 
-def _gate(threshold: float, value: float, t: float, strict: bool) -> BoundResult:
-    ok = (t > threshold) if strict else (t >= threshold)
-    return BoundResult(value=value, threshold=threshold, applicable=ok)
+# ---------------------------------------------------------------------------
+# the formulas: G is the diameter input, lambda the contraction sum
 
 
-def beta_n(inputs: BoundInputs) -> float:
-    """n * (diameter + contraction sum) * max gamma."""
-    return inputs.n * (inputs.gee_diameter + inputs.lam) * max(inputs.gamma)
+def theorem_a_bound(n, t, lambda_nu, gee_inf, uniform_c=1.0) -> BoundResult:
+    """One-sided tail bound exp(-n t^2 / (12 beta^2)), beta = n (G + lambda)
+    max gamma on the constant ladder gamma_i = c / n."""
+    beta = n * (gee_inf + lambda_nu) * (uniform_c / n)
+    return BoundResult(float(np.exp(-n * t * t / (12.0 * beta * beta))) if beta else 0.0)
 
 
-def main_tail_bound(n: int, t: float, beta: float) -> float:
-    """One-sided tail bound exp(-n t^2 / (12 beta^2))."""
-    if t <= 0:
-        raise ValueError("t must be positive")
-    if beta < 0:
-        raise ValueError("beta must be nonnegative")
-    if beta == 0.0:
-        return 0.0
-    return float(np.exp(-n * t * t / (12.0 * beta * beta)))
+def refined_bound(n, t, gee_inf, u, uniform_c=1.0) -> BoundResult:
+    """One-sided tail bound exp(-t^2 / (12 sum alpha_k^2)) from the n
+    coupled means u_0 .. u_{n-1}: alpha_k = gamma_k G + sum_j gamma_{k+j}
+    u_{j-1} on the ladder gamma_i = c / n."""
+    if len(u) != n:
+        raise ValueError(f"bound 'refined' input 'u' needs n = {n} values, got {len(u)}")
+    g, u = np.full(n + 1, uniform_c / n), np.asarray(u, dtype=float)
+    alpha = np.array([g[k] * gee_inf + float(np.dot(g[k + 1:], u[:n - k])) for k in range(n + 1)])
+    alpha_sq = float(np.sum(alpha * alpha))
+    return BoundResult(float(np.exp(-t * t / (12.0 * alpha_sq))) if alpha_sq else 0.0)
 
 
-def refined_alpha(inputs: BoundInputs):
-    """Per-index weights alpha_k = gamma_k * diameter
-    + sum_j gamma_{k+j} u_{j-1}, and their squared sum."""
-    if inputs.u is None or len(inputs.u) != inputs.n:
-        raise ValueError("need the n coupled means u_0 .. u_{n-1}")
-    g = np.asarray(inputs.gamma)
-    u = np.asarray([float(v) for v in inputs.u])
-    n = inputs.n
-    alpha = np.empty(n + 1)
-    for k in range(n + 1):
-        alpha[k] = g[k] * inputs.gee_diameter + float(np.dot(g[k + 1 :], u[: n - k]))
-    return list(alpha), float(np.sum(alpha * alpha))
-
-
-def refined_tail_bound(t: float, alpha_sq: float) -> float:
-    """One-sided tail bound exp(-t^2 / (12 alpha_sq))."""
-    if t <= 0:
-        raise ValueError("t must be positive")
-    if alpha_sq < 0:
-        raise ValueError("alpha_sq must be nonnegative")
-    if alpha_sq == 0.0:
-        return 0.0
-    return float(np.exp(-t * t / (12.0 * alpha_sq)))
-
-
-def sync_bound(n: int, t: float, gee_inf: float, lambda_nu: float, muB: float) -> BoundResult:
-    """Tracking-distance tail bound with its mass-dependent threshold."""
-    if not 0.0 < muB <= 1.0:
-        raise ValueError("muB must lie in (0, 1]")
+def sync_bound(n, t, lambda_nu, gee_inf, muB=1.0) -> BoundResult:
+    """Tracking-distance tail bound, past a threshold set by the mass muB
+    of the candidate set."""
     s = gee_inf + lambda_nu
-    threshold = 8.0 * s * np.sqrt(np.log(1.0 / muB)) / np.sqrt(n) + lambda_nu / n
+    threshold = float(8.0 * s * np.sqrt(np.log(1.0 / muB)) / np.sqrt(n) + lambda_nu / n)
     value = float(np.exp(-n * t * t / (48.0 * s * s))) if s > 0 else 0.0
-    return _gate(float(threshold), value, t, strict=False)
+    return BoundResult(value, threshold, t >= threshold)
 
 
-def lln_bound(n: int, t: float, L_h: float, gee_inf: float, lambda_nu: float) -> BoundResult:
-    """Two-sided Birkhoff-average tail bound (prefactor 2)."""
-    if L_h <= 0:
-        raise ValueError("L_h must be positive")
-    s = lambda_nu + gee_inf
-    threshold = 2.0 * lambda_nu * L_h / n
-    value = 2.0 * float(np.exp(-n * t * t / (48.0 * L_h * L_h * s * s))) if s > 0 else 0.0
-    return _gate(threshold, value, t, strict=True)
+def lln_bound(n, t, lambda_nu, gee_inf, lipschitz_L=1.0) -> BoundResult:
+    """Two-sided Birkhoff-average tail bound (prefactor 2) of an
+    L-Lipschitz observable."""
+    s, L = lambda_nu + gee_inf, lipschitz_L
+    threshold = 2.0 * lambda_nu * L / n
+    value = 2.0 * float(np.exp(-n * t * t / (48.0 * L * L * s * s))) if s > 0 else 0.0
+    return BoundResult(value, threshold, t > threshold)
 
 
-def empirical_kappa_bound(n: int, t: float, gee_inf: float, lambda_nu: float) -> BoundResult:
+def empirical_kappa_bound(n, t, lambda_nu, gee_inf) -> BoundResult:
     """Two-sided tail bound for the Kantorovich distance of the empirical
     measure from its mean."""
     s = gee_inf + lambda_nu
-    # the threshold uses L = 1 for the Kantorovich functional
-    threshold = 2.0 * lambda_nu / n
+    threshold = 2.0 * lambda_nu / n  # L = 1 for the Kantorovich functional
     value = 2.0 * float(np.exp(-n * t * t / (12.0 * s * s))) if s > 0 else 0.0
-    return _gate(threshold, value, t, strict=True)
+    return BoundResult(value, threshold, t > threshold)
 
 
-def interval_kappa_bound(
-    n: int, t: float, a: float, b: float, gee_inf: float, lambda_nu: float
-) -> BoundResult:
-    """One-sided interval empirical-measure bound with the quarter-power
+def interval_kappa_bound(n, t, lambda_nu, gee_inf, a=0.0, b=1.0) -> BoundResult:
+    """One-sided empirical-measure bound on [a, b], with the quarter-power
     threshold."""
     if b <= a:
-        raise ValueError("need b > a")
+        raise ValueError(f"bound 'interval-kappa' needs 'a' < 'b', got a {a}, b {b}")
     s = gee_inf + lambda_nu
     threshold = (b - a) * (1.0 + 8.0 * lambda_nu) ** 0.25 / n**0.25
     value = float(np.exp(-n * t * t / (48.0 * s * s))) if s > 0 else 0.0
-    return _gate(threshold, value, t, strict=False)
+    return BoundResult(value, threshold, t >= threshold)
 
 
-def corrdim_bound(
-    n: int, t: float, eps: float, L_phi: float, sup_phi: float, gee_inf: float, lambda_nu: float
-) -> BoundResult:
-    """Two-sided smoothed correlation-sum bound 2 exp(-c n t^2 eps^2)."""
-    if eps <= 0 or L_phi <= 0:
-        raise ValueError("eps and L_phi must be positive")
-    s = gee_inf + lambda_nu
-    threshold = 8.0 * L_phi * lambda_nu / (eps * n) + sup_phi / n
-    if s == 0:
-        return _gate(threshold, 0.0, t, strict=True)
-    c = 1.0 / (192.0 * L_phi * L_phi * s * s)
-    value = 2.0 * float(np.exp(-c * n * t * t * eps * eps))
-    return _gate(threshold, value, t, strict=True)
+def corrdim_bound(n, t, lambda_nu, gee_inf, epsilon, lipschitz_L=1.0,
+                  sup_norm=1.0) -> BoundResult:
+    """Two-sided smoothed correlation-sum bound 2 exp(-c n t^2 eps^2) of a
+    kernel with Lipschitz constant L and sup norm ``sup_norm``."""
+    s, L, eps = gee_inf + lambda_nu, lipschitz_L, epsilon
+    threshold = 8.0 * L * lambda_nu / (eps * n) + sup_norm / n
+    value = 0.0
+    if s > 0:
+        c = 1.0 / (192.0 * L * L * s * s)
+        value = 2.0 * float(np.exp(-c * n * t * t * eps * eps))
+    return BoundResult(value, threshold, t > threshold)
 
 
-def circle_lyap_bound(
-    n: int, t: float, m_nu: float, M_nu: float, gee_c1: float, lam: float
-) -> float:
-    """Two-sided circle Lyapunov-exponent tail bound.  Its threshold, twice
-    the abstract threshold sequence, is the ``circle-lyap`` selector's."""
-    if not 0.0 < m_nu <= M_nu:
-        raise ValueError("need 0 < m_nu <= M_nu")
-    if t <= 0:
-        raise ValueError("t must be positive")
-    s = gee_c1 + lam
-    if s == 0:
-        return 0.0
-    return 2.0 * float(np.exp(-n * t * t * m_nu * m_nu / (48.0 * M_nu * M_nu * s * s)))
+def circle_lyap_bound(n, t, lambda_nu, gee_c1, m_nu, M_nu, t_n_hat=0.0) -> BoundResult:
+    """Two-sided circle Lyapunov-exponent tail bound, for t past twice the
+    threshold sequence t_n."""
+    if m_nu > M_nu:
+        raise ValueError(f"bound 'circle-lyap' needs 'm_nu' <= 'M_nu', got m_nu {m_nu}, "
+                         f"M_nu {M_nu}")
+    s, m, M = gee_c1 + lambda_nu, m_nu, M_nu
+    value = 2.0 * float(np.exp(-n * t * t * m * m / (48.0 * M * M * s * s))) if s > 0 else 0.0
+    return BoundResult(value, 2.0 * t_n_hat, t > 2.0 * t_n_hat)
 
 
-def projective_lyap_bound(t: float, C: float, lambda_nu: float) -> float:
-    """Vector-growth tail bound exp(-t^2 / (192 C^4 (lambda + C)^2)).
-
-    As stated there is no n factor in the exponent; the bound is weaker
-    than its finite-n analogues but valid, and is reported as-is.
-    """
-    if C < 1.0:
-        raise ValueError("need C >= 1 (unit determinant forces norm >= 1)")
-    if t <= 0:
-        raise ValueError("t must be positive")
+def projective_lyap_bound(n, t, lambda_nu, C, t_n_hat=0.0) -> BoundResult:
+    """Vector-growth tail bound exp(-t^2 / (192 C^4 (lambda + C)^2)), for t
+    past 2 t_n.  As stated there is no n in the exponent: the bound is
+    weaker than its finite-n analogues but valid, and reported as-is."""
     s = lambda_nu + C
-    return float(np.exp(-t * t / (192.0 * C**4 * s * s)))
+    value = float(np.exp(-t * t / (192.0 * C**4 * s * s)))
+    return BoundResult(value, 2.0 * t_n_hat, t > 2.0 * t_n_hat)
 
 
-def matrix_norm_bound(n: int, t: float, m_dim: int, C: float, lambda_nu: float):
-    """Matrix-norm growth bound 2m exp(-t^2 / (768 C^4 (lambda + C)^2)).
-
-    Returns (threshold_log_part, bound): the (2/n) log m threshold term;
-    the ``matrix-norm`` selector adds the remaining 2 t_n part.
-    """
-    if C < 1.0:
-        raise ValueError("need C >= 1")
-    if m_dim < 1:
-        raise ValueError("need m_dim >= 1")
-    if t <= 0:
-        raise ValueError("t must be positive")
+def matrix_norm_bound(n, t, lambda_nu, C, m_dim=2, t_n_hat=0.0) -> BoundResult:
+    """Matrix-norm growth bound 2m exp(-t^2 / (768 C^4 (lambda + C)^2)), for
+    t past 2 t_n + (2/n) log m."""
     s = lambda_nu + C
     value = 2.0 * m_dim * float(np.exp(-t * t / (768.0 * C**4 * s * s)))
-    return (2.0 / n) * float(np.log(m_dim)), value
+    threshold = 2.0 * t_n_hat + (2.0 / n) * float(np.log(m_dim))
+    return BoundResult(value, threshold, t > threshold)
 
 
 # ---------------------------------------------------------------------------
-# the config selectors
-
-
-class Bound(NamedTuple):
-    """A config selector of :data:`BOUNDS`: whether the deviations it bounds
-    are two-sided, and its formula call.  The formula's parameters after
-    (n, t) are the inputs it reads, by key; a parameter's default is the
-    input's default."""
-
-    two_sided: bool
-    formula: Callable[..., BoundResult]
-
-
-# further keys an input is read from, in order: gee_rho stands in for the
-# sup-diameter G, and the C^1 diameter gee_c1 falls back on G
-_ALTERNATIVES = {"gee_inf": ("gee_inf", "gee_rho"), "gee_c1": ("gee_c1", "gee_inf", "gee_rho")}
+# the rules of config values
 
 
 def _number(v) -> bool:
@@ -271,8 +179,14 @@ def _integral(v, minimum: int) -> bool:
 # values ``test`` accepts, on the system's space where that matters (which
 # ``what`` names as ``{space}``), and what ``convert`` reads from them.
 # ``_read`` reads every config block by its table of key -> (rule, default).
-REAL = ("a finite number", lambda v, space: _number(v), float)
-POSITIVE = ("a positive number", lambda v, space: _number(v) and v > 0, float)
+def number(what: str, ok=lambda v: True) -> tuple:
+    """The rule of a finite number that ``ok`` accepts, read as a float."""
+    return what, lambda v, space: _number(v) and ok(v), float
+
+
+REAL = number("a finite number")
+POSITIVE = number("a positive number", lambda v: v > 0)
+NONNEGATIVE = number("a number >= 0", lambda v: v >= 0)
 TEXT = ("a string", lambda v, space: isinstance(v, str), str)
 OBJECT = ("an object", lambda v, space: isinstance(v, dict), lambda v: v)
 
@@ -328,49 +242,39 @@ def _kind(block, table: dict, where: str, label: str, space=None) -> tuple:
     return kind, _read(block, table[kind], f"{where}: {label} kind {kind!r}", space)
 
 
-# the rules of the inputs that are not finite numbers
-_INPUTS = {"m_dim": integer(1), "u": list_of(REAL)}
+# the rule of each bound input, which ``resolve_inputs`` applies to the key
+# it reads (gee_inf's to gee_rho too)
+_INPUTS = {
+    **dict.fromkeys(("lambda_nu", "gee_inf", "gee_c1", "t_n_hat", "sup_norm"), NONNEGATIVE),
+    **dict.fromkeys(("uniform_c", "lipschitz_L", "epsilon", "m_nu", "M_nu"), POSITIVE),
+    "a": REAL, "b": REAL, "u": list_of(NONNEGATIVE), "m_dim": integer(1),
+    "muB": number("a number in (0, 1]", lambda v: 0 < v <= 1),
+    "C": number("a number >= 1", lambda v: v >= 1),
+}
+# further keys an input is read from, in order: gee_rho stands in for the
+# sup-diameter G, and the C^1 diameter gee_c1 falls back on G
+_ALTERNATIVES = {"gee_inf": ("gee_inf", "gee_rho"), "gee_c1": ("gee_c1", "gee_inf", "gee_rho")}
 
 
-def _past_t_n(t, value, t_n_hat, log_part=-0.0):
-    # the Lyapunov bounds hold for t > 2 t_n (plus the theorem's fixed term),
-    # t_n being the input t_n_hat; x + -0.0 is x for every x, signed zeros too
-    return _gate(2.0 * t_n_hat + log_part, value, t, strict=True)
+class Bound(NamedTuple):
+    """A config selector of :data:`BOUNDS`: whether the deviations it bounds
+    are two-sided, and its formula."""
 
-
-def _theorem_a(n, t, lambda_nu, gee_inf, uniform_c=1.0):
-    bi = BoundInputs(n=n, uniform_c=uniform_c, gee_diameter=gee_inf, lam=lambda_nu)
-    return BoundResult(value=main_tail_bound(n, t, beta_n(bi)))
-
-
-def _refined(n, t, gee_inf, u, uniform_c=1.0):
-    _, alpha_sq = refined_alpha(BoundInputs(n=n, uniform_c=uniform_c, gee_diameter=gee_inf, u=u))
-    return BoundResult(value=refined_tail_bound(t, alpha_sq))
-
-
-def _matrix_norm(n, t, lambda_nu, C, m_dim=2, t_n_hat=0.0):
-    log_part, value = matrix_norm_bound(n, t, m_dim, C, lambda_nu)
-    return _past_t_n(t, value, t_n_hat, log_part)
+    two_sided: bool
+    formula: Callable[..., BoundResult]
 
 
 BOUNDS = {
-    "theorem-a": Bound(False, _theorem_a),
-    "refined": Bound(False, _refined),
-    "lln": Bound(True, lambda n, t, lambda_nu, gee_inf, lipschitz_L=1.0:
-                 lln_bound(n, t, lipschitz_L, gee_inf, lambda_nu)),
-    "sync": Bound(False, lambda n, t, lambda_nu, gee_inf, muB=1.0:
-                  sync_bound(n, t, gee_inf, lambda_nu, muB)),
-    "empirical-kappa": Bound(True, lambda n, t, lambda_nu, gee_inf:
-                             empirical_kappa_bound(n, t, gee_inf, lambda_nu)),
-    "interval-kappa": Bound(False, lambda n, t, lambda_nu, gee_inf, a=0.0, b=1.0:
-                            interval_kappa_bound(n, t, a, b, gee_inf, lambda_nu)),
-    "corrdim": Bound(True, lambda n, t, lambda_nu, gee_inf, epsilon, lipschitz_L=1.0, sup_norm=1.0:
-                     corrdim_bound(n, t, epsilon, lipschitz_L, sup_norm, gee_inf, lambda_nu)),
-    "circle-lyap": Bound(True, lambda n, t, lambda_nu, gee_c1, m_nu, M_nu, t_n_hat=0.0: _past_t_n(
-        t, circle_lyap_bound(n, t, m_nu, M_nu, gee_c1, lambda_nu), t_n_hat)),
-    "projective-lyap": Bound(False, lambda n, t, lambda_nu, C, t_n_hat=0.0: _past_t_n(
-        t, projective_lyap_bound(t, C, lambda_nu), t_n_hat)),
-    "matrix-norm": Bound(True, _matrix_norm),
+    "theorem-a": Bound(False, theorem_a_bound),
+    "refined": Bound(False, refined_bound),
+    "lln": Bound(True, lln_bound),
+    "sync": Bound(False, sync_bound),
+    "empirical-kappa": Bound(True, empirical_kappa_bound),
+    "interval-kappa": Bound(False, interval_kappa_bound),
+    "corrdim": Bound(True, corrdim_bound),
+    "circle-lyap": Bound(True, circle_lyap_bound),
+    "projective-lyap": Bound(False, projective_lyap_bound),
+    "matrix-norm": Bound(True, matrix_norm_bound),
 }
 
 
@@ -378,8 +282,8 @@ def resolve_inputs(selector: str, config: dict, analytic: dict):
     """(inputs, provenance) of the bound ``selector``: each input from
     ``config``, else the system's ``analytic`` constants, else its default,
     with ``config``, ``analytic`` or ``default`` recorded under the key
-    read.  A missing required input, or one its rule (``_INPUTS``, else
-    ``REAL``) rejects, raises ValueError naming its key."""
+    read.  A missing required input, or one its rule in ``_INPUTS``
+    rejects, raises ValueError naming its key."""
     if selector not in BOUNDS:
         raise ValueError(f"unknown bound selector {selector!r}; one of {', '.join(BOUNDS)}")
     inputs, provenance = {}, {}
@@ -391,7 +295,7 @@ def resolve_inputs(selector: str, config: dict, analytic: dict):
             alternatives = "".join(f" (or {k!r})" for k in keys[1:])
             raise ValueError(f"bound {selector!r} needs input {name!r}{alternatives}")
         key, origin, value = found[0] if found else (name, "default", param.default)
-        inputs[name] = _value(_INPUTS.get(name, REAL), value, f"bound {selector!r} input {key!r}")
+        inputs[name] = _value(_INPUTS[name], value, f"bound {selector!r} input {key!r}")
         provenance[key] = origin
     return inputs, provenance
 
@@ -435,7 +339,7 @@ def appendix_checks(seed: int = 0, random_cases: int = 1000) -> dict:
     }
 
 
-def wilson_interval(successes: int, trials: int, confidence: float = 0.95):
+def wilson_interval(successes: int, trials: int):
     """95% score interval for a binomial proportion; at the 0/n and n/n
     boundaries the exact (Clopper-Pearson) limit is used so that the
     reported limit is never anti-conservative there."""
@@ -443,7 +347,7 @@ def wilson_interval(successes: int, trials: int, confidence: float = 0.95):
         raise ValueError("need 0 <= successes <= trials, trials > 0")
     from scipy.special import ndtri
 
-    alpha = 1.0 - confidence
+    alpha = 1.0 - 0.95
     z = float(ndtri(1.0 - alpha / 2.0))
     p = successes / trials
     denom = 1.0 + z * z / trials

@@ -116,10 +116,10 @@ POINT = ("a finite number in {space}", lambda v, space: _number(v) and not (
 START = ("{space.m} finite numbers, not all 0", lambda v, space: isinstance(
     v, (list, tuple, np.ndarray)) and len(v) == space.m and all(map(_number, v)) and any(v),
          lambda v: np.asarray(v, dtype=float))
-_ROWS, _NUMBERS = list_of(list_of(REAL), 1), list_of(REAL)
+_ROWS, _POSITIVES = list_of(list_of(REAL), 1), list_of(POSITIVE)
 MATRIX = ("a square list of lists of finite numbers", lambda v, space: _ROWS[1](v, space)
           and all(len(r) == len(v) for r in v), _ROWS[2])
-T_LADDER = ("a strictly increasing list of finite numbers", lambda v, space: _NUMBERS[1](
+T_LADDER = ("a strictly increasing list of positive numbers", lambda v, space: _POSITIVES[1](
     v, space) and all(a < b for a, b in zip(v, v[1:])), lambda v: v)
 ATOMS = ("a nonempty list of [map, weight] pairs",
          lambda v, space: isinstance(v, list) and len(v) > 0, lambda v: v)
@@ -172,15 +172,24 @@ class SystemSpec:
     analytic: dict = field(default_factory=dict)  # known constants by name
 
 
+def _built(where: str, make):
+    """``make()``, a ValueError it raises (a range a constructor checks)
+    prefixed with ``where``, the config block it was built from."""
+    try:
+        return make()
+    except ValueError as e:
+        raise ValueError(f"{where}: {e}") from None
+
+
 def _atom(atom, i: int) -> tuple:
     """The (map, weight) of entry i of an ``atoms`` list: a [map, weight]
     pair, the map an object read by ``MAPS``."""
     where = f"system 'atoms' entry {i}"
     m, w = _value(PAIR, atom, where)
     kind, v = _kind(m, MAPS, where, "map")
-    f = {"moebius": MoebiusDecay, "polynomial": PolynomialDecay, "affine": Affine,
-         "projective": ProjectiveAction}[kind](**v)
-    return f, _value(REAL, w, f"system 'atoms' weight of entry {i}")
+    make = {"moebius": MoebiusDecay, "polynomial": PolynomialDecay, "affine": Affine,
+            "projective": ProjectiveAction}[kind]
+    return _built(where, lambda: make(**v)), _value(REAL, w, f"system 'atoms' weight of entry {i}")
 
 
 def build_system(spec: dict) -> SystemSpec:
@@ -192,6 +201,7 @@ def build_system(spec: dict) -> SystemSpec:
     or else where its maps act (``maps.support_space``).
     """
     kind, v = _kind(spec, SYSTEMS, "config 'system'", "system")
+    where = f"system {kind!r}"
     if kind == "halving-ifs":
         nu = DrivingMeasure(
             atoms=((Affine(0.5, 0.0), 0.5), (Affine(0.5, 0.5), 0.5))
@@ -200,23 +210,26 @@ def build_system(spec: dict) -> SystemSpec:
         return SystemSpec(nu, Interval(0.0, 1.0),
                           analytic={"lambda_nu": 2.0, "gee_inf": 0.5, "stationary": "lebesgue"})
     if kind == "moebius-uniform":
-        nu = DrivingMeasure(family="moebius", sampler=("uniform", v["lo"], v["hi"]))
+        nu = _built(where, lambda: DrivingMeasure(
+            family="moebius", sampler=("uniform", v["lo"], v["hi"])))
         return SystemSpec(nu, Interval(0.0, 1.0),
                           analytic={"lambda_cap": "1+log(n+1)", "gee_rho": 0.5})
     if kind == "moebius-two-atom":
         w1 = v["weight1"]
-        nu = DrivingMeasure(atoms=((MoebiusDecay(v["alpha1"]), w1),
-                                   (MoebiusDecay(v["alpha2"]), 1.0 - w1)))
+        nu = _built(where, lambda: DrivingMeasure(atoms=((MoebiusDecay(v["alpha1"]), w1),
+                                                         (MoebiusDecay(v["alpha2"]), 1.0 - w1))))
         return SystemSpec(nu, Interval(0.0, 1.0),
                           analytic={"lambda_cap": "1+log(n+1)", "gee_rho": 0.5})
     if kind == "identity":
         nu = DrivingMeasure(atoms=((Affine(1.0, 0.0), 1.0),))
         return SystemSpec(nu, Interval(0.0, 1.0))
-    nu = DrivingMeasure(atoms=tuple(_atom(a, i) for i, a in enumerate(v["atoms"])))
+    atoms = tuple(_atom(a, i) for i, a in enumerate(v["atoms"]))
+    nu = _built(where, lambda: DrivingMeasure(atoms=atoms))
     if v["space"] is None:
         return SystemSpec(nu, support_space(nu))
     kind, s = _kind(v["space"], SPACES, "system 'space'", "space")
-    space = {"interval": Interval, "circle": Circle, "projective": Projective}[kind](**s)
+    make = {"interval": Interval, "circle": Circle, "projective": Projective}[kind]
+    space = _built("system 'space'", lambda: make(**s))
     for f, _ in nu.atoms:
         if isinstance(f, ProjectiveAction) and space != space_of(f):
             raise ValueError(f"system 'space' {space!r} does not fit {f!r}, "

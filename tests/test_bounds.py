@@ -1,192 +1,227 @@
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from rdslab import bounds
 from rdslab.bounds import (
     BOUNDS,
-    BoundInputs,
     appendix_checks,
-    beta_n,
     circle_lyap_bound,
     corrdim_bound,
     empirical_kappa_bound,
     interval_kappa_bound,
     lln_bound,
-    main_tail_bound,
     matrix_norm_bound,
     projective_lyap_bound,
-    refined_alpha,
-    refined_tail_bound,
+    refined_bound,
     resolve_inputs,
     sync_bound,
+    theorem_a_bound,
     wilson_interval,
 )
+from rdslab.harness import ExperimentConfig
+
+
+def beta(n, t, res):
+    """Theorem A's beta, read back from its bound exp(-n t^2 / (12 beta^2))."""
+    return np.sqrt(n * t * t / (12.0 * -np.log(res.value)))
+
+
+def alpha_sq(t, res):
+    """The refined bound's sum of alpha_k^2, read back from exp(-t^2 / (12 a2))."""
+    return t * t / (12.0 * -np.log(res.value))
 
 
 class TestBeta:
     def test_uniform_gamma_checkpoint(self):
-        bi = BoundInputs(n=10, uniform_c=1.0, gee_diameter=0.5, lam=np.log(11.0))
-        assert beta_n(bi) == pytest.approx(0.5 + np.log(11.0), abs=1e-5)
-        assert beta_n(bi) == pytest.approx(2.89790, abs=1e-5)
+        b = beta(10, 1.0, theorem_a_bound(10, 1.0, np.log(11.0), 0.5))
+        assert b == pytest.approx(0.5 + np.log(11.0), abs=1e-5)
+        assert b == pytest.approx(2.89790, abs=1e-5)
 
     def test_n1_checkpoint(self):
-        bi = BoundInputs(n=1, gamma=[1.0, 1.0], gee_diameter=1.0, lam=1.0)
-        assert beta_n(bi) == pytest.approx(2.0)
+        assert beta(1, 1.0, theorem_a_bound(1, 1.0, 1.0, 1.0)) == pytest.approx(2.0)
 
-    def test_all_zero_gamma_rejected(self):
-        with pytest.raises(ValueError):
-            BoundInputs(n=2, gamma=[0.0, 0.0, 0.0], gee_diameter=0.5, lam=1.0)
+    def test_zero_ladder_rejected(self):
+        with pytest.raises(ValueError, match="input 'uniform_c'"):
+            resolve_inputs("theorem-a", {"lambda_nu": 1.0, "gee_inf": 0.5, "uniform_c": 0.0}, {})
 
     def test_uniform_shorthand_n_invariant(self):
         # gamma = c/n makes beta depend on c only (when lambda is fixed)
         for n in (5, 50, 500):
-            bi = BoundInputs(n=n, uniform_c=0.7, gee_diameter=0.3, lam=1.2)
-            assert beta_n(bi) == pytest.approx(0.7 * 1.5)
+            res = theorem_a_bound(n, 1.0, 1.2, 0.3, uniform_c=0.7)
+            assert beta(n, 1.0, res) == pytest.approx(0.7 * 1.5)
 
 
-class TestMainTailBound:
+class TestTheoremA:
     def test_checkpoint(self):
-        assert main_tail_bound(10, 1.0, 0.5 + np.log(11.0)) == pytest.approx(0.90554, abs=1e-5)
+        res = theorem_a_bound(10, 1.0, np.log(11.0), 0.5)
+        assert res.value == pytest.approx(0.90554, abs=1e-5)
+        assert (res.threshold, res.applicable) == (0.0, True)
 
     def test_unit_exponent(self):
-        beta = 0.7
-        t = np.sqrt(12.0 * beta**2 / 5.0)
-        assert main_tail_bound(5, t, beta) == pytest.approx(np.exp(-1.0))
+        b = 0.7
+        t = np.sqrt(12.0 * b**2 / 5.0)
+        assert theorem_a_bound(5, t, 0.0, b).value == pytest.approx(np.exp(-1.0))
 
     def test_degenerate_beta(self):
-        assert main_tail_bound(5, 0.5, 0.0) == 0.0
+        assert theorem_a_bound(5, 0.5, 0.0, 0.0).value == 0.0
 
     def test_t_nonpositive_rejected(self):
-        with pytest.raises(ValueError):
-            main_tail_bound(5, 0.0, 1.0)
+        with pytest.raises(ValueError, match="'t_ladder'"):
+            ExperimentConfig(system={"kind": "halving-ifs"}, t_ladder=[0.0, 1.0],
+                             bound="theorem-a")
 
     @given(st.floats(min_value=0.01, max_value=5.0), st.floats(min_value=0.01, max_value=5.0))
     def test_monotone_in_t(self, t1, dt):
-        assert main_tail_bound(10, t1 + dt, 1.0) <= main_tail_bound(10, t1, 1.0)
+        later, sooner = (theorem_a_bound(10, t, 0.0, 1.0).value for t in (t1 + dt, t1))
+        assert later <= sooner
 
 
 class TestRefined:
     def test_hand_checkpoint(self):
-        bi = BoundInputs(n=1, gamma=[1.0, 1.0], gee_diameter=0.5, lam=0.0, u=[0.4])
-        alpha, a2 = refined_alpha(bi)
-        np.testing.assert_allclose(alpha, [0.9, 0.5])
-        assert a2 == pytest.approx(1.06)
-
-    def test_last_gamma_only(self):
-        # gamma zero except the last entry: alpha_k = u_{n-k-1}, alpha_n = diam
-        n, g = 3, 0.5
-        u = [0.3, 0.2, 0.1]
-        bi = BoundInputs(n=n, gamma=[0.0] * n + [1.0], gee_diameter=g, lam=0.0, u=u)
-        alpha, a2 = refined_alpha(bi)
-        np.testing.assert_allclose(alpha, [0.1, 0.2, 0.3, 0.5])
-        assert a2 == pytest.approx(g**2 + sum(x * x for x in u))
+        # alpha = [0.5 + 0.4, 0.5]
+        assert alpha_sq(1.0, refined_bound(1, 1.0, 0.5, [0.4])) == pytest.approx(1.06)
 
     def test_no_propagation(self):
-        bi = BoundInputs(n=4, gamma=[0.2] * 5, gee_diameter=0.5, lam=0.0, u=[0.0] * 4)
-        alpha, a2 = refined_alpha(bi)
-        np.testing.assert_allclose(alpha, 0.1)
-        assert a2 == pytest.approx(5 * 0.01)
+        # gamma_k = 0.8 / 4 and u = 0: every alpha_k = 0.2 * 0.5
+        res = refined_bound(4, 1.0, 0.5, [0.0] * 4, uniform_c=0.8)
+        assert alpha_sq(1.0, res) == pytest.approx(5 * 0.01)
 
     def test_tail_checkpoints(self):
-        assert refined_tail_bound(1.0, 1.06) == pytest.approx(np.exp(-1.0 / 12.72))
+        assert refined_bound(1, 1.0, 0.5, [0.4]).value == pytest.approx(np.exp(-1.0 / 12.72))
         t = np.sqrt(12.0 * 1.06)
-        assert refined_tail_bound(t, 1.06) == pytest.approx(np.exp(-1.0))
+        assert refined_bound(1, t, 0.5, [0.4]).value == pytest.approx(np.exp(-1.0))
+
+    def test_degenerate_alpha(self):
+        assert refined_bound(3, 0.5, 0.0, [0.0] * 3).value == 0.0
 
     def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            refined_alpha(BoundInputs(n=2, uniform_c=1.0, gee_diameter=0.5, lam=0.0, u=[0.1]))
+        with pytest.raises(ValueError, match="'refined' input 'u' needs n = 2 values, got 1"):
+            refined_bound(2, 1.0, 0.5, [0.1])
 
     @given(st.integers(min_value=1, max_value=20),
            st.floats(min_value=0.01, max_value=2.0),
            st.floats(min_value=0.0, max_value=2.0),
            st.floats(min_value=0.0, max_value=3.0))
     def test_alpha_sq_cap_for_uniform_u(self, n, c, g, lam):
-        # u_k = lam/n with gamma = c/n gives alpha^2 <= (n+1)(c/n)^2 (g+lam)^2
-        bi = BoundInputs(n=n, uniform_c=c, gee_diameter=g, lam=lam, u=[lam / n] * n)
-        _, a2 = refined_alpha(bi)
+        # u_k = lam/n with gamma = c/n gives alpha^2 <= (n+1)(c/n)^2 (g+lam)^2,
+        # so at t = sqrt(12 cap) the bound is at most exp(-1)
         cap = (n + 1) * (c / n) ** 2 * (g + lam) ** 2
-        assert a2 <= cap + 1e-9
+        if cap == 0.0:
+            assert refined_bound(n, 1.0, g, [lam / n] * n, uniform_c=c).value == 0.0
+            return
+        res = refined_bound(n, np.sqrt(12.0 * cap), g, [lam / n] * n, uniform_c=c)
+        assert res.value <= np.exp(-1.0) + 1e-9
 
 
 class TestThresholdBounds:
     def test_sync_full_mass_threshold(self):
-        res = sync_bound(100, 0.1, 0.5, 2.0, 1.0)
+        res = sync_bound(100, 0.1, 2.0, 0.5, 1.0)
         assert res.threshold == pytest.approx(0.02)
         assert res.value == pytest.approx(np.exp(-1.0 / 300.0), abs=1e-9)
         assert res.applicable
 
     def test_sync_below_threshold_gated(self):
-        res = sync_bound(100, 0.01, 0.5, 2.0, 1.0)
+        res = sync_bound(100, 0.01, 2.0, 0.5, 1.0)
         assert not res.applicable
 
-    def test_sync_bad_mass(self):
-        with pytest.raises(ValueError):
-            sync_bound(10, 0.1, 0.5, 2.0, 0.0)
+    @pytest.mark.parametrize("muB", [0.0, 1.5])
+    def test_sync_bad_mass(self, muB):
+        with pytest.raises(ValueError, match=r"input 'muB' must be a number in \(0, 1\]"):
+            resolve_inputs("sync", {"lambda_nu": 2.0, "gee_inf": 0.5, "muB": muB}, {})
 
     def test_lln_checkpoint(self):
-        res = lln_bound(100, 0.1, 1.0, 0.5, 2.0)
+        res = lln_bound(100, 0.1, 2.0, 0.5, 1.0)
         assert res.threshold == pytest.approx(0.04)
         assert res.value == pytest.approx(2.0 * np.exp(-1.0 / 300.0), abs=1e-9)
         assert res.vacuous  # > 1 is legal and flagged
 
     def test_lln_threshold_strict(self):
-        res = lln_bound(100, 0.04, 1.0, 0.5, 2.0)
+        res = lln_bound(100, 0.04, 2.0, 0.5, 1.0)
         assert not res.applicable
 
     def test_empirical_kappa_checkpoint(self):
-        res = empirical_kappa_bound(400, 0.5, 0.5, 2.0)
+        res = empirical_kappa_bound(400, 0.5, 2.0, 0.5)
         assert res.value == pytest.approx(2.0 * np.exp(-4.0 / 3.0), abs=1e-9)
         assert res.threshold == pytest.approx(0.01)
 
     def test_interval_kappa_threshold_quarter_power(self):
-        res = interval_kappa_bound(16, 0.6, 0.0, 1.0, 0.5, 0.0)
+        res = interval_kappa_bound(16, 0.6, 0.0, 0.5, 0.0, 1.0)
         assert res.threshold == pytest.approx(0.5)
 
     def test_interval_kappa_checkpoint(self):
-        res = interval_kappa_bound(10_000, 0.4, 0.0, 1.0, 0.5, 2.0)
+        res = interval_kappa_bound(10_000, 0.4, 2.0, 0.5, 0.0, 1.0)
         assert res.value == pytest.approx(np.exp(-16.0 / 3.0), abs=1e-9)
 
+    @pytest.mark.parametrize("a, b", [(0.0, 0.0), (1.0, 0.0)])
+    def test_interval_kappa_needs_a_below_b(self, a, b):
+        with pytest.raises(ValueError, match="'interval-kappa' needs 'a' < 'b'"):
+            interval_kappa_bound(16, 0.6, 0.0, 0.5, a, b)
+
     def test_corrdim_checkpoint(self):
-        res = corrdim_bound(10_000, 0.2, 0.1, 1.0, 1.0, 0.5, 2.0)
+        res = corrdim_bound(10_000, 0.2, 2.0, 0.5, 0.1, 1.0, 1.0)
         assert res.value == pytest.approx(2.0 * np.exp(-1.0 / 300.0), abs=1e-9)
 
     def test_corrdim_eps_scaling(self):
-        r1 = corrdim_bound(100, 0.2, 0.1, 1.0, 1.0, 0.5, 2.0)
-        r2 = corrdim_bound(100, 0.2, 0.2, 1.0, 1.0, 0.5, 2.0)
+        r1 = corrdim_bound(100, 0.2, 2.0, 0.5, 0.1, 1.0, 1.0)
+        r2 = corrdim_bound(100, 0.2, 2.0, 0.5, 0.2, 1.0, 1.0)
         e1 = -np.log(r1.value / 2.0)
         e2 = -np.log(r2.value / 2.0)
         assert e2 == pytest.approx(4.0 * e1)
 
+    @pytest.mark.parametrize("formula", [lln_bound, sync_bound, empirical_kappa_bound,
+                                         interval_kappa_bound])
+    def test_degenerate_denominator(self, formula):
+        assert formula(100, 0.5, 0.0, 0.0).value == 0.0
+
 
 class TestLyapunovBounds:
     def test_circle_single_family_reduction(self):
-        a = circle_lyap_bound(100, 0.5, 1.0, 1.0, 1.0, 1.0)
+        a = circle_lyap_bound(100, 0.5, 1.0, 1.0, 1.0, 1.0).value
         assert a == pytest.approx(2.0 * np.exp(-100 * 0.25 / (48.0 * 4.0)))
 
     def test_circle_ratio_quarters_exponent(self):
-        full = -np.log(circle_lyap_bound(100, 0.5, 1.0, 1.0, 1.0, 1.0) / 2.0)
-        halfr = -np.log(circle_lyap_bound(100, 0.5, 1.0, 2.0, 1.0, 1.0) / 2.0)
+        full = -np.log(circle_lyap_bound(100, 0.5, 1.0, 1.0, 1.0, 1.0).value / 2.0)
+        halfr = -np.log(circle_lyap_bound(100, 0.5, 1.0, 1.0, 1.0, 2.0).value / 2.0)
         assert halfr == pytest.approx(full / 4.0)
 
     def test_circle_checkpoint(self):
-        got = circle_lyap_bound(100, 0.5, 1.0, 2.0, 1.0, 1.0)
+        got = circle_lyap_bound(100, 0.5, 1.0, 1.0, 1.0, 2.0).value
         assert got == pytest.approx(2.0 * np.exp(-25.0 / 768.0))
 
     def test_circle_bad_m(self):
-        with pytest.raises(ValueError):
-            circle_lyap_bound(10, 0.1, 0.0, 1.0, 1.0, 1.0)
+        with pytest.raises(ValueError, match="input 'm_nu' must be a positive number"):
+            resolve_inputs("circle-lyap", {"lambda_nu": 1.0, "gee_c1": 1.0, "m_nu": 0.0,
+                                           "M_nu": 1.0}, {})
+        with pytest.raises(ValueError, match="'circle-lyap' needs 'm_nu' <= 'M_nu'"):
+            circle_lyap_bound(10, 0.1, 1.0, 1.0, 2.0, 1.0)
 
     def test_projective_checkpoint(self):
-        assert projective_lyap_bound(1.0, 2.0, 1.0) == pytest.approx(np.exp(-1.0 / 27648.0))
+        res = projective_lyap_bound(10, 1.0, 1.0, 2.0)
+        assert res.value == pytest.approx(np.exp(-1.0 / 27648.0))
 
     def test_projective_c_below_one_rejected(self):
-        with pytest.raises(ValueError):
-            projective_lyap_bound(1.0, 0.5, 1.0)
+        with pytest.raises(ValueError, match="input 'C' must be a number >= 1"):
+            resolve_inputs("projective-lyap", {"lambda_nu": 1.0, "C": 0.5}, {})
 
     def test_matrix_norm_prefactor_and_threshold(self):
-        thr, val = matrix_norm_bound(50, 1.0, 2, 2.0, 1.0)
-        assert thr == pytest.approx((2.0 / 50) * np.log(2.0))
-        assert val == pytest.approx(4.0 * np.exp(-1.0 / (768.0 * 16.0 * 9.0)))
+        res = matrix_norm_bound(50, 1.0, 1.0, 2.0, 2)
+        assert res.threshold == pytest.approx((2.0 / 50) * np.log(2.0))
+        assert res.value == pytest.approx(4.0 * np.exp(-1.0 / (768.0 * 16.0 * 9.0)))
+
+    @pytest.mark.parametrize("formula, args", [
+        (circle_lyap_bound, (1.0, 1.0, 0.5, 1.0)),
+        (projective_lyap_bound, (1.0, 2.0)),
+        (matrix_norm_bound, (1.0, 2.0, 1)),
+    ])
+    def test_gate_past_twice_t_n(self, formula, args):
+        # m_dim = 1 adds (2/n) log 1 = 0 to matrix-norm's threshold
+        below = formula(50, 0.2, *args, t_n_hat=0.1)
+        above = formula(50, 0.25, *args, t_n_hat=0.1)
+        assert below.threshold == above.threshold == 0.2
+        assert not below.applicable and above.applicable
 
 
 class TestSelectorTable:
@@ -195,6 +230,21 @@ class TestSelectorTable:
         assert two == {"lln", "empirical-kappa", "corrdim", "circle-lyap", "matrix-norm"}
         assert set(BOUNDS) - two == {"theorem-a", "refined", "sync", "interval-kappa",
                                      "projective-lyap"}
+
+    @pytest.mark.parametrize("selector", sorted(BOUNDS))
+    def test_each_selector_is_a_public_formula_with_ruled_inputs(self, selector):
+        formula = BOUNDS[selector].formula
+        assert formula.__name__ == selector.replace("-", "_") + "_bound"
+        assert getattr(bounds, formula.__name__) is formula
+        assert formula.__name__ in bounds.__all__
+        names = list(inspect.signature(formula).parameters)
+        assert names[:2] == ["n", "t"]
+        assert set(names[2:]) <= set(bounds._INPUTS)
+
+    def test_every_rule_is_read(self):
+        read = {name for b in BOUNDS.values()
+                for name in list(inspect.signature(b.formula).parameters)[2:]}
+        assert read == set(bounds._INPUTS)
 
     def test_provenance_lists_every_input_read(self):
         inputs, prov = resolve_inputs("lln", {"lipschitz_L": 2}, {"lambda_nu": 2.0,
@@ -241,6 +291,17 @@ class TestSelectorTable:
         ("refined", {"gee_inf": 0.5, "u": "abc"}, "u"),
         ("refined", {"gee_inf": 0.5, "u": [0.5, None]}, "u"),
         ("refined", {"gee_inf": 0.5, "u": 0.5}, "u"),
+        # ranges, where lln and sync gave bound 0 and a fail on every row
+        ("lln", {"lambda_nu": -0.5, "gee_inf": 0.5}, "lambda_nu"),
+        ("sync", {"lambda_nu": -1.0, "gee_inf": 0.5}, "lambda_nu"),
+        ("lln", {"lambda_nu": 1.0, "gee_rho": -0.5}, "gee_rho"),
+        ("lln", {"lambda_nu": 1.0, "gee_inf": 0.5, "lipschitz_L": 0.0}, "lipschitz_L"),
+        ("corrdim", {"lambda_nu": 1.0, "gee_inf": 0.5, "epsilon": 0.0}, "epsilon"),
+        ("corrdim", {"lambda_nu": 1.0, "gee_inf": 0.5, "epsilon": 0.1, "sup_norm": -1.0},
+         "sup_norm"),
+        ("refined", {"gee_inf": 0.5, "u": [0.5, -0.1]}, "u"),
+        ("circle-lyap", {"lambda_nu": 1.0, "gee_c1": 0.5, "m_nu": 0.5, "M_nu": 1.0,
+                         "t_n_hat": -0.1}, "t_n_hat"),
     ])
     def test_values_are_checked(self, selector, config, key):
         with pytest.raises(ValueError, match=f"input '{key}'"):

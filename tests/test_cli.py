@@ -1,9 +1,11 @@
+import inspect
 import json
 from unittest import mock
 
 import numpy as np
 import pytest
 
+from rdslab import bounds as B
 from rdslab import harness as H
 from rdslab.cli import main
 from rdslab.spaces import Interval
@@ -807,6 +809,23 @@ class TestConfigNumbers:
                      id="m_dim-fraction"),
         pytest.param("tail", dict(TAIL_DOC, bound="refined", inputs={"u": [0.5, None]}), "'u'",
                      id="u-null-entry"),
+        # ranges, where lln and sync wrote bound 0, a negative threshold and
+        # fail on every row
+        pytest.param("tail", dict(TAIL_DOC, inputs={"lambda_nu": -0.5, "gee_inf": 0.5}),
+                     "'lambda_nu'", id="lambda_nu-negative-lln"),
+        pytest.param("tail", dict(TAIL_DOC, bound="sync", inputs={"lambda_nu": -1}),
+                     "'lambda_nu'", id="lambda_nu-negative-sync"),
+        # checks that relate two inputs
+        *[pytest.param(command, dict(bound_doc(selector), inputs=dict(
+            BOUND_DOCS[selector][0], **inputs)), named, id=f"{tag}-{command}")
+          for selector, inputs, named, tag in (
+              ("interval-kappa", {"a": 1.0, "b": 1.0}, "'interval-kappa' needs 'a' < 'b'",
+               "b-not-above-a"),
+              ("circle-lyap", {"m_nu": 1.5}, "'circle-lyap' needs 'm_nu' <= 'M_nu'",
+               "m_nu-above-M_nu"),
+              ("refined", {"u": [0.5] * 39}, "'refined' input 'u' needs n = 40 values, got 39",
+               "u-length"))
+          for command in ("tail", "bounds")],
         # t_ladder entries, where [null] ended in a TypeError and true read as 1.0
         pytest.param("bounds", dict(TAIL_DOC, t_ladder=[None]), "'t_ladder'", id="t-null"),
         pytest.param("bounds", dict(TAIL_DOC, t_ladder=[None, 1]), "'t_ladder'",
@@ -814,6 +833,9 @@ class TestConfigNumbers:
         pytest.param("tail", dict(TAIL_DOC, t_ladder=["a"]), "'t_ladder'", id="t-string"),
         pytest.param("bounds", dict(TAIL_DOC, t_ladder=[True, 2]), "'t_ladder'", id="t-bool"),
         pytest.param("bounds", dict(TAIL_DOC, t_ladder=0.1), "'t_ladder'", id="t-scalar"),
+        # where lln gave rows and theorem-a and circle-lyap exited naming no key
+        *[pytest.param("tail", dict(bound_doc(selector), t_ladder=[-0.1, 0.1]), "'t_ladder'",
+                       id=f"t-negative-{selector}") for selector in BOUND_DOCS],
         # strings read before any lookup, where a list or an object ended in
         # a TypeError traceback
         pytest.param("tail", dict(TAIL_DOC, observable=["birkhoff"]), "'observable'",
@@ -878,6 +900,23 @@ class TestConfigNumbers:
                      id="alpha2-string"),
         pytest.param({"kind": "moebius-two-atom", "weight1": True}, "'weight1'",
                      id="weight1-bool"),
+        # ranges that a constructor checks, where the message named no block
+        pytest.param({"kind": "moebius-two-atom", "weight1": 1.5},
+                     "system 'moebius-two-atom': atom weights must be positive",
+                     id="weight1-above-one"),
+        pytest.param(_atom({"kind": "moebius", "alpha": 0.5}),
+                     "system 'atoms' entry 0: MoebiusDecay needs alpha in [1.0, inf]",
+                     id="moebius-alpha-below-one"),
+        pytest.param(dict(_atom({"kind": "moebius", "alpha": 1.0}),
+                          space={"kind": "interval", "a": 1, "b": 0}),
+                     "system 'space': interval needs a < b", id="space-a-above-b"),
+        pytest.param(_atom({"kind": "projective", "matrix": [[2, 0], [0, 1]]}),
+                     "system 'atoms' entry 0: matrix must have determinant 1",
+                     id="matrix-determinant-2"),
+        pytest.param(_atom({"kind": "moebius", "alpha": 1.0}, 0.7),
+                     "system 'atoms': atom weights must sum to 1", id="weights-sum-0.7"),
+        pytest.param({"kind": "moebius-uniform", "lo": 0.5},
+                     "system 'moebius-uniform': sampler needs 1.0 <= lo", id="lo-below-one"),
     ])
     @pytest.mark.parametrize("command", ["simulate", "tail"])
     def test_system_numbers_fail_before_drawing(self, tmp_path, capsys, command, system, named):
@@ -1136,7 +1175,9 @@ def _placed(table, kind, key, value):
 
 def _walk():
     """(command, config, named) for each value that the rule of a schema
-    key rejects, on the unit interval of the configs that place it."""
+    key rejects, on the unit interval of the configs that place it, and
+    for each value that the rule of a bound input (``bounds._INPUTS``)
+    rejects, under every key each selector reads it from."""
     tables = {"CONFIG": {"": H.CONFIG}, "SYSTEMS": H.SYSTEMS, "MAPS": H.MAPS,
               "SPACES": H.SPACES, "REFERENCES": H.REFERENCES, "PARAMS": H.PARAMS}
     for table, kinds in tables.items():
@@ -1146,12 +1187,22 @@ def _walk():
                     if not test(value, Interval(0.0, 1.0)):
                         yield pytest.param(*_placed(table, kind, key, value), f"{key!r}",
                                            id=f"{table}-{kind}-{key}-{tag}")
+    for selector, bound in B.BOUNDS.items():
+        for name in list(inspect.signature(bound.formula).parameters)[2:]:
+            _, test, _ = B._INPUTS[name]
+            for key in B._ALTERNATIVES.get(name, (name,)):
+                for tag, value in WALK_VALUES.items():
+                    if not test(value, None):
+                        doc = bound_doc(selector, DIAMETER_KEYS if key in DIAMETER_KEYS else ())
+                        doc["inputs"][key] = value
+                        yield pytest.param("tail", doc, f"input {key!r}",
+                                           id=f"BOUNDS-{selector}-{key}-{tag}")
 
 
 @pytest.mark.parametrize("command, doc, named", list(_walk()))
 def test_schema_walk(tmp_path, capsys, command, doc, named):
-    """Every key of every schema table, fed each value its rule rejects,
-    exits 2 naming the key before any draw."""
+    """Every key of every schema table and every bound input, fed each
+    value its rule rejects, exits 2 naming the key before any draw."""
     fails_before_drawing(tmp_path, capsys, command, doc, named)
 
 
@@ -1161,3 +1212,5 @@ def test_no_rule_takes_a_bool_or_nan():
         for keys in kinds.values():
             for key, ((what, test, _), _) in keys.items():
                 assert not test(True, None) and not test(float("nan"), None), (key, what)
+    for key, (what, test, _) in B._INPUTS.items():
+        assert not test(True, None) and not test(float("nan"), None), (key, what)
