@@ -77,8 +77,8 @@ from .bounds import (
     theorem_a_bound,
     wilson_interval,
 )
+from .config import ExperimentConfig
 from .harness import (
-    ExperimentConfig,
     SystemSpec,
     TailReport,
     build_system,

@@ -1,5 +1,5 @@
-"""Closed-form concentration bounds, the rules of config values, and the
-two inequality utilities used by the proofs.
+"""Closed-form concentration bounds and the two inequality utilities used
+by the proofs.
 
 Each config selector of :data:`BOUNDS` is one formula, a public
 ``*_bound(n, t, ...)`` function whose parameters after (n, t) are the
@@ -19,11 +19,12 @@ simulation; a formula checks only what relates two inputs.
 from __future__ import annotations
 
 import inspect
-import sys
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
+
+from .config import NONNEGATIVE, POSITIVE, REAL, ConfigError, check, integer, list_of, number
 
 __all__ = [
     "BoundResult",
@@ -74,7 +75,7 @@ def refined_bound(n, t, gee_inf, u, uniform_c=1.0) -> BoundResult:
     coupled means u_0 .. u_{n-1}: alpha_k = gamma_k G + sum_j gamma_{k+j}
     u_{j-1} on the ladder gamma_i = c / n."""
     if len(u) != n:
-        raise ValueError(f"bound 'refined' input 'u' needs n = {n} values, got {len(u)}")
+        raise ConfigError(f"bound 'refined' input 'u' needs n = {n} values, got {len(u)}")
     g, u = np.full(n + 1, uniform_c / n), np.asarray(u, dtype=float)
     alpha = np.array([g[k] * gee_inf + float(np.dot(g[k + 1:], u[:n - k])) for k in range(n + 1)])
     alpha_sq = float(np.sum(alpha * alpha))
@@ -112,7 +113,7 @@ def interval_kappa_bound(n, t, lambda_nu, gee_inf, a=0.0, b=1.0) -> BoundResult:
     """One-sided empirical-measure bound on [a, b], with the quarter-power
     threshold."""
     if b <= a:
-        raise ValueError(f"bound 'interval-kappa' needs 'a' < 'b', got a {a}, b {b}")
+        raise ConfigError(f"bound 'interval-kappa' needs 'a' < 'b', got a {a}, b {b}")
     s = gee_inf + lambda_nu
     threshold = (b - a) * (1.0 + 8.0 * lambda_nu) ** 0.25 / n**0.25
     value = float(np.exp(-n * t * t / (48.0 * s * s))) if s > 0 else 0.0
@@ -136,8 +137,8 @@ def circle_lyap_bound(n, t, lambda_nu, gee_c1, m_nu, M_nu, t_n_hat=0.0) -> Bound
     """Two-sided circle Lyapunov-exponent tail bound, for t past twice the
     threshold sequence t_n."""
     if m_nu > M_nu:
-        raise ValueError(f"bound 'circle-lyap' needs 'm_nu' <= 'M_nu', got m_nu {m_nu}, "
-                         f"M_nu {M_nu}")
+        raise ConfigError(f"bound 'circle-lyap' needs 'm_nu' <= 'M_nu', got m_nu {m_nu}, "
+                          f"M_nu {M_nu}")
     s, m, M = gee_c1 + lambda_nu, m_nu, M_nu
     value = 2.0 * float(np.exp(-n * t * t * m * m / (48.0 * M * M * s * s))) if s > 0 else 0.0
     return BoundResult(value, 2.0 * t_n_hat, t > 2.0 * t_n_hat)
@@ -159,87 +160,6 @@ def matrix_norm_bound(n, t, lambda_nu, C, m_dim=2, t_n_hat=0.0) -> BoundResult:
     value = 2.0 * m_dim * float(np.exp(-t * t / (768.0 * C**4 * s * s)))
     threshold = 2.0 * t_n_hat + (2.0 / n) * float(np.log(m_dim))
     return BoundResult(value, threshold, t > threshold)
-
-
-# ---------------------------------------------------------------------------
-# the rules of config values
-
-
-def _number(v) -> bool:
-    """A JSON number that is finite as a double."""
-    return isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
-
-
-def _integral(v, minimum: int) -> bool:
-    """A JSON number that is an integer >= minimum, such as 3 or 3.0."""
-    return _number(v) and float(v).is_integer() and v >= minimum
-
-
-# A rule of a config value is (what, test(value, space), convert): the
-# values ``test`` accepts, on the system's space where that matters (which
-# ``what`` names as ``{space}``), and what ``convert`` reads from them.
-# ``_read`` reads every config block by its table of key -> (rule, default).
-def number(what: str, ok=lambda v: True) -> tuple:
-    """The rule of a finite number that ``ok`` accepts, read as a float."""
-    return what, lambda v, space: _number(v) and ok(v), float
-
-
-REAL = number("a finite number")
-POSITIVE = number("a positive number", lambda v: v > 0)
-NONNEGATIVE = number("a number >= 0", lambda v: v >= 0)
-TEXT = ("a string", lambda v, space: isinstance(v, str), str)
-OBJECT = ("an object", lambda v, space: isinstance(v, dict), lambda v: v)
-
-
-def integer(minimum: int) -> tuple:
-    """The rule of an integral number >= ``minimum`` (3 or 3.0), read as an int."""
-    return f"an integer >= {minimum}", lambda v, space: _integral(v, minimum), int
-
-
-def one_of(names, convert=str) -> tuple:
-    """The rule of a string among ``names``, read by ``convert``."""
-    return f"one of {', '.join(names)}", lambda v, space: isinstance(v, str) and v in names, convert
-
-
-def list_of(rule: tuple, least: int = 0) -> tuple:
-    """The rule of a list of at least ``least`` entries, each read by ``rule``."""
-    what, test, convert = rule
-    return (f"a {'nonempty ' if least else ''}list, each entry {what}",
-            lambda v, space: isinstance(v, (list, tuple)) and len(v) >= least
-            and all(test(x, space) for x in v), lambda v: [convert(x) for x in v])
-
-
-def _value(rule: tuple, value, name: str, space=None):
-    """``value`` read by ``rule``; a ValueError naming ``name`` unless the
-    rule accepts it."""
-    what, test, convert = rule
-    if not test(value, space):
-        raise ValueError(f"{name} must be {what.format(space=space)}, got {value!r}")
-    return convert(value)
-
-
-def _read(block: dict, keys: dict, where: str, space=None) -> dict:
-    """The value of each key of ``keys`` (key -> (rule, default)) in
-    ``block``, which ``where`` names: a key the block leaves out takes its
-    default, which None leaves out and ``...`` makes needed.  Keys not in
-    ``keys`` are ignored."""
-    out = {}
-    for key, (rule, default) in keys.items():
-        value = block.get(key, default)
-        if value is ...:
-            raise ValueError(f"{where} needs {key!r}")
-        out[key] = None if value is None and key not in block else _value(
-            rule, value, f"{where} {key!r}", space)
-    return out
-
-
-def _kind(block, table: dict, where: str, label: str, space=None) -> tuple:
-    """(kind, values) of an object whose ``kind`` is a key of ``table``,
-    its values read by ``table[kind]``."""
-    kind = _value(OBJECT, block, where).get("kind")
-    if not (isinstance(kind, str) and kind in table):
-        raise ValueError(f"{where} needs a {label} 'kind' of {', '.join(table)}, got {kind!r}")
-    return kind, _read(block, table[kind], f"{where}: {label} kind {kind!r}", space)
 
 
 # the rule of each bound input, which ``resolve_inputs`` applies to the key
@@ -283,9 +203,9 @@ def resolve_inputs(selector: str, config: dict, analytic: dict):
     ``config``, else the system's ``analytic`` constants, else its default,
     with ``config``, ``analytic`` or ``default`` recorded under the key
     read.  A missing required input, or one its rule in ``_INPUTS``
-    rejects, raises ValueError naming its key."""
+    rejects, raises ConfigError naming its key."""
     if selector not in BOUNDS:
-        raise ValueError(f"unknown bound selector {selector!r}; one of {', '.join(BOUNDS)}")
+        raise ConfigError(f"unknown bound selector {selector!r}; one of {', '.join(BOUNDS)}")
     inputs, provenance = {}, {}
     for name, param in list(inspect.signature(BOUNDS[selector].formula).parameters.items())[2:]:
         keys = _ALTERNATIVES.get(name, (name,))
@@ -293,9 +213,9 @@ def resolve_inputs(selector: str, config: dict, analytic: dict):
                  for origin, src in (("config", config), ("analytic", analytic)) if key in src]
         if not found and param.default is param.empty:
             alternatives = "".join(f" (or {k!r})" for k in keys[1:])
-            raise ValueError(f"bound {selector!r} needs input {name!r}{alternatives}")
+            raise ConfigError(f"bound {selector!r} needs input {name!r}{alternatives}")
         key, origin, value = found[0] if found else (name, "default", param.default)
-        inputs[name] = _value(_INPUTS[name], value, f"bound {selector!r} input {key!r}")
+        inputs[name] = check(_INPUTS[name], value, f"bound {selector!r} input {key!r}")
         provenance[key] = origin
     return inputs, provenance
 

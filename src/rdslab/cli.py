@@ -4,7 +4,8 @@ Subcommands: simulate, lambda, tail, corr-dim, lyap, asclt, bounds,
 selftest.  Each but tail and selftest is a runner of ``harness`` whose
 rows are written by ``harness.rows_to_csv``; tail writes a CSV or JSON
 report, and selftest adds its property checks.  Exit codes: 0 success,
-2 configuration error, 3 dominance failure in selftest mode.
+1 a bug (with a traceback), 2 a bad config (``ConfigError``), 3 a
+dominance failure in selftest mode.
 """
 
 from __future__ import annotations
@@ -13,9 +14,9 @@ import argparse
 import json
 import sys
 
-from .bounds import OBJECT, _value, appendix_checks, wilson_interval
+from .bounds import appendix_checks, wilson_interval
+from .config import OBJECT, ConfigError, ExperimentConfig, check
 from .harness import (
-    ExperimentConfig,
     report_to_csv,
     report_to_json,
     rows_to_csv,
@@ -31,10 +32,6 @@ from .harness import (
 __all__ = ["main"]
 
 
-class ConfigError(Exception):
-    pass
-
-
 def _load_config(args) -> ExperimentConfig:
     if args.config:
         try:
@@ -44,13 +41,13 @@ def _load_config(args) -> ExperimentConfig:
             raise ConfigError(f"cannot read config {args.config}: {e}") from e
     else:
         doc = {"system": {"kind": "halving-ifs"}}
-    _value(OBJECT, doc, "config")
+    check(OBJECT, doc, "config")
     if args.seed is not None:
         doc["seed"] = args.seed
     try:
         return ExperimentConfig(**doc)
-    except (TypeError, ValueError, KeyError) as e:
-        raise ConfigError(f"invalid config: {e}") from e
+    except TypeError as e:
+        raise ConfigError(f"invalid config: {e}") from None
 
 
 def _emit(text: str, out_path: str | None):
@@ -121,8 +118,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int)
     p.add_argument("--out", help="output path (stdout if omitted)")
     p.add_argument("--format", choices=["csv", "json"], default="csv")
-    # accepted and ignored, for callers that pass it (the benchmark's
-    # tail-threaded workload)
+    # kept for the benchmark's tail-threaded workload, which passes it
     p.add_argument("--threads", type=int, help="accepted and ignored")
     return p
 
@@ -139,7 +135,7 @@ def main(argv=None) -> int:
             return _BODIES[args.command](cfg, args)
         _emit(rows_to_csv(_COMMANDS[args.command](cfg)), args.out)
         return 0
-    except (ConfigError, ValueError, KeyError) as e:
+    except ConfigError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

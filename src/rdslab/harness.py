@@ -7,12 +7,8 @@ intervals folded into the margin.
 Every ``rdslab`` command is a ``run_*`` function here that takes an
 ``ExperimentConfig`` and returns rows for ``rows_to_csv`` (``run_tail``: a
 report).  They share one start check (``orbit_start``), one single orbit
-(``_orbit``), one reference measure and one bound ladder.
-
-Every key a config block reads is declared once, as key -> (rule,
-default), in ``CONFIG``, ``SYSTEMS``, ``MAPS``, ``SPACES``, ``REFERENCES``
-and ``PARAMS``; ``bounds._read`` reads each block by its table before any
-draw, so a bad value is a ValueError naming block and key.
+(``_orbit``), one reference measure and one bound ladder, and read every
+config block by ``config`` before any draw.
 
 Determinism contract: identical config + seed yields byte-identical
 reports, because the draw order is fixed:
@@ -30,9 +26,6 @@ reports, because the draw order is fixed:
   ``estimators.LABEL_BLOCK`` labels;
 * the cocycle engine draws trial-major (trial i's n labels follow trial
   i-1's), one chunk after another.
-
-Chunks run in order in one thread; the ``threads`` field (``--threads``)
-is accepted and has no effect.
 """
 
 from __future__ import annotations
@@ -46,6 +39,7 @@ import numpy as np
 from . import bounds as B
 from .chains import simulate
 from .estimators import (
+    CorrelationDimensionError,
     correlation_dimension,
     correlation_sum,
     lambda_n,
@@ -58,22 +52,20 @@ from .estimators import (
     stationary_approx,
     step_labels,
 )
-from .bounds import (OBJECT, POSITIVE, REAL, TEXT, _kind, _number, _read, _value, integer,
-                     list_of, one_of)
+from .config import (MAPS, PAIR, PARAMS, POINT, REAL, REFERENCES, SPACES, START, SYSTEMS,
+                     ConfigError, ExperimentConfig, check, checked, one_of, read, read_kind)
 from .maps import (Affine, DrivingMeasure, MoebiusDecay, PolynomialDecay, ProjectiveAction,
-                   cocycle_matrices, space_of, support_space)
+                   SingularDerivativeError, cocycle_matrices, space_of, support_space)
 from .measures import (
     EmpiricalMeasure,
     kantorovich_circle_rows,
     kantorovich_gaussian,
     kantorovich_interval_rows,
 )
-from .observables import OBSERVABLES, get_observable
 from .spaces import Circle, Interval, Projective, distance, require_one_dimensional
 from .streams import SeededStream
 
 __all__ = [
-    "ExperimentConfig",
     "TailReport",
     "SystemSpec",
     "build_system",
@@ -105,63 +97,6 @@ ORBIT_KINDS = ("kappa-to-stationary", "kappa-interval", "corr-sum")
 
 
 # ---------------------------------------------------------------------------
-# the config schema: every key a block reads, key -> (rule, default), read
-# by ``bounds._read`` before any draw; a default of None leaves the key
-# out, ``...`` makes it needed, and keys not named here are ignored
-
-
-POINT = ("a finite number in {space}", lambda v, space: _number(v) and not (
-    isinstance(space, Interval) and not space.a <= v <= space.b), float)
-# the start vector of Projective(m)
-START = ("{space.m} finite numbers, not all 0", lambda v, space: isinstance(
-    v, (list, tuple, np.ndarray)) and len(v) == space.m and all(map(_number, v)) and any(v),
-         lambda v: np.asarray(v, dtype=float))
-_ROWS, _POSITIVES = list_of(list_of(REAL), 1), list_of(POSITIVE)
-MATRIX = ("a square list of lists of finite numbers", lambda v, space: _ROWS[1](v, space)
-          and all(len(r) == len(v) for r in v), _ROWS[2])
-T_LADDER = ("a strictly increasing list of positive numbers", lambda v, space: _POSITIVES[1](
-    v, space) and all(a < b for a, b in zip(v, v[1:])), lambda v: v)
-ATOMS = ("a nonempty list of [map, weight] pairs",
-         lambda v, space: isinstance(v, list) and len(v) > 0, lambda v: v)
-PAIR = ("a [map, weight] pair", lambda v, space: isinstance(v, list) and len(v) == 2, tuple)
-# a null space is no space block: the system's maps decide
-SPACE = ("an object", lambda v, space: v is None or isinstance(v, dict), lambda v: v)
-H = one_of(OBSERVABLES, get_observable)  # the h of a Birkhoff sum
-
-# the fields of ExperimentConfig
-CONFIG = {"system": (OBJECT, ...), "observable": (TEXT, ...), "params": (OBJECT, ...),
-          "inputs": (OBJECT, ...), "n": (integer(1), ...), "trials": (integer(1), ...),
-          "seed": (integer(0), ...), "t_ladder": (T_LADDER, ...), "bound": (TEXT, ...)}
-SYSTEMS = {"halving-ifs": {}, "moebius-uniform": {"lo": (REAL, 1.0), "hi": (REAL, 2.0)},
-           "moebius-two-atom": {"alpha1": (REAL, 1.0), "alpha2": (REAL, 2.0),
-                                "weight1": (REAL, 0.5)},
-           "identity": {}, "atoms": {"atoms": (ATOMS, ...), "space": (SPACE, None)}}
-MAPS = {"moebius": {"alpha": (REAL, ...)}, "polynomial": {"alpha": (REAL, ...)},
-        "affine": {"slope": (REAL, ...), "offset": (REAL, ...)},
-        "projective": {"matrix": (MATRIX, ...),
-                       "chart": (one_of(("projective", "circle")), "projective")}}
-SPACES = {"interval": {"a": (REAL, 0.0), "b": (REAL, 1.0)}, "circle": {},
-          "projective": {"m": (integer(2), 2)}}
-# the reference measure of the kappa observables (``params.reference``)
-REFERENCES = {"lebesgue": {"atoms": (integer(1), 512)},
-              "simulate": {"burn_in": (integer(0), 1000), "samples": (integer(1), 2000),
-                           "stride": (integer(1), 1)}}
-# the params of each command and tail observable; ``x0`` and ``start``
-# (``orbit_start``) and ``reference`` have readers of their own
-PARAMS = {
-    "lambda": {"n_ladder": (list_of(integer(0), 1), [10, 100]), "grid": (integer(2), 64),
-               "ceiling": (POSITIVE, None)},
-    "corr-dim": {"epsilon0": (POSITIVE, 0.1), "rungs": (integer(3), 5)},
-    "asclt": {"h": (H, "centered"),
-              "n_ladder": (list_of(integer(1), 1), [2**k for k in range(6, 15)]),
-              "sigma_n": (integer(1), 200), "sigma_trials": (integer(1), 4000)},
-    "birkhoff": {"h": (H, "coordinate")},
-    "sync": {"B": (list_of(POINT, 1), ...)},
-    "corr-sum": {"epsilon": (POSITIVE, ...)},
-}
-
-
-# ---------------------------------------------------------------------------
 # system construction
 
 
@@ -172,24 +107,15 @@ class SystemSpec:
     analytic: dict = field(default_factory=dict)  # known constants by name
 
 
-def _built(where: str, make):
-    """``make()``, a ValueError it raises (a range a constructor checks)
-    prefixed with ``where``, the config block it was built from."""
-    try:
-        return make()
-    except ValueError as e:
-        raise ValueError(f"{where}: {e}") from None
-
-
 def _atom(atom, i: int) -> tuple:
     """The (map, weight) of entry i of an ``atoms`` list: a [map, weight]
     pair, the map an object read by ``MAPS``."""
     where = f"system 'atoms' entry {i}"
-    m, w = _value(PAIR, atom, where)
-    kind, v = _kind(m, MAPS, where, "map")
+    m, w = check(PAIR, atom, where)
+    kind, v = read_kind(m, MAPS, where, "map")
     make = {"moebius": MoebiusDecay, "polynomial": PolynomialDecay, "affine": Affine,
             "projective": ProjectiveAction}[kind]
-    return _built(where, lambda: make(**v)), _value(REAL, w, f"system 'atoms' weight of entry {i}")
+    return checked(where, lambda: make(**v)), check(REAL, w, f"system 'atoms' weight of entry {i}")
 
 
 def build_system(spec: dict) -> SystemSpec:
@@ -200,64 +126,39 @@ def build_system(spec: dict) -> SystemSpec:
     system lives on its ``space`` block, which each chart matrix must fit,
     or else where its maps act (``maps.support_space``).
     """
-    kind, v = _kind(spec, SYSTEMS, "config 'system'", "system")
+    kind, v = read_kind(spec, SYSTEMS, "config 'system'", "system")
     where = f"system {kind!r}"
     if kind == "halving-ifs":
-        nu = DrivingMeasure(
-            atoms=((Affine(0.5, 0.0), 0.5), (Affine(0.5, 0.5), 0.5))
-        )
+        nu = DrivingMeasure(atoms=((Affine(0.5, 0.0), 0.5), (Affine(0.5, 0.5), 0.5)))
         # coupled orbits contract by exactly 1/2 per step: lambda = sum 2^-k = 2
         return SystemSpec(nu, Interval(0.0, 1.0),
                           analytic={"lambda_nu": 2.0, "gee_inf": 0.5, "stationary": "lebesgue"})
     if kind == "moebius-uniform":
-        nu = _built(where, lambda: DrivingMeasure(
+        nu = checked(where, lambda: DrivingMeasure(
             family="moebius", sampler=("uniform", v["lo"], v["hi"])))
         return SystemSpec(nu, Interval(0.0, 1.0),
                           analytic={"lambda_cap": "1+log(n+1)", "gee_rho": 0.5})
     if kind == "moebius-two-atom":
         w1 = v["weight1"]
-        nu = _built(where, lambda: DrivingMeasure(atoms=((MoebiusDecay(v["alpha1"]), w1),
-                                                         (MoebiusDecay(v["alpha2"]), 1.0 - w1))))
+        nu = checked(where, lambda: DrivingMeasure(atoms=((MoebiusDecay(v["alpha1"]), w1),
+                                                          (MoebiusDecay(v["alpha2"]), 1.0 - w1))))
         return SystemSpec(nu, Interval(0.0, 1.0),
                           analytic={"lambda_cap": "1+log(n+1)", "gee_rho": 0.5})
     if kind == "identity":
         nu = DrivingMeasure(atoms=((Affine(1.0, 0.0), 1.0),))
         return SystemSpec(nu, Interval(0.0, 1.0))
     atoms = tuple(_atom(a, i) for i, a in enumerate(v["atoms"]))
-    nu = _built(where, lambda: DrivingMeasure(atoms=atoms))
+    nu = checked(where, lambda: DrivingMeasure(atoms=atoms))
     if v["space"] is None:
         return SystemSpec(nu, support_space(nu))
-    kind, s = _kind(v["space"], SPACES, "system 'space'", "space")
+    kind, s = read_kind(v["space"], SPACES, "system 'space'", "space")
     make = {"interval": Interval, "circle": Circle, "projective": Projective}[kind]
-    space = _built("system 'space'", lambda: make(**s))
+    space = checked("system 'space'", lambda: make(**s))
     for f, _ in nu.atoms:
         if isinstance(f, ProjectiveAction) and space != space_of(f):
-            raise ValueError(f"system 'space' {space!r} does not fit {f!r}, "
-                             f"which acts on {space_of(f)!r}")
+            raise ConfigError(f"system 'space' {space!r} does not fit {f!r}, "
+                              f"which acts on {space_of(f)!r}")
     return SystemSpec(nu, space)
-
-
-# ---------------------------------------------------------------------------
-# configuration
-
-
-@dataclass
-class ExperimentConfig:
-    system: dict
-    observable: str = "birkhoff"
-    params: dict = field(default_factory=dict)
-    n: int = 100
-    t_ladder: list = field(default_factory=lambda: [0.1, 0.2, 0.3])
-    trials: int = 1000
-    seed: int = 0
-    bound: str = "lln"
-    inputs: dict = field(default_factory=dict)
-    threads: int = 1  # accepted and ignored: chunks run in order in one thread
-
-    def __post_init__(self):
-        vars(self).update(_read(vars(self), CONFIG, "config"))
-        if self.trials < 100 and self.observable != "asclt-kappa":
-            raise ValueError("tail experiments need at least 100 trials")
 
 
 # the columns of a tail report's rows, in CSV order
@@ -285,7 +186,7 @@ def _reference_measure(sys_spec: SystemSpec, ref, stream: SeededStream, simulate
     if ref == "auto":
         lebesgue = sys_spec.analytic.get("stationary") == "lebesgue"
         ref = {"kind": "lebesgue"} if lebesgue else simulated or {"kind": "simulate"}
-    kind, v = _kind(ref, REFERENCES, "params 'reference'", "reference")
+    kind, v = read_kind(ref, REFERENCES, "params 'reference'", "reference")
     if kind == "lebesgue":
         # k midpoints of the interval, or of [0, 1) for the circle's coordinates
         k = v["atoms"]
@@ -304,10 +205,10 @@ def orbit_start(sys_spec: SystemSpec, cfg: ExperimentConfig):
     ``POINT``) otherwise."""
     space = sys_spec.space
     if isinstance(space, Projective) or cfg.observable in COCYCLE_KINDS:
-        m = cocycle_matrices(sys_spec.nu).shape[1]
+        m = checked("system", lambda: cocycle_matrices(sys_spec.nu)).shape[1]
         start = {"start": (START, [1.0] + [0.0] * (m - 1))}
-        return _read(cfg.params, start, "params", Projective(m))["start"]
-    return _read(cfg.params, {"x0": (POINT, 0.5)}, "params", space)["x0"]
+        return read(cfg.params, start, "params", Projective(m))["start"]
+    return read(cfg.params, {"x0": (POINT, 0.5)}, "params", space)["x0"]
 
 
 def _orbit(cfg: ExperimentConfig, sys_spec: SystemSpec, stream: SeededStream, n: int,
@@ -400,16 +301,16 @@ ENGINES = {
 
 def _check_observable(cfg: ExperimentConfig, sys_spec: SystemSpec) -> dict:
     """The observable's params, read by ``PARAMS`` before any draw; a
-    ValueError when the observable is unknown or cannot run on the system:
+    ConfigError when the observable is unknown or cannot run on the system:
     the cocycle rates need a finite measure over matrices of one size,
     every other engine a one-dimensional system."""
-    kind, nu, space = cfg.observable, sys_spec.nu, sys_spec.space
-    _value(one_of(ENGINES), kind, "config 'observable'")
-    params = _read(cfg.params, PARAMS.get(kind, {}), f"{kind} params", space)
-    if kind in COCYCLE_KINDS:
-        cocycle_matrices(nu)
-    else:
-        require_one_dimensional(space, f"observable {kind!r}")
+    kind, space = cfg.observable, sys_spec.space
+    check(one_of(ENGINES), kind, "config 'observable'")
+    params = read(cfg.params, PARAMS.get(kind, {}), f"{kind} params", space)
+    if kind == "corr-sum" and cfg.n < 2:
+        raise ConfigError("corr-sum needs 'n' >= 2")
+    checked("system", lambda: cocycle_matrices(sys_spec.nu) if kind in COCYCLE_KINDS
+            else require_one_dimensional(space, f"observable {kind!r}"))
     return params
 
 
@@ -481,9 +382,9 @@ def run_tail(cfg: ExperimentConfig) -> TailReport:
     ctx, ctx_prov = _build_context(cfg, sys_spec, stream, params)
     prov.update(ctx_prov)
 
-    pilot_stream, main_stream = stream.substream(1), stream.substream(2)
-    pilot = _run_trials(cfg, sys_spec, ctx, pilot_stream)
-    values = _run_trials(cfg, sys_spec, ctx, main_stream)
+    pilot, values = checked("params 'x0'", lambda: [
+        _run_trials(cfg, sys_spec, ctx, stream.substream(i)) for i in (1, 2)],
+        SingularDerivativeError)
 
     center = float(pilot.mean())
     halfwidth = float(1.959963984540054 * pilot.std(ddof=1) / np.sqrt(len(pilot)))
@@ -511,11 +412,9 @@ def run_tail(cfg: ExperimentConfig) -> TailReport:
 
 def _bound_ladder(cfg: ExperimentConfig, sys_spec: SystemSpec):
     """(ladder, results, provenance) of the bound along the t-ladder; every
-    bound error, an empty ladder or a missing input included, surfaces
-    here, before any simulation."""
+    bound error surfaces here, before any simulation."""
     inputs, prov = B.resolve_inputs(cfg.bound, cfg.inputs, sys_spec.analytic)
-    ladder = _value(list_of(REAL, 1), cfg.t_ladder, f"bound {cfg.bound!r} 't_ladder'")
-    return ladder, [B.evaluate(cfg.bound, cfg.n, t, inputs) for t in ladder], prov
+    return cfg.t_ladder, [B.evaluate(cfg.bound, cfg.n, t, inputs) for t in cfg.t_ladder], prov
 
 
 def run_bounds(cfg: ExperimentConfig) -> list[dict]:
@@ -540,10 +439,13 @@ def run_corrdim(cfg: ExperimentConfig) -> list[dict]:
     """Correlation sums of n orbit points at ``epsilon0`` · 2^-j, j <
     ``rungs``, with the fitted log-log slope and intercept."""
     sys_spec = build_system(cfg.system)
-    p = _read(cfg.params, PARAMS["corr-dim"], "corr-dim params")
+    p = read(cfg.params, PARAMS["corr-dim"], "corr-dim params")
     ladder = [p["epsilon0"] * 2.0**-j for j in range(p["rungs"])]
+    if not all(a > b > 0 for a, b in zip(ladder, ladder[1:])):
+        raise ConfigError(f"corr-dim params 'epsilon0' underflows in {p['rungs']} rungs")
     points = _orbit(cfg, sys_spec, SeededStream(cfg.seed), cfg.n).points[:-1]
-    slope, intercept, table = correlation_dimension(sys_spec.space, points, ladder)
+    slope, intercept, table = checked("corr-dim params 'epsilon0'", lambda: correlation_dimension(
+        sys_spec.space, points, ladder), CorrelationDimensionError)
     return [{"epsilon": e, "K": k, "slope": slope, "intercept": intercept} for e, k in table]
 
 
@@ -556,7 +458,8 @@ def run_lyap(cfg: ExperimentConfig) -> list[dict]:
         v, w = lyapunov_projective(sys_spec.nu, orbit_start(sys_spec, cfg), cfg.n,
                                    stream.generator())
         return [{"n": cfg.n, "vector_rate": v, "norm_rate": w}]
-    traj = _orbit(cfg, sys_spec, stream, cfg.n, record_log_derivative=True)
+    traj = checked("params 'x0'", lambda: _orbit(cfg, sys_spec, stream, cfg.n, True),
+                   SingularDerivativeError)
     return [{"n": cfg.n, "rate": lyapunov_1d(traj)}]
 
 
@@ -564,7 +467,8 @@ def run_lambda_survey(cfg: ExperimentConfig) -> list[dict]:
     """Grid-max contraction-sum estimates along an n-ladder, with the
     analytic cap column for library families and a divergence marker."""
     sys_spec = build_system(cfg.system)
-    p = _read(cfg.params, PARAMS["lambda"], "lambda params")
+    p = read(cfg.params, PARAMS["lambda"], "lambda params")
+    checked("system", lambda: require_one_dimensional(sys_spec.space, "lambda"))
     out = []
     for i, n in enumerate(p["n_ladder"]):
         cap = _analytic_cap(sys_spec, n)
@@ -590,9 +494,9 @@ def run_asclt(cfg: ExperimentConfig) -> list[dict]:
     orbit, compared against the Gaussian with the estimated limit
     variance along a powers-of-2 ladder."""
     sys_spec = build_system(cfg.system)
-    p = _read(cfg.params, PARAMS["asclt"], "asclt params")
+    p = read(cfg.params, PARAMS["asclt"], "asclt params")
     ladder, h = p["n_ladder"], p["h"]
-    require_one_dimensional(sys_spec.space, "asclt")
+    checked("system", lambda: require_one_dimensional(sys_spec.space, "asclt"))
     stream = SeededStream(cfg.seed)
     # one orbit, its start checked before any draw; every rung is a prefix
     traj = _orbit(cfg, sys_spec, stream.substream(3), max(ladder))

@@ -128,7 +128,7 @@ def test_07_lln_dominance():
         cfg = ExperimentConfig(system={"kind": "halving-ifs"}, observable="birkhoff",
                                params={"h": "coordinate", "x0": 0.5}, n=200,
                                t_ladder=[0.15, 0.2, 0.3], trials=10_000, seed=7,
-                               bound="lln", threads=4)
+                               bound="lln")
         report = run_tail(cfg)
         in_regime = [r for r in report.rows if r["verdict"] != "not-applicable"]
         assert in_regime, "no in-regime rungs"

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from rdslab import bounds as B
+from rdslab import config as C
 from rdslab import harness as H
 from rdslab.cli import main
 from rdslab.spaces import Interval
@@ -278,8 +279,7 @@ TAIL_JSON = """{
     "trials": 200,
     "seed": 4,
     "bound": "lln",
-    "inputs": {},
-    "threads": 1
+    "inputs": {}
   },
 }
 """
@@ -526,6 +526,24 @@ class TestPinnedOutput:
         assert main(["lyap", "--config", write_cfg(tmp_path, doc)]) == 2
         captured = capsys.readouterr()
         assert "vanishing derivative" in captured.err and captured.out == ""
+
+    def test_tail_at_a_critical_point(self, tmp_path, capsys):
+        system = {"kind": "atoms", "atoms": [[{"kind": "polynomial", "alpha": 1.5}, 1.0]]}
+        doc = dict(TAIL_DOC, system=system, observable="lyap-1d", n=20,
+                   params={"x0": (2.0 / 3.0) ** 2}, inputs={"lambda_nu": 2.0, "gee_inf": 0.5})
+        assert main(["tail", "--config", write_cfg(tmp_path, doc)]) == 2
+        captured = capsys.readouterr()
+        assert "params 'x0': vanishing derivative" in captured.err and captured.out == ""
+
+    def test_corr_dim_without_positive_rungs(self, tmp_path, capsys):
+        # every rung's correlation sum is 0, which shows only once the orbit
+        # is drawn
+        out = tmp_path / "rows.csv"
+        doc = dict(TAIL_DOC, params={"epsilon0": 1e-9})
+        assert main(["corr-dim", "--config", write_cfg(tmp_path, doc), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert "params 'epsilon0'" in captured.err
+        assert captured.out == "" and not out.exists()
 
 
 # the halving system as explicit atoms, so no analytic constant fills an input
@@ -1081,6 +1099,31 @@ def test_empty_t_ladder(tmp_path, capsys, command):
     fails_before_drawing(tmp_path, capsys, command, dict(TAIL_DOC, t_ladder=[]), "'t_ladder'")
 
 
+@pytest.mark.parametrize("command, doc, named", [
+    # epsilon0 halved rungs - 1 times reaches 0
+    pytest.param("corr-dim", dict(TAIL_DOC, params={"epsilon0": 5e-324}), "'epsilon0'",
+                 id="corr-dim-subnormal-epsilon0"),
+    pytest.param("corr-dim", dict(TAIL_DOC, params={"rungs": 2000}), "'epsilon0'",
+                 id="corr-dim-2000-rungs"),
+    pytest.param("tail", dict(observable_doc("corr-sum", params={"epsilon": 0.5}), n=1), "'n'",
+                 id="corr-sum-one-point"),
+    # no longer a config field
+    pytest.param("tail", dict(TAIL_DOC, threads=1), "'threads'", id="threads"),
+])
+def test_refused_before_drawing(tmp_path, capsys, command, doc, named):
+    fails_before_drawing(tmp_path, capsys, command, doc, named)
+
+
+@pytest.mark.parametrize("bug", [KeyError, ValueError, RuntimeError])
+def test_a_bug_is_not_a_config_error(tmp_path, capsys, bug):
+    # only a ConfigError exits 2; a bug propagates, so ``python -m
+    # rdslab.cli`` prints its traceback and exits 1
+    with mock.patch("rdslab.harness._run_trials", side_effect=bug("internal bug")):
+        with pytest.raises(bug, match="internal bug"):
+            main(["tail", "--config", write_cfg(tmp_path, TAIL_DOC)])
+    assert capsys.readouterr().err == ""
+
+
 @pytest.mark.parametrize("flag", ["--grid", "--trials"])
 def test_removed_flags(capsys, flag):
     # params.grid and trials stay config keys
@@ -1178,8 +1221,8 @@ def _walk():
     key rejects, on the unit interval of the configs that place it, and
     for each value that the rule of a bound input (``bounds._INPUTS``)
     rejects, under every key each selector reads it from."""
-    tables = {"CONFIG": {"": H.CONFIG}, "SYSTEMS": H.SYSTEMS, "MAPS": H.MAPS,
-              "SPACES": H.SPACES, "REFERENCES": H.REFERENCES, "PARAMS": H.PARAMS}
+    tables = {"CONFIG": {"": C.CONFIG}, "SYSTEMS": C.SYSTEMS, "MAPS": C.MAPS,
+              "SPACES": C.SPACES, "REFERENCES": C.REFERENCES, "PARAMS": C.PARAMS}
     for table, kinds in tables.items():
         for kind, keys in kinds.items():
             for key, ((_, test, _), _) in keys.items():
@@ -1208,7 +1251,7 @@ def test_schema_walk(tmp_path, capsys, command, doc, named):
 
 def test_no_rule_takes_a_bool_or_nan():
     # so the walk feeds each key at least these two values
-    for kinds in (H.SYSTEMS, H.MAPS, H.SPACES, H.REFERENCES, H.PARAMS, {"": H.CONFIG}):
+    for kinds in (C.SYSTEMS, C.MAPS, C.SPACES, C.REFERENCES, C.PARAMS, {"": C.CONFIG}):
         for keys in kinds.values():
             for key, ((what, test, _), _) in keys.items():
                 assert not test(True, None) and not test(float("nan"), None), (key, what)

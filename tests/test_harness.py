@@ -88,11 +88,6 @@ class TestRunTail:
         r2 = run_tail(halving_cfg())
         assert report_to_csv(r1) == report_to_csv(r2)
 
-    def test_thread_invariance(self):
-        r1 = run_tail(halving_cfg(trials=2000, threads=1))
-        r8 = run_tail(halving_cfg(trials=2000, threads=8))
-        assert report_to_csv(r1) == report_to_csv(r8)
-
     def test_deterministic_system_zero_tail(self):
         cfg = halving_cfg(
             system={"kind": "atoms",

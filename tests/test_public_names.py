@@ -1,6 +1,6 @@
 """The public names of rdslab: every ``__all__`` entry of a module exists,
-and every name that the package root imports is in the ``__all__`` of the
-module it comes from."""
+every name that the package root imports is in the ``__all__`` of the
+module it comes from, and no module reads another's private names."""
 
 import ast
 import importlib
@@ -27,4 +27,21 @@ def test_root_imports_are_public():
     assert {module for module, _ in imports} <= set(MODULES)
     private = [f"{module}.{name}" for module, name in imports
                if name not in importlib.import_module(f"rdslab.{module}").__all__]
+    assert private == []
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_private_names_across_modules(module):
+    with open(importlib.import_module(f"rdslab.{module}").__file__) as fh:
+        tree = ast.parse(fh.read())
+    imports = [node for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+               and (node.level or (node.module or "").startswith("rdslab"))]
+    private = [alias.name for node in imports for alias in node.names
+               if alias.name.startswith("_")]
+    # the private attributes of a module imported whole (``from . import x as X``)
+    modules = {alias.asname or alias.name for node in imports if not node.module
+               for alias in node.names}
+    private += [f"{node.value.id}.{node.attr}" for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules and node.attr.startswith("_")]
     assert private == []
