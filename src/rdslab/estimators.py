@@ -403,6 +403,18 @@ def _tree_sum(lo, size, leaf):
     return _tree_sum(lo, half, leaf) + _tree_sum(lo + half, size - half, leaf)
 
 
+def _mantissa_groups(epsilons) -> dict:
+    """The rungs by the mantissa m of eps = m * 2**e, 1 <= m < 2, as
+    {m: [(rung index, e), ...]}.  A rung with e outside [-900, 900] keeps
+    m = eps and e = 0."""
+    groups = {}
+    for i, eps in enumerate(epsilons):
+        m, e = math.frexp(eps)
+        m, e = (2.0 * m, e - 1) if -900 <= e - 1 <= 900 else (eps, 0)
+        groups.setdefault(m, []).append((i, e))
+    return groups
+
+
 def _correlation_sums_chunked(space, points, epsilons, kernel, chunk=512):
     """K values for several epsilons without materializing the full pair
     matrix; diagonal (i = j) contributions are removed.
@@ -412,15 +424,28 @@ def _correlation_sums_chunked(space, points, epsilons, kernel, chunk=512):
     numpy's pairwise-sum tree (:func:`_tree_sum`): each node gets the
     distance rows that cover it, and every rung reads them while they are
     in cache.  A callable kernel must act element by element, since it
-    sees one node at a time."""
+    sees one node at a time.
+
+    phi0 rungs eps = m * 2**e that share a mantissa m share one quotient
+    Q = D / m per node (Q = D when eps is a power of two), and each sums
+    clip(1.5 * 2**e - Q, 0, 2**e) scaled by 2**-e: the bits of
+    phi0(1 - D / eps).  Rounding commutes with power-of-two scaling away
+    from the subnormal range (a quotient that small clips to the top either
+    way), and every clipped value is a multiple of 2**(e - 53), so the
+    scaled sum adds along the same tree with the same roundings; the
+    exponent guard of :func:`_mantissa_groups` keeps 2**(e - 53) normal and
+    2**e finite.  A callable kernel divides per rung."""
     points = np.asarray(points, dtype=float)
     n = len(points)
     P = reduce_points(space, points)
-    # the distance rows of one node and a scratch (1 - D/eps when several
-    # rungs share D), allocated once per call
+    groups = list(_mantissa_groups(epsilons).items())
+    # the distance rows of one node, a scratch for pair_metric and then for
+    # each rung's kernel values, and a quotient for each mantissa but the
+    # last (which divides D in place): allocated once per call
     rows = min(chunk, n, _NODE // max(n, 1) + 2)
     D_buf = np.empty(rows * n)
     T_buf = np.empty_like(D_buf)
+    Q_buf = np.empty_like(D_buf) if kernel is phi0 and len(groups) > 1 else None
 
     def node(lo, size):
         # lo counts elements of the full n x n pair matrix in C order
@@ -432,19 +457,26 @@ def _correlation_sums_chunked(space, points, epsilons, kernel, chunk=512):
         D = D_buf[at : at + size]
         if kernel == "heaviside":
             return np.array([np.count_nonzero(D <= eps) for eps in epsilons])
-        Y = D if len(epsilons) == 1 else T_buf[at : at + size]
         out = np.empty(len(epsilons))
-        for e_idx, eps in enumerate(epsilons):
-            np.divide(D, eps, out=Y)
-            if kernel is phi0:
-                # phi0(1 - Q) bit for bit: 1 - Q is exact on [0.5, 2], and
-                # both forms clip to the same end outside it
-                np.subtract(1.5, Y, out=Y)
-                np.clip(Y, 0.0, 1.0, out=Y)
-                out[e_idx] = np.sum(Y)
-            else:
+        if kernel is not phi0:
+            Y = T_buf[at : at + size]
+            for e_idx, eps in enumerate(epsilons):
+                np.divide(D, eps, out=Y)
                 np.subtract(1.0, Y, out=Y)
                 out[e_idx] = np.sum(kernel(Y))
+            return out
+        for g, (m, rungs) in enumerate(groups):
+            # the last mantissa divides D in place, and its last rung
+            # overwrites the quotient
+            last = g == len(groups) - 1
+            Q = D if m == 1.0 else np.divide(D, m, out=D if last else Q_buf[at : at + size])
+            for r, (e_idx, e) in enumerate(rungs):
+                Y = Q if last and r == len(rungs) - 1 else T_buf[at : at + size]
+                # phi0(1 - Q) is clip(1.5 - Q, 0, 1): 1.5 - Q is exact on
+                # [0.5, 2], and both forms clip to the same end outside it
+                np.subtract(math.ldexp(1.5, e), Q, out=Y)
+                np.clip(Y, 0.0, math.ldexp(1.0, e), out=Y)
+                out[e_idx] = math.ldexp(np.sum(Y), -e)
         return out
 
     sums = np.zeros(len(epsilons))

@@ -443,6 +443,8 @@ def run_corrdim(cfg: ExperimentConfig) -> list[dict]:
     ladder = [p["epsilon0"] * 2.0**-j for j in range(p["rungs"])]
     if not all(a > b > 0 for a, b in zip(ladder, ladder[1:])):
         raise ConfigError(f"corr-dim params 'epsilon0' underflows in {p['rungs']} rungs")
+    if cfg.n < 2:
+        raise ConfigError("corr-dim needs 'n' >= 2")
     points = _orbit(cfg, sys_spec, SeededStream(cfg.seed), cfg.n).points[:-1]
     slope, intercept, table = checked("corr-dim params 'epsilon0'", lambda: correlation_dimension(
         sys_spec.space, points, ladder), CorrelationDimensionError)

@@ -1107,6 +1107,8 @@ def test_empty_t_ladder(tmp_path, capsys, command):
                  id="corr-dim-2000-rungs"),
     pytest.param("tail", dict(observable_doc("corr-sum", params={"epsilon": 0.5}), n=1), "'n'",
                  id="corr-sum-one-point"),
+    # no pair, so no epsilon0 gives a positive correlation sum
+    pytest.param("corr-dim", dict(TAIL_DOC, n=1), "'n'", id="corr-dim-one-point"),
     # no longer a config field
     pytest.param("tail", dict(TAIL_DOC, threads=1), "'threads'", id="threads"),
 ])

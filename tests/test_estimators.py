@@ -1,5 +1,6 @@
 import functools
 import json
+import math
 import operator
 import os
 import subprocess
@@ -465,6 +466,11 @@ def _corr_points(name, n):
 
 
 LADDER_5 = [0.1 * 2.0**-j for j in range(5)]
+# ladders of the shared-quotient rule: two mantissas (1.2 and 1.6), powers
+# of two (no division) and rungs past the exponent guard (m = eps, e = 0)
+MIXED = [0.3, 0.2, 0.15, 0.1, 0.075]
+POWERS = [0.5, 0.25, 0.125]
+GUARD = [1e300, 1.0, 1e-300]
 
 
 class TestCorrelationSumBlocks:
@@ -475,8 +481,9 @@ class TestCorrelationSumBlocks:
     pairwise tree; at n = 700, 1501 and 3000 node edges fall mid-row."""
 
     @pytest.mark.parametrize("chunk", [512, 100, 33, 7, 1])
-    @pytest.mark.parametrize("ladder", [[0.2], [0.2, 0.1, 0.05, 0.025], [3.0, 1.0, 1e-300]],
-                             ids=["one", "four", "wide"])
+    @pytest.mark.parametrize("ladder", [[0.2], [0.2, 0.1, 0.05, 0.025], [3.0, 1.0, 1e-300],
+                                        MIXED, POWERS],
+                             ids=["one", "four", "wide", "mixed", "powers"])
     @pytest.mark.parametrize("name", sorted(CORR_POINTS))
     def test_phi0_in_place_matches_generic_kernel(self, name, ladder, chunk):
         space, pts = CORR_POINTS[name]
@@ -486,7 +493,8 @@ class TestCorrelationSumBlocks:
 
     @pytest.mark.parametrize("kernel", ["heaviside", phi0], ids=["heaviside", "phi0"])
     @pytest.mark.parametrize("chunk", [512, 7])
-    @pytest.mark.parametrize("ladder", [[0.2], [0.2, 0.1, 0.05, 0.025]], ids=["one", "four"])
+    @pytest.mark.parametrize("ladder", [[0.2], [0.2, 0.1, 0.05, 0.025], MIXED, POWERS, GUARD],
+                             ids=["one", "four", "mixed", "powers", "guard"])
     @pytest.mark.parametrize("name", sorted(CORR_POINTS))
     def test_matches_blockwise_distance(self, name, ladder, chunk, kernel):
         space, pts = CORR_POINTS[name]
@@ -495,8 +503,9 @@ class TestCorrelationSumBlocks:
 
     @pytest.mark.parametrize("kernel", ["heaviside", phi0, _squared_hinge],
                              ids=["heaviside", "phi0", "callable"])
-    @pytest.mark.parametrize("n, ladder", [(700, [0.05]), (700, LADDER_5), (1501, LADDER_5)],
-                             ids=["700-one", "700-five", "1501-five"])
+    @pytest.mark.parametrize("n, ladder", [(700, [0.05]), (700, LADDER_5), (1501, LADDER_5),
+                                           (700, MIXED), (700, GUARD)],
+                             ids=["700-one", "700-five", "1501-five", "700-mixed", "700-guard"])
     @pytest.mark.parametrize("name", sorted(CORR_POINTS))
     def test_nodes_match_blockwise_distance(self, name, n, ladder, kernel):
         space, pts = _corr_points(name, n)
@@ -520,6 +529,16 @@ class TestCorrelationSumBlocks:
         space, pts = _corr_points(name, 1000)
         assert correlation_sum(space, pts, 0.05, kernel) == \
             _blockwise_sums(space, pts, [0.05], kernel, 1000)[0]
+
+
+@pytest.mark.parametrize("ladder, groups", [
+    (LADDER_5, {1.6: [(0, -4), (1, -5), (2, -6), (3, -7), (4, -8)]}),
+    (MIXED, {1.2: [(0, -2), (2, -3), (4, -4)], 1.6: [(1, -3), (3, -4)]}),
+    (POWERS, {1.0: [(0, -1), (1, -2), (2, -3)]}),
+    (GUARD, {1e300: [(0, 0)], 1.0: [(1, 0)], 1e-300: [(2, 0)]}),
+], ids=["ladder-5", "mixed", "powers", "guard"])
+def test_mantissa_groups(ladder, groups):
+    assert E._mantissa_groups(ladder) == groups
 
 
 def _pairwise_model(a, lo, size):
@@ -578,6 +597,16 @@ def test_phi0_is_one_clip_of_one_and_a_half_minus_q():
     assert np.all(np.isnan(q) | (q >= 0))
     got = np.clip(1.5 - q, 0.0, 1.0)
     assert got.tobytes() == phi0(1.0 - q).tobytes()
+    # the shared-quotient form for eps = m * 2**e: clip(1.5 * 2**e - d / m,
+    # 0, 2**e) scaled by 2**-e, element by element and summed
+    for eps in LADDER_5:
+        d = np.concatenate([*(_neighbours(x * eps) for x in (0.5, 1.0, 1.5)),
+                            np.random.default_rng(5).uniform(0.0, 2.0 * eps, 10_000)])
+        ((m, [(_, e)]),) = E._mantissa_groups([eps]).items()
+        scaled = np.clip(math.ldexp(1.5, e) - d / m, 0.0, math.ldexp(1.0, e))
+        want = phi0(1.0 - d / eps)
+        assert np.ldexp(scaled, -e).tobytes() == want.tobytes()
+        assert math.ldexp(np.sum(scaled), -e) == np.sum(want)
 
 
 class TestCorrelationDimension:
