@@ -168,5 +168,3 @@ class ExperimentConfig:
 
     def __post_init__(self):
         vars(self).update(read(vars(self), CONFIG, "config"))
-        if self.trials < 100 and self.observable != "asclt-kappa":
-            raise ConfigError("tail experiments need at least 100 trials")

@@ -63,6 +63,10 @@ QR_PERIOD = 32
 
 TRIAL_CHUNK = 128
 
+# float64 elements (512 KB) kept in cache while reread: the size of the
+# dense pair kernel's trial blocks and of the correlation sums' tree nodes
+_NODE = 1 << 16
+
 
 def step_labels(nu: DrivingMeasure, rng, n: int, count):
     """The labels of n steps of ``count`` trials, one (count,) row per step.
@@ -150,9 +154,9 @@ def _circulant(XX):
 
 def _aligned(shape):
     """An uninitialized float array whose data starts on a 64-byte cache
-    line.  The dense kernel streams its tables once per step; at the 16- to
-    48-byte offsets that malloc may give them, one call of the benchmark's
-    polynomial job took 10-20 % longer (2-core Xeon, numpy 2.4)."""
+    line.  The dense kernel passes over its tables several times per step;
+    at the 16- to 48-byte offsets that malloc may give them, one call of the
+    benchmark's polynomial job took 10-20 % longer (2-core Xeon, numpy 2.4)."""
     size = math.prod(shape)
     raw = np.empty(size + 7)
     at = (-raw.ctypes.data % 64) // 8
@@ -164,24 +168,31 @@ def _dense_sums(nu, space, x, n, c, rng):
     coupled trials from the G starts x, in the layout of :func:`_circulant`:
     G (G//2 + 1) pair distances per step instead of G^2.
 
-    The general kernel.  Each step reduces the states once
+    The general kernel.  Each step moves all c trials in one ``nu.step``
+    (a circle-chart batch rounds by its size), reduces the states once
     (``reduce_points``) into a doubled row and takes the pair metric of its
-    circulant view against the states, in two buffers allocated once; the
+    circulant view against the states b = ``_NODE`` // ((G//2 + 1) G) trials
+    at a time (31 at G = 64; within [1, c]), so a block stays in cache; its
+    two buffers of b rows are allocated once.  No bit depends on b.  The
     diagonal row stays, so a non-finite orbit sums to what the full G x G
     block gives.  The buffers start on cache lines (:func:`_aligned`)."""
     G = len(x)
     xx = np.tile(reduce_points(space, x), 2)
     S = _aligned((c, G // 2 + 1, G))
     S[:] = pair_metric(space, _circulant(xx), xx[:G])
-    D = _aligned(S.shape)
-    W = _aligned(S.shape) if isinstance(space, Circle) else None
+    b = min(c, max(1, _NODE // ((G // 2 + 1) * G)))
+    D = _aligned((b,) + S.shape[1:])
+    W = _aligned(D.shape) if isinstance(space, Circle) else None
     X = np.tile(x, (c, 1))
     XX = _aligned((c, 2 * G))
     rows = _circulant(XX)
     for labels in step_labels(nu, rng, n, c):
         X = nu.step(labels, X)
         XX[:, :G] = XX[:, G:] = reduce_points(space, X)
-        S += pair_metric(space, rows, XX[:, None, :G], out=D, scratch=W)
+        for lo in range(0, c, b):
+            k = min(b, c - lo)
+            S[lo:lo + k] += pair_metric(space, rows[lo:lo + k], XX[lo:lo + k, None, :G],
+                                        out=D[:k], scratch=None if W is None else W[:k])
     return S
 
 
@@ -379,11 +390,6 @@ def correlation_sum(space, points, epsilon: float, kernel="heaviside") -> float:
 
 class CorrelationDimensionError(RuntimeError):
     pass
-
-
-# nodes of numpy's pairwise-sum tree at most this long are evaluated whole:
-# their distances (512 KB) are still in cache when every rung reads them
-_NODE = 1 << 16
 
 
 def _tree_sum(lo, size, leaf):

@@ -375,6 +375,8 @@ def run_tail(cfg: ExperimentConfig) -> TailReport:
     only increases the empirical tail and keeps the check conservative.
     """
     t0 = time.perf_counter()
+    if cfg.trials < 100:
+        raise ConfigError("tail experiments need 'trials' >= 100")
     sys_spec = build_system(cfg.system)
     ladder, results, prov = _bound_ladder(cfg, sys_spec)
     params = _check_observable(cfg, sys_spec)

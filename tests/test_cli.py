@@ -173,8 +173,20 @@ class TestOtherCommands:
         fails_before_drawing(tmp_path, capsys, command, doc, named)
 
     def test_lambda_without_trials(self, tmp_path, capsys):
-        doc = dict(TAIL_DOC, observable="asclt-kappa", trials=0, params={"n_ladder": [5]})
+        doc = dict(TAIL_DOC, trials=0, params={"n_ladder": [5]})
         fails_before_drawing(tmp_path, capsys, "lambda", doc, "'trials' must be an integer >= 1")
+
+    def test_lambda_with_two_trials(self, tmp_path):
+        # the 100-trial floor is the tail command's: lambda_n takes any trials >= 1
+        doc = {"system": {"kind": "halving-ifs"}, "trials": 2,
+               "params": {"n_ladder": [5], "grid": 8}}
+        out = tmp_path / "l.csv"
+        assert main(["lambda", "--config", write_cfg(tmp_path, doc), "--out", str(out)]) == 0
+        assert out.read_text().startswith("n,lambda_hat,stderr,analytic_cap,diverged\n5,")
+
+    def test_tail_needs_100_trials(self, tmp_path, capsys):
+        fails_before_drawing(tmp_path, capsys, "tail", dict(TAIL_DOC, trials=99),
+                             "'trials' >= 100")
 
     def test_lambda_n0_rung(self, tmp_path):
         doc = dict(TAIL_DOC, params={"n_ladder": [0], "grid": 8})

@@ -269,6 +269,68 @@ class TestDenseKernelOracle:
             assert np.all(expected[:, 0, 4] == 0.0)
 
 
+OVERFLOW = DrivingMeasure(atoms=((Affine(-1e200, 0.5), 0.5), (Affine(1e200, 0.0), 0.5)))
+
+
+class TestDenseTrialBlocks:
+    """The dense kernel takes its pair metric b = ``_NODE`` // ((G//2 + 1) G)
+    trials at a time.  At the tests' small G that is the whole chunk, so
+    ``_NODE`` is lowered to give b = 1, and b = 3, which divides neither a
+    7-trial chunk nor a 128-trial one: the oracle's bits either way."""
+
+    @staticmethod
+    def _record(monkeypatch):
+        """The shapes the kernel passes to ``_aligned``, as it allocates."""
+        shapes, aligned = [], E._aligned
+        monkeypatch.setattr(E, "_aligned", lambda shape: shapes.append(shape) or aligned(shape))
+        return shapes
+
+    def _run(self, monkeypatch, node, nu, space, G, trials, n=12, seed=5, ceiling=4.0):
+        """(lambda_n, the dense oracle, the shapes of the 3-d tables the
+        kernel allocated), with ``_NODE`` set to ``node``."""
+        monkeypatch.setattr(E, "_NODE", node)
+        shapes = self._record(monkeypatch)
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = lambda_n(nu, space, n, trials, seed, resolution=G, ceiling=ceiling)
+            want = _oracle_lambda(nu, space, n, trials, seed, resolution=G, ceiling=ceiling)
+        return got, want, [s for s in shapes if len(s) == 3]
+
+    @staticmethod
+    def _tables(space, G, trials, b):
+        """Per chunk: S of c rows, then D and, on the circle, W of b rows."""
+        half = (G // 2 + 1, G)
+        buffers = 2 if isinstance(space, Circle) else 1
+        return [shape for lo in range(0, trials, E.TRIAL_CHUNK)
+                for c in [min(E.TRIAL_CHUNK, trials - lo)]
+                for shape in [(c, *half)] + [(min(b, c), *half)] * buffers]
+
+    @pytest.mark.parametrize("node, b", [(40, 1), (3 * 40, 3), (1, 1)],
+                             ids=["one", "three", "below-one-row"])
+    @pytest.mark.parametrize("name", sorted(DENSE_SYSTEMS))
+    @pytest.mark.parametrize("trials", [7, 129])
+    def test_blocks_equal_dense_oracle(self, monkeypatch, node, b, name, trials):
+        nu, space = DENSE_SYSTEMS[name]
+        got, want, tables = self._run(monkeypatch, node, nu, space, 8, trials)
+        _assert_same_estimate(got, want)
+        assert tables == self._tables(space, 8, trials, b)
+
+    @pytest.mark.parametrize("node, b", [(15, 1), (3 * 15, 3)], ids=["one", "three"])
+    @pytest.mark.parametrize("trials", [7, 129])
+    def test_overflow_to_inf_blocks_equal_dense_oracle(self, monkeypatch, node, b, trials):
+        got, want, tables = self._run(monkeypatch, node, OVERFLOW, SP, 5, trials, n=4, seed=1,
+                                      ceiling=10.0)
+        assert np.isnan(want.table).any() and np.isinf(want.table).any()
+        _assert_same_estimate(got, want)
+        assert tables == self._tables(SP, 5, trials, b)
+
+    @pytest.mark.parametrize("space", [SP, Circle()], ids=["interval", "circle"])
+    def test_benchmark_grid_takes_31_trials(self, monkeypatch, space):
+        # G = 64: 33 x 64 elements a trial, 31 of them within 2**16
+        shapes = self._record(monkeypatch)
+        E._dense_sums(HALVING, space, E.grid(space, 64), 0, 128, SeededStream(0).generator())
+        assert [s for s in shapes if len(s) == 3] == self._tables(space, 64, 128, 31)
+
+
 @pytest.mark.parametrize("shape", [(1,), (3, 5), (2, 33, 64)])
 def test_aligned_buffers_start_on_cache_lines(shape):
     a = E._aligned(shape)

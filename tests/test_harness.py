@@ -51,8 +51,10 @@ def halving_cfg(**kw):
 
 class TestConfig:
     def test_trials_floor(self):
-        with pytest.raises(ValueError):
-            halving_cfg(trials=50)
+        # the floor is the tail run's: other runners take any trials >= 1
+        cfg = halving_cfg(trials=50)
+        with pytest.raises(ValueError, match="'trials' >= 100"):
+            run_tail(cfg)
 
     def test_ladder_must_increase(self):
         with pytest.raises(ValueError):
