@@ -12,7 +12,6 @@ from .spaces import (
     Projective,
     canonical_direction,
     circle_delta,
-    diameter,
     distance,
     grid,
 )

@@ -143,11 +143,9 @@ def enumerate_expectation(nu: DrivingMeasure, n: int, functional) -> float:
     return total
 
 
-def coupled_distance(space: StateSpace, maps, x, y, k: int | None = None) -> float:
-    """d(X_k^x, X_k^y) along one explicit word (k defaults to the full word)."""
-    if k is None:
-        k = len(maps)
-    for f in maps[:k]:
+def coupled_distance(space: StateSpace, maps, x, y) -> float:
+    """d(X_n^x, X_n^y) at the end of one explicit word of n maps."""
+    for f in maps:
         x = apply_map(f, x)
         y = apply_map(f, y)
     return float(distance(space, x, y))

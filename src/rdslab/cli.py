@@ -4,8 +4,8 @@ Subcommands: simulate, lambda, tail, corr-dim, lyap, asclt, bounds,
 selftest.  Each but tail and selftest is a runner of ``harness`` whose
 rows are written by ``harness.rows_to_csv``; tail writes a CSV or JSON
 report, and selftest adds its property checks.  Exit codes: 0 success,
-1 a bug (with a traceback), 2 a bad config (``ConfigError``), 3 a
-dominance failure in selftest mode.
+1 a bug (with a traceback), 2 a bad config or an unwritable ``--out``
+(``ConfigError``), 3 a dominance failure in selftest mode.
 """
 
 from __future__ import annotations
@@ -52,8 +52,11 @@ def _load_config(args) -> ExperimentConfig:
 
 def _emit(text: str, out_path: str | None):
     if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w") as fh:
+                fh.write(text)
+        except OSError as e:
+            raise ConfigError(f"cannot write output {out_path}: {e}") from e
     else:
         sys.stdout.write(text)
 

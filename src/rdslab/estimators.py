@@ -139,7 +139,6 @@ class LambdaEstimate:
     argmax_pair: tuple
     table: np.ndarray
     table_stderr: np.ndarray
-    diverged: bool = False
 
 
 def _circulant(XX):
@@ -267,7 +266,6 @@ def lambda_n(
     trials: int,
     seed: int | SeededStream,
     resolution: int = 64,
-    ceiling: float | None = None,
 ) -> LambdaEstimate:
     """Maximum over grid pairs of the Monte Carlo mean of
     sum_{k=0}^n d(X_k^x, X_k^y).
@@ -293,14 +291,12 @@ def lambda_n(
     starts = grid(space, resolution)
     mean, stderr = _pair_sum_stats(nu, space, starts, n, trials, stream.substream(0))
     i, j = np.unravel_index(int(np.argmax(mean)), mean.shape)
-    value = float(mean[i, j])
     return LambdaEstimate(
-        value=value,
+        value=float(mean[i, j]),
         stderr=float(stderr[i, j]),
         argmax_pair=(float(starts[i]), float(starts[j])),
         table=mean,
         table_stderr=stderr,
-        diverged=ceiling is not None and value > ceiling,
     )
 
 
@@ -492,9 +488,9 @@ def _correlation_sums_chunked(space, points, epsilons, kernel, chunk=512):
     return (sums - diag) / n**2
 
 
-def correlation_dimension(space, points, epsilon_ladder, kernel=phi0):
-    """Least-squares log-log slope of the smoothed correlation sum along a
-    decreasing epsilon ladder.  Zero rungs are dropped; fewer than three
+def correlation_dimension(space, points, epsilon_ladder):
+    """Least-squares log-log slope of the phi0-smoothed correlation sum along
+    a decreasing epsilon ladder.  Zero rungs are dropped; fewer than three
     survivors is an error.
 
     Returns (slope, intercept, table) with per-rung (epsilon, K) rows.
@@ -503,7 +499,7 @@ def correlation_dimension(space, points, epsilon_ladder, kernel=phi0):
     if (len(ladder) < 3 or any(b >= a for a, b in zip(ladder, ladder[1:]))
             or not all(0.0 < e < np.inf for e in ladder)):
         raise ValueError("ladder must be >= 3 strictly decreasing positive finite rungs")
-    K = _correlation_sums_chunked(space, points, ladder, kernel)
+    K = _correlation_sums_chunked(space, points, ladder, phi0)
     table = list(zip(ladder, K))
     keep = K > 0
     if keep.sum() < 3:
@@ -619,47 +615,39 @@ def lyapunov_projective_trials(nu: DrivingMeasure, x, n: int, trials: int, strea
 # non-expansive fixed points of the composed circle map
 
 
-def _composed_circle(maps, theta, order: str):
-    seq = list(reversed(maps)) if order == "reversed" else list(maps)
+def _composed_circle(maps, theta):
+    """The image and derivative at theta of the composition that applies
+    the last map of ``maps`` first."""
     deriv = np.ones_like(np.asarray(theta, dtype=float))
-    for f in seq:
+    for f in reversed(maps):
         deriv = deriv * derivative(f, theta)
         theta = apply_map(f, theta)
     return theta, deriv
 
 
-def nonexpansive_fixed_points(
-    nu: DrivingMeasure,
-    n: int,
-    stream,
-    resolution: int = 4096,
-    order: str = "reversed",
-    multiplier_slack: float = 1e-9,
-    root_tol: float = 1e-10,
-):
+def nonexpansive_fixed_points(nu: DrivingMeasure, n: int, stream):
     """Fixed points of the composed circle map with |derivative| <= 1.
 
-    order selects the composition direction of the drawn word: "reversed"
-    applies the last draw first (the product whose derivative appears in
-    the fixed-point analysis), "forward" the usual chain order.
+    The drawn word is composed in reverse, the last draw applied first: the
+    product whose derivative appears in the fixed-point analysis.  Sign
+    changes of the displacement on a 4096-point grid are bisected to within
+    1e-10, and a multiplier up to 1 + 1e-9 counts as non-expansive.
 
     Returns a list of (point, multiplier) pairs; empty when the composed
     map has no non-expansive fixed point.
     """
-    if order not in ("forward", "reversed"):
-        raise ValueError("order must be 'forward' or 'reversed'")
-    word = draw_word(nu, stream, n)
-    maps = word_maps(nu, word)
+    maps = word_maps(nu, draw_word(nu, stream, n))
+    resolution = 4096
 
     def displacement(theta):
-        g, _ = _composed_circle(maps, theta, order)
+        g, _ = _composed_circle(maps, theta)
         return circle_delta(theta, g)
 
     thetas = np.arange(resolution) / resolution
     disp = np.atleast_1d(displacement(thetas))
 
     if np.max(np.abs(disp)) < 1e-12:
-        _, derivs = _composed_circle(maps, thetas, order)
+        _, derivs = _composed_circle(maps, thetas)
         return [(float(t), float(d)) for t, d in zip(thetas, np.atleast_1d(derivs))]
 
     roots = []
@@ -679,15 +667,14 @@ def nonexpansive_fixed_points(
                 b, fb = mid, fm
             else:
                 a, fa = mid, fm
-            if b - a < root_tol:
+            if b - a < 1e-10:
                 break
         roots.append(float((0.5 * (a + b)) % 1.0))
 
     out = []
     for r in roots:
-        _, d = _composed_circle(maps, r, order)
-        mult = float(np.abs(d))
-        if mult <= 1.0 + multiplier_slack:
+        _, d = _composed_circle(maps, r)
+        if float(np.abs(d)) <= 1.0 + 1e-9:
             out.append((r, float(d)))
     return out
 
@@ -709,15 +696,15 @@ def stationary_approx(
     samples: int,
     stride: int,
     seed: int | SeededStream,
-    x0: float = 0.5,
 ) -> StationaryApprox:
-    """Empirical approximation of the stationary law from one long run,
-    with a first-half / second-half Kantorovich self-check."""
+    """Empirical approximation of the stationary law from one long run
+    started at 0.5, with a first-half / second-half Kantorovich
+    self-check."""
     require_one_dimensional(space, "stationary_approx")
     if burn_in < 0 or samples < 1 or stride < 1:
         raise ValueError("need burn_in >= 0, samples >= 1, stride >= 1")
     total = burn_in + samples * stride
-    orbit = simulate_coupled(nu, [float(x0)], total, as_generator(seed), space=space)[0]
+    orbit = simulate_coupled(nu, [0.5], total, as_generator(seed), space=space)[0]
     kept = orbit.points[burn_in + stride :: stride]
     measure = EmpiricalMeasure.from_samples(space, kept)
     half = samples // 2

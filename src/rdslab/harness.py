@@ -62,7 +62,8 @@ from .measures import (
     kantorovich_gaussian,
     kantorovich_interval_rows,
 )
-from .spaces import Circle, Interval, Projective, distance, require_one_dimensional
+from .spaces import (Circle, Interval, Projective, canonical_direction, distance,
+                     require_one_dimensional)
 from .streams import SeededStream
 
 __all__ = [
@@ -201,13 +202,14 @@ def _reference_measure(sys_spec: SystemSpec, ref, stream: SeededStream, simulate
 def orbit_start(sys_spec: SystemSpec, cfg: ExperimentConfig):
     """Start of every orbit of an experiment, checked before any draw:
     ``params.start`` (default e_1, rule ``START``) on projective systems
-    and for matrix-cocycle rates, ``params.x0`` (default 0.5, rule
+    and for matrix-cocycle rates, as its point of projective space
+    (``canonical_direction``), and ``params.x0`` (default 0.5, rule
     ``POINT``) otherwise."""
     space = sys_spec.space
     if isinstance(space, Projective) or cfg.observable in COCYCLE_KINDS:
         m = checked("system", lambda: cocycle_matrices(sys_spec.nu)).shape[1]
         start = {"start": (START, [1.0] + [0.0] * (m - 1))}
-        return read(cfg.params, start, "params", Projective(m))["start"]
+        return canonical_direction(read(cfg.params, start, "params", Projective(m))["start"])
     return read(cfg.params, {"x0": (POINT, 0.5)}, "params", space)["x0"]
 
 
@@ -469,19 +471,20 @@ def run_lyap(cfg: ExperimentConfig) -> list[dict]:
 
 def run_lambda_survey(cfg: ExperimentConfig) -> list[dict]:
     """Grid-max contraction-sum estimates along an n-ladder, with the
-    analytic cap column for library families and a divergence marker."""
+    analytic cap column for library families and a divergence marker: the
+    estimate above ``params.ceiling`` (default 10 x the cap, else 100)."""
     sys_spec = build_system(cfg.system)
     p = read(cfg.params, PARAMS["lambda"], "lambda params")
     checked("system", lambda: require_one_dimensional(sys_spec.space, "lambda"))
     out = []
     for i, n in enumerate(p["n_ladder"]):
         cap = _analytic_cap(sys_spec, n)
+        ceiling = p["ceiling"] or (10.0 * cap if cap is not None else 100.0)
         est = lambda_n(sys_spec.nu, sys_spec.space, n, cfg.trials,
-                       SeededStream(cfg.seed).substream(i), resolution=p["grid"],
-                       ceiling=p["ceiling"] or (10.0 * cap if cap is not None else 100.0))
+                       SeededStream(cfg.seed).substream(i), resolution=p["grid"])
         out.append({"n": n, "lambda_hat": est.value, "stderr": est.stderr,
                     "analytic_cap": cap if cap is not None else float("nan"),
-                    "diverged": est.diverged})
+                    "diverged": est.value > ceiling})
     return out
 
 
@@ -563,6 +566,15 @@ def report_to_csv(report: TailReport) -> str:
     return rows_to_csv(report.rows, TAIL_COLUMNS)
 
 
+def _json_safe(x):
+    """``x`` with every non-finite float as None, which JSON writes null."""
+    if isinstance(x, dict):
+        return {k: _json_safe(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_json_safe(v) for v in x]
+    return None if isinstance(x, float) and not np.isfinite(x) else x
+
+
 def report_to_json(report: TailReport) -> str:
     doc = {
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
@@ -573,4 +585,4 @@ def report_to_json(report: TailReport) -> str:
         "config": asdict(report.config),
         "runtime_seconds": report.runtime,
     }
-    return json.dumps(doc, indent=2, default=float) + "\n"
+    return json.dumps(_json_safe(doc), indent=2, default=float) + "\n"

@@ -379,15 +379,6 @@ class DrivingMeasure:
         as ``choice`` computes it, the last weight being 1)."""
         return np.searchsorted(self._cdf, rng.random(size), "right")
 
-    def support_maps(self, param_grid=None) -> list:
-        """The support as a finite list of maps.  Parametric measures need
-        a finite parameter discretization."""
-        if self.finite:
-            return [m for m, _ in self.atoms]
-        if param_grid is None:
-            raise ValueError("parametric support needs an explicit parameter grid")
-        return [self.make_map(p) for p in param_grid]
-
 
 def cocycle_matrices(nu: DrivingMeasure) -> np.ndarray:
     """The (G, m, m) stack of a matrix cocycle's atom matrices; ValueError
@@ -408,12 +399,12 @@ def word_maps(nu: DrivingMeasure, word) -> list[MapDescriptor]:
     return [nu.make_map(float(p)) for p in word]
 
 
-def gee_diameter_sup(
-    nu: DrivingMeasure, space: StateSpace, resolution: int, param_grid=None
-) -> float:
-    """Grid lower bound for the sup-metric diameter of the support:
+def gee_diameter_sup(nu: DrivingMeasure, space: StateSpace, resolution: int) -> float:
+    """Grid lower bound for the sup-metric diameter of a finite support:
     max over map pairs of max over grid points of d(f(x), g(x))."""
-    maps = nu.support_maps(param_grid)
+    if not nu.finite:
+        raise ValueError("the sup-diameter needs a finite driving measure")
+    maps = [f for f, _ in nu.atoms]
     pts = grid(space, resolution)
     if isinstance(space, Projective):
         images = np.array([[apply_map(f, p) for p in pts] for f in maps])

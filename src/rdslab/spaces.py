@@ -2,8 +2,8 @@
 
 Points are plain floats for the interval and the circle (circle coordinates
 live in [0, 1) with the length-1 metric), and canonical-sign unit vectors
-for projective space.  :func:`distance` is the one metric: every pair sum,
-correlation sum and diameter goes through it, or through its two steps,
+for projective space.  :func:`distance` is the one metric: every pair sum
+and correlation sum goes through it, or through its two steps,
 :func:`reduce_points` and :func:`pair_metric`, where a caller reuses the
 reduced points.  Suprema over a space are approximated by maxima over
 deterministic grids.
@@ -24,7 +24,6 @@ __all__ = [
     "distance",
     "reduce_points",
     "pair_metric",
-    "diameter",
     "grid",
     "circle_delta",
     "require_one_dimensional",
@@ -129,21 +128,10 @@ def pair_metric(space: StateSpace, x, y, out=None, scratch=None):
     return D[()]
 
 
-def distance(space: StateSpace, x, y, out=None, scratch=None):
+def distance(space: StateSpace, x, y):
     """Metric of the space, broadcasting x against y: each point reduced by
-    :func:`reduce_points` (circle lifts mod 1), then :func:`pair_metric`.
-    ``out`` and ``scratch`` are :func:`pair_metric`'s buffers."""
-    return pair_metric(space, reduce_points(space, x), reduce_points(space, y), out, scratch)
-
-
-def diameter(space: StateSpace) -> float:
-    if isinstance(space, Interval):
-        return space.b - space.a
-    if isinstance(space, Circle):
-        return 0.5
-    if isinstance(space, Projective):
-        return 1.0
-    raise TypeError(f"not a state space: {space!r}")
+    :func:`reduce_points` (circle lifts mod 1), then :func:`pair_metric`."""
+    return pair_metric(space, reduce_points(space, x), reduce_points(space, y))
 
 
 def grid(space: StateSpace, resolution: int):

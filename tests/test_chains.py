@@ -207,7 +207,7 @@ class TestCoupling:
         stream = SeededStream(7)
         word = draw_word(TWO_ATOM, stream, 6)
         maps = word_maps(TWO_ATOM, word)
-        d = coupled_distance(SP, maps, 0.0, 1.0, 3)
+        d = coupled_distance(SP, maps[:3], 0.0, 1.0)
         x, y = 0.0, 1.0
         for f in maps[:3]:
             x, y = apply_map(f, x), apply_map(f, y)

@@ -9,7 +9,7 @@ from rdslab import bounds as B
 from rdslab import config as C
 from rdslab import harness as H
 from rdslab.cli import main
-from rdslab.spaces import Interval
+from rdslab.spaces import Interval, canonical_direction
 
 
 def write_cfg(tmp_path, doc, name="cfg.json"):
@@ -60,6 +60,12 @@ class TestExitCodes:
         doc = dict(TAIL_DOC, trials=10)
         assert main(["tail", "--config", write_cfg(tmp_path, doc)]) == 2
 
+    @pytest.mark.parametrize("command", ["tail", "simulate"])
+    def test_unwritable_out(self, tmp_path, capsys, command):
+        out = tmp_path / "missing" / "r.csv"
+        assert main([command, "--config", write_cfg(tmp_path, TAIL_DOC), "--out", str(out)]) == 2
+        assert f"cannot write output {out}" in capsys.readouterr().err
+
 
 class TestTail:
     def test_csv_output(self, tmp_path):
@@ -77,6 +83,20 @@ class TestTail:
         assert code == 0
         doc = json.loads(out.read_text())
         assert len(doc["rows"]) == 2
+
+    def test_json_writes_null_for_nan(self, tmp_path):
+        # t = 0.01 is below the lln threshold 2 lambda / n = 0.08
+        out = tmp_path / "r.json"
+        doc = dict(TAIL_DOC, t_ladder=[0.01, 0.2])
+        assert main(["tail", "--config", write_cfg(tmp_path, doc), "--out", str(out),
+                     "--format", "json"]) == 0
+
+        def refuse(name):
+            raise ValueError(f"not JSON: {name}")
+
+        row = json.loads(out.read_text(), parse_constant=refuse)["rows"][0]
+        assert row["verdict"] == "not-applicable"
+        assert row["p_hat"] is row["ci_lo"] is row["ci_hi"] is None
 
     def test_seed_flag_overrides(self, tmp_path):
         cfg = write_cfg(tmp_path, TAIL_DOC)
@@ -1075,6 +1095,32 @@ class TestStarts:
         doc = dict(TAIL_DOC, system=projective_system(MATRICES_2), observable=observable,
                    bound="projective-lyap", inputs=MATRIX_INPUTS, params={"start": start})
         fails_before_drawing(tmp_path, capsys, command, doc, "'start'")
+
+    @staticmethod
+    def _run(tmp_path, command, start, observable="birkhoff"):
+        """The CSV of ``command`` on the two-matrix projective system at n = 10."""
+        out = tmp_path / f"{command}.csv"
+        doc = dict(TAIL_DOC, system=projective_system(MATRICES_2), n=10, observable=observable,
+                   params={"start": start, "epsilon0": 0.5, "rungs": 3})
+        assert main([command, "--config", write_cfg(tmp_path, doc), "--out", str(out)]) == 0
+        return out.read_text()
+
+    def test_simulate_starts_on_the_space(self, tmp_path):
+        row = self._run(tmp_path, "simulate", [-3, 4]).split("\n")[1]
+        assert row == "0,0.59999999999999998,-0.80000000000000004"
+        assert np.array_equal([float(v) for v in row.split(",")[1:]],
+                              canonical_direction([-3.0, 4.0]))
+
+    def test_corr_dim_measures_from_the_unit_start(self, tmp_path):
+        assert (self._run(tmp_path, "corr-dim", [1000, 0])
+                == self._run(tmp_path, "corr-dim", [1, 0]))
+
+    def test_lyap_rate_ignores_the_start_norm(self, tmp_path):
+        # a raw start of norm 1000 would add log(1000) / n to the rate
+        rate = self._run(tmp_path, "lyap", [1000, 0])
+        assert rate == self._run(tmp_path, "lyap", [1, 0])
+        cocycle = self._run(tmp_path, "lyap", [1000, 0], "lyap-projective")
+        assert rate.split("\n")[1] == ",".join(cocycle.split("\n")[1].split(",")[:2])
 
     @pytest.mark.parametrize("x0, first", [(0, "0,0"), (1, "0,1")])
     def test_interval_endpoints(self, tmp_path, x0, first):

@@ -264,6 +264,15 @@ class TestLambdaSurvey:
         rows = run_lambda_survey(cfg)
         assert rows[0]["diverged"]
 
+    def test_ceiling_marks_divergence(self):
+        # a constant gap of 1 sums to 51 over k = 0..50, above the ceiling 20
+        cfg = ExperimentConfig(system={"kind": "identity"},
+                               params={"n_ladder": [50], "grid": 4, "ceiling": 20.0},
+                               trials=10, seed=0, t_ladder=[0.1])
+        row, = run_lambda_survey(cfg)
+        assert row["lambda_hat"] == pytest.approx(51.0)
+        assert row["diverged"] is True
+
 
 class TestASCLT:
     def test_zero_observable_degenerate(self):

@@ -226,12 +226,17 @@ class TestGeeDiameter:
         nu = DrivingMeasure(atoms=((MoebiusDecay(1.0), 1.0),))
         assert gee_diameter_sup(nu, Interval(0.0, 1.0), 64) == 0.0
 
+    def test_parametric_refused(self):
+        nu = DrivingMeasure(family="moebius", sampler=("uniform", 1.0, 2.0))
+        with pytest.raises(ValueError, match="finite driving measure"):
+            gee_diameter_sup(nu, Interval(0.0, 1.0), 64)
+
     @staticmethod
     def _pair_loop_sup(nu, space, resolution):
         """The former projective path: one ``distance`` call per map pair
         and grid point."""
         pts = grid(space, resolution)
-        images = [[apply_map(f, p) for p in pts] for f in nu.support_maps()]
+        images = [[apply_map(f, p) for p in pts] for f, _ in nu.atoms]
         best = 0.0
         for i in range(len(images)):
             for j in range(i + 1, len(images)):
