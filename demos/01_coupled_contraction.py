@@ -7,8 +7,6 @@ means against exact enumeration over all words, and surveys the grid-max
 contraction sum lambda_n against its analytic logarithmic cap.
 """
 
-import numpy as np
-
 from rdslab import (
     DrivingMeasure,
     ExperimentConfig,

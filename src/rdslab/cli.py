@@ -5,13 +5,16 @@ selftest.  Each but tail and selftest is a runner of ``harness`` whose
 rows are written by ``harness.rows_to_csv``; tail writes a CSV or JSON
 report, and selftest adds its property checks.  Exit codes: 0 success,
 1 a bug (with a traceback), 2 a bad config or an unwritable ``--out``
-(``ConfigError``), 3 a dominance failure in selftest mode.
+(``ConfigError``, the path refused before any draw), 3 a dominance
+failure in selftest mode.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import json
+import os
 import sys
 
 from .bounds import appendix_checks, wilson_interval
@@ -48,6 +51,21 @@ def _load_config(args) -> ExperimentConfig:
         return ExperimentConfig(**doc)
     except TypeError as e:
         raise ConfigError(f"invalid config: {e}") from None
+
+
+def _check_out(path: str):
+    """ConfigError unless ``path`` can be written, found before the run
+    spends its draws; the file is neither created nor truncated."""
+    parent = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        code = errno.EISDIR
+    elif not os.path.isdir(parent):
+        code = errno.ENOENT
+    elif not os.access(path if os.path.exists(path) else parent, os.W_OK):
+        code = errno.EACCES
+    else:
+        return
+    raise ConfigError(f"cannot write output {path}: {os.strerror(code)}")
 
 
 def _emit(text: str, out_path: str | None):
@@ -133,6 +151,8 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
     try:
+        if args.out:
+            _check_out(args.out)
         cfg = _load_config(args)
         if args.command in _BODIES:
             return _BODIES[args.command](cfg, args)

@@ -25,7 +25,8 @@ parameters as Python floats, so a step is a few float operations instead
 of a map descriptor and a handful of 0-d array calls; other supports and
 vector states step through :func:`apply_map`.  Finite measures draw their
 labels by comparing uniforms against the cumulative weights, as
-``Generator.choice`` does.
+``Generator.choice`` does: up to ``COUNT_ATOMS`` atoms by counting the
+weights each uniform reaches, above that by binary search.
 """
 
 from __future__ import annotations
@@ -53,6 +54,10 @@ __all__ = [
 ]
 
 _DERIVATIVE_FLOOR = 1e-300
+
+# most atoms whose labels are counted rather than searched: one compare per
+# atom and label beats the binary search's mispredicted branches up to here
+COUNT_ATOMS = 8
 
 
 class SingularDerivativeError(ValueError):
@@ -374,10 +379,19 @@ class DrivingMeasure:
     def sample_indices(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """Vectorized atom-index draws (finite measures only), equal to
         ``rng.choice(len(atoms), size, p=weights)`` and taking the same
-        doubles: one uniform per label, whose label is the number of
-        cumulative weights at or below it (``searchsorted(cdf, u, "right")``
-        as ``choice`` computes it, the last weight being 1)."""
-        return np.searchsorted(self._cdf, rng.random(size), "right")
+        doubles: one uniform u per label, whose label is the number of
+        cumulative weights c at or below it, ``searchsorted(cdf, u,
+        "right")`` as ``choice`` computes it.  Up to ``COUNT_ATOMS`` atoms
+        the label is counted as the sum of ``u >= c`` over the weights,
+        which is that search by definition, ties included; the last weight
+        is 1 > u and never counts."""
+        u, cdf = rng.random(size), self._cdf
+        if len(cdf) > COUNT_ATOMS:
+            return np.searchsorted(cdf, u, "right")
+        labels = (u >= cdf[0]).astype(np.intp)  # all 0 for one atom: cdf[0] = 1
+        for c in cdf[1:-1]:
+            labels += u >= c
+        return labels
 
 
 def cocycle_matrices(nu: DrivingMeasure) -> np.ndarray:

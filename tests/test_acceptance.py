@@ -16,7 +16,6 @@ from rdslab.cli import main as cli_main
 from rdslab.estimators import (
     correlation_dimension,
     correlation_sum,
-    lyapunov_1d,
     lyapunov_projective,
     nonexpansive_fixed_points,
     pair_distance_profile,

@@ -328,6 +328,23 @@ class TestAppendix:
         assert report["exponential_min_margin"] >= -1e-12
         assert report["truncated_moment_min_margin"] >= -1e-12
 
+    def test_batch_equals_the_scalar_formula(self):
+        # each case's margin, recomputed alone from the batch's own draws
+        margin, k, z, w, K = bounds._truncated_moment_cases()
+        assert margin.shape == k.shape == K.shape == (1000,)
+        for i in range(1000):
+            zi, wi = z[i, :k[i]], w[i, :k[i]]
+            lhs = float(np.sum(wi * zi * (zi > K[i])))
+            rhs = float(np.sum(wi * zi * zi)) / K[i]
+            assert rhs - lhs == margin[i]
+        assert sorted(set(k.tolist())) == list(range(1, 8))
+        assert np.all(w[np.arange(7) >= k[:, None]] == 0.0)
+        np.testing.assert_allclose(w.sum(axis=1), 1.0, rtol=1e-15)
+        assert np.all((0.0 <= z) & (z < 10.0)) and np.all((0.05 <= K) & (K < 10.0))
+        report = appendix_checks()
+        assert report["truncated_moment_min_margin"] == margin.min()
+        assert report["passed"]
+
     def test_u1_checkpoint(self):
         assert 1.0 + np.e / 2.0 <= np.exp(3.0)
 

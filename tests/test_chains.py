@@ -12,6 +12,7 @@ from rdslab.chains import (
     word_maps,
 )
 from rdslab.maps import (
+    COUNT_ATOMS,
     Affine,
     DrivingMeasure,
     MoebiusDecay,
@@ -174,14 +175,58 @@ def test_circle_direction_as_stacked(theta):
     assert np.array_equal(got, expect)
 
 
+def _measure(weights):
+    return DrivingMeasure(atoms=tuple((MoebiusDecay(1.0 + i), w) for i, w in enumerate(weights)))
+
+
+def _rising(k):
+    w = np.arange(1.0, k + 1.0) ** 1.5
+    return w / w.sum()
+
+
+# both sides of the cut-over between counting and searching the labels,
+# and an atom of weight 1e-17 between two others: the first two cumulative
+# weights tie at 0.5, so its label is never drawn
+ATOM_COUNTS = (*range(1, 10), 10, 33, 100)
+WEIGHTS = [_rising(k) for k in ATOM_COUNTS] + [(0.5, 1e-17, 0.5)]
+WEIGHT_IDS = [f"k{k}" for k in ATOM_COUNTS] + ["tied"]
+
+
+class _Uniforms(np.random.Generator):
+    """A generator whose ``random`` returns the given doubles."""
+
+    def __init__(self, u):
+        super().__init__(np.random.PCG64(0))
+        self.u = u
+
+    def random(self, size=None, dtype=np.float64, out=None):
+        assert size == len(self.u)
+        return self.u.copy()
+
+
 class TestSampleIndices:
+    def test_cases_cover_the_cut_over_and_a_tie(self):
+        assert COUNT_ATOMS in ATOM_COUNTS and COUNT_ATOMS + 1 in ATOM_COUNTS
+        cdf = _measure(WEIGHTS[-1])._cdf
+        assert cdf[0] == cdf[1]
+
+    @pytest.mark.parametrize("weights", WEIGHTS, ids=WEIGHT_IDS)
+    def test_boundary_doubles(self, weights):
+        # 0, each cumulative weight below the last, and the double just
+        # below each one, the last included
+        nu = _measure(weights)
+        cdf = nu._cdf
+        u = np.concatenate([[0.0], cdf[:-1], np.nextafter(cdf, 0.0)])
+        got = nu.sample_indices(_Uniforms(u), len(u))
+        assert got.dtype == np.int64
+        assert np.array_equal(got, np.searchsorted(cdf, u, "right"))
+        assert np.array_equal(got, _Uniforms(u).choice(len(weights), len(u), p=nu._weights))
+
     def test_cached_weights_draw_as_fresh_choice(self):
-        # the CDF compare draws rng.choice's labels, in its dtype, from as
-        # many doubles
-        for k in (1, 2, 3, 10, 33, 100):
-            w = np.arange(1.0, k + 1.0) ** 1.5
-            w /= w.sum()
-            nu = DrivingMeasure(atoms=tuple((MoebiusDecay(1.0 + i), wi) for i, wi in enumerate(w)))
+        # the count or the search draws rng.choice's labels, in its dtype,
+        # from as many doubles
+        for w in WEIGHTS:
+            k, nu = len(w), _measure(w)
             rng, fresh = SeededStream(k).generator(), SeededStream(k).generator()
             for size in (1, 7, 2**16):
                 expect = fresh.choice(k, size=size, p=nu._weights)

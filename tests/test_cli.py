@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from rdslab import bounds as B
+from rdslab import cli as CLI
 from rdslab import config as C
-from rdslab import harness as H
 from rdslab.cli import main
 from rdslab.spaces import Interval, canonical_direction
 
@@ -61,10 +61,28 @@ class TestExitCodes:
         assert main(["tail", "--config", write_cfg(tmp_path, doc)]) == 2
 
     @pytest.mark.parametrize("command", ["tail", "simulate"])
-    def test_unwritable_out(self, tmp_path, capsys, command):
-        out = tmp_path / "missing" / "r.csv"
-        assert main([command, "--config", write_cfg(tmp_path, TAIL_DOC), "--out", str(out)]) == 2
-        assert f"cannot write output {out}" in capsys.readouterr().err
+    def test_unwritable_out(self, tmp_path, capsys, monkeypatch, command):
+        # the runner raises if it runs: the path is refused before any draw
+        def refuse(*args):
+            raise AssertionError("the runner ran")
+
+        monkeypatch.setattr(CLI, "run_tail", refuse)
+        monkeypatch.setitem(CLI._COMMANDS, "simulate", refuse)
+        cfg = write_cfg(tmp_path, TAIL_DOC)
+        for out in (tmp_path / "missing" / "r.csv", tmp_path):
+            assert main([command, "--config", cfg, "--out", str(out)]) == 2
+            assert f"cannot write output {out}" in capsys.readouterr().err
+
+    def test_out_check_touches_no_file(self, tmp_path):
+        # a bad config after the check leaves a new path absent and an
+        # existing output as it was
+        bad = tmp_path / "bad.json"
+        bad.write_text("{not json")
+        new, old = tmp_path / "new.csv", tmp_path / "old.csv"
+        old.write_text("kept\n")
+        assert main(["tail", "--config", str(bad), "--out", str(new)]) == 2
+        assert main(["tail", "--config", str(bad), "--out", str(old)]) == 2
+        assert not new.exists() and old.read_text() == "kept\n"
 
 
 class TestTail:

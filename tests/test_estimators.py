@@ -36,7 +36,7 @@ from rdslab.estimators import (
 )
 from rdslab.maps import Affine, DrivingMeasure, MoebiusDecay, PolynomialDecay, ProjectiveAction
 from rdslab.measures import EmpiricalMeasure, kantorovich_interval
-from rdslab.observables import Observable, get_observable
+from rdslab.observables import get_observable
 from rdslab.spaces import Circle, Interval, Projective, distance
 from rdslab.streams import SeededStream
 
