@@ -88,9 +88,6 @@ def step_labels(nu: DrivingMeasure, rng, n: int, count):
     steps = max(1, LABEL_BLOCK // total)
     for lo in range(0, n, steps):
         k = min(steps, n - lo)
-        if len(count) == 1:
-            yield from draw_word(nu, rng[0], k * total).reshape(k, total)
-            continue
         # one chunk's labels at a time, written into the joined rows
         rows = np.empty((k, total), dtype=int if nu.finite else float)
         at = 0
@@ -371,17 +368,14 @@ def phi0(y):
 def correlation_sum(space, points, epsilon: float, kernel="heaviside") -> float:
     """(1/n^2) sum over ordered pairs i != j of the kernel response.
 
-    heaviside counts d <= epsilon (ties included); a callable kernel phi is
-    evaluated at 1 - d/epsilon.
+    ``kernel`` "heaviside" counts d <= epsilon (ties included); "phi0" sums
+    :func:`phi0` at 1 - d/epsilon.
     """
-    points = np.asarray(points, dtype=float)
-    n = len(points)
-    if n < 2:
-        raise ValueError("need at least two points")
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
     # a single block keeps the summation order of one sum over the pair matrix
-    return float(_correlation_sums_chunked(space, points, [epsilon], kernel, chunk=n)[0])
+    return float(_correlation_sums_chunked(space, points, [epsilon], kernel,
+                                           chunk=len(points))[0])
 
 
 class CorrelationDimensionError(RuntimeError):
@@ -418,15 +412,15 @@ def _mantissa_groups(epsilons) -> dict:
 
 
 def _correlation_sums_chunked(space, points, epsilons, kernel, chunk=512):
-    """K values for several epsilons without materializing the full pair
-    matrix; diagonal (i = j) contributions are removed.
+    """K values of ``kernel`` ("heaviside" or "phi0") for several epsilons
+    without materializing the full pair matrix; diagonal (i = j)
+    contributions are removed.
 
     The pair matrix is summed in blocks of ``chunk`` rows, each block's sum
     ``np.sum`` of its C-ordered kernel values, evaluated node by node along
     numpy's pairwise-sum tree (:func:`_tree_sum`): each node gets the
     distance rows that cover it, and every rung reads them while they are
-    in cache.  A callable kernel must act element by element, since it
-    sees one node at a time.
+    in cache.
 
     phi0 rungs eps = m * 2**e that share a mantissa m share one quotient
     Q = D / m per node (Q = D when eps is a power of two), and each sums
@@ -436,18 +430,22 @@ def _correlation_sums_chunked(space, points, epsilons, kernel, chunk=512):
     way), and every clipped value is a multiple of 2**(e - 53), so the
     scaled sum adds along the same tree with the same roundings; the
     exponent guard of :func:`_mantissa_groups` keeps 2**(e - 53) normal and
-    2**e finite.  A callable kernel divides per rung."""
+    2**e finite."""
+    if kernel not in ("heaviside", "phi0"):
+        raise ValueError(f"kernel must be 'heaviside' or 'phi0', not {kernel!r}")
     points = np.asarray(points, dtype=float)
     n = len(points)
+    if n < 2:
+        raise ValueError("need at least two points")
     P = reduce_points(space, points)
     groups = list(_mantissa_groups(epsilons).items())
     # the distance rows of one node, a scratch for pair_metric and then for
     # each rung's kernel values, and a quotient for each mantissa but the
     # last (which divides D in place): allocated once per call
-    rows = min(chunk, n, _NODE // max(n, 1) + 2)
+    rows = min(chunk, n, _NODE // n + 2)
     D_buf = np.empty(rows * n)
     T_buf = np.empty_like(D_buf)
-    Q_buf = np.empty_like(D_buf) if kernel is phi0 and len(groups) > 1 else None
+    Q_buf = np.empty_like(D_buf) if len(groups) > 1 else None
 
     def node(lo, size):
         # lo counts elements of the full n x n pair matrix in C order
@@ -460,13 +458,6 @@ def _correlation_sums_chunked(space, points, epsilons, kernel, chunk=512):
         if kernel == "heaviside":
             return np.array([np.count_nonzero(D <= eps) for eps in epsilons])
         out = np.empty(len(epsilons))
-        if kernel is not phi0:
-            Y = T_buf[at : at + size]
-            for e_idx, eps in enumerate(epsilons):
-                np.divide(D, eps, out=Y)
-                np.subtract(1.0, Y, out=Y)
-                out[e_idx] = np.sum(kernel(Y))
-            return out
         for g, (m, rungs) in enumerate(groups):
             # the last mantissa divides D in place, and its last rung
             # overwrites the quotient
@@ -484,8 +475,8 @@ def _correlation_sums_chunked(space, points, epsilons, kernel, chunk=512):
     sums = np.zeros(len(epsilons))
     for lo in range(0, n, chunk):
         sums += _tree_sum(lo * n, min(chunk, n - lo) * n, node)
-    diag = float(n) if kernel == "heaviside" else float(n) * float(kernel(1.0))
-    return (sums - diag) / n**2
+    # phi0(1) = 1: each kernel gives the diagonal n
+    return (sums - n) / n**2
 
 
 def correlation_dimension(space, points, epsilon_ladder):
@@ -499,7 +490,7 @@ def correlation_dimension(space, points, epsilon_ladder):
     if (len(ladder) < 3 or any(b >= a for a, b in zip(ladder, ladder[1:]))
             or not all(0.0 < e < np.inf for e in ladder)):
         raise ValueError("ladder must be >= 3 strictly decreasing positive finite rungs")
-    K = _correlation_sums_chunked(space, points, ladder, phi0)
+    K = _correlation_sums_chunked(space, points, ladder, "phi0")
     table = list(zip(ladder, K))
     keep = K > 0
     if keep.sum() < 3:

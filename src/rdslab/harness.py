@@ -47,7 +47,6 @@ from .estimators import (
     lyapunov_1d,
     lyapunov_projective,
     lyapunov_projective_trials,
-    phi0,
     sigma2_estimate,
     stationary_approx,
     step_labels,
@@ -271,7 +270,7 @@ def _kappa(cfg, sys_spec, ctx, gens, counts):
 
 
 def _corr_sum(cfg, sys_spec, ctx, gens, counts):
-    return np.array([correlation_sum(sys_spec.space, o, ctx["epsilon"], phi0)
+    return np.array([correlation_sum(sys_spec.space, o, ctx["epsilon"], "phi0")
                      for o in _orbits(cfg, sys_spec, ctx, gens, counts)])
 
 

@@ -408,16 +408,14 @@ def word_maps(nu: DrivingMeasure, word) -> list[MapDescriptor]:
 
 
 def gee_diameter_sup(nu: DrivingMeasure, space: StateSpace, resolution: int) -> float:
-    """Grid lower bound for the sup-metric diameter of a finite support:
-    max over map pairs of max over grid points of d(f(x), g(x))."""
+    """Grid lower bound for the sup-metric diameter of a finite support on
+    a one-dimensional space: max over map pairs of max over grid points of
+    d(f(x), g(x))."""
     if not nu.finite:
         raise ValueError("the sup-diameter needs a finite driving measure")
     maps = [f for f, _ in nu.atoms]
     pts = grid(space, resolution)
-    if isinstance(space, Projective):
-        images = np.array([[apply_map(f, p) for p in pts] for f in maps])
-    else:
-        images = np.array([apply_map(f, pts) for f in maps])
+    images = np.array([apply_map(f, pts) for f in maps])
     i, j = np.triu_indices(len(maps), 1)
     return float(np.max(distance(space, images[i], images[j]), initial=0.0))
 

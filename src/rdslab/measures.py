@@ -52,8 +52,8 @@ class EmpiricalMeasure:
     @classmethod
     def from_samples(cls, space, samples) -> "EmpiricalMeasure":
         samples = np.asarray(samples, dtype=float)
-        n = len(samples)
-        return cls(space, samples, np.full(n, 1.0 / n))
+        # element-wise, so an empty sample meets the constructor's check, not 1/0
+        return cls(space, samples, np.full(len(samples), 1.0) / len(samples))
 
     def mean(self) -> float:
         return float(np.sum(self.positions * self.weights))

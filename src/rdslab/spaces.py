@@ -135,31 +135,17 @@ def distance(space: StateSpace, x, y):
 
 
 def grid(space: StateSpace, resolution: int):
-    """Deterministic covering point set.
+    """Deterministic covering point set of a one-dimensional space.
 
     Interval: uniform partition including both endpoints.  Circle: uniform
-    points of [0, 1).  Projective(2): evenly spaced angles on [0, pi).
-    Projective(m >= 3): a low-discrepancy Sobol net mapped to directions.
+    points of [0, 1).
     """
+    require_one_dimensional(space, "grid")
     if resolution < 2:
         raise ValueError("grid resolution must be >= 2")
     if isinstance(space, Interval):
         return np.linspace(space.a, space.b, resolution)
     if isinstance(space, Circle):
         return np.arange(resolution) / resolution
-    if isinstance(space, Projective):
-        if space.m == 2:
-            theta = np.pi * np.arange(resolution) / resolution
-            pts = np.column_stack([np.cos(theta), np.sin(theta)])
-        else:
-            # imported here: scipy.stats is slow to load and only this branch uses it
-            from scipy.stats import norm, qmc
-
-            # scrambling (with a fixed seed, so still deterministic) keeps
-            # every point away from the degenerate all-0.5 net point
-            sampler = qmc.Sobol(d=space.m, scramble=True, seed=0)
-            u = sampler.random(resolution)
-            pts = norm.ppf(np.clip(u, 1e-12, 1.0 - 1e-12))
-        return np.array([canonical_direction(p) for p in pts])
     raise TypeError(f"not a state space: {space!r}")
 

@@ -19,7 +19,6 @@ from rdslab.estimators import (
     lyapunov_projective,
     nonexpansive_fixed_points,
     pair_distance_profile,
-    phi0,
 )
 from rdslab.harness import ExperimentConfig, run_asclt, run_lambda_survey, run_tail
 from rdslab.maps import DrivingMeasure, MoebiusDecay, ProjectiveAction, apply_map
@@ -109,7 +108,7 @@ def test_05_kernel_sandwich():
             pts = rng.uniform(0.0, 1.0, int(rng.integers(2, 201)))
             for eps in (0.02, 0.05, 0.1, 0.2):
                 lo = correlation_sum(SP, pts, eps / 2.0)
-                mid = correlation_sum(SP, pts, eps, kernel=phi0)
+                mid = correlation_sum(SP, pts, eps, kernel="phi0")
                 hi = correlation_sum(SP, pts, 2.0 * eps)
                 assert lo <= mid + 1e-12
                 assert mid <= hi + 1e-12

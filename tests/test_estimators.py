@@ -423,7 +423,7 @@ class TestCorrelationSum:
         assert correlation_sum(SP, [0.0, 0.1, 0.5], 0.2) == pytest.approx(2.0 / 9.0)
 
     def test_phi0_checkpoint(self):
-        assert correlation_sum(SP, [0.0, 0.1, 0.5], 0.2, kernel=phi0) == pytest.approx(2.0 / 9.0)
+        assert correlation_sum(SP, [0.0, 0.1, 0.5], 0.2, kernel="phi0") == pytest.approx(2.0 / 9.0)
 
     def test_large_epsilon_counts_all(self):
         pts = np.random.default_rng(0).uniform(0, 1, 10)
@@ -432,9 +432,19 @@ class TestCorrelationSum:
     def test_ties_count(self):
         assert correlation_sum(SP, [0.0, 0.2], 0.2) == pytest.approx(0.5)
 
-    def test_too_few_points(self):
-        with pytest.raises(ValueError):
-            correlation_sum(SP, [0.5], 0.1)
+    @pytest.mark.parametrize("n", [0, 1])
+    @pytest.mark.parametrize("estimate", [
+        lambda pts: correlation_sum(SP, pts, 0.1),
+        lambda pts: correlation_dimension(SP, pts, [0.3, 0.2, 0.1]),
+    ], ids=["sum", "dimension"])
+    def test_too_few_points(self, estimate, n):
+        with pytest.raises(ValueError, match="need at least two points"):
+            estimate(np.full(n, 0.5))
+
+    @pytest.mark.parametrize("kernel", [phi0, "gaussian", None], ids=["function", "other", "none"])
+    def test_kernel_is_named(self, kernel):
+        with pytest.raises(ValueError, match="'heaviside' or 'phi0'"):
+            correlation_sum(SP, [0.0, 0.1, 0.5], 0.2, kernel)
 
     @pytest.mark.parametrize("space, pts", [
         (SP, np.random.default_rng(2).uniform(0, 1, 60)),
@@ -452,7 +462,7 @@ class TestCorrelationSum:
             heavi = np.count_nonzero((d <= eps) & off) / n**2
             smooth = float(np.sum(phi0(1.0 - d[off] / eps))) / n**2
             assert correlation_sum(space, pts, eps) == pytest.approx(heavi, abs=1e-12)
-            assert correlation_sum(space, pts, eps, kernel=phi0) == pytest.approx(
+            assert correlation_sum(space, pts, eps, kernel="phi0") == pytest.approx(
                 smooth, rel=1e-12)
 
     @given(st.floats(min_value=-4, max_value=4, allow_nan=False))
@@ -468,13 +478,14 @@ class TestCorrelationSum:
             pts = rng.uniform(0, 1, int(rng.integers(2, 50)))
             for eps in (0.05, 0.1, 0.3):
                 lo = correlation_sum(SP, pts, eps / 2)
-                mid = correlation_sum(SP, pts, eps, kernel=phi0)
+                mid = correlation_sum(SP, pts, eps, kernel="phi0")
                 hi = correlation_sum(SP, pts, 2 * eps)
                 assert lo <= mid + 1e-12 <= hi + 2e-12
 
 
 def _blockwise_sums(space, pts, ladder, kernel, chunk):
-    """Per-block pair sums through ``distance``, in the chunked routine's order."""
+    """Per-block pair sums through ``distance``, in the chunked routine's
+    order, with ``kernel`` "heaviside" or "phi0" evaluated as :func:`phi0`."""
     n = len(pts)
     sums = np.zeros(len(ladder))
     for lo in range(0, n, chunk):
@@ -483,9 +494,8 @@ def _blockwise_sums(space, pts, ladder, kernel, chunk):
             if kernel == "heaviside":
                 sums[i] += np.count_nonzero(D <= eps)
             else:
-                sums[i] += float(np.sum(kernel(1.0 - D / eps)))
-    diag = float(n) if kernel == "heaviside" else float(n) * float(kernel(1.0))
-    return (sums - diag) / n**2
+                sums[i] += float(np.sum(phi0(1.0 - D / eps)))
+    return (sums - n) / n**2
 
 
 CORR_POINTS = {
@@ -497,11 +507,6 @@ CORR_POINTS = {
     "projective-3": (Projective(3), (lambda v: v / np.linalg.norm(v, axis=1, keepdims=True))(
         np.random.default_rng(14).normal(size=(100, 3)))),
 }
-
-
-def _squared_hinge(y):
-    """An element-wise callable kernel that is neither phi0 nor heaviside."""
-    return np.square(np.clip(y, 0.0, 1.0))
 
 
 def _corr_points(name, n):
@@ -522,38 +527,28 @@ LADDER_5 = [0.1 * 2.0**-j for j in range(5)]
 MIXED = [0.3, 0.2, 0.15, 0.1, 0.075]
 POWERS = [0.5, 0.25, 0.125]
 GUARD = [1e300, 1.0, 1e-300]
+WIDE = [3.0, 1.0, 1e-300]
 
 
 class TestCorrelationSumBlocks:
-    """The in-place phi0 path against the generic callable path, and both
-    kernels against block sums through ``distance``: equal bits, one rung
-    and several, one block and several with a short last block.  Blocks of
-    more than ``E._NODE`` elements are summed node by node along numpy's
-    pairwise tree; at n = 700, 1501 and 3000 node edges fall mid-row."""
+    """Both kernels against block sums through ``distance``: equal bits, one
+    rung and several, one block and several with a short last block.
+    Blocks of more than ``E._NODE`` elements are summed node by node along
+    numpy's pairwise tree; at n = 700, 1501 and 3000 node edges fall
+    mid-row."""
 
+    @pytest.mark.parametrize("kernel", ["heaviside", "phi0"])
     @pytest.mark.parametrize("chunk", [512, 100, 33, 7, 1])
-    @pytest.mark.parametrize("ladder", [[0.2], [0.2, 0.1, 0.05, 0.025], [3.0, 1.0, 1e-300],
-                                        MIXED, POWERS],
-                             ids=["one", "four", "wide", "mixed", "powers"])
-    @pytest.mark.parametrize("name", sorted(CORR_POINTS))
-    def test_phi0_in_place_matches_generic_kernel(self, name, ladder, chunk):
-        space, pts = CORR_POINTS[name]
-        fast = E._correlation_sums_chunked(space, pts, ladder, phi0, chunk=chunk)
-        generic = E._correlation_sums_chunked(space, pts, ladder, lambda y: phi0(y), chunk=chunk)
-        assert fast.tobytes() == generic.tobytes()
-
-    @pytest.mark.parametrize("kernel", ["heaviside", phi0], ids=["heaviside", "phi0"])
-    @pytest.mark.parametrize("chunk", [512, 7])
-    @pytest.mark.parametrize("ladder", [[0.2], [0.2, 0.1, 0.05, 0.025], MIXED, POWERS, GUARD],
-                             ids=["one", "four", "mixed", "powers", "guard"])
+    @pytest.mark.parametrize("ladder", [[0.2], [0.2, 0.1, 0.05, 0.025], WIDE, MIXED, POWERS,
+                                        GUARD],
+                             ids=["one", "four", "wide", "mixed", "powers", "guard"])
     @pytest.mark.parametrize("name", sorted(CORR_POINTS))
     def test_matches_blockwise_distance(self, name, ladder, chunk, kernel):
         space, pts = CORR_POINTS[name]
         assert np.array_equal(E._correlation_sums_chunked(space, pts, ladder, kernel, chunk=chunk),
                               _blockwise_sums(space, pts, ladder, kernel, chunk))
 
-    @pytest.mark.parametrize("kernel", ["heaviside", phi0, _squared_hinge],
-                             ids=["heaviside", "phi0", "callable"])
+    @pytest.mark.parametrize("kernel", ["heaviside", "phi0"])
     @pytest.mark.parametrize("n, ladder", [(700, [0.05]), (700, LADDER_5), (1501, LADDER_5),
                                            (700, MIXED), (700, GUARD)],
                              ids=["700-one", "700-five", "1501-five", "700-mixed", "700-guard"])
@@ -564,17 +559,15 @@ class TestCorrelationSumBlocks:
         assert np.array_equal(E._correlation_sums_chunked(space, pts, ladder, kernel),
                               _blockwise_sums(space, pts, ladder, kernel, 512))
 
-    @pytest.mark.parametrize("name, kernel", [("interval", phi0), ("circle", _squared_hinge),
-                                              ("projective-3", "heaviside")],
-                             ids=["interval-phi0", "circle-callable", "projective-3-heaviside"])
+    @pytest.mark.parametrize("name, kernel", [("interval", "phi0"), ("projective-3", "heaviside")],
+                             ids=["interval-phi0", "projective-3-heaviside"])
     def test_benchmark_size_matches_blockwise_distance(self, name, kernel):
         # corrdim-interval's n: six blocks, the last of 440 rows
         space, pts = _corr_points(name, 3000)
         assert np.array_equal(E._correlation_sums_chunked(space, pts, LADDER_5, kernel),
                               _blockwise_sums(space, pts, LADDER_5, kernel, 512))
 
-    @pytest.mark.parametrize("kernel", ["heaviside", phi0, _squared_hinge],
-                             ids=["heaviside", "phi0", "callable"])
+    @pytest.mark.parametrize("kernel", ["heaviside", "phi0"])
     @pytest.mark.parametrize("name", sorted(CORR_POINTS))
     def test_correlation_sum_single_block(self, name, kernel):
         space, pts = _corr_points(name, 1000)

@@ -1,5 +1,8 @@
+import contextlib
 import dataclasses
+import functools
 import json
+import sys
 from unittest import mock
 
 import numpy as np
@@ -8,7 +11,7 @@ import pytest
 from rdslab import estimators as E
 from rdslab import harness as H
 from rdslab.chains import draw_word, simulate_coupled, word_maps
-from rdslab.estimators import correlation_sum, lyapunov_projective, phi0
+from rdslab.estimators import correlation_dimension, correlation_sum, lyapunov_projective
 from rdslab.harness import (
     ExperimentConfig,
     build_system,
@@ -542,7 +545,7 @@ def per_chunk_run(cfg, sys_spec, ctx, stream):
         values = per_step_values(cfg, sys_spec, ctx, stream.substream(i).generator(), count)
         if cfg.observable == "corr-sum":
             eps = float(cfg.params["epsilon"])
-            values = [correlation_sum(space, o, eps, phi0) for o in values]
+            values = [correlation_sum(space, o, eps, "phi0") for o in values]
         elif cfg.observable.startswith("kappa"):
             kant = kantorovich_circle if isinstance(space, Circle) else kantorovich_interval
             w = np.full(cfg.n, 1.0 / cfg.n)
@@ -616,6 +619,41 @@ class TestGroupedRuns:
             H._run_trials(cfg, sys_spec, ctx, SeededStream(9))
         sizes = [c.args[2] for c in draws.call_args_list]
         assert max(sizes) <= max(block, H.CHUNK) and sum(sizes) == cfg.n * trials
+
+
+def test_phi0_wrappers_leave_the_correlation_sums_alone():
+    # a tracer wraps phi0 once in each rdslab namespace that binds it, one
+    # wrapper per namespace: the corr-sum engine and correlation_dimension
+    # name their kernel, so they keep their bits and call no wrapper
+    cfg, sys_spec, ctx = TestGroupedRuns._setup("corr-sum", {"kind": "halving-ifs"},
+                                                {"epsilon": 0.5}, 300)
+    pts = np.random.default_rng(0).uniform(0, 1, 500)
+    ladder = [0.1 * 2.0**-j for j in range(5)]
+
+    def run():
+        return (H._run_trials(cfg, sys_spec, ctx, SeededStream(9)),
+                correlation_dimension(Interval(0.0, 1.0), pts, ladder))
+
+    calls = []
+
+    def wrapped(fn):
+        @functools.wraps(fn)
+        def probe(*args, **kwargs):
+            calls.append(args)
+            return fn(*args, **kwargs)
+        return probe
+
+    plain = run()
+    owners = [m for name, m in list(sys.modules.items())
+              if name.split(".")[0] == "rdslab" and vars(m).get("phi0") is E.phi0]
+    assert E in owners and sys.modules["rdslab"] in owners
+    with contextlib.ExitStack() as stack:
+        for m in owners:
+            stack.enter_context(mock.patch.object(m, "phi0", wrapped(E.phi0)))
+        traced = run()
+    assert calls == []
+    assert traced[0].tobytes() == plain[0].tobytes()
+    assert traced[1] == plain[1]
 
 
 class Recording(dict):

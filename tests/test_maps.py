@@ -18,7 +18,7 @@ from rdslab.maps import (
     space_of,
     support_space,
 )
-from rdslab.spaces import Circle, Interval, Projective, distance, grid
+from rdslab.spaces import Circle, Interval, Projective
 from rdslab.streams import SeededStream
 
 alphas = st.floats(min_value=1.0, max_value=5.0, allow_nan=False)
@@ -231,32 +231,11 @@ class TestGeeDiameter:
         with pytest.raises(ValueError, match="finite driving measure"):
             gee_diameter_sup(nu, Interval(0.0, 1.0), 64)
 
-    @staticmethod
-    def _pair_loop_sup(nu, space, resolution):
-        """The former projective path: one ``distance`` call per map pair
-        and grid point."""
-        pts = grid(space, resolution)
-        images = [[apply_map(f, p) for p in pts] for f, _ in nu.atoms]
-        best = 0.0
-        for i in range(len(images)):
-            for j in range(i + 1, len(images)):
-                for u, v in zip(images[i], images[j]):
-                    best = max(best, float(distance(space, u, v)))
-        return best
-
-    @pytest.mark.parametrize("matrices, resolution", [
-        (([[2.0, 1.0], [1.0, 1.0]], [[0.6, -0.8], [0.8, 0.6]]), 257),
-        (([[2.0, 1.0], [1.0, 1.0]], [[0.6, -0.8], [0.8, 0.6]], [[1.0, 0.5], [0.0, 1.0]]), 64),
-        (([[2.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
-          [[1.0, 0.0, 0.0], [0.0, 0.6, -0.8], [0.0, 0.8, 0.6]]), 128),
-    ], ids=["projective-2", "projective-2-three-maps", "projective-3"])
-    def test_projective_sup_equals_pair_loop(self, matrices, resolution):
-        nu = DrivingMeasure(atoms=tuple((ProjectiveAction(a), 1.0 / len(matrices))
-                                        for a in matrices))
-        space = Projective(len(matrices[0]))
-        d = gee_diameter_sup(nu, space, resolution)
-        assert d == self._pair_loop_sup(nu, space, resolution)
-        assert 0.0 < d <= 1.0
+    def test_projective_refused(self):
+        nu = DrivingMeasure(atoms=((ProjectiveAction([[2.0, 1.0], [1.0, 1.0]]), 0.5),
+                                   (ProjectiveAction([[0.6, -0.8], [0.8, 0.6]]), 0.5)))
+        with pytest.raises(ValueError, match="one-dimensional"):
+            gee_diameter_sup(nu, Projective(2), 64)
 
 
 def test_space_of():

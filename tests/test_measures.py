@@ -44,6 +44,10 @@ class TestEmpiricalMeasure:
         mu = EmpiricalMeasure.from_samples(SP, [0.1, 0.2, 0.3])
         np.testing.assert_allclose(mu.weights, 1.0 / 3.0)
 
+    def test_from_samples_needs_a_sample(self):
+        with pytest.raises(ValueError, match="nonempty"):
+            EmpiricalMeasure.from_samples(SP, [])
+
 
 class TestKantorovichInterval:
     def test_diracs(self):

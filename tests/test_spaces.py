@@ -71,11 +71,10 @@ class TestProjective:
         v = canonical_direction([-2.0, 0.0])
         np.testing.assert_allclose(v, [1.0, 0.0])
 
-    def test_grid_unit(self):
-        for m in (2, 3):
-            g = grid(Projective(m), 16)
-            norms = np.linalg.norm(np.asarray(g), axis=-1)
-            np.testing.assert_allclose(norms, 1.0, atol=1e-12)
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_no_grid(self, m):
+        with pytest.raises(ValueError, match="grid needs a one-dimensional system"):
+            grid(Projective(m), 16)
 
 
 def test_require_one_dimensional():
