@@ -40,10 +40,15 @@ __all__ = [
     "matrix_norm_bound",
     "appendix_checks",
     "wilson_interval",
+    "Z95",
     "BOUNDS",
     "resolve_inputs",
     "evaluate",
 ]
+
+
+# the z of a 95 % interval: the double scipy.special.ndtri(0.975) returns
+Z95 = 1.959963984540054
 
 
 @dataclass(frozen=True)
@@ -266,15 +271,13 @@ def _truncated_moment_cases():
 
 
 def wilson_interval(successes: int, trials: int):
-    """95% score interval for a binomial proportion; at the 0/n and n/n
-    boundaries the exact (Clopper-Pearson) limit is used so that the
-    reported limit is never anti-conservative there."""
+    """95% score interval for a binomial proportion, with z = ``Z95``; at
+    the 0/n and n/n boundaries the exact (Clopper-Pearson) limit is used so
+    that the reported limit is never anti-conservative there."""
     if trials <= 0 or not 0 <= successes <= trials:
         raise ValueError("need 0 <= successes <= trials, trials > 0")
-    from scipy.special import ndtri
-
     alpha = 1.0 - 0.95
-    z = float(ndtri(1.0 - alpha / 2.0))
+    z = Z95
     p = successes / trials
     denom = 1.0 + z * z / trials
     center = (p + z * z / (2 * trials)) / denom

@@ -3,10 +3,10 @@
 Subcommands: simulate, lambda, tail, corr-dim, lyap, asclt, bounds,
 selftest.  Each but tail and selftest is a runner of ``harness`` whose
 rows are written by ``harness.rows_to_csv``; tail writes a CSV or JSON
-report, and selftest adds its property checks.  Exit codes: 0 success,
-1 a bug (with a traceback), 2 a bad config or an unwritable ``--out``
-(``ConfigError``, the path refused before any draw), 3 a dominance
-failure in selftest mode.
+report (every other command refuses ``--format json``), and selftest adds
+its property checks.  Exit codes: 0 success, 1 a bug (with a traceback),
+2 a bad config or an unwritable ``--out`` (``ConfigError``, the path
+refused before any draw), 3 a dominance failure in selftest mode.
 """
 
 from __future__ import annotations
@@ -153,6 +153,8 @@ def main(argv=None) -> int:
     try:
         if args.out:
             _check_out(args.out)
+        if args.format == "json" and args.command != "tail":
+            raise ConfigError(f"--format json is for tail alone, not {args.command}")
         cfg = _load_config(args)
         if args.command in _BODIES:
             return _BODIES[args.command](cfg, args)

@@ -55,12 +55,7 @@ from .config import (MAPS, PAIR, PARAMS, POINT, REAL, REFERENCES, SPACES, START,
                      ConfigError, ExperimentConfig, check, checked, one_of, read, read_kind)
 from .maps import (Affine, DrivingMeasure, MoebiusDecay, PolynomialDecay, ProjectiveAction,
                    SingularDerivativeError, cocycle_matrices, space_of, support_space)
-from .measures import (
-    EmpiricalMeasure,
-    kantorovich_circle_rows,
-    kantorovich_gaussian,
-    kantorovich_interval_rows,
-)
+from .measures import EmpiricalMeasure, kantorovich_gaussian, kantorovich_rows
 from .spaces import (Circle, Interval, Projective, canonical_direction, distance,
                      require_one_dimensional)
 from .streams import SeededStream
@@ -264,9 +259,7 @@ def _orbits(cfg, sys_spec, ctx, gens, counts):
 
 
 def _kappa(cfg, sys_spec, ctx, gens, counts):
-    space, ref = sys_spec.space, ctx["reference"]
-    rows = kantorovich_circle_rows if isinstance(space, Circle) else kantorovich_interval_rows
-    return rows(_orbits(cfg, sys_spec, ctx, gens, counts), ref)
+    return kantorovich_rows(_orbits(cfg, sys_spec, ctx, gens, counts), ctx["reference"])
 
 
 def _corr_sum(cfg, sys_spec, ctx, gens, counts):
@@ -379,8 +372,12 @@ def run_tail(cfg: ExperimentConfig) -> TailReport:
     if cfg.trials < 100:
         raise ConfigError("tail experiments need 'trials' >= 100")
     sys_spec = build_system(cfg.system)
-    ladder, results, prov = _bound_ladder(cfg, sys_spec)
+    inputs, results, prov = _bound_ladder(cfg, sys_spec)
     params = _check_observable(cfg, sys_spec)
+    eps = params.get("epsilon")
+    if cfg.observable == "corr-sum" and inputs.get("epsilon", eps) != eps:
+        raise ConfigError(f"bound {cfg.bound!r} input 'epsilon' {inputs['epsilon']} is not "
+                          f"the corr-sum params 'epsilon' {eps}")
     stream = SeededStream(cfg.seed)
     ctx, ctx_prov = _build_context(cfg, sys_spec, stream, params)
     prov.update(ctx_prov)
@@ -390,11 +387,11 @@ def run_tail(cfg: ExperimentConfig) -> TailReport:
         SingularDerivativeError)
 
     center = float(pilot.mean())
-    halfwidth = float(1.959963984540054 * pilot.std(ddof=1) / np.sqrt(len(pilot)))
+    halfwidth = float(B.Z95 * pilot.std(ddof=1) / np.sqrt(len(pilot)))
     dev = np.abs(values - center) if B.BOUNDS[cfg.bound].two_sided else values - center
 
     rows = []
-    for t, res in zip(ladder, results):
+    for t, res in zip(cfg.t_ladder, results):
         t_eff = t - halfwidth
         if not res.applicable or t_eff <= 0:
             rows.append({"t": t, "p_hat": float("nan"), "ci_lo": float("nan"),
@@ -414,18 +411,27 @@ def run_tail(cfg: ExperimentConfig) -> TailReport:
 
 
 def _bound_ladder(cfg: ExperimentConfig, sys_spec: SystemSpec):
-    """(ladder, results, provenance) of the bound along the t-ladder; every
-    bound error surfaces here, before any simulation."""
+    """(inputs, results, provenance) of the bound along the t-ladder; every
+    bound error surfaces here, before any simulation, ``m_dim`` included:
+    on a matrix cocycle it must be the size of the matrices."""
     inputs, prov = B.resolve_inputs(cfg.bound, cfg.inputs, sys_spec.analytic)
-    return cfg.t_ladder, [B.evaluate(cfg.bound, cfg.n, t, inputs) for t in cfg.t_ladder], prov
+    if "m_dim" in inputs:
+        try:
+            size = len(cocycle_matrices(sys_spec.nu)[0])
+        except ValueError:  # not a matrix cocycle: no size to check against
+            size = inputs["m_dim"]
+        if inputs["m_dim"] != size:
+            raise ConfigError(f"bound {cfg.bound!r} input 'm_dim' {inputs['m_dim']} is not "
+                              f"the size {size} of the system's matrices")
+    return inputs, [B.evaluate(cfg.bound, cfg.n, t, inputs) for t in cfg.t_ladder], prov
 
 
 def run_bounds(cfg: ExperimentConfig) -> list[dict]:
     """The bound and its validity threshold at each t, with no simulation."""
-    ladder, results, _ = _bound_ladder(cfg, build_system(cfg.system))
+    _, results, _ = _bound_ladder(cfg, build_system(cfg.system))
     return [{"t": t, "bound": res.value, "threshold": res.threshold,
              "applicable": res.applicable, "vacuous": res.vacuous}
-            for t, res in zip(ladder, results)]
+            for t, res in zip(cfg.t_ladder, results)]
 
 
 def run_simulate(cfg: ExperimentConfig) -> list[dict]:

@@ -19,14 +19,12 @@ from .spaces import Circle, Interval, StateSpace
 __all__ = [
     "EmpiricalMeasure",
     "kantorovich_interval",
-    "kantorovich_interval_rows",
     "kantorovich_circle",
-    "kantorovich_circle_rows",
+    "kantorovich_rows",
     "kantorovich_gaussian",
 ]
 
-# rows of samples merged at once by kantorovich_interval_rows and
-# kantorovich_circle_rows
+# rows of samples merged at once by kantorovich_rows
 MERGE_BLOCK = 32
 
 
@@ -101,27 +99,6 @@ def _merge(samples: np.ndarray, ref: np.ndarray, ref_delta: np.ndarray):
     return pts, delta
 
 
-def kantorovich_interval_rows(samples: np.ndarray, mu: EmpiricalMeasure) -> np.ndarray:
-    """``kantorovich_interval`` from the uniform measure on each row of
-    ``samples`` to ``mu``, bit for bit, without sorting ``mu`` per row:
-    ``mu`` is stable-sorted once and each block of ``MERGE_BLOCK`` rows
-    merged into it (``_merge``); the cumulative sums and breakpoint sums
-    then run over the same sequence in the same order."""
-    if not isinstance(mu.space, Interval):
-        raise ValueError("the reference must live on an Interval space")
-    order = np.argsort(mu.positions, kind="stable")
-    ref, ref_delta = mu.positions[order], -mu.weights[order]
-    out = np.empty(len(samples))
-    for lo in range(0, len(samples), MERGE_BLOCK):
-        pts, delta = _merge(samples[lo:lo + MERGE_BLOCK], ref, ref_delta)
-        # the same operations as kantorovich_interval, in place
-        diff = np.cumsum(delta, axis=1, out=delta)[:, :-1]
-        gaps = np.diff(pts, axis=1)
-        np.multiply(np.abs(diff, out=diff), gaps, out=gaps)
-        out[lo:lo + len(pts)] = np.sum(gaps, axis=1)
-    return out
-
-
 def _circle_shift_cost(lengths: np.ndarray, values: np.ndarray) -> float:
     """min over t of sum len * |value - t| over the segments of positive
     length, attained at a weighted median of the values."""
@@ -146,62 +123,68 @@ def kantorovich_circle(mu1: EmpiricalMeasure, mu2: EmpiricalMeasure) -> float:
     return _circle_shift_cost(np.diff(pts), diff[:-1])
 
 
-def kantorovich_circle_rows(samples: np.ndarray, mu: EmpiricalMeasure) -> np.ndarray:
-    """``kantorovich_circle`` from the uniform measure on each row of
-    ``samples`` to ``mu``, bit for bit.  The points of ``mu`` (mod 1) and
-    the sentinels 0 and 1 are stable-sorted once and each block of
-    ``MERGE_BLOCK`` rows (mod 1) merged into them (``_merge``); the
-    cumulative sums and segment lengths run over the block.  The weighted
-    median sorts its values with an unstable sort, so it runs row by row
-    on the arrays ``kantorovich_circle`` builds."""
-    if not isinstance(mu.space, Circle):
-        raise ValueError("the reference must live on a Circle space")
-    ref = np.concatenate([mu.positions % 1.0, [0.0, 1.0]])
-    ref_delta = np.concatenate([-mu.weights, [0.0, 0.0]])
+def kantorovich_rows(samples: np.ndarray, mu: EmpiricalMeasure) -> np.ndarray:
+    """``kantorovich_interval`` (``kantorovich_circle`` for ``mu`` on the
+    circle) from the uniform measure on each row of ``samples`` to ``mu``,
+    bit for bit: ``mu`` (on the circle mod 1, with sentinels 0 and 1) is
+    stable-sorted once and each block of ``MERGE_BLOCK`` rows (likewise)
+    merged into it (``_merge``).  The circle's weighted median sorts with
+    an unstable sort, so it runs row by row on the pair function's arrays."""
+    circle = isinstance(mu.space, Circle)
+    if circle:
+        ref = np.concatenate([mu.positions % 1.0, [0.0, 1.0]])
+        ref_delta = np.concatenate([-mu.weights, [0.0, 0.0]])
+    elif isinstance(mu.space, Interval):
+        ref, ref_delta = mu.positions, -mu.weights
+    else:
+        raise ValueError("the reference must live on an Interval or Circle space")
     order = np.argsort(ref, kind="stable")
     ref, ref_delta = ref[order], ref_delta[order]
     out = np.empty(len(samples))
     for lo in range(0, len(samples), MERGE_BLOCK):
-        pts, delta = _merge(samples[lo:lo + MERGE_BLOCK] % 1.0, ref, ref_delta)
-        diff = np.cumsum(delta, axis=1, out=delta)
-        lengths = np.diff(pts, axis=1)
-        for r in range(len(pts)):
-            out[lo + r] = _circle_shift_cost(lengths[r], diff[r, :-1])
+        block = samples[lo:lo + MERGE_BLOCK]
+        pts, delta = _merge(block % 1.0 if circle else block, ref, ref_delta)
+        # the pair functions' operations, in place
+        diff = np.cumsum(delta, axis=1, out=delta)[:, :-1]
+        gaps = np.diff(pts, axis=1)
+        if circle:
+            for r in range(len(pts)):
+                out[lo + r] = _circle_shift_cost(gaps[r], diff[r])
+        else:
+            np.multiply(np.abs(diff, out=diff), gaps, out=gaps)
+            out[lo:lo + len(pts)] = np.sum(gaps, axis=1)
     return out
-
-
-def _gaussian_cdf_antiderivative(t: np.ndarray, sigma: float) -> np.ndarray:
-    """Antiderivative of the N(0, sigma^2) CDF, vanishing at -inf."""
-    from scipy.special import ndtr
-
-    z = t / sigma
-    pdf = np.exp(-0.5 * z * z) / (sigma * np.sqrt(2.0 * np.pi))
-    return t * ndtr(z) + sigma * sigma * pdf
 
 
 def kantorovich_gaussian(mu: EmpiricalMeasure, sigma: float) -> float:
     """Distance between a measure on the line and N(0, sigma^2), from the
     exact piecewise CDF-difference integral.  sigma = 0 degenerates to the
-    distance to the Dirac mass at 0."""
+    distance to the Dirac mass at 0.  The library's only scipy import."""
     if sigma < 0:
         raise ValueError("sigma must be >= 0")
     if sigma == 0.0:
         return float(np.sum(mu.weights * np.abs(mu.positions)))
-    from scipy.special import ndtri
+    from scipy.special import ndtr, ndtri
+
+    def antiderivative(t):
+        """Antiderivative of the N(0, sigma^2) CDF, vanishing at -inf."""
+        z = t / sigma
+        pdf = np.exp(-0.5 * z * z) / (sigma * np.sqrt(2.0 * np.pi))
+        return t * ndtr(z) + sigma * sigma * pdf
 
     order = np.argsort(mu.positions, kind="stable")
     x = mu.positions[order]
     c = np.cumsum(mu.weights[order])
-    psi = _gaussian_cdf_antiderivative(x, sigma)
+    psi = antiderivative(x)
 
     total = psi[0]  # left tail: int_{-inf}^{x_0} Phi
-    total += _gaussian_cdf_antiderivative(-x[-1], sigma)  # right tail of 1 - Phi
+    total += antiderivative(-x[-1])  # right tail of 1 - Phi
     if len(x) > 1:
         a, b = x[:-1], x[1:]
         level = np.clip(c[:-1], 1e-300, 1.0 - 1e-16)
         cross = np.clip(sigma * ndtri(level), a, b)
         psi_a, psi_b = psi[:-1], psi[1:]
-        psi_c = _gaussian_cdf_antiderivative(cross, sigma)
+        psi_c = antiderivative(cross)
         # on [a, cross] the CDF is below the level, above it on [cross, b]
         below = level * (cross - a) - (psi_c - psi_a)
         above = (psi_b - psi_c) - level * (b - cross)

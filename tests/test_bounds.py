@@ -3,6 +3,7 @@ import inspect
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from scipy.special import ndtri
 
 from rdslab import bounds
 from rdslab.bounds import (
@@ -19,6 +20,7 @@ from rdslab.bounds import (
     resolve_inputs,
     sync_bound,
     theorem_a_bound,
+    Z95,
     wilson_interval,
 )
 from rdslab.harness import ExperimentConfig
@@ -372,3 +374,27 @@ class TestWilson:
     def test_invalid(self):
         with pytest.raises(ValueError):
             wilson_interval(5, 0)
+
+    def test_z_is_the_normal_quantile(self):
+        assert Z95 == float(ndtri(0.975))
+
+    @pytest.mark.parametrize("trials", [1, 2, 3, 100, 300, 2000])
+    def test_bits_of_the_quantile_formula(self, trials):
+        # the interval with z computed by ndtri, as it was before z was named
+        def by_ndtri(successes):
+            alpha = 1.0 - 0.95
+            z = float(ndtri(1.0 - alpha / 2.0))
+            p = successes / trials
+            denom = 1.0 + z * z / trials
+            center = (p + z * z / (2 * trials)) / denom
+            half = z * np.sqrt(p * (1 - p) / trials + z * z / (4 * trials * trials)) / denom
+            lo, hi = center - half, center + half
+            if successes == 0:
+                lo, hi = 0.0, 1.0 - (alpha / 2.0) ** (1.0 / trials)
+            elif successes == trials:
+                lo, hi = (alpha / 2.0) ** (1.0 / trials), 1.0
+            return max(0.0, float(lo)), min(1.0, float(hi))
+
+        got = np.array([wilson_interval(k, trials) for k in range(trials + 1)])
+        expect = np.array([by_ndtri(k) for k in range(trials + 1)])
+        assert np.array_equal(got.view(np.uint64), expect.view(np.uint64))

@@ -1192,6 +1192,52 @@ def test_refused_before_drawing(tmp_path, capsys, command, doc, named):
     fails_before_drawing(tmp_path, capsys, command, doc, named)
 
 
+# a restated bound input that contradicts the run: matrix-norm's m_dim (2
+# by default) on 3x3 matrices, and a corrdim epsilon that is not the
+# corr-sum kernel's
+MATRIX_NORM_3 = dict(observable_doc("lyap-matrix-norm", projective_system(MATRICES_3)),
+                     bound="matrix-norm", inputs=MATRIX_INPUTS)
+CORR_SUM = dict(observable_doc("corr-sum", params={"epsilon": 0.05}), bound="corrdim",
+                inputs=dict(CONTRACTION, epsilon=0.05))
+
+
+@pytest.mark.parametrize("command, doc, named", [
+    pytest.param(command, dict(MATRIX_NORM_3, inputs=inputs), "'m_dim'",
+                 id=f"{command}-m_dim-{inputs.get('m_dim', 'default')}")
+    for command in ("tail", "bounds")
+    for inputs in (MATRIX_INPUTS, dict(MATRIX_INPUTS, m_dim=2), dict(MATRIX_INPUTS, m_dim=4))
+] + [pytest.param("tail", dict(CORR_SUM, inputs=dict(CONTRACTION, epsilon=0.5)), "'epsilon'",
+                  id="corr-sum-epsilon")])
+def test_contradicted_bound_input(tmp_path, capsys, command, doc, named):
+    fails_before_drawing(tmp_path, capsys, command, doc, named)
+
+
+@pytest.mark.parametrize("command, doc", [
+    ("tail", dict(MATRIX_NORM_3, inputs=dict(MATRIX_INPUTS, m_dim=3))),
+    ("bounds", dict(MATRIX_NORM_3, inputs=dict(MATRIX_INPUTS, m_dim=3.0))),
+    # 2x2 matrices, on the circle chart too, match the default
+    ("tail", dict(MATRIX_NORM_3, system=projective_system(MATRICES_2))),
+    ("tail", dict(MATRIX_NORM_3, system=CIRCLE_CHART)),
+    # no matrices, so nothing to contradict
+    ("bounds", dict(MATRIX_NORM_3, system={"kind": "halving-ifs"},
+                    inputs=dict(MATRIX_INPUTS, m_dim=5))),
+    ("tail", CORR_SUM),
+], ids=["tail-m_dim-3", "bounds-m_dim-3", "tail-2x2", "tail-circle-chart", "bounds-no-matrices",
+        "corr-sum-epsilon"])
+def test_agreeing_bound_input_runs(tmp_path, command, doc):
+    out = tmp_path / "r.csv"
+    assert main([command, "--config", write_cfg(tmp_path, doc), "--out", str(out)]) == 0
+    assert out.read_text().startswith("t,")
+
+
+@pytest.mark.parametrize("command", ["simulate", "lambda", "corr-dim", "lyap", "asclt", "bounds",
+                                     "selftest"])
+def test_json_is_for_tail_alone(tmp_path, capsys, command):
+    # it used to be accepted and ignored, the output written as CSV
+    fails_before_drawing(tmp_path, capsys, command, TAIL_DOC, "--format json",
+                         flags=("--format", "json"))
+
+
 @pytest.mark.parametrize("bug", [KeyError, ValueError, RuntimeError])
 def test_a_bug_is_not_a_config_error(tmp_path, capsys, bug):
     # only a ConfigError exits 2; a bug propagates, so ``python -m

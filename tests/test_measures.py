@@ -8,12 +8,11 @@ from rdslab import measures as M
 from rdslab.measures import (
     EmpiricalMeasure,
     kantorovich_circle,
-    kantorovich_circle_rows,
     kantorovich_gaussian,
     kantorovich_interval,
-    kantorovich_interval_rows,
+    kantorovich_rows,
 )
-from rdslab.spaces import Circle, Interval
+from rdslab.spaces import Circle, Interval, Projective
 
 SP = Interval(0.0, 2.0)
 CIRC = Circle()
@@ -90,15 +89,15 @@ class TestKantorovichInterval:
 
 
 class TestKantorovichIntervalRows:
-    """The merged distance of every row against the per-row
-    ``kantorovich_interval``, bit for bit."""
+    """``kantorovich_rows`` on an interval reference: the merged distance of
+    every row against the per-row ``kantorovich_interval``, bit for bit."""
 
     @staticmethod
     def _compare(samples, ref):
         samples = np.asarray(samples, dtype=float)
         w = np.full(samples.shape[1], 1.0 / samples.shape[1])
         expect = [kantorovich_interval(EmpiricalMeasure(SP, o, w), ref) for o in samples]
-        assert np.array_equal(kantorovich_interval_rows(samples, ref), expect)
+        assert np.array_equal(kantorovich_rows(samples, ref), expect)
 
     def test_points_tied_with_atoms(self):
         # the ties are placed ahead of the atoms, as the stable sort does
@@ -126,9 +125,10 @@ class TestKantorovichIntervalRows:
         samples[:, ::7] = ref.positions[rng.integers(0, 200, (rows, 9))]
         self._compare(samples, ref)
 
-    def test_needs_an_interval(self):
+    @pytest.mark.parametrize("space", [None, Projective(2)], ids=["line", "projective"])
+    def test_needs_an_interval_or_circle(self, space):
         with pytest.raises(ValueError):
-            kantorovich_interval_rows(np.zeros((2, 3)), EmpiricalMeasure.from_samples(CIRC, [0.5]))
+            kantorovich_rows(np.zeros((2, 3)), EmpiricalMeasure.from_samples(space, [0.5]))
 
 
 class TestKantorovichCircle:
@@ -170,15 +170,15 @@ class TestKantorovichCircle:
 
 
 class TestKantorovichCircleRows:
-    """The merged circle distance of each row against ``kantorovich_circle``,
-    bit for bit."""
+    """``kantorovich_rows`` on a circle reference: the merged distance of
+    each row against ``kantorovich_circle``, bit for bit."""
 
     @staticmethod
     def _compare(samples, ref):
         samples = np.asarray(samples, dtype=float)
         expect = [kantorovich_circle(EmpiricalMeasure.from_samples(CIRC, o), ref)
                   for o in samples]
-        assert np.array_equal(kantorovich_circle_rows(samples, ref), expect)
+        assert np.array_equal(kantorovich_rows(samples, ref), expect)
 
     def test_points_tied_with_atoms(self):
         ref = EmpiricalMeasure.from_samples(CIRC, [0.0, 0.25, 0.5, 0.75])
@@ -208,10 +208,6 @@ class TestKantorovichCircleRows:
         samples = rng.uniform(0.0, 1.0, (rows, 60))
         samples[:, ::7] = ref.positions[rng.integers(0, 200, (rows, 9))]
         self._compare(samples, ref)
-
-    def test_needs_a_circle(self):
-        with pytest.raises(ValueError):
-            kantorovich_circle_rows(np.zeros((2, 3)), EmpiricalMeasure.from_samples(SP, [0.5]))
 
 
 class TestKantorovichGaussian:
