@@ -27,6 +27,7 @@ from .maps import (
     derivative,
     gee_diameter_sup,
     log_derivative,
+    word_maps,
 )
 from .chains import (
     EnumerationGuardError,
@@ -36,9 +37,8 @@ from .chains import (
     enumerate_expectation,
     simulate,
     simulate_coupled,
-    word_maps,
 )
-from .observables import OBSERVABLES, Observable, get_observable
+from .observables import OBSERVABLES, Observable
 from .measures import (
     EmpiricalMeasure,
     kantorovich_circle,

@@ -28,7 +28,6 @@ __all__ = [
     "enumerate_expectation",
     "coupled_distance",
     "draw_word",
-    "word_maps",
 ]
 
 ENUMERATION_GUARD = 10_000_000
@@ -51,11 +50,10 @@ class Trajectory:
 
 
 def draw_word(nu: DrivingMeasure, stream, n: int) -> np.ndarray:
-    """Draw the n map labels of one realization: atom indices for finite
-    measures, raw parameters for parametric ones."""
+    """Draw the n map labels of one realization: atom indices (intp) for
+    finite measures, raw parameters (float64) for parametric ones.  The
+    empty word (n = 0) takes no double from the stream."""
     rng = as_generator(stream)
-    if n == 0:
-        return np.empty(0, dtype=int if nu.finite else float)
     if nu.finite:
         return nu.sample_indices(rng, n)
     return nu.sample_params(rng, n)

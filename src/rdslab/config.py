@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .observables import OBSERVABLES, get_observable
+from .observables import OBSERVABLES
 from .spaces import Interval
 
 __all__ = ["ConfigError", "number", "integer", "one_of", "list_of", "check", "read", "read_kind",
@@ -119,7 +119,7 @@ ATOMS = ("a nonempty list of [map, weight] pairs",
 PAIR = ("a [map, weight] pair", lambda v, space: isinstance(v, list) and len(v) == 2, tuple)
 # a null space is no space block: the system's maps decide
 SPACE = ("an object", lambda v, space: v is None or isinstance(v, dict), lambda v: v)
-H = one_of(OBSERVABLES, get_observable)  # the h of a Birkhoff sum
+H = one_of(OBSERVABLES, OBSERVABLES.__getitem__)  # the h of a Birkhoff sum
 
 # the fields of ExperimentConfig
 CONFIG = {"system": (OBJECT, ...), "observable": (TEXT, ...), "params": (OBJECT, ...),

@@ -28,8 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .chains import Trajectory, draw_word, simulate_coupled, word_maps
-from .maps import DrivingMeasure, apply_map, cocycle_matrices, derivative
+from .chains import Trajectory, draw_word, simulate_coupled
+from .maps import DrivingMeasure, apply_map, cocycle_matrices, derivative, word_maps
 from .measures import EmpiricalMeasure, kantorovich_circle, kantorovich_interval
 from .observables import Observable
 from .spaces import (Circle, StateSpace, circle_delta, distance, grid, pair_metric,
@@ -510,6 +510,8 @@ def lyapunov_1d(traj: Trajectory) -> float:
     if traj.log_derivative_sum is None:
         raise ValueError("trajectory lacks a log-derivative record")
     n = traj.n
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
     return float(traj.log_derivative_sum[-1]) / n
 
 
@@ -523,6 +525,8 @@ def lyapunov_projective(nu: DrivingMeasure, x, n: int, stream):
     ``A.dot`` is the BLAS call of ``@``, and ``math.sqrt(w.dot(w))`` what
     ``np.linalg.norm`` returns; plain floats would round apart (no FMA).
     """
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
     mats = list(cocycle_matrices(nu))
     m = len(mats[0])
     v = np.asarray(x, dtype=float)
@@ -545,8 +549,6 @@ def lyapunov_projective(nu: DrivingMeasure, x, n: int, stream):
             scale = np.max(np.abs(np.diag(R)))
             log_scale += np.log(scale)
             Z = Q @ (R / scale)
-    if n == 0:
-        return 0.0, 0.0
     # a running sum in step order: np.sum would add pairwise
     acc = np.cumsum(np.log(norms))[-1]
     norm_rate = (log_scale + np.log(np.linalg.norm(Z, 2))) / n
@@ -565,6 +567,8 @@ def lyapunov_projective_trials(nu: DrivingMeasure, x, n: int, trials: int, strea
     and batched ``np.linalg.qr`` round as the per-vector products and norms
     do; an ``einsum`` or a ``sum(W * W)`` would not.
     """
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
     mats = cocycle_matrices(nu)
     m = mats.shape[1]
     v = np.asarray(x, dtype=float)
@@ -573,8 +577,6 @@ def lyapunov_projective_trials(nu: DrivingMeasure, x, n: int, trials: int, strea
     v = v / np.linalg.norm(v)
     rng = as_generator(stream)
     out = np.zeros((2, trials))
-    if n == 0:
-        return out
     per_batch = max(1, LABEL_BLOCK // n)
     # steps per draw: all n whenever b > 1, since then b * n <= LABEL_BLOCK
     steps = min(n, LABEL_BLOCK)

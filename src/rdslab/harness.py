@@ -372,12 +372,8 @@ def run_tail(cfg: ExperimentConfig) -> TailReport:
     if cfg.trials < 100:
         raise ConfigError("tail experiments need 'trials' >= 100")
     sys_spec = build_system(cfg.system)
-    inputs, results, prov = _bound_ladder(cfg, sys_spec)
+    results, prov = _bound_ladder(cfg, sys_spec)
     params = _check_observable(cfg, sys_spec)
-    eps = params.get("epsilon")
-    if cfg.observable == "corr-sum" and inputs.get("epsilon", eps) != eps:
-        raise ConfigError(f"bound {cfg.bound!r} input 'epsilon' {inputs['epsilon']} is not "
-                          f"the corr-sum params 'epsilon' {eps}")
     stream = SeededStream(cfg.seed)
     ctx, ctx_prov = _build_context(cfg, sys_spec, stream, params)
     prov.update(ctx_prov)
@@ -411,10 +407,17 @@ def run_tail(cfg: ExperimentConfig) -> TailReport:
 
 
 def _bound_ladder(cfg: ExperimentConfig, sys_spec: SystemSpec):
-    """(inputs, results, provenance) of the bound along the t-ladder; every
-    bound error surfaces here, before any simulation, ``m_dim`` included:
-    on a matrix cocycle it must be the size of the matrices."""
+    """(results, provenance) of the bound along the t-ladder.  Every bound
+    error surfaces here, before any simulation, so ``tail`` and ``bounds``
+    refuse alike.  An input that restates the run must agree with it:
+    ``m_dim`` on a matrix cocycle is the size of its matrices, and
+    ``epsilon`` on a corr-sum is the params' kernel width."""
     inputs, prov = B.resolve_inputs(cfg.bound, cfg.inputs, sys_spec.analytic)
+    if "epsilon" in inputs and cfg.observable == "corr-sum":
+        eps = read(cfg.params, PARAMS["corr-sum"], "corr-sum params")["epsilon"]
+        if inputs["epsilon"] != eps:
+            raise ConfigError(f"bound {cfg.bound!r} input 'epsilon' {inputs['epsilon']} is not "
+                              f"the corr-sum params 'epsilon' {eps}")
     if "m_dim" in inputs:
         try:
             size = len(cocycle_matrices(sys_spec.nu)[0])
@@ -423,12 +426,12 @@ def _bound_ladder(cfg: ExperimentConfig, sys_spec: SystemSpec):
         if inputs["m_dim"] != size:
             raise ConfigError(f"bound {cfg.bound!r} input 'm_dim' {inputs['m_dim']} is not "
                               f"the size {size} of the system's matrices")
-    return inputs, [B.evaluate(cfg.bound, cfg.n, t, inputs) for t in cfg.t_ladder], prov
+    return [B.evaluate(cfg.bound, cfg.n, t, inputs) for t in cfg.t_ladder], prov
 
 
 def run_bounds(cfg: ExperimentConfig) -> list[dict]:
     """The bound and its validity threshold at each t, with no simulation."""
-    _, results, _ = _bound_ladder(cfg, build_system(cfg.system))
+    results, _ = _bound_ladder(cfg, build_system(cfg.system))
     return [{"t": t, "bound": res.value, "threshold": res.threshold,
              "applicable": res.applicable, "vacuous": res.vacuous}
             for t, res in zip(cfg.t_ladder, results)]

@@ -31,6 +31,7 @@ cumulative weights each uniform reaches instead of binary-searching them.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -72,6 +73,12 @@ class _ScalarFamily:
     fields.  The formulas ``image``, ``deriv`` and ``log_deriv`` take the
     parameters, then the state; each parameter is a scalar or an array
     broadcasting against the state (one parameter per trial)."""
+
+    @cached_property
+    def params(self) -> tuple:
+        """The parameters in field order: the formulas' leading arguments
+        (cached, as ``apply_map`` reads them on every orbit step)."""
+        return tuple(getattr(self, f.name) for f in fields(self))
 
     @classmethod
     def log_deriv(cls, *params_and_x):
@@ -190,10 +197,6 @@ def _circle_direction(theta):
 
 def apply_map(f: MapDescriptor, x):
     """Image of x under f.  Broadcasts over arrays for 1-D families."""
-    if isinstance(f, _DecayFamily):
-        return f.image(f.alpha, np.asarray(x, dtype=float))[()]
-    if isinstance(f, Affine):
-        return f.image(f.slope, f.offset, np.asarray(x, dtype=float))[()]
     if isinstance(f, ProjectiveAction):
         if f.chart == "circle":
             v = _circle_direction(x)
@@ -201,21 +204,21 @@ def apply_map(f: MapDescriptor, x):
             theta = np.arctan2(w[..., 1], w[..., 0]) / np.pi
             return (theta % 1.0)[()]
         return canonical_direction(f.matrix @ np.asarray(x, dtype=float))
+    if isinstance(f, _ScalarFamily):
+        return f.image(*f.params, np.asarray(x, dtype=float))[()]
     raise TypeError(f"not a map descriptor: {f!r}")
 
 
 def derivative(f: MapDescriptor, x):
     """Pointwise derivative of the 1-D (or circle-chart) realization of f."""
-    if isinstance(f, _DecayFamily):
-        return f.deriv(f.alpha, np.asarray(x, dtype=float))[()]
-    if isinstance(f, Affine):
-        return f.deriv(f.slope, f.offset, x)[()]
     if isinstance(f, ProjectiveAction) and f.chart == "circle":
         # angle-chart derivative of an SL(2,R) projective action:
         # d(theta') / d(theta) = det A / ||A v||^2 = 1 / ||A v||^2
         v = _circle_direction(x)
         w = v @ f.matrix.T
         return (1.0 / np.sum(w * w, axis=-1))[()]
+    if isinstance(f, _ScalarFamily):
+        return f.deriv(*f.params, np.asarray(x, dtype=float))[()]
     raise TypeError(f"{f!r} has no one-dimensional derivative")
 
 
@@ -223,8 +226,8 @@ def log_derivative(f: MapDescriptor, x):
     """log |f'(x)| for 1-D kinds; log ||A x|| for the projective norm cocycle."""
     if isinstance(f, ProjectiveAction) and f.chart == "projective":
         return float(np.log(np.linalg.norm(f.matrix @ np.asarray(x, dtype=float))))
-    if isinstance(f, _DecayFamily):
-        return f.log_deriv(f.alpha, np.asarray(x, dtype=float))[()]
+    if isinstance(f, _ScalarFamily):
+        return f.log_deriv(*f.params, np.asarray(x, dtype=float))[()]
     return _log_abs(derivative(f, x), f)[()]
 
 
@@ -272,7 +275,7 @@ class DrivingMeasure:
             if not (issubclass(kind, _ScalarFamily) and all(type(m) is kind for m, _ in atoms)):
                 kind = None
             table = None if kind is None else tuple(
-                np.array([getattr(m, f.name) for m, _ in atoms]) for f in fields(kind))
+                np.array(col) for col in zip(*(m.params for m, _ in atoms)))
             object.__setattr__(self, "_weights", weights)
             object.__setattr__(self, "_cdf", cdf)
             object.__setattr__(self, "_kind", kind)

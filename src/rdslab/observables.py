@@ -1,8 +1,8 @@
-"""Built-in scalar observables with analytic Lipschitz constants.
+"""Built-in scalar observables h of the Birkhoff sums, by name.
 
-Each observable carries its Lipschitz constant L(h) and sup norm
-||h||_inf for reference.  The bound formulas do not read them: they take
-``lipschitz_L`` and ``sup_norm`` from the config's ``inputs`` (default 1).
+An observable is its function alone.  The bounds take its constants L(h)
+and ||h||_inf from the config's ``inputs`` (``lipschitz_L`` and
+``sup_norm``, default 1); the README lists them for each built-in.
 """
 
 from __future__ import annotations
@@ -12,15 +12,12 @@ from typing import Callable
 
 import numpy as np
 
-__all__ = ["Observable", "OBSERVABLES", "get_observable"]
+__all__ = ["Observable", "OBSERVABLES"]
 
 
 @dataclass(frozen=True)
 class Observable:
-    name: str
     fn: Callable
-    lipschitz: float
-    sup_norm: float
 
     def __call__(self, x):
         return self.fn(np.asarray(x, dtype=float))
@@ -44,15 +41,8 @@ def _tent(x):
 
 
 OBSERVABLES: dict[str, Observable] = {
-    "coordinate": Observable("coordinate", _coord, lipschitz=1.0, sup_norm=1.0),
-    "centered": Observable("centered", _centered, lipschitz=1.0, sup_norm=0.5),
-    "zero": Observable("zero", _zero, lipschitz=0.0, sup_norm=0.0),
-    "tent": Observable("tent", _tent, lipschitz=1.0, sup_norm=0.5),
+    "coordinate": Observable(_coord),
+    "centered": Observable(_centered),
+    "zero": Observable(_zero),
+    "tent": Observable(_tent),
 }
-
-
-def get_observable(name: str) -> Observable:
-    try:
-        return OBSERVABLES[name]
-    except KeyError:
-        raise KeyError(f"unknown observable {name!r}; have {sorted(OBSERVABLES)}") from None

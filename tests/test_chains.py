@@ -9,7 +9,6 @@ from rdslab.chains import (
     enumerate_expectation,
     simulate,
     simulate_coupled,
-    word_maps,
 )
 from rdslab.maps import (
     Affine,
@@ -21,6 +20,7 @@ from rdslab.maps import (
     _circle_direction,
     apply_map,
     log_derivative,
+    word_maps,
 )
 from rdslab.spaces import Circle, Interval
 from rdslab.streams import SeededStream

@@ -1206,8 +1206,9 @@ CORR_SUM = dict(observable_doc("corr-sum", params={"epsilon": 0.05}), bound="cor
                  id=f"{command}-m_dim-{inputs.get('m_dim', 'default')}")
     for command in ("tail", "bounds")
     for inputs in (MATRIX_INPUTS, dict(MATRIX_INPUTS, m_dim=2), dict(MATRIX_INPUTS, m_dim=4))
-] + [pytest.param("tail", dict(CORR_SUM, inputs=dict(CONTRACTION, epsilon=0.5)), "'epsilon'",
-                  id="corr-sum-epsilon")])
+] + [pytest.param(command, dict(CORR_SUM, inputs=dict(CONTRACTION, epsilon=0.5)), "'epsilon'",
+                  id=f"{'bounds-' if command == 'bounds' else ''}corr-sum-epsilon")
+       for command in ("tail", "bounds")])
 def test_contradicted_bound_input(tmp_path, capsys, command, doc, named):
     fails_before_drawing(tmp_path, capsys, command, doc, named)
 
@@ -1222,8 +1223,9 @@ def test_contradicted_bound_input(tmp_path, capsys, command, doc, named):
     ("bounds", dict(MATRIX_NORM_3, system={"kind": "halving-ifs"},
                     inputs=dict(MATRIX_INPUTS, m_dim=5))),
     ("tail", CORR_SUM),
+    ("bounds", CORR_SUM),
 ], ids=["tail-m_dim-3", "bounds-m_dim-3", "tail-2x2", "tail-circle-chart", "bounds-no-matrices",
-        "corr-sum-epsilon"])
+        "corr-sum-epsilon", "bounds-corr-sum-epsilon"])
 def test_agreeing_bound_input_runs(tmp_path, command, doc):
     out = tmp_path / "r.csv"
     assert main([command, "--config", write_cfg(tmp_path, doc), "--out", str(out)]) == 0

@@ -36,7 +36,7 @@ from rdslab.estimators import (
 )
 from rdslab.maps import Affine, DrivingMeasure, MoebiusDecay, PolynomialDecay, ProjectiveAction
 from rdslab.measures import EmpiricalMeasure, kantorovich_interval
-from rdslab.observables import get_observable
+from rdslab.observables import OBSERVABLES
 from rdslab.spaces import Circle, Interval, Projective, distance
 from rdslab.streams import SeededStream
 
@@ -330,7 +330,7 @@ def _loop_outputs(nu, space):
     """Every library loop that draws through step_labels, as arrays:
     25 steps of 37 trials (lambda_n with both pair-sum kernels)."""
     eta = EmpiricalMeasure.from_samples(space, (np.arange(64) + 0.5) / 64)
-    s2 = sigma2_estimate(nu, space, 25, 37, eta, get_observable("centered"), 1)
+    s2 = sigma2_estimate(nu, space, 25, 37, eta, OBSERVABLES["centered"], 1)
     out = {"profile": np.array(pair_distance_profile(nu, space, 0.1, 0.8, 25, 37, 2)),
            "sigma2": np.array([s2.value, s2.stderr, s2.centering_offset]),
            "pj": np.array(correlation_coefficient_pj(nu, space, eta, 25, 37, 3))}
@@ -394,12 +394,12 @@ class TestLogAveragedMeasure:
 class TestSigma2:
     def test_zero_observable(self):
         eta = EmpiricalMeasure.from_samples(SP, np.linspace(0, 1, 32))
-        est = sigma2_estimate(HALVING, SP, 50, 500, eta, get_observable("zero"), 0)
+        est = sigma2_estimate(HALVING, SP, 50, 500, eta, OBSERVABLES["zero"], 0)
         assert est.value == 0.0
 
     def test_halving_stable_across_n(self):
         eta = EmpiricalMeasure.from_samples(SP, (np.arange(256) + 0.5) / 256)
-        h = get_observable("coordinate")
+        h = OBSERVABLES["coordinate"]
         ests = [sigma2_estimate(HALVING, SP, n, 4000, eta, h, 1) for n in (256, 512)]
         for e in ests:
             assert e.value > 0
@@ -408,14 +408,14 @@ class TestSigma2:
 
     def test_centering_offset_reported(self):
         eta = EmpiricalMeasure.from_samples(SP, np.linspace(0, 1, 32))
-        est = sigma2_estimate(HALVING, SP, 10, 200, eta, get_observable("coordinate"), 0)
+        est = sigma2_estimate(HALVING, SP, 10, 200, eta, OBSERVABLES["coordinate"], 0)
         assert est.centering_offset == pytest.approx(0.5)
 
     @pytest.mark.parametrize("n", [0, -2])
     def test_rejects_n_below_one(self, n):
         eta = EmpiricalMeasure.from_samples(SP, np.linspace(0, 1, 32))
         with pytest.raises(ValueError, match="n must be >= 1"):
-            sigma2_estimate(HALVING, SP, n, 200, eta, get_observable("coordinate"), 0)
+            sigma2_estimate(HALVING, SP, n, 200, eta, OBSERVABLES["coordinate"], 0)
 
 
 class TestCorrelationSum:
@@ -756,6 +756,12 @@ class TestLyapunov1d:
         with pytest.raises(ValueError):
             lyapunov_1d(traj)
 
+    def test_zero_steps_refused(self):
+        # the rate of no step is 0 / 0: refused, as sigma2_estimate's n = 0
+        traj = simulate(HALVING, 0.3, 0, SeededStream(0), record_log_derivative=True, space=SP)
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            lyapunov_1d(traj)
+
 
 class TestLyapunovProjective:
     def test_diagonal_eigendirection(self):
@@ -810,9 +816,8 @@ def _lyapunov_projective_loop(nu, x, n, stream):
             scale = np.max(np.abs(np.diag(R)))
             log_scale += np.log(scale)
             Z = Q @ (R / scale)
-    norm_rate = (log_scale + np.log(np.linalg.norm(Z, 2))) / n if n > 0 else 0.0
-    vector_rate = acc / n if n > 0 else 0.0
-    return float(vector_rate), float(norm_rate)
+    norm_rate = (log_scale + np.log(np.linalg.norm(Z, 2))) / n
+    return float(acc / n), float(norm_rate)
 
 
 # unnormalised starts off e_1, one per seed
@@ -823,7 +828,7 @@ COCYCLE_STARTS = {2: ([3.0, -4.0], [0.1, 2.5], [-1e-3, 7.0]),
 class TestLyapunovProjectiveOracle:
     """The lean cocycle step against the per-step loop, bit for bit."""
 
-    @pytest.mark.parametrize("n", [0, 1, 31, 32, 33, 20_000])
+    @pytest.mark.parametrize("n", [1, 31, 32, 33, 20_000])
     @pytest.mark.parametrize("m", [2, 3])
     def test_matches_per_step_loop(self, m, n):
         nu = HYPERBOLIC_ROTATION[m]
@@ -834,9 +839,13 @@ class TestLyapunovProjectiveOracle:
     def test_leaves_the_generator_where_the_loop_does(self):
         nu, x = HYPERBOLIC_ROTATION[2], COCYCLE_STARTS[2][0]
         fast, slow = SeededStream(9).generator(), SeededStream(9).generator()
-        for n in (0, 5, 40):
+        for n in (1, 5, 40):
             assert lyapunov_projective(nu, x, n, fast) == _lyapunov_projective_loop(nu, x, n, slow)
         assert fast.random() == slow.random()
+
+    def test_zero_steps_refused(self):
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            lyapunov_projective(HYPERBOLIC_ROTATION[2], [1.0, 0.0], 0, SeededStream(0))
 
 
 class TestLyapunovProjectiveTrials:
@@ -877,6 +886,10 @@ class TestLyapunovProjectiveTrials:
         nu = HYPERBOLIC_ROTATION[2]
         with pytest.raises(ValueError, match="dimension"):
             lyapunov_projective_trials(nu, [1.0, 0.0, 0.0], 5, 2, SeededStream(0))
+
+    def test_zero_steps_refused(self):
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            lyapunov_projective_trials(HYPERBOLIC_ROTATION[2], [1.0, 0.0], 0, 3, SeededStream(0))
 
     @pytest.mark.parametrize("nu", [
         DrivingMeasure(atoms=((Affine(0.5, 0.0), 1.0),)),

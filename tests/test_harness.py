@@ -10,7 +10,7 @@ import pytest
 
 from rdslab import estimators as E
 from rdslab import harness as H
-from rdslab.chains import draw_word, simulate_coupled, word_maps
+from rdslab.chains import draw_word, simulate_coupled
 from rdslab.estimators import correlation_dimension, correlation_sum, lyapunov_projective
 from rdslab.harness import (
     ExperimentConfig,
@@ -31,6 +31,7 @@ from rdslab.maps import (
     SingularDerivativeError,
     apply_map,
     log_derivative,
+    word_maps,
 )
 from rdslab.measures import EmpiricalMeasure, kantorovich_circle, kantorovich_interval
 from rdslab.spaces import Circle, Interval, distance

@@ -119,6 +119,21 @@ class TestDerivatives:
             log_derivative(Affine(0.0, 0.5), 0.3)
 
 
+@pytest.mark.parametrize("f, names", [
+    (MoebiusDecay(1.7), ("alpha",)),
+    (PolynomialDecay(1.37), ("alpha",)),
+    (Affine(-0.3, 0.9), ("slope", "offset")),
+], ids=["moebius", "polynomial", "affine"])
+def test_descriptor_calls_take_the_fields_in_declaration_order(f, names):
+    # one params tuple feeds every formula: a swapped field order shows here
+    args = tuple(getattr(f, name) for name in names)
+    assert f.params == args
+    x = np.array([0.0, 0.2, 0.6, 1.0])
+    for call, formula in ((apply_map, f.image), (derivative, f.deriv),
+                          (log_derivative, f.log_deriv)):
+        assert np.array_equal(call(f, x), formula(*args, x))
+
+
 class TestDrivingMeasure:
     def test_weights_must_sum_to_one(self):
         with pytest.raises(ValueError):

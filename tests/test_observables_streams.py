@@ -3,7 +3,7 @@ import pytest
 
 from rdslab.chains import draw_word
 from rdslab.maps import Affine, DrivingMeasure
-from rdslab.observables import OBSERVABLES, get_observable
+from rdslab.observables import OBSERVABLES
 from rdslab.streams import SeededStream, as_generator
 
 
@@ -12,17 +12,11 @@ class TestObservables:
         for name in ("coordinate", "centered", "zero", "tent"):
             assert name in OBSERVABLES
 
-    def test_lipschitz_constants_hold_empirically(self):
-        x = np.linspace(0, 1, 501)
-        for obs in OBSERVABLES.values():
-            vals = np.asarray(obs(x), dtype=float)
-            slopes = np.abs(np.diff(vals)) / np.diff(x)
-            assert np.all(slopes <= obs.lipschitz + 1e-9)
-            assert np.max(np.abs(vals)) <= obs.sup_norm + 1e-12
 
-    def test_unknown_name(self):
-        with pytest.raises(KeyError):
-            get_observable("nope")
+FINITE_AND_PARAMETRIC = pytest.mark.parametrize("nu", [
+    DrivingMeasure(atoms=((Affine(0.5, 0.0), 0.3), (Affine(0.5, 0.5), 0.7))),
+    DrivingMeasure(family="moebius", sampler=("uniform", 1.0, 2.0)),
+], ids=["finite", "parametric"])
 
 
 class TestStreams:
@@ -44,14 +38,18 @@ class TestStreams:
         b = s.substream(1).generator().uniform(size=5)
         assert not np.array_equal(a, b)
 
-    @pytest.mark.parametrize("nu", [
-        DrivingMeasure(atoms=((Affine(0.5, 0.0), 0.3), (Affine(0.5, 0.5), 0.7))),
-        DrivingMeasure(family="moebius", sampler=("uniform", 1.0, 2.0)),
-    ], ids=["finite", "parametric"])
+    @FINITE_AND_PARAMETRIC
     def test_seed_forms_draw_one_word(self, nu):
         # an int seed, its stream and that stream's generator name one word
         words = [draw_word(nu, seed, 20) for seed in (7, SeededStream(7), SeededStream(7).generator())]
         assert all(np.array_equal(w, words[0]) for w in words)
+
+    @FINITE_AND_PARAMETRIC
+    def test_empty_word_takes_no_double(self, nu):
+        g = SeededStream(7).generator()
+        word = draw_word(nu, g, 0)
+        assert word.dtype == (np.intp if nu.finite else np.float64) and word.shape == (0,)
+        assert g.random() == SeededStream(7).generator().random()
 
     def test_generator_passes_through(self):
         rng = SeededStream(7).generator()
