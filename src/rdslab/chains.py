@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .maps import DrivingMeasure, apply_map, log_derivative, support_space, word_maps
+from .maps import DrivingMeasure, apply_map, support_space
 from .spaces import StateSpace, distance
 from .streams import as_generator
 
@@ -42,7 +42,6 @@ class Trajectory:
     space: StateSpace
     points: np.ndarray  # (n+1,) floats or (n+1, m) unit vectors
     log_derivative_sum: np.ndarray | None = None  # cumulative, length n
-    map_ids: list | None = None  # drawn atom indices or parameters
 
     @property
     def n(self) -> int:
@@ -65,19 +64,11 @@ def simulate(
     n: int,
     stream,
     record_log_derivative: bool = False,
-    record_maps: bool = False,
     space: StateSpace | None = None,
 ) -> Trajectory:
-    """Run the chain n steps from x0 under one realization of the noise."""
-    return simulate_coupled(
-        nu,
-        [x0],
-        n,
-        stream,
-        record_log_derivative=record_log_derivative,
-        record_maps=record_maps,
-        space=space,
-    )[0]
+    """Run the chain n steps from x0 under one realization of the noise,
+    whose word ``draw_word(nu, stream, n)`` is drawn first."""
+    return simulate_coupled(nu, [x0], n, stream, record_log_derivative, space)[0]
 
 
 def simulate_coupled(
@@ -86,7 +77,6 @@ def simulate_coupled(
     n: int,
     stream,
     record_log_derivative: bool = False,
-    record_maps: bool = False,
     space: StateSpace | None = None,
 ) -> list[Trajectory]:
     """Draw ONE map sequence and run it from every start, so trajectories
@@ -100,8 +90,7 @@ def simulate_coupled(
     for x0 in starts:
         points = nu.orbit(word, x0)
         logs = _log_derivative_sums(nu, word, points) if record_log_derivative else None
-        out.append(Trajectory(space=space, points=points, log_derivative_sum=logs,
-                              map_ids=list(word) if record_maps else None))
+        out.append(Trajectory(space=space, points=points, log_derivative_sum=logs))
     return out
 
 
@@ -111,12 +100,11 @@ def _log_derivative_sums(nu: DrivingMeasure, word, points: np.ndarray) -> np.nda
     A scalar orbit takes all n log-derivatives in one call, on an (n, 1)
     column: a circle-chart ``v @ A.T`` is then a stack of 1-row products,
     which rounds as the call on one point does (a flat (n,) batch would
-    not).  Vector states take them map by map.  The sums start from +0.0,
-    so an orbit of zero log-derivatives sums to +0.0, not -0.0."""
-    if points.ndim == 1:
-        d = nu.log_derivative(word, points[:-1, None])[:, 0]
-    else:
-        d = [log_derivative(f, x) for f, x in zip(word_maps(nu, word), points[:-1])]
+    not).  A vector orbit raises ValueError.  The sums start from +0.0, so
+    an orbit of zero log-derivatives sums to +0.0, not -0.0."""
+    if points.ndim != 1:
+        raise ValueError("a vector orbit's rates are the matrix cocycle's")
+    d = nu.log_derivative(word, points[:-1, None])[:, 0]
     sums = np.empty(len(points))
     sums[0] = 0.0
     sums[1:] = d

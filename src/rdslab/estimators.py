@@ -624,10 +624,12 @@ def nonexpansive_fixed_points(nu: DrivingMeasure, n: int, stream):
     The drawn word is composed in reverse, the last draw applied first: the
     product whose derivative appears in the fixed-point analysis.  Sign
     changes of the displacement on a 4096-point grid are bisected to within
-    1e-10, and a multiplier up to 1 + 1e-9 counts as non-expansive.
+    1e-10, all cells at once on a (k, 1) column (a stack of one-row
+    circle-chart products, which round as one point does), and a multiplier
+    up to 1 + 1e-9 counts as non-expansive.
 
-    Returns a list of (point, multiplier) pairs; empty when the composed
-    map has no non-expansive fixed point.
+    Returns a list of (point, multiplier) pairs in grid order; empty when
+    the composed map has no non-expansive fixed point.
     """
     maps = word_maps(nu, draw_word(nu, stream, n))
     resolution = 4096
@@ -643,33 +645,28 @@ def nonexpansive_fixed_points(nu: DrivingMeasure, n: int, stream):
         _, derivs = _composed_circle(maps, thetas)
         return [(float(t), float(d)) for t, d in zip(thetas, np.atleast_1d(derivs))]
 
-    roots = []
-    for i in range(resolution):
-        j = (i + 1) % resolution
-        a, b = thetas[i], thetas[i] + 1.0 / resolution
-        fa, fb = disp[i], disp[j]
-        if abs(fa) < 1e-15:
-            roots.append(float(a % 1.0))
-            continue
-        if fa * fb >= 0 or abs(fa - fb) > 0.5:  # same sign, or a wrap artifact
-            continue
-        for _ in range(200):
-            mid = 0.5 * (a + b)
-            fm = float(displacement(mid % 1.0))
-            if fa * fm <= 0:
-                b, fb = mid, fm
-            else:
-                a, fa = mid, fm
-            if b - a < 1e-10:
-                break
-        roots.append(float((0.5 * (a + b)) % 1.0))
+    # a root at the cell's left end, or a sign change that is no wrap artifact
+    fb = np.roll(disp, -1)
+    zero = np.abs(disp) < 1e-15
+    bracket = ~zero & ~((disp * fb >= 0) | (np.abs(disp - fb) > 0.5))
+    a, fa = thetas[bracket, None], disp[bracket, None]
+    b = a + 1.0 / resolution
+    for _ in range(200):
+        mid = 0.5 * (a + b)
+        fm = displacement(mid % 1.0)
+        left = fa * fm <= 0
+        b = np.where(left, mid, b)
+        a, fa = np.where(left, a, mid), np.where(left, fa, fm)
+        # every width is 2^-12 halved exactly, so all cells stop together
+        if np.all(b - a < 1e-10):
+            break
 
-    out = []
-    for r in roots:
-        _, d = _composed_circle(maps, r)
-        if float(np.abs(d)) <= 1.0 + 1e-9:
-            out.append((r, float(d)))
-    return out
+    roots = thetas % 1.0
+    roots[bracket] = ((0.5 * (a + b)) % 1.0)[:, 0]
+    roots = roots[zero | bracket]
+    _, derivs = _composed_circle(maps, roots[:, None])
+    return [(float(r), float(d)) for r, d in zip(roots, derivs[:, 0])
+            if abs(d) <= 1.0 + 1e-9]
 
 
 # ---------------------------------------------------------------------------

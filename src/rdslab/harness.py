@@ -215,24 +215,18 @@ def _orbit(cfg: ExperimentConfig, sys_spec: SystemSpec, stream: SeededStream, n:
                     record_log_derivative=record_log_derivative, space=sys_spec.space)
 
 
-def _birkhoff(cfg, sys_spec, ctx, gens, counts):
-    nu, h = sys_spec.nu, ctx["h"]
-    X = np.full(sum(counts), ctx["start"])
-    acc = np.zeros(X.shape)
-    for labels in step_labels(nu, gens, cfg.n, counts):
-        acc += h(X)
-        X = nu.step(labels, X)
-    return acc / cfg.n
-
-
-def _lyap_1d(cfg, sys_spec, ctx, gens, counts):
-    nu = sys_spec.nu
-    X = np.full(sum(counts), ctx["start"])
-    acc = np.zeros(X.shape)
-    for labels in step_labels(nu, gens, cfg.n, counts):
-        acc += nu.log_derivative(labels, X)
-        X = nu.step(labels, X)
-    return acc / cfg.n
+def _step_mean(term):
+    """Engine of the mean over the n steps of ``term(nu, ctx, labels, X)``,
+    taken at each trial's state before its step."""
+    def values(cfg, sys_spec, ctx, gens, counts):
+        nu = sys_spec.nu
+        X = np.full(sum(counts), ctx["start"])
+        acc = np.zeros(X.shape)
+        for labels in step_labels(nu, gens, cfg.n, counts):
+            acc += term(nu, ctx, labels, X)
+            X = nu.step(labels, X)
+        return acc / cfg.n
+    return values
 
 
 def _sync(cfg, sys_spec, ctx, gens, counts):
@@ -282,8 +276,8 @@ def _cocycle_rate(row):
 # ``counts[i]`` trials and drawing only from ``gens[i]``; ``ctx`` holds the
 # params that ``PARAMS[kind]`` reads (``_build_context``)
 ENGINES = {
-    "birkhoff": _birkhoff,
-    "lyap-1d": _lyap_1d,
+    "birkhoff": _step_mean(lambda nu, ctx, labels, X: ctx["h"](X)),
+    "lyap-1d": _step_mean(lambda nu, ctx, labels, X: nu.log_derivative(labels, X)),
     "sync": _sync,
     "kappa-to-stationary": _kappa,
     "kappa-interval": _kappa,
@@ -308,15 +302,6 @@ def _check_observable(cfg: ExperimentConfig, sys_spec: SystemSpec) -> dict:
     return params
 
 
-def _group_values(cfg: ExperimentConfig, sys_spec: SystemSpec, ctx: dict,
-                  streams: list, counts: list) -> np.ndarray:
-    """Observable value of each trial of a group of chunks, one noise
-    realization per trial: chunk i holds ``counts[i]`` trials, all drawing
-    from ``streams[i]``, and the group is stepped as one vector."""
-    gens = [s.generator() for s in streams]
-    return ENGINES[cfg.observable](cfg, sys_spec, ctx, gens, counts)
-
-
 def _group_chunks(cfg: ExperimentConfig, sys_spec: SystemSpec) -> int:
     """Chunks stepped as one vector: ``GROUP``, or fewer for an orbit
     observable whose group would hold more than ``ORBIT_POINTS`` points.
@@ -337,11 +322,11 @@ def _run_trials(cfg: ExperimentConfig, sys_spec: SystemSpec, ctx: dict,
     """All per-trial observable values; chunk i draws from substream i, and
     up to ``GROUP`` chunks are stepped together."""
     counts = [min(CHUNK, cfg.trials - lo) for lo in range(0, cfg.trials, CHUNK)]
-    width = _group_chunks(cfg, sys_spec)
+    engine, width = ENGINES[cfg.observable], _group_chunks(cfg, sys_spec)
     return np.concatenate([
-        _group_values(cfg, sys_spec, ctx,
-                      [stream.substream(i) for i in range(g, min(g + width, len(counts)))],
-                      counts[g:g + width])
+        engine(cfg, sys_spec, ctx,
+               [stream.substream(i).generator() for i in range(g, min(g + width, len(counts)))],
+               counts[g:g + width])
         for g in range(0, len(counts), width)])
 
 
@@ -378,9 +363,14 @@ def run_tail(cfg: ExperimentConfig) -> TailReport:
     ctx, ctx_prov = _build_context(cfg, sys_spec, stream, params)
     prov.update(ctx_prov)
 
-    pilot, values = checked("params 'x0'", lambda: [
-        _run_trials(cfg, sys_spec, ctx, stream.substream(i)) for i in (1, 2)],
-        SingularDerivativeError)
+    runs = []
+    for i, run in ((1, "pilot"), (2, "main")):  # no nan reaches a verdict
+        runs.append(checked("params 'x0'", lambda: _run_trials(
+            cfg, sys_spec, ctx, stream.substream(i)), SingularDerivativeError))
+        bad = np.count_nonzero(~np.isfinite(runs[-1]))
+        if bad:
+            raise ConfigError(f"params 'x0': {bad} of {cfg.trials} {run} trials are not finite")
+    pilot, values = runs
 
     center = float(pilot.mean())
     halfwidth = float(B.Z95 * pilot.std(ddof=1) / np.sqrt(len(pilot)))
@@ -465,8 +455,11 @@ def run_corrdim(cfg: ExperimentConfig) -> list[dict]:
 
 def run_lyap(cfg: ExperimentConfig) -> list[dict]:
     """Finite-time Lyapunov rate of one orbit (vector and norm rates for a
-    matrix cocycle)."""
+    matrix cocycle, the only rates of a projective system)."""
     sys_spec = build_system(cfg.system)
+    if isinstance(sys_spec.space, Projective) and cfg.observable not in COCYCLE_KINDS:
+        raise ConfigError(f"config 'observable' {cfg.observable!r}: a projective "
+                          f"system's rates are {COCYCLE_KINDS}")
     stream = SeededStream(cfg.seed)
     if cfg.observable in COCYCLE_KINDS:
         v, w = lyapunov_projective(sys_spec.nu, orbit_start(sys_spec, cfg), cfg.n,
@@ -479,8 +472,9 @@ def run_lyap(cfg: ExperimentConfig) -> list[dict]:
 
 def run_lambda_survey(cfg: ExperimentConfig) -> list[dict]:
     """Grid-max contraction-sum estimates along an n-ladder, with the
-    analytic cap column for library families and a divergence marker: the
-    estimate above ``params.ceiling`` (default 10 x the cap, else 100)."""
+    analytic cap column for library families and a divergence marker: a nan
+    estimate, or one above ``params.ceiling`` (default 10 x the cap, else
+    100)."""
     sys_spec = build_system(cfg.system)
     p = read(cfg.params, PARAMS["lambda"], "lambda params")
     checked("system", lambda: require_one_dimensional(sys_spec.space, "lambda"))
@@ -492,7 +486,7 @@ def run_lambda_survey(cfg: ExperimentConfig) -> list[dict]:
                        SeededStream(cfg.seed).substream(i), resolution=p["grid"])
         out.append({"n": n, "lambda_hat": est.value, "stderr": est.stderr,
                     "analytic_cap": cap if cap is not None else float("nan"),
-                    "diverged": est.value > ceiling})
+                    "diverged": not est.value <= ceiling})
     return out
 
 

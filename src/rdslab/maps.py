@@ -223,9 +223,7 @@ def derivative(f: MapDescriptor, x):
 
 
 def log_derivative(f: MapDescriptor, x):
-    """log |f'(x)| for 1-D kinds; log ||A x|| for the projective norm cocycle."""
-    if isinstance(f, ProjectiveAction) and f.chart == "projective":
-        return float(np.log(np.linalg.norm(f.matrix @ np.asarray(x, dtype=float))))
+    """log |f'(x)| of the 1-D (or circle-chart) realization of f."""
     if isinstance(f, _ScalarFamily):
         return f.log_deriv(*f.params, np.asarray(x, dtype=float))[()]
     return _log_abs(derivative(f, x), f)[()]

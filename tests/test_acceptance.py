@@ -11,7 +11,7 @@ import pytest
 from scipy.optimize import linear_sum_assignment
 
 from rdslab.bounds import appendix_checks, wilson_interval
-from rdslab.chains import coupled_distance, enumerate_expectation, simulate
+from rdslab.chains import coupled_distance, draw_word, enumerate_expectation, simulate
 from rdslab.cli import main as cli_main
 from rdslab.estimators import (
     correlation_dimension,
@@ -54,9 +54,9 @@ def test_01_closed_form_iterates():
         for trial in range(1000):
             x = float(rng.uniform(0.0, 1.0))
             n = int(rng.integers(1, 101))
-            traj = simulate(nu, x, n, SeededStream(int(rng.integers(2**32))),
-                            record_maps=True)
-            total = float(np.sum(traj.map_ids))
+            seed = int(rng.integers(2**32))
+            traj = simulate(nu, x, n, SeededStream(seed))
+            total = float(np.sum(draw_word(nu, SeededStream(seed), n)))
             assert abs(traj.points[-1] - x / (1.0 + total * x)) <= 1e-12
 
 
@@ -167,10 +167,10 @@ def test_09_circle_chain_rule_vs_finite_difference():
             nu = DrivingMeasure(atoms=((maps[0], 0.5), (maps[1], 0.5)))
             n = int(rng.integers(1, 21))
             x0 = float(rng.uniform(0.0, 1.0))
-            traj = simulate(nu, x0, n, SeededStream(int(rng.integers(2**32))),
-                            record_log_derivative=True, record_maps=True)
+            seed = int(rng.integers(2**32))
+            traj = simulate(nu, x0, n, SeededStream(seed), record_log_derivative=True)
             chain = float(traj.log_derivative_sum[-1])
-            word = [nu.atoms[int(i)][0] for i in traj.map_ids]
+            word = [nu.atoms[int(i)][0] for i in draw_word(nu, SeededStream(seed), n)]
 
             def comp(x):
                 for f in word:

@@ -33,8 +33,9 @@ SP = Interval(0.0, 1.0)
 class TestSimulate:
     def test_moebius_closed_form(self):
         # composed parameters add, so X_n = x / (1 + (sum alpha) x) exactly
-        traj = simulate(TWO_ATOM, 0.7, 50, SeededStream(3), record_maps=True)
-        total = sum(TWO_ATOM.atoms[int(i)][0].alpha for i in traj.map_ids)
+        traj = simulate(TWO_ATOM, 0.7, 50, SeededStream(3))
+        word = draw_word(TWO_ATOM, SeededStream(3), 50)  # simulate draws its word first
+        total = sum(TWO_ATOM.atoms[int(i)][0].alpha for i in word)
         assert traj.points[-1] == pytest.approx(0.7 / (1 + total * 0.7), abs=1e-12)
 
     def test_deterministic_given_seed(self):
@@ -57,6 +58,12 @@ class TestSimulate:
         np.testing.assert_allclose(
             traj.log_derivative_sum, np.log(0.5) * np.arange(1, 6), atol=1e-12
         )
+
+    def test_vector_start_has_no_log_derivative_record(self):
+        # a projective orbit's rates are the cocycle's (lyapunov_projective)
+        nu = DrivingMeasure(atoms=((ProjectiveAction(HYPERBOLIC), 1.0),))
+        with pytest.raises(ValueError, match="cocycle"):
+            simulate(nu, np.array([0.6, 0.8]), 5, SeededStream(0), record_log_derivative=True)
 
 
 def descriptor_orbit(nu, x0, n, stream):
@@ -138,11 +145,12 @@ class TestOrbitOracle:
         nu = DrivingMeasure(atoms=((ProjectiveAction(HYPERBOLIC), 0.5),
                                    (ProjectiveAction(ROTATION), 0.5)))
         start = np.array([0.6, 0.8])
-        (traj,) = simulate_coupled(nu, [start], 300, SeededStream(2), record_log_derivative=True)
-        points, logs = descriptor_orbit(nu, start, 300, SeededStream(2))
-        assert traj.points.shape == (301, 2)
-        assert_bits_equal(traj.points, points)
-        assert_bits_equal(traj.log_derivative_sum, logs)
+        (traj,) = simulate_coupled(nu, [start], 300, SeededStream(2))
+        points = [start]
+        for f in word_maps(nu, draw_word(nu, SeededStream(2), 300)):
+            points.append(apply_map(f, points[-1]))
+        assert traj.points.shape == (301, 2) and traj.log_derivative_sum is None
+        assert_bits_equal(traj.points, np.array(points))
 
     def test_start_outside_the_interval(self):
         # 1 + alpha x = 0 at x = -1: numpy's -inf, then nan, as the step loop gave

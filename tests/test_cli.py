@@ -8,6 +8,7 @@ import pytest
 from rdslab import bounds as B
 from rdslab import cli as CLI
 from rdslab import config as C
+from rdslab import harness as H
 from rdslab.cli import main
 from rdslab.spaces import Interval, canonical_direction
 
@@ -585,6 +586,19 @@ class TestPinnedOutput:
         captured = capsys.readouterr()
         assert "params 'x0': vanishing derivative" in captured.err and captured.out == ""
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_tail_with_non_finite_trials(self, tmp_path, capsys):
+        # the Moebius map divides by zero at x0 = -1: every trial value is nan
+        system = {"kind": "atoms", "atoms": [[{"kind": "moebius", "alpha": 1.0}, 1.0]],
+                  "space": {"kind": "interval", "a": -2.0, "b": 1.0}}
+        doc = dict(TAIL_DOC, system=system, n=20, params={"x0": -1}, t_ladder=[0.3, 0.5],
+                   inputs={"lambda_nu": 0.1, "gee_inf": 0.1})
+        with mock.patch("rdslab.harness._run_trials", wraps=H._run_trials) as runs:
+            assert main(["tail", "--config", write_cfg(tmp_path, doc)]) == 2
+        captured = capsys.readouterr()
+        assert "params 'x0': 200 of 200 pilot trials are not finite" in captured.err
+        assert captured.out == "" and runs.call_count == 1  # no main run
+
     def test_corr_dim_without_positive_rungs(self, tmp_path, capsys):
         # every rung's correlation sum is 0, which shows only once the orbit
         # is drawn
@@ -678,10 +692,10 @@ class TestBoundSelectors:
 
     def test_unknown_selector_simulates_nothing(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, dict(TAIL_DOC, bound="lnn"))
-        with mock.patch("rdslab.harness._group_values") as chunk:
+        with mock.patch("rdslab.harness._run_trials") as trials:
             assert main(["tail", "--config", cfg]) == 2
         assert "'lnn'" in capsys.readouterr().err
-        assert chunk.call_count == 0
+        assert trials.call_count == 0
 
 
 def observable_doc(observable, system=HALVING_ATOMS, params=None):
@@ -1133,12 +1147,17 @@ class TestStarts:
         assert (self._run(tmp_path, "corr-dim", [1000, 0])
                 == self._run(tmp_path, "corr-dim", [1, 0]))
 
+    def test_projective_lyap_takes_a_cocycle_rate(self, tmp_path, capsys):
+        # a projective orbit has no log-derivative record: its rates are the cocycle's
+        doc = dict(TAIL_DOC, system=projective_system(MATRICES_2), n=10)
+        with mock.patch("rdslab.harness.lyapunov_projective") as cocycle:
+            fails_before_drawing(tmp_path, capsys, "lyap", doc, "'observable'")
+        cocycle.assert_not_called()
+
     def test_lyap_rate_ignores_the_start_norm(self, tmp_path):
         # a raw start of norm 1000 would add log(1000) / n to the rate
-        rate = self._run(tmp_path, "lyap", [1000, 0])
-        assert rate == self._run(tmp_path, "lyap", [1, 0])
-        cocycle = self._run(tmp_path, "lyap", [1000, 0], "lyap-projective")
-        assert rate.split("\n")[1] == ",".join(cocycle.split("\n")[1].split(",")[:2])
+        rates = self._run(tmp_path, "lyap", [1000, 0], "lyap-projective")
+        assert rates == self._run(tmp_path, "lyap", [1, 0], "lyap-projective")
 
     @pytest.mark.parametrize("x0, first", [(0, "0,0"), (1, "0,1")])
     def test_interval_endpoints(self, tmp_path, x0, first):

@@ -903,8 +903,80 @@ class TestLyapunovProjectiveTrials:
                 run()
 
 
+def per_cell_fixed_points(nu, n, stream):
+    """(points, bisected cells) of the per-cell scalar loop that
+    ``nonexpansive_fixed_points`` ran before it bisected every cell at once:
+    the oracle of the batched bisection."""
+    maps = E.word_maps(nu, draw_word(nu, stream, n))
+    resolution = 4096
+
+    def displacement(theta):
+        g, _ = E._composed_circle(maps, theta)
+        return E.circle_delta(theta, g)
+
+    thetas = np.arange(resolution) / resolution
+    disp = np.atleast_1d(displacement(thetas))
+
+    if np.max(np.abs(disp)) < 1e-12:
+        _, derivs = E._composed_circle(maps, thetas)
+        return [(float(t), float(d)) for t, d in zip(thetas, np.atleast_1d(derivs))], 0
+
+    roots, bisected = [], 0
+    for i in range(resolution):
+        j = (i + 1) % resolution
+        a, b = thetas[i], thetas[i] + 1.0 / resolution
+        fa, fb = disp[i], disp[j]
+        if abs(fa) < 1e-15:
+            roots.append(float(a % 1.0))
+            continue
+        if fa * fb >= 0 or abs(fa - fb) > 0.5:  # same sign, or a wrap artifact
+            continue
+        bisected += 1
+        for _ in range(200):
+            mid = 0.5 * (a + b)
+            fm = float(displacement(mid % 1.0))
+            if fa * fm <= 0:
+                b, fb = mid, fm
+            else:
+                a, fa = mid, fm
+            if b - a < 1e-10:
+                break
+        roots.append(float((0.5 * (a + b)) % 1.0))
+
+    out = []
+    for r in roots:
+        _, d = E._composed_circle(maps, r)
+        if float(np.abs(d)) <= 1.0 + 1e-9:
+            out.append((r, float(d)))
+    return out, bisected
+
+
+def random_sl2(rng):
+    a, b, c = rng.uniform(-2.0, 2.0, 3)
+    a += np.copysign(0.5, a)  # det = a d - b c = 1
+    return [[a, b], [c, (1.0 + b * c) / a]]
+
+
 class TestNonexpansiveFixedPoints:
     NU = DrivingMeasure(atoms=((ProjectiveAction([[4.0, 0.0], [0.0, 0.25]], chart="circle"), 1.0),))
+
+    def test_batched_bisection_equals_per_cell_loop(self):
+        rng = np.random.default_rng(30)
+        cases = [(self.NU, 1), (self.NU, 2),
+                 (DrivingMeasure(atoms=((ProjectiveAction(np.eye(2), chart="circle"), 1.0),)), 1)]
+        for _ in range(100):
+            k = int(rng.integers(1, 4))
+            cases.append((DrivingMeasure(atoms=tuple(
+                (ProjectiveAction(random_sl2(rng), chart="circle"), 1.0 / k) for _ in range(k))),
+                int(rng.integers(1, 6))))
+        bisected = 0
+        for seed, (nu, n) in enumerate(cases):
+            got = nonexpansive_fixed_points(nu, n, SeededStream(seed).generator())
+            expect, cells = per_cell_fixed_points(nu, n, SeededStream(seed).generator())
+            assert ([(r.hex(), d.hex()) for r, d in got]
+                    == [(r.hex(), d.hex()) for r, d in expect])
+            bisected += cells > 0
+        assert bisected >= 50
 
     def test_attracting_direction_found(self):
         pts = nonexpansive_fixed_points(self.NU, 1, SeededStream(0).generator())

@@ -277,6 +277,16 @@ class TestLambdaSurvey:
         assert row["lambda_hat"] == pytest.approx(51.0)
         assert row["diverged"] is True
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_nan_estimate_diverged(self):
+        # the Moebius map divides by zero at x = -1, a grid point of [-2, 1]
+        system = {"kind": "atoms", "atoms": [[{"kind": "moebius", "alpha": 1.0}, 1.0]],
+                  "space": {"kind": "interval", "a": -2.0, "b": 1.0}}
+        cfg = ExperimentConfig(system=system, params={"n_ladder": [5, 10], "grid": 4},
+                               trials=20, seed=0, t_ladder=[0.1])
+        for row in run_lambda_survey(cfg):
+            assert np.isnan(row["lambda_hat"]) and row["diverged"] is True
+
 
 class TestASCLT:
     def test_zero_observable_degenerate(self):
@@ -427,7 +437,7 @@ class TestChunkEngines:
         if kind == "corr-sum":  # the orbit engine
             got = H._orbits(cfg, sys_spec, ctx, [rng()], [count])
         else:
-            got = H._group_values(cfg, sys_spec, ctx, [SeededStream(9)], [count])
+            got = H.ENGINES[kind](cfg, sys_spec, ctx, [rng()], [count])
         assert np.array_equal(got, per_step_values(cfg, sys_spec, ctx, rng(), count))
 
     @pytest.mark.parametrize("kind, system, params", ENGINE_CASES)
@@ -453,7 +463,7 @@ class TestChunkEngines:
                                   H._check_observable(cfg, sys_spec))
         with mock.patch.object(E, "LABEL_BLOCK", 50), \
                 mock.patch("rdslab.estimators.draw_word", wraps=draw_word) as draws:
-            H._group_values(cfg, sys_spec, ctx, [SeededStream(9)], [37])
+            H.ENGINES[kind](cfg, sys_spec, ctx, [SeededStream(9).generator()], [37])
         sizes = [c.args[2] for c in draws.call_args_list]
         assert max(sizes) <= 50 and sum(sizes) == n * 37
 
@@ -465,7 +475,7 @@ class TestChunkEngines:
         ctx, _ = H._build_context(cfg, sys_spec, SeededStream(0),
                                   H._check_observable(cfg, sys_spec))
         with mock.patch.object(E, "LABEL_BLOCK", block):
-            got = H._group_values(cfg, sys_spec, ctx, [SeededStream(9)], [5])
+            got = H.ENGINES[kind](cfg, sys_spec, ctx, [SeededStream(9).generator()], [5])
         rng = SeededStream(9).generator()
         expect = [lyapunov_projective(sys_spec.nu, ctx["start"], 40, rng)[row] for _ in range(5)]
         assert np.array_equal(got, expect)

@@ -4,14 +4,16 @@ bytes.
 A sweep runs every job of the benchmark's tail-battery, lambda-survey and
 orbit-analysis workloads (``rdsbench/jobs.py``) at seeds 0-3 through
 ``rdsbench/worker.py``'s ``run_job``, and records the sha1 of each output
-and of each per-trial array that ``harness._run_trials`` returns.
+and of each per-trial array that ``harness._run_trials`` returns.  It then
+runs each demo (``demos/*.py``) in the same interpreter and records the
+sha1 of its stdout, which covers library routes that no job reaches.
 
     python tools/golden.py                # print the sweep of src/ as JSON
     python tools/golden.py --against REV  # compare src/ with REV's src/
 
 ``--against`` exports REV's ``src/`` with ``git archive`` and sweeps each
-tree in its own interpreter, with the job lists of this checkout.  It
-names every output or array that moved, or whose job failed, and exits 1
+tree in its own interpreter, with the job lists and demos of this
+checkout.  It names every output, array or demo stdout that moved, or whose job failed, and exits 1
 if there is any.  numpy picks its kernels by CPU, so compare two trees on
 one machine rather than against stored hashes.
 """
@@ -19,10 +21,13 @@ one machine rather than against stored hashes.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import glob
 import hashlib
 import io
 import json
 import os
+import runpy
 import subprocess
 import sys
 import tarfile
@@ -34,7 +39,8 @@ SEEDS = range(4)
 
 
 def sweep(src: str) -> dict[str, str]:
-    """{workload/seed/job[/run_trials i]: sha1, or "failed"} of the tree ``src``."""
+    """{workload/seed/job[/run_trials i] or demos/name: sha1, or "failed"}
+    of the tree ``src``."""
     sys.path.insert(0, os.path.join(ROOT, "rdsbench"))
     import jobs
     import worker
@@ -64,6 +70,15 @@ def sweep(src: str) -> dict[str, str]:
                     for i, a in enumerate(arrays):
                         hashes[f"{key}/run_trials {i}"] = _sha1(
                             f"{a.dtype.str}{a.shape}".encode() + a.tobytes())
+    for path in sorted(glob.glob(os.path.join(ROOT, "demos", "*.py"))):
+        key, stdout = f"demos/{os.path.basename(path)}", io.StringIO()
+        try:
+            with contextlib.redirect_stdout(stdout):
+                runpy.run_path(path, run_name="__main__")
+            hashes[key] = _sha1(stdout.getvalue().encode())
+        except Exception as e:
+            print(f"{key}: {e!r}", file=sys.stderr)
+            hashes[key] = "failed"
     return hashes
 
 
@@ -104,8 +119,9 @@ def main(argv=None) -> int:
     for key in moved:
         print(f"moved: {key} ({base.get(key, 'absent')} -> {change.get(key, 'absent')})")
     arrays = sum("/run_trials " in k for k in change)
-    print(f"{len(change) - arrays} outputs and {arrays} _run_trials arrays against "
-          f"{args.against}: {len(moved)} moved")
+    demos = sum(k.startswith("demos/") for k in change)
+    print(f"{len(change) - arrays - demos} outputs, {arrays} _run_trials arrays and {demos} "
+          f"demo stdouts against {args.against}: {len(moved)} moved")
     return 1 if moved else 0
 
 
