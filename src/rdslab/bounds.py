@@ -47,7 +47,8 @@ __all__ = [
 ]
 
 
-# the z of a 95 % interval: the double scipy.special.ndtri(0.975) returns
+# the z of a 95 % interval: the double normal.ndtri(0.975) returns (the
+# Cephes port, as scipy.special.ndtri), named so bounds imports neither
 Z95 = 1.959963984540054
 
 

@@ -5,8 +5,9 @@ A rule is (what, test(value, space), convert): the values ``test``
 accepts, on the system's space where that matters (``{space}`` in
 ``what``), and what ``convert`` reads from them.  A table maps each key of
 a block to (rule, default): None leaves the key out, ``...`` makes it
-needed, and other keys are ignored.  Every reader raises
-:class:`ConfigError`, the one error on which ``rdslab`` exits 2.
+needed.  ``read_kind`` refuses a key that its kind's table lacks; ``read``
+ignores it.  Every reader raises :class:`ConfigError`, the one error on
+which ``rdslab`` exits 2.
 """
 
 from __future__ import annotations
@@ -88,11 +89,15 @@ def read(block: dict, keys: dict, where: str, space=None) -> dict:
 
 def read_kind(block, table: dict, where: str, label: str, space=None) -> tuple:
     """(kind, values) of an object whose ``kind`` is a key of ``table``,
-    its values read by ``table[kind]``."""
+    its values read by ``table[kind]``; any other key is refused."""
     kind = check(OBJECT, block, where).get("kind")
     if not (isinstance(kind, str) and kind in table):
         raise ConfigError(f"{where} needs a {label} 'kind' of {', '.join(table)}, got {kind!r}")
-    return kind, read(block, table[kind], f"{where}: {label} kind {kind!r}", space)
+    where = f"{where}: {label} kind {kind!r}"
+    unknown = [key for key in block if key != "kind" and key not in table[kind]]
+    if unknown:
+        raise ConfigError(f"{where} has no key {unknown[0]!r}; it reads {['kind', *table[kind]]}")
+    return kind, read(block, table[kind], where, space)
 
 
 def checked(where: str, make, refusal=ValueError):

@@ -159,12 +159,13 @@ def kantorovich_rows(samples: np.ndarray, mu: EmpiricalMeasure) -> np.ndarray:
 def kantorovich_gaussian(mu: EmpiricalMeasure, sigma: float) -> float:
     """Distance between a measure on the line and N(0, sigma^2), from the
     exact piecewise CDF-difference integral.  sigma = 0 degenerates to the
-    distance to the Dirac mass at 0.  The library's only scipy import."""
+    distance to the Dirac mass at 0.  The normal CDF and quantile are
+    scipy's, bit for bit (``normal``), imported on first use."""
     if sigma < 0:
         raise ValueError("sigma must be >= 0")
     if sigma == 0.0:
         return float(np.sum(mu.weights * np.abs(mu.positions)))
-    from scipy.special import ndtr, ndtri
+    from .normal import ndtr, ndtri
 
     def antiderivative(t):
         """Antiderivative of the N(0, sigma^2) CDF, vanishing at -inf."""

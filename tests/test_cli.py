@@ -1394,6 +1394,23 @@ def test_schema_walk(tmp_path, capsys, command, doc, named):
     fails_before_drawing(tmp_path, capsys, command, doc, named)
 
 
+# a misspelt key in a block of each kind table: the examples that once ran
+# on defaults, then a made-up key in every kind
+MISSPELT = [("SYSTEMS", "moebius-uniform", "low"), ("MAPS", "affine", "slop"),
+            ("SPACES", "interval", "A"), ("REFERENCES", "simulate", "burn-in"),
+            *[(table, kind, "typo") for table in ("SYSTEMS", "MAPS", "SPACES", "REFERENCES")
+              for kind in getattr(C, table)]]
+
+
+@pytest.mark.parametrize("table, kind, key", MISSPELT,
+                         ids=[f"{table}-{kind}-{key}" for table, kind, key in MISSPELT])
+def test_unknown_key_in_a_kind_block(tmp_path, capsys, table, kind, key):
+    """A key that the kind's table lacks exits 2 naming it before any draw,
+    whatever its value."""
+    command, doc = _placed(table, kind, key, 1.0)
+    fails_before_drawing(tmp_path, capsys, command, doc, f"{kind!r} has no key {key!r}")
+
+
 def test_no_rule_takes_a_bool_or_nan():
     # so the walk feeds each key at least these two values
     for kinds in (C.SYSTEMS, C.MAPS, C.SPACES, C.REFERENCES, C.PARAMS, {"": C.CONFIG}):

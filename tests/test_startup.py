@@ -1,8 +1,9 @@
-"""Start-up cost: importing rdslab, building the CLI parser and building a
-system load no part of scipy, and neither do ``selftest`` and ``tail`` of
-every observable kind, whose Wilson intervals take their z from
-``bounds.Z95``.  Only the Gaussian Kantorovich distance of ``asclt`` loads
-it, on first use.  Each case runs in a fresh interpreter, since this
+"""Start-up cost, and no scipy at run time: importing rdslab, building the
+CLI parser and building a system load no part of scipy, and neither do
+``selftest``, ``tail`` of every observable kind, whose Wilson intervals take
+their z from ``bounds.Z95``, the Gaussian Kantorovich distance and
+``asclt``, whose normal CDF and quantile are the Cephes port in
+``rdslab.normal``.  Each case runs in a fresh interpreter, since this
 process has loaded scipy through other tests already."""
 
 import json
@@ -26,13 +27,30 @@ build_system({{"kind": "halving-ifs"}})
 print(json.dumps({LOADED}))
 """
 
-FIRST_USE = f"""
-import json, sys
+# the asclt-halving pin of tests/test_cli.py
+ASCLT = {"system": {"kind": "halving-ifs"}, "observable": "asclt-kappa",
+         "params": {"h": "centered", "n_ladder": [64, 256]}, "n": 50, "t_ladder": [0.1, 0.2],
+         "trials": 200, "seed": 8, "bound": "lln"}
+ASCLT_CSV = ("n,kappa,sigma2,degenerate\n"
+             "64,0.24877999076741636,0.2504519552465031,false\n"
+             "256,0.24749604543533027,0.2504519552465031,false\n")
+
+GAUSSIAN = f"""
+import contextlib, io, json, os, sys, tempfile
+from rdslab.cli import main
 from rdslab.measures import EmpiricalMeasure, kantorovich_gaussian
-out = {{"before": {LOADED}}}
+out = {{}}
 mu = EmpiricalMeasure(None, [-0.7, 0.1, 0.25, 1.3], [0.1, 0.2, 0.3, 0.4])
 out["kappa"] = kantorovich_gaussian(mu, 0.8)
-out["after_kappa"] = {LOADED}
+with tempfile.TemporaryDirectory() as tmp:
+    cfg, csv = os.path.join(tmp, "asclt.json"), os.path.join(tmp, "asclt.csv")
+    with open(cfg, "w") as fh:
+        json.dump({ASCLT!r}, fh)
+    with contextlib.redirect_stderr(io.StringIO()):
+        out["exit"] = main(["asclt", "--config", cfg, "--out", csv])
+    with open(csv) as fh:
+        out["csv"] = fh.read()
+out["loaded"] = {LOADED}
 print(json.dumps(out))
 """
 
@@ -73,7 +91,7 @@ out["loaded"] = {LOADED}
 print(json.dumps(out))
 """
 
-# the value of the module-level scipy import this run used to make
+# the value this distance took when scipy.special computed ndtr and ndtri
 KAPPA = 0.5800499025293653
 
 
@@ -93,8 +111,5 @@ def test_selftest_and_every_tail_kind_load_no_scipy():
     assert _run(RUNS) == {"kinds": True, "selftest": 0, "loaded": []}
 
 
-def test_scipy_loads_on_first_use_with_the_same_values():
-    out = _run(FIRST_USE)
-    assert out["before"] == []
-    assert "scipy.special" in out["after_kappa"]
-    assert out["kappa"] == KAPPA
+def test_gaussian_distance_and_asclt_load_no_scipy():
+    assert _run(GAUSSIAN) == {"kappa": KAPPA, "exit": 0, "csv": ASCLT_CSV, "loaded": []}
