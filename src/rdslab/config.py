@@ -87,7 +87,7 @@ def read(block: dict, keys: dict, where: str, space=None) -> dict:
     return out
 
 
-def read_kind(block, table: dict, where: str, label: str, space=None) -> tuple:
+def read_kind(block, table: dict, where: str, label: str) -> tuple:
     """(kind, values) of an object whose ``kind`` is a key of ``table``,
     its values read by ``table[kind]``; any other key is refused."""
     kind = check(OBJECT, block, where).get("kind")
@@ -97,7 +97,7 @@ def read_kind(block, table: dict, where: str, label: str, space=None) -> tuple:
     unknown = [key for key in block if key != "kind" and key not in table[kind]]
     if unknown:
         raise ConfigError(f"{where} has no key {unknown[0]!r}; it reads {['kind', *table[kind]]}")
-    return kind, read(block, table[kind], where, space)
+    return kind, read(block, table[kind], where)
 
 
 def checked(where: str, make, refusal=ValueError):

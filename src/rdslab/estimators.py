@@ -133,9 +133,6 @@ class LambdaEstimate:
 
     value: float
     stderr: float
-    argmax_pair: tuple
-    table: np.ndarray
-    table_stderr: np.ndarray
 
 
 def _circulant(XX):
@@ -210,26 +207,13 @@ def _ordered_sums(nu, space, x, n, c, rng):
     return np.abs(S, out=S)
 
 
-def _unfold(half):
-    """The symmetric G x G table of a (G//2 + 1, G) circulant table."""
-    G = half.shape[1]
-    i = np.arange(G)
-    j = (i + np.arange(len(half))[:, None]) % G
-    full = np.empty((G, G))
-    full[i, j] = full[j, i] = half
-    return full
-
-
 def _pair_sum_stats(nu, space, starts, n, trials, stream):
-    """Per-pair mean and stderr, as G x G tables, of
-    sum_{k=0}^n d(X_k^x, X_k^y) over a common grid of starts, trials
-    chunked with independent streams per chunk.
-
-    Both kernels give each chunk's sums in the circulant layout, and the
-    statistics run on it before one symmetric scatter into the G x G
-    tables.  Chunk variances are merged pairwise (Chan et al.), so a pair
-    whose sum is the same in every trial gets a stderr at rounding level,
-    not the square root of it."""
+    """Per-pair mean and stderr of sum_{k=0}^n d(X_k^x, X_k^y) over a common
+    grid of starts, trials chunked with independent streams per chunk, as
+    (G//2 + 1, G) tables in the circulant layout of both kernels: entry
+    (k, i) pairs start i with start (i + k) % G.  Chunk variances are
+    merged pairwise (Chan et al.), so a pair whose sum is the same in every
+    trial gets a stderr at rounding level, not the square root of it."""
     sums = _ordered_sums if nu.order_preserving(space) else _dense_sums
     x = np.asarray(starts, dtype=float)
     total = np.zeros((len(x) // 2 + 1, len(x)))
@@ -253,7 +237,7 @@ def _pair_sum_stats(nu, space, starts, n, trials, stream):
         done += c
     mean = total / trials
     stderr = np.sqrt(m2 / trials / trials) if trials > 1 else np.zeros_like(mean)
-    return _unfold(mean), _unfold(stderr)
+    return mean, stderr
 
 
 def lambda_n(
@@ -272,12 +256,13 @@ def lambda_n(
 
     On an interval whose maps all preserve order (Moebius maps, affine maps
     with slope >= 0, the parametric Moebius family) coupled orbits never
-    cross, and the G x G pair table comes from G per-start orbit sums at
-    O(G) work per step.  Every other system (polynomial maps, negative
-    slopes, circles) steps G (G//2 + 1) pair distances, each unordered pair
-    of starts once in a circulant layout; the full G x G table is the
-    symmetric unfolding of its statistics, bit for bit what the dense
-    G^2 sums of the tests give.
+    cross, and the pair sums come from G per-start orbit sums at O(G) work
+    per step.  Every other system (polynomial maps, negative slopes,
+    circles) steps G (G//2 + 1) pair distances, each unordered pair of
+    starts once in a circulant layout, bit for bit what the dense G^2 sums
+    of the tests give.  The estimate is the pair that ``np.argmax`` picks
+    on the symmetric G x G table: the first maximum, or the first nan, in
+    row-major order, where pair (i, j) first shows at min(i, j) G + max(i, j).
     """
     require_one_dimensional(space, "lambda_n")
     if n < 0:
@@ -287,14 +272,12 @@ def lambda_n(
     stream = seed if isinstance(seed, SeededStream) else SeededStream(seed)
     starts = grid(space, resolution)
     mean, stderr = _pair_sum_stats(nu, space, starts, n, trials, stream.substream(0))
-    i, j = np.unravel_index(int(np.argmax(mean)), mean.shape)
-    return LambdaEstimate(
-        value=float(mean[i, j]),
-        stderr=float(stderr[i, j]),
-        argmax_pair=(float(starts[i]), float(starts[j])),
-        table=mean,
-        table_stderr=stderr,
-    )
+    G = len(starts)
+    i = np.arange(G)
+    j = (i + np.arange(len(mean))[:, None]) % G
+    hit = np.isnan(mean) | (mean == mean.max())  # no nan: the maxima; else the nans
+    at = np.argmin(np.where(hit, np.minimum(i, j) * G + np.maximum(i, j), G * G))
+    return LambdaEstimate(value=float(mean.flat[at]), stderr=float(stderr.flat[at]))
 
 
 # ---------------------------------------------------------------------------

@@ -210,9 +210,14 @@ def orbit_start(sys_spec: SystemSpec, cfg: ExperimentConfig):
 def _orbit(cfg: ExperimentConfig, sys_spec: SystemSpec, stream: SeededStream, n: int,
            record_log_derivative: bool = False):
     """One orbit of n steps from the experiment's start, drawn from
-    ``stream``: the orbit of every single-orbit command."""
-    return simulate(sys_spec.nu, orbit_start(sys_spec, cfg), n, stream,
+    ``stream``: the orbit of every single-orbit command.  An orbit that
+    leaves the reals (a map's pole) is refused."""
+    traj = simulate(sys_spec.nu, orbit_start(sys_spec, cfg), n, stream,
                     record_log_derivative=record_log_derivative, space=sys_spec.space)
+    bad = np.flatnonzero(~np.isfinite(traj.points.reshape(n + 1, -1)).all(axis=1))
+    if len(bad):
+        raise ConfigError(f"params 'x0': the orbit's point at step {bad[0]} is not finite")
+    return traj
 
 
 def _step_mean(term):
@@ -467,7 +472,10 @@ def run_lyap(cfg: ExperimentConfig) -> list[dict]:
         return [{"n": cfg.n, "vector_rate": v, "norm_rate": w}]
     traj = checked("params 'x0'", lambda: _orbit(cfg, sys_spec, stream, cfg.n, True),
                    SingularDerivativeError)
-    return [{"n": cfg.n, "rate": lyapunov_1d(traj)}]
+    rate = lyapunov_1d(traj)
+    if not np.isfinite(rate):
+        raise ConfigError(f"params 'x0': the orbit's rate {rate} is not finite")
+    return [{"n": cfg.n, "rate": rate}]
 
 
 def run_lambda_survey(cfg: ExperimentConfig) -> list[dict]:

@@ -10,6 +10,7 @@ from rdslab import cli as CLI
 from rdslab import config as C
 from rdslab import harness as H
 from rdslab.cli import main
+from rdslab.maps import DrivingMeasure
 from rdslab.spaces import Interval, canonical_direction
 
 
@@ -598,6 +599,49 @@ class TestPinnedOutput:
         captured = capsys.readouterr()
         assert "params 'x0': 200 of 200 pilot trials are not finite" in captured.err
         assert captured.out == "" and runs.call_count == 1  # no main run
+
+    @staticmethod
+    def _pole_run(tmp_path, command, x0):
+        """(exit code, whether --out was written) of ``command`` from ``x0``
+        on one Moebius map, which divides by zero at -1."""
+        system = {"kind": "atoms", "atoms": [[{"kind": "moebius", "alpha": 1.0}, 1.0]],
+                  "space": {"kind": "interval", "a": -2.0, "b": 1.0}}
+        doc = dict(TAIL_DOC, system=system, observable="lyap-1d", n=5, params={"x0": x0})
+        out = tmp_path / "rows.csv"
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return main([command, "--config", write_cfg(tmp_path, doc), "--out", str(out)]), \
+                out.exists()
+
+    @pytest.mark.parametrize("command", ["lyap", "asclt", "simulate", "corr-dim"])
+    def test_single_orbit_leaving_the_reals(self, tmp_path, capsys, command):
+        # -1 maps to -inf, then nan
+        assert self._pole_run(tmp_path, command, -1) == (2, False)
+        captured = capsys.readouterr()
+        assert "params 'x0': the orbit's point at step 1 is not finite" in captured.err
+        assert captured.out == ""
+
+    def test_lyap_with_a_non_finite_rate(self, tmp_path, capsys):
+        # the points -1.5, 3, 0.75, ... are finite, but log1p(-1.5) is nan
+        assert self._pole_run(tmp_path, "lyap", -1.5) == (2, False)
+        captured = capsys.readouterr()
+        assert "params 'x0': the orbit's rate nan is not finite" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("command", ["lyap", "asclt", "simulate", "corr-dim"])
+    def test_first_non_finite_orbit_point_is_named(self, tmp_path, capsys, command):
+        orbit = DrivingMeasure.orbit
+
+        def leaves(nu, word, x0):
+            points = orbit(nu, word, x0)
+            points[3], points[5] = np.inf, np.nan
+            return points
+
+        doc = dict(TAIL_DOC, observable="lyap-1d", n=8)
+        with mock.patch.object(DrivingMeasure, "orbit", leaves):
+            assert main([command, "--config", write_cfg(tmp_path, doc)]) == 2
+        captured = capsys.readouterr()
+        assert "params 'x0': the orbit's point at step 3 is not finite" in captured.err
+        assert captured.out == ""
 
     def test_corr_dim_without_positive_rungs(self, tmp_path, capsys):
         # every rung's correlation sum is 0, which shows only once the orbit

@@ -85,6 +85,33 @@ def _dense_lambda(*args, **kwargs):
         return lambda_n(*args, **kwargs)
 
 
+def _with_tables(run, *args, **kwargs):
+    """(``run(*args, **kwargs)``, the (mean, stderr) half tables that its
+    ``_pair_sum_stats`` returned, stacked)."""
+    tables, stats = [], E._pair_sum_stats
+    with mock.patch.object(E, "_pair_sum_stats", lambda *a: tables.append(stats(*a)) or tables[-1]):
+        est = run(*args, **kwargs)
+    return est, np.stack(tables[0])
+
+
+def _fold(full):
+    """The (G//2 + 1, G) circulant half table of a (..., G, G) table: entry
+    (k, i) is full[..., i, (i + k) % G]."""
+    G = full.shape[-1]
+    i = np.arange(G)
+    return full[..., i, (i + np.arange(G // 2 + 1)[:, None]) % G]
+
+
+def _unfold(half):
+    """The symmetric G x G table of a (G//2 + 1, G) circulant half table."""
+    G = half.shape[1]
+    i = np.arange(G)
+    j = (i + np.arange(len(half))[:, None]) % G
+    full = np.empty((G, G))
+    full[i, j] = full[j, i] = half
+    return full
+
+
 _ordered_atom = st.one_of(
     # slope in [0, 1], offset keeping [0, 1] inside itself
     st.builds(lambda s, u: Affine(s, u * (1.0 - s)), st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
@@ -105,11 +132,10 @@ class TestPairSumKernels:
     def test_ordered_kernel_matches_dense_oracle(self, nu, G, n, trials, seed):
         # 129 trials cross the 128-trial chunk boundary
         assert nu.order_preserving(SP)
-        fast = lambda_n(nu, SP, n, trials, seed, resolution=G)
-        slow = _dense_lambda(nu, SP, n, trials, seed, resolution=G)
-        np.testing.assert_allclose(fast.table, slow.table, rtol=1e-12, atol=0.0)
-        np.testing.assert_allclose(fast.table_stderr, slow.table_stderr, rtol=0.0, atol=1e-9)
-        assert fast.argmax_pair == slow.argmax_pair
+        fast, fast_tables = _with_tables(lambda_n, nu, SP, n, trials, seed, resolution=G)
+        slow, slow_tables = _with_tables(_dense_lambda, nu, SP, n, trials, seed, resolution=G)
+        np.testing.assert_allclose(fast_tables[0], slow_tables[0], rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(fast_tables[1], slow_tables[1], rtol=0.0, atol=1e-9)
         assert fast.value == slow.value
 
     @pytest.mark.parametrize("nu, space, expected", [
@@ -136,12 +162,34 @@ class TestPairSumKernels:
         est = lambda_n(HALVING, SP, n, trials, 3, resolution=64)
         assert est.stderr == 0.0
         assert abs(est.value - sum(2.0**-k for k in range(n + 1))) <= 1e-15
-        assert est.argmax_pair == (0.0, 1.0)
 
     @pytest.mark.parametrize("run", [lambda_n, _dense_lambda], ids=["ordered", "dense"])
     def test_n0_is_the_start_distance(self, run):
         est = run(HALVING, SP, 0, 10, 0, resolution=4)
-        assert (est.value, est.stderr, est.argmax_pair) == (1.0, 0.0, (0.0, 1.0))
+        assert (est.value, est.stderr) == (1.0, 0.0)
+
+    @pytest.mark.parametrize("G", range(2, 20))
+    def test_pick_is_argmax_of_unfolded_table(self, G):
+        # np.argmax on the symmetric G x G tables: the first maximum, or the
+        # first nan, in row-major order; few distinct means force ties, and
+        # every pair has its own stderr, so a wrong tie-mate shows
+        rng = np.random.default_rng(G)
+        K = G // 2 + 1
+        cases = [rng.choice([0.0, 1.0, 2.0, np.inf, -np.inf], size=(K, G),
+                            p=[0.3, 0.3, 0.3, 0.05, 0.05]) for _ in range(200)]
+        for mean in cases[::2]:
+            mean[rng.random((K, G)) < 0.05] = np.nan
+        cases += [np.full((K, G), np.nan), np.full((K, G), -np.inf), np.zeros((K, G))]
+        for mean in cases:
+            stderr = rng.permutation(mean.size).reshape(K, G).astype(float)
+            if G % 2 == 0:  # row G/2 holds each pair twice, with equal bits
+                mean[-1, G // 2:], stderr[-1, G // 2:] = mean[-1, :G // 2], stderr[-1, :G // 2]
+            full_mean, full_stderr = _unfold(mean), _unfold(stderr)
+            at = np.unravel_index(np.argmax(full_mean), full_mean.shape)
+            with mock.patch.object(E, "_pair_sum_stats", return_value=(mean, stderr)):
+                est = lambda_n(HALVING, SP, 0, 1, 0, resolution=G)
+            assert np.array_equal([est.value, est.stderr], [full_mean[at], full_stderr[at]],
+                                  equal_nan=True)
 
 
 CIRCLE_CHART = DrivingMeasure(atoms=(
@@ -169,8 +217,9 @@ def _oracle_sums(nu, space, x, n, c, rng):
 
 def _oracle_lambda(nu, space, n, trials, seed, resolution=64):
     """lambda_n on the dense G x G sums, chunk by chunk with the same streams
-    and the same Chan merge: the oracle of the circulant pair tables, which
-    must match it bit for bit."""
+    and the same Chan merge: (the estimate at np.argmax, the G x G mean and
+    stderr tables), the oracle of the circulant half tables, which must
+    match them bit for bit."""
     stream = SeededStream(seed).substream(0)
     x = E.grid(space, resolution)
     total, m2, done = 0.0, 0.0, 0
@@ -187,16 +236,16 @@ def _oracle_lambda(nu, space, n, trials, seed, resolution=64):
         done += c
     mean = total / trials
     stderr = np.sqrt(m2 / trials / trials) if trials > 1 else np.zeros_like(mean)
-    i, j = np.unravel_index(int(np.argmax(mean)), mean.shape)
-    return E.LambdaEstimate(float(mean[i, j]), float(stderr[i, j]), (float(x[i]), float(x[j])),
-                            mean, stderr)
+    at = np.unravel_index(int(np.argmax(mean)), mean.shape)
+    return E.LambdaEstimate(float(mean[at]), float(stderr[at])), np.stack([mean, stderr])
 
 
 def _assert_same_estimate(got, want):
-    assert np.array_equal(got.table, want.table, equal_nan=True)
-    assert np.array_equal(got.table_stderr, want.table_stderr, equal_nan=True)
-    assert np.array_equal([got.value, got.stderr], [want.value, want.stderr], equal_nan=True)
-    assert got.argmax_pair == want.argmax_pair
+    """``got`` and ``want`` are (estimate, tables) of ``_with_tables`` and
+    ``_oracle_lambda``: the half tables are the oracle's folded, bit for bit."""
+    (est, half), (oracle, full) = got, want
+    assert np.array_equal(half, _fold(full), equal_nan=True)
+    assert np.array_equal([est.value, est.stderr], [oracle.value, oracle.stderr], equal_nan=True)
 
 
 # circle lifts that leave [0, 1): 0.5 + 0.5 lands on 1.0, and a start of 0
@@ -224,12 +273,12 @@ class TestDenseKernelOracle:
     def test_lambda_equals_dense_oracle(self, name, G, trials):
         nu, space = DENSE_SYSTEMS[name]
         assert not nu.order_preserving(space)
-        got = lambda_n(nu, space, 12, trials, 5, resolution=G)
+        got = _with_tables(lambda_n, nu, space, 12, trials, 5, resolution=G)
         _assert_same_estimate(got, _oracle_lambda(nu, space, 12, trials, 5, resolution=G))
 
     def test_full_grid_equals_dense_oracle(self):
         nu, space = DENSE_SYSTEMS["circle-chart"]
-        got = lambda_n(nu, space, 20, 130, 0, resolution=64)
+        got = _with_tables(lambda_n, nu, space, 20, 130, 0, resolution=64)
         _assert_same_estimate(got, _oracle_lambda(nu, space, 20, 130, 0, resolution=64))
 
     @pytest.mark.parametrize("trials", [1, 2, 129])
@@ -238,20 +287,20 @@ class TestDenseKernelOracle:
         nu = DrivingMeasure(atoms=((Affine(-1e200, 0.5), 0.5), (Affine(1e200, 0.0), 0.5)))
         assert not nu.order_preserving(SP)
         with np.errstate(over="ignore", invalid="ignore"):
-            got = lambda_n(nu, SP, 4, trials, 1, resolution=5)
+            got = _with_tables(lambda_n, nu, SP, 4, trials, 1, resolution=5)
             want = _oracle_lambda(nu, SP, 4, trials, 1, resolution=5)
-        assert np.isnan(want.table).any() and np.isinf(want.table).any()
+        assert np.isnan(want[1][0]).any() and np.isinf(want[1][0]).any()
         _assert_same_estimate(got, want)
 
     @pytest.mark.parametrize("G", [1, 2, 5, 6])
     def test_dense_circle_fold_matches_distance(self, G):
-        # each trial's half table, unfolded, is the G x G block of distance
+        # each trial's half table is the G x G block of distance, folded
         x = np.array([0.0, 0.25, 0.5, 0.9, 1.0, 0.75])[:G]
         n, c = 8, 7
         S = E._dense_sums(CIRCLE_LIFTS, Circle(), x, n, c, SeededStream(2).generator())
         expected, states = _oracle_sums(CIRCLE_LIFTS, Circle(), x, n, c, SeededStream(2).generator())
         assert S.shape == (c, G // 2 + 1, G)
-        assert np.array_equal(np.stack([E._unfold(half) for half in S]), expected)
+        assert np.array_equal(S, _fold(expected))
         if G >= 5:
             assert np.any(states < 0.0) and np.any(states > 1.0)
             assert np.any(states % 1.0 == 1.0)
@@ -281,7 +330,7 @@ class TestDenseTrialBlocks:
         monkeypatch.setattr(E, "_NODE", node)
         shapes = self._record(monkeypatch)
         with np.errstate(over="ignore", invalid="ignore"):
-            got = lambda_n(nu, space, n, trials, seed, resolution=G)
+            got = _with_tables(lambda_n, nu, space, n, trials, seed, resolution=G)
             want = _oracle_lambda(nu, space, n, trials, seed, resolution=G)
         return got, want, [s for s in shapes if len(s) == 3]
 
@@ -308,7 +357,7 @@ class TestDenseTrialBlocks:
     @pytest.mark.parametrize("trials", [7, 129])
     def test_overflow_to_inf_blocks_equal_dense_oracle(self, monkeypatch, node, b, trials):
         got, want, tables = self._run(monkeypatch, node, OVERFLOW, SP, 5, trials, n=4, seed=1)
-        assert np.isnan(want.table).any() and np.isinf(want.table).any()
+        assert np.isnan(want[1][0]).any() and np.isinf(want[1][0]).any()
         _assert_same_estimate(got, want)
         assert tables == self._tables(SP, 5, trials, b)
 
@@ -335,8 +384,7 @@ def _loop_outputs(nu, space):
            "sigma2": np.array([s2.value, s2.stderr, s2.centering_offset]),
            "pj": np.array(correlation_coefficient_pj(nu, space, eta, 25, 37, 3))}
     for kernel, run in (("lambda", lambda_n), ("lambda-dense", _dense_lambda)):
-        est = run(nu, space, 25, 37, 4, resolution=6)
-        out[kernel] = np.stack([est.table, est.table_stderr])
+        out[kernel] = _with_tables(run, nu, space, 25, 37, 4, resolution=6)[1]
     return out
 
 
