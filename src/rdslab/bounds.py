@@ -184,23 +184,26 @@ _ALTERNATIVES = {"gee_inf": ("gee_inf", "gee_rho"), "gee_c1": ("gee_c1", "gee_in
 
 class Bound(NamedTuple):
     """A config selector of :data:`BOUNDS`: whether the deviations it bounds
-    are two-sided, and its formula."""
+    are two-sided, its formula, and the tail observables (``harness.ENGINES``
+    names) whose deviations its theorem bounds.  ``run_tail`` refuses any
+    other observable."""
 
     two_sided: bool
     formula: Callable[..., BoundResult]
+    observables: tuple[str, ...]
 
 
 BOUNDS = {
-    "theorem-a": Bound(False, theorem_a_bound),
-    "refined": Bound(False, refined_bound),
-    "lln": Bound(True, lln_bound),
-    "sync": Bound(False, sync_bound),
-    "empirical-kappa": Bound(True, empirical_kappa_bound),
-    "interval-kappa": Bound(False, interval_kappa_bound),
-    "corrdim": Bound(True, corrdim_bound),
-    "circle-lyap": Bound(True, circle_lyap_bound),
-    "projective-lyap": Bound(False, projective_lyap_bound),
-    "matrix-norm": Bound(True, matrix_norm_bound),
+    "theorem-a": Bound(False, theorem_a_bound, ("birkhoff",)),
+    "refined": Bound(False, refined_bound, ("birkhoff",)),
+    "lln": Bound(True, lln_bound, ("birkhoff",)),
+    "sync": Bound(False, sync_bound, ("sync",)),
+    "empirical-kappa": Bound(True, empirical_kappa_bound, ("kappa-to-stationary",)),
+    "interval-kappa": Bound(False, interval_kappa_bound, ("kappa-interval",)),
+    "corrdim": Bound(True, corrdim_bound, ("corr-sum",)),
+    "circle-lyap": Bound(True, circle_lyap_bound, ("lyap-1d",)),
+    "projective-lyap": Bound(False, projective_lyap_bound, ("lyap-projective",)),
+    "matrix-norm": Bound(True, matrix_norm_bound, ("lyap-matrix-norm",)),
 }
 
 

@@ -54,7 +54,8 @@ from .estimators import (
 from .config import (MAPS, PAIR, PARAMS, POINT, REAL, REFERENCES, SPACES, START, SYSTEMS,
                      ConfigError, ExperimentConfig, check, checked, one_of, read, read_kind)
 from .maps import (Affine, DrivingMeasure, MoebiusDecay, PolynomialDecay, ProjectiveAction,
-                   SingularDerivativeError, cocycle_matrices, space_of, support_space)
+                   SingularDerivativeError, cocycle_matrices, maps_into, space_of,
+                   support_space)
 from .measures import EmpiricalMeasure, kantorovich_gaussian, kantorovich_rows
 from .spaces import (Circle, Interval, Projective, canonical_direction, distance,
                      require_one_dimensional)
@@ -118,8 +119,9 @@ def build_system(spec: dict) -> SystemSpec:
 
     Named systems carry their analytic constants; explicit atom lists do
     not, and bound inputs must then be supplied in the config.  An atoms
-    system lives on its ``space`` block, which each chart matrix must fit,
-    or else where its maps act (``maps.support_space``).
+    system lives on its ``space`` block, or else where its first map acts
+    (``maps.support_space``).  Each chart matrix must fit that space, and
+    each map must map an interval space into itself (``maps.maps_into``).
     """
     kind, v = read_kind(spec, SYSTEMS, "config 'system'", "system")
     where = f"system {kind!r}"
@@ -145,14 +147,18 @@ def build_system(spec: dict) -> SystemSpec:
     atoms = tuple(_atom(a, i) for i, a in enumerate(v["atoms"]))
     nu = checked(where, lambda: DrivingMeasure(atoms=atoms))
     if v["space"] is None:
-        return SystemSpec(nu, support_space(nu))
-    kind, s = read_kind(v["space"], SPACES, "system 'space'", "space")
-    make = {"interval": Interval, "circle": Circle, "projective": Projective}[kind]
-    space = checked("system 'space'", lambda: make(**s))
-    for f, _ in nu.atoms:
+        space = support_space(nu)
+    else:
+        kind, s = read_kind(v["space"], SPACES, "system 'space'", "space")
+        make = {"interval": Interval, "circle": Circle, "projective": Projective}[kind]
+        space = checked("system 'space'", lambda: make(**s))
+    for i, (f, _) in enumerate(nu.atoms):
         if isinstance(f, ProjectiveAction) and space != space_of(f):
             raise ConfigError(f"system 'space' {space!r} does not fit {f!r}, "
                               f"which acts on {space_of(f)!r}")
+        if not maps_into(f, space):
+            raise ConfigError(f"system 'atoms' entry {i}: {f!r} does not map {space!r} "
+                              f"into itself")
     return SystemSpec(nu, space)
 
 
@@ -353,6 +359,7 @@ def _build_context(cfg: ExperimentConfig, sys_spec: SystemSpec, stream: SeededSt
 def run_tail(cfg: ExperimentConfig) -> TailReport:
     """Tail-dominance experiment: pilot run for centering, main run for the
     empirical tail, closed-form bound per t, dominance verdict per row.
+    The bound must be one of the observable's (``bounds.Bound.observables``).
 
     The pilot confidence-interval halfwidth is folded into the deviation
     margin (deviations are compared against t minus the halfwidth), which
@@ -364,6 +371,10 @@ def run_tail(cfg: ExperimentConfig) -> TailReport:
     sys_spec = build_system(cfg.system)
     results, prov = _bound_ladder(cfg, sys_spec)
     params = _check_observable(cfg, sys_spec)
+    bounded = B.BOUNDS[cfg.bound].observables
+    if cfg.observable not in bounded:
+        raise ConfigError(f"config 'bound' {cfg.bound!r} does not bound config 'observable' "
+                          f"{cfg.observable!r}, only {', '.join(bounded)}")
     stream = SeededStream(cfg.seed)
     ctx, ctx_prov = _build_context(cfg, sys_spec, stream, params)
     prov.update(ctx_prov)

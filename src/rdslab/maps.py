@@ -51,6 +51,7 @@ __all__ = [
     "derivative",
     "log_derivative",
     "gee_diameter_sup",
+    "maps_into",
 ]
 
 _DERIVATIVE_FLOOR = 1e-300
@@ -419,6 +420,29 @@ def gee_diameter_sup(nu: DrivingMeasure, space: StateSpace, resolution: int) -> 
     images = np.array([apply_map(f, pts) for f in maps])
     i, j = np.triu_indices(len(maps), 1)
     return float(np.max(distance(space, images[i], images[j]), initial=0.0))
+
+
+def maps_into(f: MapDescriptor, space: StateSpace) -> bool:
+    """True unless ``space`` is an interval [a, b] that f maps outside
+    itself; circle and projective spaces need no check.
+
+    An affine map is monotone, so the images of a and b decide it.  The
+    decay maps need a >= 0.  x**alpha is undefined below 0 (alpha is not
+    an integer).  A Moebius map x / (1 + alpha x) takes each x between its
+    pole -1/alpha and 0 below x, and each x below the pole above
+    1/alpha > 0, so an interval from below the pole that holds f(a) holds
+    the pole too.  On [0, inf) both fix 0 and satisfy f(x) < x for x > 0,
+    so f(a) < a unless a = 0: an interval passes only when a = 0.
+    Then a Moebius map, increasing, takes [0, b] onto [0, f(b)].  A
+    polynomial map x - x**alpha is negative past 1, so it also needs b <= 1,
+    and then its images lie in [0, x].  A matrix acts on directions, not on
+    an interval."""
+    if not isinstance(space, Interval):
+        return True
+    a, b = space.a, space.b
+    if isinstance(f, Affine):
+        return all(a <= f.image(*f.params, x) <= b for x in (a, b))
+    return isinstance(f, _DecayFamily) and a == 0.0 and (isinstance(f, MoebiusDecay) or b <= 1.0)
 
 
 def space_of(f: MapDescriptor) -> StateSpace:

@@ -582,19 +582,22 @@ class TestPinnedOutput:
     def test_tail_at_a_critical_point(self, tmp_path, capsys):
         system = {"kind": "atoms", "atoms": [[{"kind": "polynomial", "alpha": 1.5}, 1.0]]}
         doc = dict(TAIL_DOC, system=system, observable="lyap-1d", n=20,
-                   params={"x0": (2.0 / 3.0) ** 2}, inputs={"lambda_nu": 2.0, "gee_inf": 0.5})
+                   params={"x0": (2.0 / 3.0) ** 2}, bound="circle-lyap",
+                   inputs={"lambda_nu": 2.0, "gee_inf": 0.5, "m_nu": 0.1, "M_nu": 1.0})
         assert main(["tail", "--config", write_cfg(tmp_path, doc)]) == 2
         captured = capsys.readouterr()
         assert "params 'x0': vanishing derivative" in captured.err and captured.out == ""
 
+    # build_system refuses a Moebius map on an interval around its pole at
+    # -1, so these runs take one Moebius map on [0, 1] and a start that is
+    # patched in past the start check
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_tail_with_non_finite_trials(self, tmp_path, capsys):
         # the Moebius map divides by zero at x0 = -1: every trial value is nan
-        system = {"kind": "atoms", "atoms": [[{"kind": "moebius", "alpha": 1.0}, 1.0]],
-                  "space": {"kind": "interval", "a": -2.0, "b": 1.0}}
-        doc = dict(TAIL_DOC, system=system, n=20, params={"x0": -1}, t_ladder=[0.3, 0.5],
+        doc = dict(TAIL_DOC, system=MOEBIUS_ONE_ATOM, n=20, t_ladder=[0.3, 0.5],
                    inputs={"lambda_nu": 0.1, "gee_inf": 0.1})
-        with mock.patch("rdslab.harness._run_trials", wraps=H._run_trials) as runs:
+        with mock.patch("rdslab.harness._run_trials", wraps=H._run_trials) as runs, \
+                mock.patch("rdslab.harness.orbit_start", return_value=-1.0):
             assert main(["tail", "--config", write_cfg(tmp_path, doc)]) == 2
         captured = capsys.readouterr()
         assert "params 'x0': 200 of 200 pilot trials are not finite" in captured.err
@@ -604,11 +607,10 @@ class TestPinnedOutput:
     def _pole_run(tmp_path, command, x0):
         """(exit code, whether --out was written) of ``command`` from ``x0``
         on one Moebius map, which divides by zero at -1."""
-        system = {"kind": "atoms", "atoms": [[{"kind": "moebius", "alpha": 1.0}, 1.0]],
-                  "space": {"kind": "interval", "a": -2.0, "b": 1.0}}
-        doc = dict(TAIL_DOC, system=system, observable="lyap-1d", n=5, params={"x0": x0})
+        doc = dict(TAIL_DOC, system=MOEBIUS_ONE_ATOM, observable="lyap-1d", n=5)
         out = tmp_path / "rows.csv"
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore"), \
+                mock.patch("rdslab.harness.orbit_start", return_value=x0):
             return main([command, "--config", write_cfg(tmp_path, doc), "--out", str(out)]), \
                 out.exists()
 
@@ -742,9 +744,21 @@ class TestBoundSelectors:
         assert trials.call_count == 0
 
 
+# the selector that bounds each tail observable, with its inputs beyond
+# CONTRACTION (a corr-sum run must restate its params' epsilon, here 0.5)
+PAIRED = {"birkhoff": ("lln", {}), "sync": ("sync", {}),
+          "kappa-to-stationary": ("empirical-kappa", {}),
+          "kappa-interval": ("interval-kappa", {}), "corr-sum": ("corrdim", {"epsilon": 0.5}),
+          "lyap-1d": ("circle-lyap", {"m_nu": 0.5, "M_nu": 1.0}),
+          "lyap-projective": ("projective-lyap", {"C": 3.0}),
+          "lyap-matrix-norm": ("matrix-norm", {"C": 3.0})}
+
+
 def observable_doc(observable, system=HALVING_ATOMS, params=None):
+    bound, inputs = PAIRED.get(observable, ("lln", {}))
     return {"system": system, "observable": observable, "params": params or {}, "n": 40,
-            "t_ladder": [0.5], "trials": 100, "bound": "lln", "inputs": CONTRACTION}
+            "t_ladder": [0.5], "trials": 100, "bound": bound,
+            "inputs": dict(CONTRACTION, **inputs)}
 
 
 PROJECTIVE_ATOMS = projective_system(MATRICES_2)
@@ -1084,8 +1098,8 @@ def without_space(system):
 class TestSupportSpace:
     """An atoms system without a ``space`` block lives where its maps act:
     it gives the bytes of the same config naming that space, or the exit of
-    that config, and a block that a chart matrix does not fit exits 2 naming
-    'space' before any draw."""
+    that config, and a space that a chart matrix does not fit, named or
+    taken from the first map, exits 2 naming 'space' before any draw."""
 
     @pytest.mark.parametrize("command, doc", [
         pytest.param("corr-dim", dict(TAIL_DOC, system=CIRCLE_CHART, n=2000, seed=3,
@@ -1128,8 +1142,11 @@ class TestSupportSpace:
         dict(CIRCLE_CHART, space={"kind": "projective", "m": 2}),
         dict(PROJECTIVE_ATOMS, space={"kind": "projective", "m": 3}),
         dict(PROJECTIVE_ATOMS, space={"kind": "circle"}),
+        # no space block: the first map puts the system on [0, 1]
+        {"kind": "atoms", "atoms": [[{"kind": "moebius", "alpha": 1.0}, 0.5],
+                                    [{"kind": "projective", "matrix": MATRICES_2[0]}, 0.5]]},
     ], ids=["circle-chart-on-interval", "circle-chart-on-projective", "2x2-on-projective-3",
-            "projective-chart-on-circle"])
+            "projective-chart-on-circle", "matrix-after-a-moebius-map"])
     def test_space_a_chart_does_not_fit(self, tmp_path, capsys, command, system):
         doc = dict(TAIL_DOC, system=system, params={"n_ladder": [10], "grid": 8})
         fails_before_drawing(tmp_path, capsys, command, doc, "'space'")
@@ -1463,3 +1480,68 @@ def test_no_rule_takes_a_bool_or_nan():
                 assert not test(True, None) and not test(float("nan"), None), (key, what)
     for key, (what, test, _) in B._INPUTS.items():
         assert not test(True, None) and not test(float("nan"), None), (key, what)
+
+
+# systems whose maps leave their interval: one Moebius map around its pole
+# at -1 (from the pole), and a doubling map on the default [0, 1] and on a
+# named one
+LEAVING = {
+    "moebius-pole": (dict(MOEBIUS_ONE_ATOM, space={"kind": "interval", "a": -2.0, "b": 1.0}),
+                     {"x0": -1.0}, "entry 0: MoebiusDecay(alpha=1.0) does not map "
+                                   "Interval(a=-2.0, b=1.0)"),
+    "doubling": ({"kind": "atoms", "atoms": [[{"kind": "affine", "slope": 2, "offset": 0}, 1.0]]},
+                 {}, "entry 0: Affine(slope=2.0, offset=0.0) does not map Interval(a=0.0, b=1.0)"),
+    "doubling-named-space": (
+        {"kind": "atoms", "atoms": [[{"kind": "affine", "slope": 2, "offset": 0}, 1.0]],
+         "space": {"kind": "interval", "a": 0.0, "b": 1.0}},
+        {}, "entry 0: Affine(slope=2.0, offset=0.0) does not map Interval(a=0.0, b=1.0)"),
+}
+
+
+@pytest.mark.parametrize("case", LEAVING)
+@pytest.mark.parametrize("command", ["simulate", "lyap", "corr-dim", "tail", "lambda", "asclt",
+                                     "bounds"])
+def test_maps_leaving_their_interval(tmp_path, capsys, command, case):
+    """A system whose maps leave its interval exits 2 naming the system, the
+    map and the space, before any draw."""
+    system, params, named = LEAVING[case]
+    doc = dict(TAIL_DOC, system=system, params=params, inputs=CONTRACTION)
+    fails_before_drawing(tmp_path, capsys, command, doc, f"system 'atoms' {named}")
+
+
+# the tail observables each selector bounds, as the README's table lists them
+BOUNDED = {"theorem-a": ("birkhoff",), "refined": ("birkhoff",), "lln": ("birkhoff",),
+           "sync": ("sync",), "empirical-kappa": ("kappa-to-stationary",),
+           "interval-kappa": ("kappa-interval",), "corrdim": ("corr-sum",),
+           "circle-lyap": ("lyap-1d",), "projective-lyap": ("lyap-projective",),
+           "matrix-norm": ("lyap-matrix-norm",)}
+
+
+@pytest.mark.parametrize("kind", H.ENGINES)
+@pytest.mark.parametrize("selector", B.BOUNDS)
+def test_selector_and_observable_pairs(tmp_path, capsys, selector, kind):
+    """A tail runs exactly the pairs of ``BOUNDED``; any other pair exits 2
+    naming the bound and the observable, before any draw."""
+    system = projective_system(MATRICES_3) if kind in H.COCYCLE_KINDS else HALVING_ATOMS
+    doc = dict(observable_doc(kind, system, {"B": [0.5], "epsilon": 0.25}), bound=selector,
+               inputs=BOUND_DOCS[selector][0])
+    if kind in BOUNDED[selector]:
+        out = tmp_path / "r.csv"
+        assert main(["tail", "--config", write_cfg(tmp_path, doc), "--out", str(out)]) == 0
+        assert out.read_text().startswith("t,")
+    else:
+        fails_before_drawing(tmp_path, capsys, "tail", doc,
+                             f"config 'bound' {selector!r} does not bound config "
+                             f"'observable' {kind!r}")
+
+
+@pytest.mark.parametrize("doc", [
+    dict(TAIL_DOC, system={"kind": "halving-ifs"}, bound="matrix-norm", inputs={"C": 3}),
+    dict(TAIL_DOC, system={"kind": "halving-ifs"}, observable="sync",
+         params={"B": [0.0, 0.5, 1.0], "x0": 0.25}),
+    # before the reference block is read
+    dict(observable_doc("kappa-to-stationary", params={"reference": {"kind": "lebesge"}}),
+         bound="lln"),
+], ids=["birkhoff-matrix-norm", "sync-lln", "before-the-reference"])
+def test_unpaired_bound_fails_before_drawing(tmp_path, capsys, doc):
+    fails_before_drawing(tmp_path, capsys, "tail", doc, f"config 'bound' {doc['bound']!r}")

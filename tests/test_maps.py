@@ -15,10 +15,11 @@ from rdslab.maps import (
     derivative,
     gee_diameter_sup,
     log_derivative,
+    maps_into,
     space_of,
     support_space,
 )
-from rdslab.spaces import Circle, Interval, Projective
+from rdslab.spaces import Circle, Interval, Projective, grid
 from rdslab.streams import SeededStream
 
 alphas = st.floats(min_value=1.0, max_value=5.0, allow_nan=False)
@@ -272,3 +273,59 @@ def test_space_of():
 ], ids=["affine", "parametric", "circle-chart", "projective", "affine-first", "circle-first"])
 def test_support_space(nu, space):
     assert support_space(nu) == space
+
+
+def _grid_maps_into(f, space):
+    """The oracle of ``maps_into``: every image of the 257-point grid of
+    the interval ``space``, its endpoints included, lies in it (a pole's
+    inf and a negative power's nan do not)."""
+    with np.errstate(all="ignore"):
+        images = apply_map(f, grid(space, 257))
+    return bool(np.all((space.a <= images) & (images <= space.b)))
+
+
+# around and below the Moebius poles, negative points, a > 0, b > 1
+INTERVALS = [Interval(a, b) for a, b in (
+    (0.0, 1.0), (0.0, 0.5), (0.0, 1.0001), (0.0, 1.5), (0.0, 5.0), (0.25, 1.0), (0.5, 2.0),
+    (-0.5, 1.0), (-2.0, 1.0), (-1.0, 0.5), (-0.4, 0.0), (-10.0, -5.0), (-3.0, -1.0))]
+
+
+class TestMapsInto:
+    """``maps_into`` decides from endpoint images (and, for the decay maps,
+    from a = 0 and b <= 1) what the images of a fine grid show."""
+
+    @pytest.mark.parametrize("space", INTERVALS, ids=repr)
+    @pytest.mark.parametrize("f", [MoebiusDecay(1.0), MoebiusDecay(2.5), PolynomialDecay(1.25),
+                                   PolynomialDecay(1.5)], ids=repr)
+    def test_decay_maps(self, f, space):
+        assert maps_into(f, space) == _grid_maps_into(f, space)
+
+    def test_affine_maps(self):
+        # quarter steps put many images exactly on an endpoint; then any reals
+        rng = np.random.default_rng(0)
+        quarters = np.arange(-8, 9) / 4.0
+        verdicts = []
+        for k in range(3000):
+            pick = (lambda: float(rng.choice(quarters))) if k < 2000 else (
+                lambda: float(rng.uniform(-2.0, 2.0)))
+            slope, offset, a, b = pick(), pick(), pick(), pick()
+            if a >= b:
+                continue
+            f, space = Affine(slope, offset), Interval(a, b)
+            verdicts.append(maps_into(f, space))
+            assert verdicts[-1] == _grid_maps_into(f, space), (f, space)
+        assert 100 < sum(verdicts) < len(verdicts) - 100
+
+    def test_endpoint_images(self):
+        assert maps_into(Affine(0.5, 0.5), Interval(0.0, 1.0))
+        assert maps_into(Affine(-1.0, 1.0), Interval(0.0, 1.0))
+        assert maps_into(Affine(0.0, 1.0), Interval(0.0, 1.0))
+        assert not maps_into(Affine(0.0, 1.0000000000000002), Interval(0.0, 1.0))
+        assert not maps_into(Affine(2.0, 0.0), Interval(0.0, 1.0))
+
+    def test_matrices_and_other_spaces(self):
+        circle = ProjectiveAction([[2.0, 1.0], [1.0, 1.0]], chart="circle")
+        assert not maps_into(circle, Interval(0.0, 1.0))
+        assert not maps_into(ProjectiveAction(np.eye(2)), Interval(0.0, 1.0))
+        for f in (circle, Affine(2.0, 0.0), MoebiusDecay(1.0), PolynomialDecay(1.5)):
+            assert maps_into(f, Circle()) and maps_into(f, Projective(2))

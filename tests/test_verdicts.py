@@ -64,6 +64,6 @@ def test_in_regime_row_passes(selector):
 def test_shrunken_bound_fails(monkeypatch, selector):
     bound = B.BOUNDS[selector]
     monkeypatch.setitem(B.BOUNDS, selector,
-                        B.Bound(bound.two_sided, _exponent_times_100(bound.formula)))
+                        bound._replace(formula=_exponent_times_100(bound.formula)))
     row = _row(selector)
     assert row["verdict"] == "fail" and row["bound"] < row["ci_hi"]
